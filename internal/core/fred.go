@@ -31,7 +31,7 @@ type Anonymizer interface {
 }
 
 // ParallelAnonymizer is the optional extension schemes implement to spread a
-// single level's work (distance scans, sub-partition recursion) over spare
+// single level's work (mondrian's sub-partition recursion) over spare
 // workers from the sweep's shared budget. The contract is strict: the output
 // must be bit-identical to Anonymize at every budget, including nil. Sweeps
 // hand each level the pool budget, so within-level parallelism soaks up

@@ -124,57 +124,6 @@ func (r *Regression) EstimateBatch(m Matrix, out Range, b *parallel.Budget, _ *A
 	return nil
 }
 
-// distIdx is a (distance, calibration-index) pair; ordering is lexicographic
-// so ties break deterministically, matching the row-slice path.
-type distIdx struct {
-	d   float64
-	idx int32
-}
-
-func diLess(a, b distIdx) bool {
-	return a.d < b.d || (a.d == b.d && a.idx < b.idx)
-}
-
-func siftUp(h []distIdx) {
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !diLess(h[p], h[i]) {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-}
-
-func siftDown(h []distIdx) {
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			break
-		}
-		big := l
-		if r := l + 1; r < len(h) && diLess(h[l], h[r]) {
-			big = r
-		}
-		if !diLess(h[i], h[big]) {
-			break
-		}
-		h[i], h[big] = h[big], h[i]
-		i = big
-	}
-}
-
-// sortDistIdx heap-sorts a max-heap into ascending (distance, index) order
-// in place, allocation-free.
-func sortDistIdx(h []distIdx) {
-	for end := len(h) - 1; end > 0; end-- {
-		h[0], h[end] = h[end], h[0]
-		siftDown(h[:end])
-	}
-}
-
 // calibMatrix lazily flattens the calibration features row-major, once per
 // estimator. Mutating CalibFeatures after the first batch call is not
 // supported.
@@ -224,14 +173,13 @@ func (k *KNN) EstimateBatch(m Matrix, out Range, b *parallel.Budget, _ *Arena, e
 	nc := len(k.CalibTargets)
 	fkk := float64(kk)
 	b.For(m.Rows, heavyRowGrain, func(lo, hi int) {
-		hp, _ := k.heapPool.Get().(*[]distIdx)
-		if hp == nil || cap(*hp) < kk {
-			s := make([]distIdx, 0, kk)
-			hp = &s
+		h, _ := k.heapPool.Get().(*stats.Nearest)
+		if h == nil {
+			h = new(stats.Nearest)
 		}
 		for i := lo; i < hi; i++ {
 			row := m.Flat[i*cd : (i+1)*cd]
-			h := (*hp)[:0]
+			h.Reset(kk)
 			for c := 0; c < nc; c++ {
 				cf := calib[c*cd : (c+1)*cd]
 				var dist float64
@@ -239,23 +187,15 @@ func (k *KNN) EstimateBatch(m Matrix, out Range, b *parallel.Budget, _ *Arena, e
 					diff := fv - cf[j]
 					dist += diff * diff
 				}
-				cand := distIdx{dist, int32(c)}
-				if len(h) < kk {
-					h = append(h, cand)
-					siftUp(h)
-				} else if diLess(cand, h[0]) {
-					h[0] = cand
-					siftDown(h)
-				}
+				h.Offer(stats.DistIdx{D: dist, Idx: c})
 			}
-			sortDistIdx(h)
 			var sum float64
-			for _, di := range h {
-				sum += k.CalibTargets[di.idx]
+			for _, di := range h.Sorted() {
+				sum += k.CalibTargets[di.Idx]
 			}
 			est[i] = stats.Clamp(sum/fkk, out.Lo, out.Hi)
 		}
-		k.heapPool.Put(hp)
+		k.heapPool.Put(h)
 	})
 	return nil
 }

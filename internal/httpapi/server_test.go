@@ -686,6 +686,52 @@ func TestEndToEndFREDSweep(t *testing.T) {
 	}
 }
 
+// TestFREDSweepNonFiniteQuasiIdentifierFails: a NaN quasi-identifier cell
+// parses as a number at upload, but MDAV cannot order distances to it, so
+// the sweep ends failed with an error naming the column.
+func TestFREDSweepNonFiniteQuasiIdentifierFails(t *testing.T) {
+	ts, _ := newTestServer(t, true)
+	sc, err := repro.UniversityScenario(repro.ScenarioOptions{Seed: 42, N: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csvBody bytes.Buffer
+	if err := dataset.WriteCSV(&csvBody, sc.P); err != nil {
+		t.Fatal(err)
+	}
+	// Lines 0 and 1 are the headers; column 1 is Teaching.
+	lines := strings.Split(csvBody.String(), "\n")
+	fields := strings.Split(lines[5], ",")
+	fields[1] = "NaN"
+	lines[5] = strings.Join(fields, ",")
+	resp, err := http.Post(ts.URL+"/v1/tables?name=P", "text/csv", strings.NewReader(strings.Join(lines, "\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pInfo service.TableInfo
+	func() {
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("upload with a NaN cell: status %d", resp.StatusCode)
+		}
+		decodeJSON(t, resp.Body, &pInfo)
+	}()
+	qInfo := uploadTable(t, ts.URL, "Q", sc.Q)
+
+	st := submitJob(t, ts.URL, service.Spec{
+		Type: service.JobFREDSweep, Table: pInfo.ID, Aux: qInfo.ID,
+		MinK: 2, MaxK: 6,
+		SensitiveLo: 40000, SensitiveHi: 160000,
+	})
+	st = pollJob(t, ts.URL, st.ID)
+	if st.State != service.StateFailed {
+		t.Fatalf("sweep over a NaN cell ended %s, want failed", st.State)
+	}
+	if !strings.Contains(st.Error, `quasi-identifier "Teaching"`) || !strings.Contains(st.Error, "non-finite") {
+		t.Fatalf("error %q does not name the non-finite Teaching column", st.Error)
+	}
+}
+
 // fetchEvents reads a full event stream (NDJSON for easy parsing) with the
 // given resume cursor headers/query and returns the decoded events.
 func fetchEvents(t *testing.T, baseURL, id, query, lastEventID string) []service.Event {

@@ -7,11 +7,12 @@ import (
 	"repro/internal/datagen"
 )
 
-// BenchmarkAssign pins the MDAV partitioning cost — the O(n²) inner loop the
-// whole sweep rides on. ReportAllocs tracks the scratch-hoisting work: the
-// group-carving loop must not allocate per call.
+// BenchmarkAssign pins the MDAV partitioning cost, which the whole sweep
+// rides on, from the paper's 40-row cohort to the service's 10⁴-row ones.
+// ReportAllocs tracks preallocation: the group-carving loop must not
+// allocate.
 func BenchmarkAssign(b *testing.B) {
-	for _, rows := range []int{250, 1000} {
+	for _, rows := range []int{40, 250, 1000, 10000} {
 		p, _, err := datagen.University(datagen.UniversityConfig{Seed: 42, N: rows})
 		if err != nil {
 			b.Fatal(err)

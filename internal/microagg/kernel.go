@@ -3,75 +3,105 @@ package microagg
 import (
 	"math"
 
-	"repro/internal/parallel"
+	"repro/internal/stats"
 )
 
-// MDAV's hot loop is O(n²) distance scans. This file keeps that loop on one
-// contiguous row-major buffer (points[i*d+j]) instead of a [][]float64 of
-// per-row slices — no pointer chasing, no per-row headers — and hoists every
-// scratch buffer into a per-Assign kernel so the group-carving loop does not
-// allocate.
-//
-// Bit-identity contract: results must match the sequential row-slice
-// formulation exactly, at any worker budget. Accumulating reductions
-// (standardize, centroids) keep their sequential order. The only parallel
-// pieces are independent distance writes and chunked argmax scans whose
-// chunk decomposition is fixed by parallel.For and whose partials combine in
-// chunk order with strict >, preserving first-occurrence-of-max semantics.
+// MDAV asks two questions of the rows that remain, round after round: which
+// row lies farthest from a point, and which k−1 rows lie nearest to a seed
+// row. The kernel answers both from an exact k-d tree built once per Assign
+// over the (standardized) points; carving a group takes its rows out of the
+// tree, so each query sees exactly the remaining rows. The groups are
+// bit-identical to brute-force scans of the row-slice formulation
+// (referenceAssign in kernel_test.go); DESIGN.md gives the argument.
 
-// scanGrain is the chunk height of parallel distance scans: big enough that a
-// chunk amortizes goroutine handoff, small enough that 10⁴-row scans still
-// split across a multi-core budget.
-const scanGrain = 2048
+// leafSize is the most rows a tree leaf holds, chosen by measurement. On
+// BenchmarkAssign and a 10⁴-row k=2..16 sweep, leaves of 16 to 64 rows ran
+// within noise of each other from 250 rows up; 48 keeps the paper's 40-row
+// cohort in one leaf, where leaves of 16 or 32 ran 1.3× slower.
+const leafSize = 48
 
-// distIdx is a (distance, row-index) pair; ordering is lexicographic, which
-// is exactly the tie-break the sequential selection used.
-type distIdx struct {
-	d   float64
-	idx int
+// kdNode is one node of the tree. Nodes are stored in preorder, so an inner
+// node's left child is the node after it.
+type kdNode struct {
+	right int32 // index of the right child; 0 marks a leaf
+	start int32 // first of the node's slots in kernel.rows
+	live  int32 // rows not yet carved; a leaf keeps them in rows[start:start+live]
+	first int32 // lowest-numbered live row, which settles ties at the bound
 }
 
-func diLess(a, b distIdx) bool {
-	return a.d < b.d || (a.d == b.d && a.idx < b.idx)
+// frame is a node waiting on a query's stack, with the bound on the
+// distance from the query point to any row the node holds.
+type frame struct {
+	node  int32
+	bound float64
 }
 
-// kernel carries the flat point buffer and all per-Assign scratch.
+// kernel carries the points, the tree and all per-Assign scratch.
 type kernel struct {
 	pts  []float64 // n×d row-major
 	n, d int
-	b    *parallel.Budget // nil ⇒ fully inline
 
-	centroid []float64 // d
-	dist     []float64 // n: distances per position of the scanned slice
-	heap     []distIdx // bounded max-heap of the k−1 nearest candidates
-	inGroup  []bool    // n: membership scratch for rest rebuilding
-	bestIdx  []int     // per-chunk argmax partials
-	bestD    []float64
-	arena    []int // backing store for returned groups; they partition 0..n−1
-	restA    []int // ping-pong "remaining" buffers
-	restB    []int
+	nodes []kdNode
+	box   []float64 // per node: d lows, then d highs, bounding its live rows
+	rows  []int32   // rows in tree order
+	slot  []int32   // row → its index in rows; −1 once carved
+
+	stack []frame
+	path  []int32 // root-to-leaf scratch of descend
+	dirty []int32 // leaves a take must refit
+	near  stats.Nearest
+
+	fitted    []float64 // 2d: refit scratch
+	centroid  []float64
+	remaining []int32 // uncarved rows, ascending; compacted once a round
+	arena     []int   // backing store of the returned groups, which partition 0..n−1
 }
 
-func newKernel(pts []float64, n, d, k int, b *parallel.Budget) *kernel {
-	nc := parallel.NumChunks(n, scanGrain)
-	return &kernel{
-		pts: pts, n: n, d: d, b: b,
-		centroid: make([]float64, d),
-		dist:     make([]float64, n),
-		heap:     make([]distIdx, 0, k-1),
-		inGroup:  make([]bool, n),
-		bestIdx:  make([]int, nc),
-		bestD:    make([]float64, nc),
-		arena:    make([]int, 0, n),
-		restA:    make([]int, n),
-		restB:    make([]int, n),
+func newKernel(pts []float64, n, d, k int) *kernel {
+	// Bound the tree's size and depth: each split leaves at most half its
+	// node's rows, rounded up, on either side.
+	nodes, depth := 1, 1
+	for c := n; c > leafSize; c = (c + 1) / 2 {
+		nodes = 2*nodes + 1
+		depth++
 	}
+	// The int32 and float64 buffers share one allocation each.
+	ints := make([]int32, 3*n+depth+k)
+	floats := make([]float64, 2*d*nodes+3*d)
+	nb := 2 * d * nodes
+	kn := &kernel{
+		pts: pts, n: n, d: d,
+		nodes:     make([]kdNode, 0, nodes),
+		box:       floats[: 2*d : nb],
+		rows:      ints[:n:n],
+		slot:      ints[n : 2*n : 2*n],
+		remaining: ints[2*n : 3*n : 3*n],
+		path:      ints[3*n : 3*n : 3*n+depth],
+		dirty:     ints[3*n+depth : 3*n+depth],
+		fitted:    floats[nb : nb+2*d : nb+2*d],
+		centroid:  floats[nb+2*d:],
+		stack:     make([]frame, 0, depth+1),
+		arena:     make([]int, 0, n),
+	}
+	kn.near.Reset(k - 1) // allocates the heap once, here
+	for i := range kn.rows {
+		kn.rows[i] = int32(i)
+		kn.remaining[i] = int32(i)
+	}
+	if n > leafSize {
+		kn.bound(kn.box, kn.rows)
+	}
+	kn.build(0, n)
+	for s, r := range kn.rows {
+		kn.slot[r] = int32(s)
+	}
+	return kn
 }
 
 func (kn *kernel) row(i int) []float64 { return kn.pts[i*kn.d : (i+1)*kn.d] }
 
-// sqDistTo mirrors sqDist(points[i], ref): same element order, same
-// accumulation order.
+// sqDistTo is the squared Euclidean distance of row i from ref, summed in
+// column order: the arithmetic of the row-slice sqDist.
 func (kn *kernel) sqDistTo(i int, ref []float64) float64 {
 	row := kn.row(i)
 	var s float64
@@ -82,155 +112,420 @@ func (kn *kernel) sqDistTo(i int, ref []float64) float64 {
 	return s
 }
 
-// centroidInto accumulates the mean of the idx rows into the centroid
-// scratch, in the exact row-then-column order of the row-slice centroidOf.
-func (kn *kernel) centroidInto(idx []int) []float64 {
-	c := kn.centroid
-	for j := range c {
-		c[j] = 0
-	}
-	for _, i := range idx {
-		row := kn.row(i)
-		for j, v := range row {
-			c[j] += v
+// build appends the node over rows[lo:hi], then its subtree, in preorder.
+// The caller has appended the node's box slot holding some box around those
+// rows; a node of more than leafSize rows splits at the median along that
+// box's widest dimension, handing each child this box cut at the split.
+// Once the subtree is built, the node's box is tightened to its rows, except
+// at the root, whose box no query reads.
+func (kn *kernel) build(lo, hi int) {
+	id := len(kn.nodes)
+	kn.nodes = append(kn.nodes, kdNode{start: int32(lo), live: int32(hi - lo)})
+	if hi-lo > leafSize {
+		b, d := kn.nodeBox(id), kn.d
+		dim := 0
+		for j := 1; j < d; j++ {
+			if b[d+j]-b[j] > b[d+dim]-b[dim] {
+				dim = j
+			}
 		}
+		mid := lo + (hi-lo)/2
+		kn.selectNth(lo, hi, mid, dim)
+		split := kn.pts[int(kn.rows[mid])*d+dim]
+		kn.box = append(kn.box, b...)
+		kn.box[len(kn.box)-d+dim] = split
+		kn.build(lo, mid)
+		kn.nodes[id].right = int32(len(kn.nodes))
+		kn.box = append(kn.box, b...)
+		kn.box[len(kn.box)-2*d+dim] = split
+		kn.build(mid, hi)
 	}
-	for j := range c {
-		c[j] /= float64(len(idx))
+	if id > 0 {
+		kn.refit(id)
 	}
-	return c
 }
 
-// farthest returns the remaining record farthest from ref — the first index
-// achieving the maximum distance, matching the sequential strict-> scan.
-// Under a budget the scan runs as fixed chunks whose (best, bestD) partials
-// combine in chunk order with strict >, which preserves first occurrence.
-func (kn *kernel) farthest(remaining []int, ref []float64) int {
-	m := len(remaining)
-	nc := parallel.NumChunks(m, scanGrain)
-	if nc <= 1 || kn.b == nil {
-		best, bestD := remaining[0], -1.0
-		for _, i := range remaining {
-			if dd := kn.sqDistTo(i, ref); dd > bestD {
-				best, bestD = i, dd
+// selectNth reorders rows[lo:hi] so that no row before position nth has a
+// larger coordinate along dim than the row at nth, and none after it a
+// smaller one (Hoare's selection).
+func (kn *kernel) selectNth(lo, hi, nth, dim int) {
+	rows, pts, d := kn.rows, kn.pts, kn.d
+	for hi-lo > 1 {
+		pivot := pts[int(rows[lo+(hi-lo)/2])*d+dim]
+		i, j := lo, hi-1
+		for i <= j {
+			for pts[int(rows[i])*d+dim] < pivot {
+				i++
+			}
+			for pts[int(rows[j])*d+dim] > pivot {
+				j--
+			}
+			if i <= j {
+				rows[i], rows[j] = rows[j], rows[i]
+				i++
+				j--
 			}
 		}
-		return best
+		switch {
+		case nth <= j:
+			hi = j + 1
+		case nth >= i:
+			lo = i
+		default:
+			return
+		}
 	}
-	bi, bd := kn.bestIdx[:nc], kn.bestD[:nc]
-	kn.b.For(m, scanGrain, func(lo, hi int) {
-		best, bestD := remaining[lo], -1.0
-		for _, i := range remaining[lo:hi] {
-			if dd := kn.sqDistTo(i, ref); dd > bestD {
-				best, bestD = i, dd
+}
+
+func (kn *kernel) nodeBox(id int) []float64 { return kn.box[id*2*kn.d : (id+1)*2*kn.d] }
+
+// bound writes the bounds of the rows into b, d lows then d highs, and
+// returns the lowest-numbered row.
+func (kn *kernel) bound(b []float64, rows []int32) (first int32) {
+	d := kn.d
+	first = rows[0]
+	copy(b[:d], kn.row(int(first)))
+	copy(b[d:], kn.row(int(first)))
+	for _, r := range rows[1:] {
+		first = min(first, r)
+		for j, v := range kn.row(int(r)) {
+			if v < b[j] {
+				b[j] = v
+			} else if v > b[d+j] {
+				b[d+j] = v
 			}
 		}
-		c := lo / scanGrain
-		bi[c], bd[c] = best, bestD
-	})
-	best, bestD := bi[0], bd[0]
-	for c := 1; c < nc; c++ {
-		if bd[c] > bestD {
-			best, bestD = bi[c], bd[c]
+	}
+	return first
+}
+
+// refit recomputes node id's box and first row from its live rows (a leaf)
+// or its live children (an inner node) and reports whether either changed.
+// An empty node's box is never read.
+func (kn *kernel) refit(id int) bool {
+	nd, d := &kn.nodes[id], kn.d
+	if nd.live == 0 {
+		return true
+	}
+	nb := kn.fitted
+	var first int32
+	if nd.right == 0 {
+		first = kn.bound(nb, kn.rows[nd.start:nd.start+nd.live])
+	} else {
+		l, r := &kn.nodes[id+1], &kn.nodes[nd.right]
+		switch {
+		case l.live == 0:
+			copy(nb, kn.nodeBox(int(nd.right)))
+			first = r.first
+		case r.live == 0:
+			copy(nb, kn.nodeBox(id+1))
+			first = l.first
+		default:
+			lb, rb := kn.nodeBox(id+1), kn.nodeBox(int(nd.right))
+			for j := 0; j < d; j++ {
+				nb[j] = min(lb[j], rb[j])
+				nb[d+j] = max(lb[d+j], rb[d+j])
+			}
+			first = min(l.first, r.first)
+		}
+	}
+	changed := first != nd.first
+	nd.first = first
+	b := kn.nodeBox(id)
+	for j, v := range nb {
+		if v != b[j] {
+			b[j] = v
+			changed = true
+		}
+	}
+	return changed
+}
+
+// maxDistBound bounds from above the distance sqDistTo computes from ref to
+// any row in node id's box: per column, the box edge farther from ref, in
+// sqDistTo's own subtract-square-add sequence.
+func (kn *kernel) maxDistBound(id int, ref []float64) float64 {
+	b, d := kn.nodeBox(id), kn.d
+	var s float64
+	for j, x := range ref {
+		dd, dh := b[j]-x, b[d+j]-x
+		if dh > -dd {
+			dd = dh
+		}
+		s += dd * dd
+	}
+	return s
+}
+
+// minDistBound bounds from below the distance sqDistTo computes from ref to
+// any row in node id's box: per column, the gap from ref to the box, zero
+// when ref lies within its extent.
+func (kn *kernel) minDistBound(id int, ref []float64) float64 {
+	b, d := kn.nodeBox(id), kn.d
+	var s float64
+	for j, x := range ref {
+		var dd float64
+		if x < b[j] {
+			dd = b[j] - x
+		} else if x > b[d+j] {
+			dd = b[d+j] - x
+		}
+		s += dd * dd
+	}
+	return s
+}
+
+// farthest returns the live row farthest from ref, the lowest-numbered of
+// equally far rows: what a scan of the remaining rows in ascending order
+// keeps with a strict >. A node is skipped only when no row in it can beat
+// the best so far: its upper bound is below the best distance, or equal to
+// it with every row numbered above the best row.
+func (kn *kernel) farthest(ref []float64) int {
+	best, bestD := -1, -1.0
+	st := append(kn.stack[:0], frame{0, math.Inf(1)})
+	for len(st) > 0 {
+		f := st[len(st)-1]
+		st = st[:len(st)-1]
+		nd := kn.nodes[f.node]
+		if f.bound < bestD || f.bound == bestD && int(nd.first) > best {
+			continue
+		}
+		if nd.right == 0 {
+			for _, r := range kn.rows[nd.start : nd.start+nd.live] {
+				i := int(r)
+				if dd := kn.sqDistTo(i, ref); dd > bestD || dd == bestD && i < best {
+					best, bestD = i, dd
+				}
+			}
+			continue
+		}
+		// Push the less promising child first, so the other pops first.
+		a, b := f.node+1, nd.right
+		var ua, ub float64
+		if kn.nodes[a].live > 0 {
+			ua = kn.maxDistBound(int(a), ref)
+		}
+		if kn.nodes[b].live > 0 {
+			ub = kn.maxDistBound(int(b), ref)
+		}
+		if ua > ub || ua == ub && kn.nodes[a].first < kn.nodes[b].first {
+			a, b, ua, ub = b, a, ub, ua
+		}
+		if kn.nodes[a].live > 0 {
+			st = append(st, frame{a, ua})
+		}
+		if kn.nodes[b].live > 0 {
+			st = append(st, frame{b, ub})
 		}
 	}
 	return best
 }
 
-// takeNearest carves seed plus its k−1 nearest neighbours out of remaining.
-// The group is appended to the arena (ascending (distance, index) after the
-// seed — the order the sequential selection sort produced); the leftovers are
-// written into rest, preserving remaining order. The seed is included even
-// when it is not a member of remaining (the second carve of each MDAV round
-// seeds from the pre-carve population), matching the row-slice path.
-//
-// Distance fills are independent writes and run under the budget; candidate
-// selection is a sequential bounded max-heap — O(m log k) versus the old
-// O(k·m) selection sort — over the same lexicographic (distance, index)
-// order, so the selected set and its order are identical.
-func (kn *kernel) takeNearest(remaining []int, seed, k int, rest []int) (group, newRest []int) {
-	m := len(remaining)
-	dist := kn.dist[:m]
-	srow := kn.row(seed)
-	if kn.b == nil || parallel.NumChunks(m, scanGrain) <= 1 {
-		// Inline fill: the For closure literal would allocate once per carve.
-		for p := 0; p < m; p++ {
-			dist[p] = kn.sqDistTo(remaining[p], srow)
-		}
-	} else {
-		kn.b.For(m, scanGrain, func(lo, hi int) {
-			for p := lo; p < hi; p++ {
-				dist[p] = kn.sqDistTo(remaining[p], srow)
+// nearest returns the k−1 live rows nearest to seed, seed excluded, in
+// ascending (distance, row) order. A node is skipped only when the heap is
+// full and no row in the node can enter it: its lower bound is above the
+// heap's worst distance, or equal to it with every row numbered above the
+// worst row.
+func (kn *kernel) nearest(seed, k int) []stats.DistIdx {
+	ref := kn.row(seed)
+	h := &kn.near
+	h.Reset(k - 1)
+	st := append(kn.stack[:0], frame{0, 0})
+	for len(st) > 0 {
+		f := st[len(st)-1]
+		st = st[:len(st)-1]
+		nd := kn.nodes[f.node]
+		if h.Full() {
+			if w := h.Worst(); f.bound > w.D || f.bound == w.D && int(nd.first) > w.Idx {
+				continue
 			}
-		})
-	}
-	h := kn.heap[:0]
-	for p := 0; p < m; p++ {
-		i := remaining[p]
-		if i == seed {
+		}
+		if nd.right == 0 {
+			for _, r := range kn.rows[nd.start : nd.start+nd.live] {
+				if i := int(r); i != seed {
+					h.Offer(stats.DistIdx{D: kn.sqDistTo(i, ref), Idx: i})
+				}
+			}
 			continue
 		}
-		c := distIdx{dist[p], i}
-		if len(h) < k-1 {
-			h = append(h, c)
-			siftUp(h)
-		} else if diLess(c, h[0]) {
-			h[0] = c
-			siftDown(h)
+		// Push the less promising child first, so the other pops first.
+		a, b := f.node+1, nd.right
+		var la, lb float64
+		if kn.nodes[a].live > 0 {
+			la = kn.minDistBound(int(a), ref)
+		}
+		if kn.nodes[b].live > 0 {
+			lb = kn.minDistBound(int(b), ref)
+		}
+		if la < lb || la == lb && kn.nodes[a].first < kn.nodes[b].first {
+			a, b, la, lb = b, a, lb, la
+		}
+		if kn.nodes[a].live > 0 {
+			st = append(st, frame{a, la})
+		}
+		if kn.nodes[b].live > 0 {
+			st = append(st, frame{b, lb})
 		}
 	}
-	sortDistIdx(h)
-	start := len(kn.arena)
-	kn.arena = append(kn.arena, seed)
-	for _, c := range h {
-		kn.arena = append(kn.arena, c.idx)
-	}
-	group = kn.arena[start:len(kn.arena):len(kn.arena)]
-	for _, i := range group {
-		kn.inGroup[i] = true
-	}
-	newRest = rest[:0]
-	for _, i := range remaining {
-		if !kn.inGroup[i] {
-			newRest = append(newRest, i)
-		}
-	}
-	for _, i := range group {
-		kn.inGroup[i] = false
-	}
-	return group, newRest
+	return h.Sorted()
 }
 
-// assign runs the MDAV group-carving loop. Group slices are sub-slices of the
-// kernel arena; remaining/rest ping-pong between two fixed buffers, so the
-// loop allocates nothing.
+// take removes the rows from the tree, then refits the leaves that lost
+// their first row or a row on their box's boundary (boxes are tight, so no
+// other row can shrink one), and their ancestors up to the first node that
+// does not change. The root's box and first row are never read. Rows
+// already taken are skipped.
+func (kn *kernel) take(rows []int) {
+	dirty := kn.dirty[:0]
+	for _, i := range rows {
+		if leaf, edge := kn.remove(i); edge && (len(dirty) == 0 || dirty[len(dirty)-1] != leaf) {
+			dirty = append(dirty, leaf)
+		}
+	}
+	for _, leaf := range dirty {
+		path := kn.descend(kn.nodes[leaf].start)
+		for p := len(path) - 1; p > 0 && kn.refit(int(path[p])); p-- {
+		}
+	}
+	kn.dirty = dirty
+}
+
+// remove takes row i out of its leaf's live slots, counts one row fewer on
+// every node above it, and reports the leaf and whether the leaf needs a
+// refit: it is not the root, and the row was its first or lay on its box's
+// boundary.
+func (kn *kernel) remove(i int) (leaf int32, edge bool) {
+	s := kn.slot[i]
+	if s < 0 {
+		return 0, false
+	}
+	for {
+		nd := &kn.nodes[leaf]
+		nd.live--
+		if nd.right == 0 {
+			break
+		}
+		if s < kn.nodes[nd.right].start {
+			leaf++
+		} else {
+			leaf = nd.right
+		}
+	}
+	last := kn.nodes[leaf].start + kn.nodes[leaf].live
+	moved := kn.rows[last]
+	kn.rows[s], kn.rows[last] = moved, kn.rows[s]
+	kn.slot[moved] = s
+	kn.slot[i] = -1
+	if leaf == 0 {
+		return 0, false
+	}
+	if int32(i) == kn.nodes[leaf].first {
+		return leaf, true
+	}
+	b, d := kn.nodeBox(int(leaf)), kn.d
+	for j, v := range kn.row(i) {
+		if v == b[j] || v == b[d+j] {
+			return leaf, true
+		}
+	}
+	return leaf, false
+}
+
+// descend returns the nodes from the root to the leaf holding slot s.
+func (kn *kernel) descend(s int32) []int32 {
+	path := kn.path[:0]
+	for id := int32(0); ; {
+		path = append(path, id)
+		r := kn.nodes[id].right
+		switch {
+		case r == 0:
+			kn.path = path
+			return path
+		case s < kn.nodes[r].start:
+			id++
+		default:
+			id = r
+		}
+	}
+}
+
+// carve emits seed and its k−1 nearest live rows as a group, nearest first
+// after the seed, and takes them out of the tree. The seed leads the group
+// even when it was taken before (TestKernelSeedOutsideRemaining).
+func (kn *kernel) carve(seed, k int) []int {
+	start := len(kn.arena)
+	kn.arena = append(kn.arena, seed)
+	for _, c := range kn.nearest(seed, k) {
+		kn.arena = append(kn.arena, c.Idx)
+	}
+	group := kn.arena[start:len(kn.arena):len(kn.arena)]
+	kn.take(group)
+	return group
+}
+
+// compact drops carved rows from remaining, keeping ascending order, and
+// returns the centroid of the rows left: each coordinate one sum in row
+// order and one division, the arithmetic of the row-slice centroidOf.
+// Columns are summed four at a time into locals, which stay in registers;
+// the pass over the first four also compacts.
+func (kn *kernel) compact() []float64 {
+	pts, d, slot, c := kn.pts, kn.d, kn.slot, kn.centroid
+	rows, rest := kn.remaining, kn.remaining[:0]
+	for j := 0; j < d; j += 4 {
+		w := min(d-j, 4)
+		var s0, s1, s2, s3 float64
+		for _, r := range rows {
+			if j == 0 {
+				if slot[r] < 0 {
+					continue
+				}
+				rest = append(rest, r)
+			}
+			o := int(r)*d + j
+			s0 += pts[o]
+			if w > 1 {
+				s1 += pts[o+1]
+				if w > 2 {
+					s2 += pts[o+2]
+					if w > 3 {
+						s3 += pts[o+3]
+					}
+				}
+			}
+		}
+		rows = rest
+		sums := [4]float64{s0, s1, s2, s3}
+		for i := range w {
+			c[j+i] = sums[i] / float64(len(rest))
+		}
+	}
+	kn.remaining = rest
+	return c
+}
+
+// assign runs the MDAV group-carving loop. Each round carves a group around
+// r, the row farthest from the centroid, then one around s, the row
+// farthest from r among the rows the first group left; drawing s from those
+// rows keeps it out of the first group even when rows coincide.
 func (kn *kernel) assign(k int) [][]int {
-	remaining := kn.restA[:kn.n]
-	for i := range remaining {
-		remaining[i] = i
-	}
-	other := kn.restB[:0]
 	groups := make([][]int, 0, kn.n/k+1)
-	for len(remaining) >= 3*k {
-		c := kn.centroidInto(remaining)
-		r := kn.farthest(remaining, c)
-		s := kn.farthest(remaining, kn.row(r))
-		g1, rest := kn.takeNearest(remaining, r, k, other)
-		groups = append(groups, g1)
-		g2, rest2 := kn.takeNearest(rest, s, k, remaining)
-		groups = append(groups, g2)
-		remaining, other = rest2, rest
+	for kn.nodes[0].live >= int32(3*k) {
+		r := kn.farthest(kn.compact())
+		groups = append(groups, kn.carve(r, k))
+		s := kn.farthest(kn.row(r))
+		groups = append(groups, kn.carve(s, k))
 	}
-	if len(remaining) >= 2*k {
-		c := kn.centroidInto(remaining)
-		r := kn.farthest(remaining, c)
-		g1, rest := kn.takeNearest(remaining, r, k, other)
+	if kn.nodes[0].live >= int32(2*k) {
+		r := kn.farthest(kn.compact())
+		groups = append(groups, kn.carve(r, k))
+	}
+	if kn.nodes[0].live > 0 {
 		start := len(kn.arena)
-		kn.arena = append(kn.arena, rest...)
-		groups = append(groups, g1, kn.arena[start:len(kn.arena):len(kn.arena)])
-	} else if len(remaining) > 0 {
-		start := len(kn.arena)
-		kn.arena = append(kn.arena, remaining...)
+		for _, r := range kn.remaining {
+			if kn.slot[r] >= 0 {
+				kn.arena = append(kn.arena, int(r))
+			}
+		}
 		groups = append(groups, kn.arena[start:len(kn.arena):len(kn.arena)])
 	}
 	return groups
@@ -260,48 +555,5 @@ func standardizeFlat(pts []float64, n, d int) {
 		for i := 0; i < n; i++ {
 			pts[i*d+j] = (pts[i*d+j] - mean) / sd
 		}
-	}
-}
-
-// Bounded max-heap on diLess: h[0] is the lexicographically largest kept
-// pair, the one a closer candidate evicts.
-
-func siftUp(h []distIdx) {
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !diLess(h[p], h[i]) {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-}
-
-func siftDown(h []distIdx) {
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			break
-		}
-		big := l
-		if r := l + 1; r < len(h) && diLess(h[l], h[r]) {
-			big = r
-		}
-		if !diLess(h[i], h[big]) {
-			break
-		}
-		h[i], h[big] = h[big], h[i]
-		i = big
-	}
-}
-
-// sortDistIdx heap-sorts a max-heap into ascending (distance, index) order in
-// place, allocation-free.
-func sortDistIdx(h []distIdx) {
-	for end := len(h) - 1; end > 0; end-- {
-		h[0], h[end] = h[end], h[0]
-		siftDown(h[:end])
 	}
 }

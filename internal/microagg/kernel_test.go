@@ -2,15 +2,18 @@ package microagg
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/parallel"
 )
 
-// referenceAssign is the original row-slice MDAV loop over [][]float64,
-// rebuilt from the reference helpers in optimal.go. The flat SoA kernel must
+// referenceAssign is the row-slice MDAV loop over [][]float64, rebuilt from
+// the brute-force reference helpers in optimal.go. The tree kernel must
 // reproduce its group assignments exactly.
 func referenceAssign(t *dataset.Table, k int, std bool) [][]int {
 	qis := t.Schema().IndicesOf(dataset.QuasiIdentifier)
@@ -26,9 +29,9 @@ func referenceAssign(t *dataset.Table, k int, std bool) [][]int {
 	for len(remaining) >= 3*k {
 		c := centroidOf(points, remaining)
 		r := farthestFrom(points, remaining, c)
-		s := farthestFrom(points, remaining, points[r])
 		g1, rest := takeNearest(points, remaining, r, k)
 		groups = append(groups, g1)
+		s := farthestFrom(points, rest, points[r])
 		g2, rest := takeNearest(points, rest, s, k)
 		groups = append(groups, g2)
 		remaining = rest
@@ -83,9 +86,11 @@ func groupsEqual(a, b [][]int) bool {
 	return true
 }
 
-// TestKernelMatchesReference pins the flat kernel — heap selection, chunked
-// argmax, hoisted scratch — to the row-slice reference, at every worker
-// budget, for both standardized and raw distances.
+// TestKernelMatchesReference pins the tree kernel to the brute-force
+// row-slice reference, for both standardized and raw distances: on
+// tie-heavy grids at every worker budget, and at 10⁴ rows on the inputs
+// pruning must survive — university cohorts, a tie-heavy grid, two
+// distinct points, and rows that coincide after outliers.
 func TestKernelMatchesReference(t *testing.T) {
 	budgets := map[string]func() *parallel.Budget{
 		"nil": func() *parallel.Budget { return nil },
@@ -115,23 +120,163 @@ func TestKernelMatchesReference(t *testing.T) {
 			}
 		}
 	}
+
+	university, _, err := datagen.University(datagen.UniversityConfig{Seed: 11, N: 10000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	twoPoints := make([][]float64, 2000)
+	for i := range twoPoints {
+		twoPoints[i] = []float64{float64(i % 2), 3}
+	}
+	// Raw distances between these overflow to +Inf, so most ties are
+	// between infinities.
+	rng := rand.New(rand.NewSource(3))
+	huge := make([][]float64, 500)
+	for i := range huge {
+		huge[i] = []float64{(rng.Float64() - 0.5) * 1e300, float64(rng.Intn(4))}
+	}
+	for _, c := range []struct {
+		name string
+		tbl  *dataset.Table
+		ks   []int
+	}{
+		{"university", university, []int{2, 8, 16}},
+		{"quantized", quantizedTable(t, 10000, 5), []int{8, 16}},
+		{"two-points", numTable(t, twoPoints), []int{2, 8, 16}},
+		{"coincide-after-outliers", numTable(t, outliersThenCoinciding(3, 60)), []int{2, 3, 5}},
+		{"overflowing", numTable(t, huge), []int{2, 5}},
+	} {
+		for _, k := range c.ks {
+			for _, std := range []bool{true, false} {
+				t.Run(fmt.Sprintf("%s/n=%d/k=%d/std=%v", c.name, c.tbl.NumRows(), k, std), func(t *testing.T) {
+					t.Parallel()
+					want := referenceAssign(c.tbl, k, std)
+					got, err := (&Anonymizer{Opts: Options{Standardize: std}}).Assign(c.tbl, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !groupsEqual(got, want) {
+						t.Fatal("kernel groups diverge from reference")
+					}
+				})
+			}
+		}
+	}
 }
 
-// TestKernelSeedOutsideRemaining covers the second carve of an MDAV round
-// when its seed landed in the first group: the reference still emits the seed
-// in the group and keeps every unselected record. The kernel must too. The
-// geometry is forced directly through takeNearest.
+// outliersThenCoinciding returns nOut distinct outlier rows followed by
+// nSame rows at one point.
+func outliersThenCoinciding(nOut, nSame int) [][]float64 {
+	var rows [][]float64
+	for i := 0; i < nOut; i++ {
+		rows = append(rows, []float64{float64(100 * (i + 1)), float64(-40 * i)})
+	}
+	for i := 0; i < nSame; i++ {
+		rows = append(rows, []float64{1, 2})
+	}
+	return rows
+}
+
+// TestKernelSeedOutsideRemaining covers a carve whose seed was carved
+// before: the group still leads with the seed and takes its k−1 nearest
+// rows from those left, and every unselected row stays in the tree. The
+// geometry is forced directly through carve.
 func TestKernelSeedOutsideRemaining(t *testing.T) {
 	pts := []float64{0, 1, 2, 10, 11, 12}
-	kn := newKernel(pts, 6, 1, 3, nil)
-	rest := make([]int, 0, 6)
-	// Seed 0 is not in remaining {3,4,5}: group keeps the seed, rest keeps
-	// everything not selected.
-	group, newRest := kn.takeNearest([]int{3, 4, 5}, 0, 3, rest)
+	kn := newKernel(pts, 6, 1, 3)
+	kn.take([]int{0, 1, 2})
+	// Seed 0 is not among the remaining {3,4,5}: the group keeps the seed,
+	// the tree keeps everything not selected.
+	group := kn.carve(0, 3)
 	if len(group) != 3 || group[0] != 0 || group[1] != 3 || group[2] != 4 {
 		t.Fatalf("group = %v, want [0 3 4]", group)
 	}
-	if len(newRest) != 1 || newRest[0] != 5 {
-		t.Fatalf("rest = %v, want [5]", newRest)
+	if kn.nodes[0].live != 1 || kn.slot[5] < 0 {
+		t.Fatalf("%d rows left, row 5 live %v; want only row 5", kn.nodes[0].live, kn.slot[5] >= 0)
+	}
+}
+
+// TestAssignCoincidingRows: when the rows left in a round coincide, the
+// round's second seed must still come from outside its first group. A
+// constant table, and rows that coincide after outliers (one outlier, and
+// several), must anonymize with every row in exactly one group of at
+// least k rows.
+func TestAssignCoincidingRows(t *testing.T) {
+	constant := make([][]float64, 12)
+	for i := range constant {
+		constant[i] = []float64{5, 5}
+	}
+	for name, rows := range map[string][][]float64{
+		"constant":         constant,
+		"one-outlier":      outliersThenCoinciding(1, 20),
+		"several-outliers": outliersThenCoinciding(4, 30),
+	} {
+		tb := numTable(t, rows)
+		for _, k := range []int{2, 3, 4} {
+			for _, std := range []bool{true, false} {
+				a := &Anonymizer{Opts: Options{Standardize: std}}
+				groups, err := a.Assign(tb, k)
+				if err != nil {
+					t.Fatalf("%s k=%d std=%v: %v", name, k, std, err)
+				}
+				seen := make([]int, len(rows))
+				for _, g := range groups {
+					if len(g) < k || len(g) > 2*k-1 {
+						t.Errorf("%s k=%d std=%v: group %v sized outside [k, 2k−1]", name, k, std, g)
+					}
+					for _, i := range g {
+						seen[i]++
+					}
+				}
+				for i, c := range seen {
+					if c != 1 {
+						t.Fatalf("%s k=%d std=%v: row %d in %d groups: %v", name, k, std, i, c, groups)
+					}
+				}
+				anon, err := a.Anonymize(tb, k)
+				if err != nil {
+					t.Fatalf("%s k=%d std=%v: %v", name, k, std, err)
+				}
+				for _, g := range anon.GroupBy(anon.Schema().IndicesOf(dataset.QuasiIdentifier)) {
+					if len(g) < k {
+						t.Errorf("%s k=%d std=%v: equivalence class of size %d", name, k, std, len(g))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAssignRejectsNonFinite: a NaN or ±Inf coordinate, in the data or
+// produced by standardization overflowing, is an error naming the column.
+func TestAssignRejectsNonFinite(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		bad  float64
+		std  bool
+	}{
+		{"nan", math.NaN(), true},
+		{"nan-raw", math.NaN(), false},
+		{"inf", math.Inf(1), true},
+		{"minus-inf-raw", math.Inf(-1), false},
+		{"overflow", 1e308, true},
+	} {
+		rows := [][]float64{{1, 2}, {3, 4}, {5, 6}, {7, 8}}
+		rows[2][1] = c.bad
+		if c.name == "overflow" {
+			rows[1][1], rows[3][1] = c.bad, c.bad
+		}
+		a := &Anonymizer{Opts: Options{Standardize: c.std}}
+		_, err := a.Assign(numTable(t, rows), 2)
+		if err == nil || !strings.Contains(err.Error(), `quasi-identifier "B"`) || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("%s: err = %v, want a non-finite error naming column B", c.name, err)
+		}
+	}
+	// Finite coordinates whose distances overflow are ordered (+Inf ties
+	// break by row) and stay allowed.
+	huge := numTable(t, [][]float64{{-1e308}, {1e308}, {-1e308}, {1e308}})
+	if _, err := (&Anonymizer{}).Anonymize(huge, 2); err != nil {
+		t.Errorf("raw coordinates with overflowing distances: %v", err)
 	}
 }

@@ -55,31 +55,25 @@ var ErrTooFewRecords = fmt.Errorf("microagg: fewer records than k: %w", dataset.
 // by their MDAV group centroid (or interval). k must be ≥ 2 and ≤ the number
 // of rows.
 func (a *Anonymizer) Anonymize(t *dataset.Table, k int) (*dataset.Table, error) {
-	return a.AnonymizeParallel(t, k, nil)
-}
-
-// AnonymizeParallel is Anonymize with the distance scans spread over spare
-// workers borrowed from b. A nil budget runs fully inline; the output is
-// bit-identical at every budget (see AssignParallel).
-func (a *Anonymizer) AnonymizeParallel(t *dataset.Table, k int, b *parallel.Budget) (*dataset.Table, error) {
-	groups, err := a.AssignParallel(t, k, b)
+	groups, err := a.Assign(t, k)
 	if err != nil {
 		return nil, err
 	}
 	return Aggregate(t, groups, a.Opts.CentroidAsInterval)
 }
 
-// Assign runs MDAV and returns the clusters as row-index groups, each of
-// size in [k, 2k−1].
-func (a *Anonymizer) Assign(t *dataset.Table, k int) ([][]int, error) {
-	return a.AssignParallel(t, k, nil)
+// AnonymizeParallel is Anonymize. The budget is unused, since the MDAV
+// kernel runs inline; the method keeps MDAV a core.ParallelAnonymizer for
+// callers that assert one.
+func (a *Anonymizer) AnonymizeParallel(t *dataset.Table, k int, _ *parallel.Budget) (*dataset.Table, error) {
+	return a.Anonymize(t, k)
 }
 
-// AssignParallel is Assign with chunked parallel distance scans. Group
-// assignments are bit-identical to the sequential path at any worker budget:
-// the chunk decomposition is fixed by the row count alone, accumulating
-// reductions stay sequential, and argmax partials combine in chunk order.
-func (a *Anonymizer) AssignParallel(t *dataset.Table, k int, b *parallel.Budget) ([][]int, error) {
+// Assign runs MDAV and returns the clusters as row-index groups, each of
+// size in [k, 2k−1]. It fails when a quasi-identifier coordinate, after
+// standardization if that is on, is NaN or ±Inf: distances to it have no
+// order.
+func (a *Anonymizer) Assign(t *dataset.Table, k int) ([][]int, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("microagg: k must be ≥ 2, got %d", k)
 	}
@@ -96,12 +90,22 @@ func (a *Anonymizer) AssignParallel(t *dataset.Table, k int, b *parallel.Budget)
 			return nil, fmt.Errorf("microagg: quasi-identifier %q is not numeric; MDAV is a quantitative method", t.Schema().Column(c).Name)
 		}
 	}
+	d := len(qis)
 	pts := t.MatrixFlat(qis, 0)
 	if a.Opts.Standardize {
-		standardizeFlat(pts, n, len(qis))
+		standardizeFlat(pts, n, d)
 	}
-	kn := newKernel(pts, n, len(qis), k, b)
-	return kn.assign(k), nil
+	for i, v := range pts {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("microagg: quasi-identifier %q has a non-finite coordinate (NaN or ±Inf)", t.Schema().Column(qis[i%d]).Name)
+		}
+	}
+	return newKernel(pts, n, d, k).assign(k), nil
+}
+
+// AssignParallel is Assign; the budget is unused.
+func (a *Anonymizer) AssignParallel(t *dataset.Table, k int, _ *parallel.Budget) ([][]int, error) {
+	return a.Assign(t, k)
 }
 
 // Aggregate replaces each record's quasi-identifiers with its group's

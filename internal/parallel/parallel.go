@@ -2,9 +2,9 @@
 // parallel-for the partitioning kernels run on.
 //
 // A sweep owns ONE Budget sized to its worker count. Level workers acquire a
-// token for the duration of a level; kernels inside a level (MDAV distance
-// scans, mondrian sub-partition recursion) borrow whatever tokens are left
-// over, non-blockingly, and always fall back to running inline. Total
+// token for the duration of a level; kernels inside a level (mondrian
+// sub-partition recursion, fusion's batch estimators) borrow whatever tokens
+// are left over, non-blockingly, and always fall back to running inline. Total
 // goroutine parallelism across the sweep therefore never exceeds the budget —
 // level-parallelism and within-level parallelism share one pool instead of
 // multiplying into oversubscription.
