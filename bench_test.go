@@ -422,11 +422,11 @@ func BenchmarkAblationHandAuthoredFIS(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, names, err := fusion.Features(release, sc.Q)
+	m, err := fusion.FeaturesMatrixWith(release, fusion.PrepareAux(sc.Q), nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	est := &fusion.FIS{System: sys, FeatureNames: names}
+	est := &fusion.FIS{System: sys, FeatureNames: m.Names}
 	b.ResetTimer()
 	var after float64
 	for i := 0; i < b.N; i++ {
@@ -613,7 +613,7 @@ func BenchmarkFuzzyFuse(b *testing.B) {
 	est := sc.Estimator()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fusion.Fuse(release, sc.Q, est, sc.SensitiveRange); err != nil {
+		if _, err := fusion.FuseWith(release, fusion.PrepareAux(sc.Q), est, sc.SensitiveRange, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -679,7 +679,7 @@ func BenchmarkFeatures(b *testing.B) {
 	}
 	b.Run("full", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := fusion.Features(release, sc.Q); err != nil {
+			if _, err := fusion.FeaturesMatrixWith(release, fusion.PrepareAux(sc.Q), nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -688,7 +688,7 @@ func BenchmarkFeatures(b *testing.B) {
 		aux := fusion.PrepareAux(sc.Q)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := fusion.FeaturesWith(release, aux); err != nil {
+			if _, err := fusion.FeaturesMatrixWith(release, aux, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

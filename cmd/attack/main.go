@@ -65,11 +65,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		_, names, err := fusion.Features(release, q)
+		m, err := fusion.FeaturesMatrixWith(release, fusion.PrepareAux(q), nil, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		est = &fusion.FIS{System: sys, FeatureNames: names}
+		est = &fusion.FIS{System: sys, FeatureNames: m.Names}
 	} else {
 		switch *estName {
 		case "fuzzy":

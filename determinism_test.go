@@ -8,12 +8,17 @@ package repro
 // the golden test (one pinned cohort) with fresh cohorts each run shape.
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/fusion"
+	"repro/internal/fuzzy"
 	"repro/internal/microagg"
 	"repro/internal/mondrian"
 	"repro/internal/parallel"
@@ -133,17 +138,20 @@ func TestSweepSeriesDeterminism(t *testing.T) {
 	}
 }
 
-// legacyOnly hides an estimator's batch face: embedding only the Estimator
-// interface strips EstimateBatch, so fusion falls back to the row-at-a-time
-// path. It turns any built-in estimator into its own reference
-// implementation.
-type legacyOnly struct{ fusion.Estimator }
-
-// TestEstimatorSweepDeterminism pins the estimator axis of the batch attack
-// plane: for every built-in estimator family, a sweep through the batch
-// kernels at workers 1, 2 and 8 must be IEEE-754 bit-equal to the same sweep
-// through the legacy row-at-a-time fusion path.
+// TestEstimatorSweepDeterminism pins the estimator axis of the attack plane:
+// for six estimator families on both schemes, sweeps at workers 1, 2 and 8
+// must reproduce testdata/golden_estimators.json bit for bit. The file is a
+// frozen record: it was written by the row-at-a-time fusion path that the
+// flat-matrix estimators replaced, and nothing in the tree regenerates it.
 func TestEstimatorSweepDeterminism(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "golden_estimators.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string][]goldenLevel
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
 	sc, err := UniversityScenario(ScenarioOptions{Seed: 13, N: 120, DirectAux: true})
 	if err != nil {
 		t.Fatal(err)
@@ -153,16 +161,34 @@ func TestEstimatorSweepDeterminism(t *testing.T) {
 	// adversary's "leaked sample" — trimmed to a small prefix so KNN stays
 	// cheap and the OLS fit stays overdetermined.
 	rel := sc.P.WithSuppressed(sc.P.Schema().IndicesOf(dataset.Sensitive)...)
-	feats, _, err := fusion.Features(rel, sc.Q)
+	feats, err := fusion.FeaturesMatrixWith(rel, fusion.PrepareAux(sc.Q), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	calib := make([][]float64, 40)
+	for r := range calib {
+		calib[r] = feats.Row(r)
+	}
 	targets := sc.P.ColumnFloats(sc.P.Schema().MustLookup(sc.SensitiveCol), sc.SensitiveRange.Mid())
-	calib, calibT := feats[:40], targets[:40]
+	calibT := targets[:40]
+	fis, err := os.ReadFile(filepath.Join("testdata", "university.fis"))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	ests := map[string]func() fusion.Estimator{
 		"fuzzy": func() fusion.Estimator {
 			return &fusion.Fuzzy{Opts: fusion.FuzzyOptions{Domains: sc.FeatureDomains}}
+		},
+		// Observed-range domains: the estimator every service job runs.
+		"fuzzy-observed": func() fusion.Estimator { return fusion.NewFuzzy() },
+		// Compound rules: the evaluator's grade-map path.
+		"fis": func() fusion.Estimator {
+			sys, err := fuzzy.ParseFIS(bytes.NewReader(fis), fuzzy.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return &fusion.FIS{System: sys, FeatureNames: feats.Names}
 		},
 		"knn": func() fusion.Estimator {
 			return &fusion.KNN{K: 5, CalibFeatures: calib, CalibTargets: calibT}
@@ -181,28 +207,37 @@ func TestEstimatorSweepDeterminism(t *testing.T) {
 			}
 		},
 	}
+	schemes := map[string]core.Anonymizer{"mdav": microagg.New(), "mondrian": mondrian.New()}
+	if len(golden) != len(ests)*len(schemes) {
+		t.Fatalf("golden file has %d series, want %d", len(golden), len(ests)*len(schemes))
+	}
 	for name, mk := range ests {
-		want, err := sc.Sweep(2, 10, nil, legacyOnly{mk()})
-		if err != nil {
-			t.Fatalf("%s: reference sweep: %v", name, err)
-		}
-		est := mk() // one estimator across worker counts, as a sweep would use it
-		for _, workers := range determinismWorkers {
-			got, err := sc.SweepParallel(2, 10, nil, est, workers)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
+		for scheme, anon := range schemes {
+			key := name + "/" + scheme
+			want, ok := golden[key]
+			if !ok {
+				t.Fatalf("golden file has no %s series", key)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("%s workers=%d: %d levels, reference made %d", name, workers, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].K != want[i].K ||
-					math.Float64bits(got[i].Before) != math.Float64bits(want[i].Before) ||
-					math.Float64bits(got[i].After) != math.Float64bits(want[i].After) ||
-					math.Float64bits(got[i].Gain) != math.Float64bits(want[i].Gain) ||
-					math.Float64bits(got[i].Utility) != math.Float64bits(want[i].Utility) {
-					t.Fatalf("%s workers=%d: level k=%d diverged from the row-at-a-time bits",
-						name, workers, want[i].K)
+			est := mk() // one estimator across worker counts, as a sweep would use it
+			for _, workers := range determinismWorkers {
+				got, err := sc.SweepParallel(2, 10, anon, est, workers)
+				if err != nil {
+					t.Fatalf("%s workers=%d: %v", key, workers, err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s workers=%d: %d levels, golden has %d", key, workers, len(got), len(want))
+				}
+				for i, lr := range got {
+					g := goldenLevel{
+						K:       lr.K,
+						Before:  math.Float64bits(lr.Before),
+						After:   math.Float64bits(lr.After),
+						Gain:    math.Float64bits(lr.Gain),
+						Utility: math.Float64bits(lr.Utility),
+					}
+					if g != want[i] {
+						t.Fatalf("%s workers=%d: level k=%d diverged from the golden bits", key, workers, want[i].K)
+					}
 				}
 			}
 		}

@@ -60,7 +60,7 @@ func main() {
 
 	// Fuse: the Figure 2 system estimates each customer's income.
 	incomeRange := fusion.Range{Lo: 40000, Hi: 100000}
-	phat, err := fusion.Fuse(release, q, fusion.NewFuzzy(), incomeRange)
+	phat, err := fusion.FuseWith(release, fusion.PrepareAux(q), fusion.NewFuzzy(), incomeRange, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

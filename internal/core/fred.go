@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"time"
@@ -162,6 +163,10 @@ type SweepContext struct {
 	midVec []float64
 	// aux is the precomputed aux-side half of the fusion features.
 	aux *fusion.AuxFeatures
+	// err records a compared column of P holding a non-finite value; attack
+	// returns it, so every level and Attack fail instead of reporting NaN
+	// dissimilarities.
+	err error
 	// scratch pools per-level working state (the fusion arena, the grouper,
 	// the comparison vectors) so a sweep's steady-state levels allocate next
 	// to nothing. Each level checks one levelScratch out for its whole
@@ -189,7 +194,8 @@ func (sc *SweepContext) getScratch() *levelScratch {
 func (sc *SweepContext) putScratch(ls *levelScratch) { sc.scratch.Put(ls) }
 
 // NewSweepContext prepares the per-sweep invariants of the fusion attack
-// against p.
+// against p. A NaN or ±Inf in one of P's compared columns is kept as the
+// context's error, which every attack through the context returns.
 func NewSweepContext(p *dataset.Table, atk AttackConfig) *SweepContext {
 	est := atk.Estimator
 	if est == nil {
@@ -202,6 +208,11 @@ func NewSweepContext(p *dataset.Table, atk AttackConfig) *SweepContext {
 	for j, name := range sc.cols {
 		sc.colIdx[j] = p.Schema().MustLookup(name)
 		sc.pVecs[j] = p.ColumnFloats(sc.colIdx[j], mid)
+		for r, v := range sc.pVecs[j] {
+			if sc.err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+				sc.err = fmt.Errorf("core: compared column %q has a non-finite value (NaN or ±Inf) in row %d", name, r)
+			}
+		}
 	}
 	sc.midVec = make([]float64, p.NumRows())
 	for i := range sc.midVec {
@@ -235,6 +246,9 @@ func (sc *SweepContext) Attack(release *dataset.Table) (phat *dataset.Table, bef
 // comparison vectors) comes out of ls.arena, which is reset here — callers
 // must not hold arena-backed slices across attack calls.
 func (sc *SweepContext) attack(release *dataset.Table, ls *levelScratch) (phat *dataset.Table, before, after float64, err error) {
+	if sc.err != nil {
+		return nil, 0, 0, sc.err
+	}
 	p := sc.p
 	if p.NumRows() != release.NumRows() {
 		return nil, 0, 0, fmt.Errorf("core: private data has %d rows, release has %d", p.NumRows(), release.NumRows())
@@ -254,13 +268,13 @@ func (sc *SweepContext) attack(release *dataset.Table, ls *levelScratch) (phat *
 		}
 	}
 	// Pre-fusion: the adversary holds only the release with its sensitive
-	// column forced to the public-range midpoint. CanFuse reproduces the
-	// baseline Fuse's validation without building the baseline table.
+	// column forced to the public-range midpoint. CanFuse reproduces
+	// FuseWith's validation without building the baseline table.
 	if err := fusion.CanFuse(release, sc.atk.SensitiveRange); err != nil {
 		return nil, 0, 0, fmt.Errorf("core: pre-fusion baseline: %w", err)
 	}
 	ls.arena.Reset()
-	phat, err = fusion.FuseWithBatch(release, sc.aux, sc.est, sc.atk.SensitiveRange, sc.budget, &ls.arena)
+	phat, err = fusion.FuseWith(release, sc.aux, sc.est, sc.atk.SensitiveRange, sc.budget, &ls.arena)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("core: fusion attack: %w", err)
 	}

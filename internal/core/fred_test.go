@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/datagen"
@@ -92,6 +94,28 @@ func TestAttackRowMismatch(t *testing.T) {
 	short := p.Select(func([]dataset.Value) bool { return false })
 	if _, _, _, err := Attack(p, short, AttackConfig{SensitiveRange: salaryRange()}); err == nil {
 		t.Error("row mismatch accepted")
+	}
+}
+
+// TestAttackNonFiniteSensitiveFails: a NaN in P's sensitive column would
+// turn both dissimilarities into NaN; the attack fails naming the column.
+func TestAttackNonFiniteSensitiveFails(t *testing.T) {
+	p, q := universityFixture(t, 24)
+	p = p.Clone()
+	if err := p.SetCell(5, p.Schema().MustLookup("Salary"), dataset.Num(math.NaN())); err != nil {
+		t.Fatal(err)
+	}
+	anon, err := microagg.New().Anonymize(p, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := anon.WithSuppressed(anon.Schema().IndicesOf(dataset.Sensitive)...)
+	_, before, after, err := Attack(p, release, AttackConfig{Aux: q, SensitiveRange: salaryRange()})
+	if err == nil {
+		t.Fatalf("attack over a NaN salary succeeded: before %v, after %v", before, after)
+	}
+	if !strings.Contains(err.Error(), `"Salary"`) || !strings.Contains(err.Error(), "non-finite") {
+		t.Fatalf("error %q does not name the non-finite Salary column", err)
 	}
 }
 
@@ -388,7 +412,7 @@ func TestAttackUnsuppressedSensitiveBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pmid, err := fusion.FuseBaseline(anon, salaryRange())
+	pmid, err := fusion.FuseWith(anon, fusion.PrepareAux(nil), fusion.Midpoint{}, salaryRange(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

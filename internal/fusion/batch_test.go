@@ -35,14 +35,14 @@ func featureFixture(t *testing.T) (*dataset.Table, *dataset.Table) {
 	return releaseTable(t, relVals), auxTable(t, auxVals)
 }
 
-// randMatrix builds a random flat feature matrix plus its row-slice view.
+// randMatrix builds a random flat feature matrix plus its row views.
 func randMatrix(rng *rand.Rand, n, d int) (Matrix, [][]float64) {
 	flat := make([]float64, n*d)
 	for i := range flat {
 		flat[i] = math.Round(rng.Float64()*100) / 10 // coarse grid → distance ties
 	}
 	m := Matrix{Flat: flat, Rows: n, Stride: d}
-	return m, rowViews(m)
+	return m, rowsOf(m)
 }
 
 func sameBits(t *testing.T, tag string, got, want []float64) {
@@ -52,7 +52,7 @@ func sameBits(t *testing.T, tag string, got, want []float64) {
 	}
 	for i := range got {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s: row %d: batch %v != row-slice %v", tag, i, got[i], want[i])
+			t.Fatalf("%s: row %d: batch %v != reference %v", tag, i, got[i], want[i])
 		}
 	}
 }
@@ -63,8 +63,8 @@ func batchBudgets() []*parallel.Budget {
 	return []*parallel.Budget{nil, parallel.NewBudget(2), parallel.NewBudget(8)}
 }
 
-// TestEstimateBatchMatchesEstimate pins every built-in estimator's batch
-// face to its row-slice Estimate, bit for bit, across worker budgets.
+// TestEstimateBatchMatchesEstimate pins every built-in estimator to its
+// row-at-a-time reference, bit for bit, across worker budgets.
 func TestEstimateBatchMatchesEstimate(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	out := Range{Lo: 40, Hi: 160}
@@ -93,15 +93,14 @@ func TestEstimateBatchMatchesEstimate(t *testing.T) {
 	}
 	arena := &Arena{}
 	for _, est := range ests {
-		want, err := est.Estimate(rows, out)
+		want, err := referenceEstimate(est, rows, out)
 		if err != nil {
-			t.Fatalf("%s: Estimate: %v", est.Name(), err)
+			t.Fatalf("%s: reference: %v", est.Name(), err)
 		}
-		be := est.(BatchEstimator)
 		for bi, b := range batchBudgets() {
 			arena.Reset()
 			got := arena.Floats(n)
-			if err := be.EstimateBatch(m, out, b, arena, got); err != nil {
+			if err := est.EstimateBatch(m, out, b, arena, got); err != nil {
 				t.Fatalf("%s budget %d: EstimateBatch: %v", est.Name(), bi, err)
 			}
 			sameBits(t, est.Name(), got, want)
@@ -109,8 +108,8 @@ func TestEstimateBatchMatchesEstimate(t *testing.T) {
 	}
 }
 
-// TestFISBatchMatchesEstimate covers the hand-authored system adapter in
-// both inference modes, including no-rule-fired rows.
+// TestFISBatchMatchesEstimate pins the hand-authored system adapter to
+// System.Evaluate and EvaluateSugeno, including no-rule-fired rows.
 func TestFISBatchMatchesEstimate(t *testing.T) {
 	build := func(sugeno bool) *FIS {
 		outVar, err := fuzzy.NewVariable("out", 0, 100)
@@ -163,7 +162,7 @@ func TestFISBatchMatchesEstimate(t *testing.T) {
 	arena := &Arena{}
 	for _, sugeno := range []bool{false, true} {
 		f := build(sugeno)
-		want, err := f.Estimate(rows, out)
+		want, err := referenceEstimate(f, rows, out)
 		if err != nil {
 			t.Fatalf("sugeno=%v: %v", sugeno, err)
 		}
@@ -178,11 +177,11 @@ func TestFISBatchMatchesEstimate(t *testing.T) {
 	}
 }
 
-// TestFeaturesMatrixMatchesFeatures pins the flat matrix to the row-slice
-// features: same columns, same imputation, same bits.
+// TestFeaturesMatrixMatchesFeatures pins the flat matrix to the reference
+// feature rows: same columns, same imputation, same bits.
 func TestFeaturesMatrixMatchesFeatures(t *testing.T) {
 	release, aux := featureFixture(t)
-	want, wantNames, err := Features(release, aux)
+	want, wantNames, err := referenceFeatures(release, aux)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,28 +210,29 @@ func TestFeaturesMatrixMatchesFeatures(t *testing.T) {
 	}
 }
 
-// TestFuseWithBatchMatchesFuseWith: the full fusion step must produce an
-// identical table on the batch path, and reusing the arena across levels
-// must not corrupt results.
+// TestFuseWithBatchMatchesFuseWith: the full fusion step must produce the
+// reference table at every budget, and reusing the arena across levels must
+// not corrupt results.
 func TestFuseWithBatchMatchesFuseWith(t *testing.T) {
 	release, aux := featureFixture(t)
 	out := Range{Lo: 40000, Hi: 160000}
 	af := PrepareAux(aux)
 	arena := &Arena{}
-	b := parallel.NewBudget(4)
 	for _, est := range []Estimator{&Fuzzy{}, Rank{}, Midpoint{}} {
-		want, err := FuseWith(release, af, est, out)
+		want, err := referenceFuseWith(release, aux, est, out)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for round := 0; round < 3; round++ { // arena reuse across "levels"
-			arena.Reset()
-			got, err := FuseWithBatch(release, af, est, out, b, arena)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("%s round %d: batch fusion table differs", est.Name(), round)
+		for bi, b := range batchBudgets() {
+			for round := 0; round < 3; round++ { // arena reuse across "levels"
+				arena.Reset()
+				got, err := FuseWith(release, af, est, out, b, arena)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Equal(want) {
+					t.Fatalf("%s budget %d round %d: fused table differs from the reference", est.Name(), bi, round)
+				}
 			}
 		}
 	}
@@ -278,31 +278,31 @@ func TestArenaReuse(t *testing.T) {
 }
 
 // TestKNNTieBreak: with exactly tied distances straddling the K boundary,
-// the (distance, index) order must pick the lower calibration indices on
-// both paths.
+// the (distance, index) order must pick the lower calibration indices, as
+// the reference does.
 func TestKNNTieBreak(t *testing.T) {
 	calib := [][]float64{{1, 0}, {0, 1}, {-1, 0}, {0, -1}} // all at distance 1 from origin
 	targets := []float64{10, 20, 40, 80}
 	k := &KNN{K: 2, CalibFeatures: calib, CalibTargets: targets}
 	query := [][]float64{{0, 0}}
-	want, err := k.Estimate(query, Range{0, 100})
+	want, err := referenceEstimate(k, query, Range{0, 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want[0] != 15 { // neighbours 0 and 1 under (d, idx) order
-		t.Fatalf("row-slice knn picked %v, want 15", want[0])
+		t.Fatalf("reference knn picked %v, want 15", want[0])
 	}
 	got := make([]float64, 1)
 	if err := k.EstimateBatch(Matrix{Flat: []float64{0, 0}, Rows: 1, Stride: 2}, Range{0, 100}, nil, nil, got); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != want[0] {
-		t.Fatalf("batch knn %v != row-slice %v", got[0], want[0])
+		t.Fatalf("batch knn %v != reference %v", got[0], want[0])
 	}
 }
 
-// BenchmarkFuzzyEstimateBatch is the attack-plane CI smoke benchmark: the
-// paper's estimator with fixed domains over a mid-size cohort.
+// BenchmarkFuzzyEstimateBatch measures the paper's estimator with fixed
+// domains over a mid-size cohort.
 func BenchmarkFuzzyEstimateBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	const n, d = 4096, 4

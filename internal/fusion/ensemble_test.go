@@ -6,7 +6,7 @@ func TestEnsemble(t *testing.T) {
 	// Midpoint says 50 everywhere; rank spreads [0, 100]. Uniform ensemble
 	// averages the two.
 	ens := &Ensemble{Members: []Estimator{Midpoint{}, Rank{}}}
-	est, err := ens.Estimate([][]float64{{1}, {2}, {3}}, Range{0, 100})
+	est, err := estimateRows(ens, [][]float64{{1}, {2}, {3}}, Range{0, 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func TestEnsemble(t *testing.T) {
 
 func TestEnsembleWeighted(t *testing.T) {
 	ens := &Ensemble{Members: []Estimator{Midpoint{}, Rank{}}, Weights: []float64{1, 3}}
-	est, err := ens.Estimate([][]float64{{1}, {3}}, Range{0, 100})
+	est, err := estimateRows(ens, [][]float64{{1}, {3}}, Range{0, 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,23 +31,23 @@ func TestEnsembleWeighted(t *testing.T) {
 }
 
 func TestEnsembleErrors(t *testing.T) {
-	if _, err := (&Ensemble{}).Estimate([][]float64{{1}}, Range{0, 1}); err == nil {
+	if _, err := estimateRows(&Ensemble{}, [][]float64{{1}}, Range{0, 1}); err == nil {
 		t.Error("empty ensemble accepted")
 	}
 	bad := &Ensemble{Members: []Estimator{Midpoint{}}, Weights: []float64{1, 2}}
-	if _, err := bad.Estimate([][]float64{{1}}, Range{0, 1}); err == nil {
+	if _, err := estimateRows(bad, [][]float64{{1}}, Range{0, 1}); err == nil {
 		t.Error("weight count mismatch accepted")
 	}
 	neg := &Ensemble{Members: []Estimator{Midpoint{}}, Weights: []float64{-1}}
-	if _, err := neg.Estimate([][]float64{{1}}, Range{0, 1}); err == nil {
+	if _, err := estimateRows(neg, [][]float64{{1}}, Range{0, 1}); err == nil {
 		t.Error("negative weight accepted")
 	}
 	zero := &Ensemble{Members: []Estimator{Midpoint{}}, Weights: []float64{0}}
-	if _, err := zero.Estimate([][]float64{{1}}, Range{0, 1}); err == nil {
+	if _, err := estimateRows(zero, [][]float64{{1}}, Range{0, 1}); err == nil {
 		t.Error("zero weights accepted")
 	}
 	failing := &Ensemble{Members: []Estimator{&KNN{K: 0}}}
-	if _, err := failing.Estimate([][]float64{{1}}, Range{0, 1}); err == nil {
+	if _, err := estimateRows(failing, [][]float64{{1}}, Range{0, 1}); err == nil {
 		t.Error("failing member accepted")
 	}
 	if (&Ensemble{}).Name() == "" {
@@ -58,7 +58,7 @@ func TestEnsembleErrors(t *testing.T) {
 func TestEnsembleWithFuzzy(t *testing.T) {
 	ens := &Ensemble{Members: []Estimator{NewFuzzy(), Rank{}}}
 	features := [][]float64{{1}, {5}, {9}}
-	est, err := ens.Estimate(features, Range{40000, 160000})
+	est, err := estimateRows(ens, features, Range{40000, 160000})
 	if err != nil {
 		t.Fatal(err)
 	}

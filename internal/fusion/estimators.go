@@ -4,17 +4,17 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
-// This file holds the BatchEstimator faces of the baseline estimators. Each
-// EstimateBatch consumes the flat row-major Matrix directly, runs its row
-// loop chunk-parallel under the sweep's worker budget, and writes the exact
-// bits its Estimate counterpart returns (the estimator-axis determinism
-// suite pins this): per-row results depend only on the row, and chunked
-// reductions are avoided entirely — so worker count can never change output.
+// This file holds the baseline estimators. Each EstimateBatch consumes the
+// flat row-major Matrix directly and runs its row loop chunk-parallel under
+// the sweep's worker budget: per-row results depend only on the row, and
+// chunked reductions are avoided entirely — so worker count can never change
+// output. The row-at-a-time oracles in reference_test.go pin every bit.
 
 // Chunk grains: rows of heavy per-row work (a full calibration scan, a
 // Mamdani defuzzification) parallelize at the parallel.For floor; cheap
@@ -24,8 +24,15 @@ const (
 	lightRowGrain = 8192
 )
 
-// EstimateBatch implements BatchEstimator: the no-fusion estimate for every
-// row.
+// Midpoint is the no-fusion adversary of Section 6.B: with the sensitive
+// column suppressed, the best k-independent guess is the middle of the
+// public range. (P ∘ P') in Figure 4 corresponds to this estimate.
+type Midpoint struct{}
+
+// Name implements Estimator.
+func (Midpoint) Name() string { return "midpoint" }
+
+// EstimateBatch implements Estimator: the no-fusion estimate for every row.
 func (Midpoint) EstimateBatch(m Matrix, out Range, _ *parallel.Budget, _ *Arena, est []float64) error {
 	if !out.valid() {
 		return fmt.Errorf("fusion: empty range")
@@ -37,12 +44,18 @@ func (Midpoint) EstimateBatch(m Matrix, out Range, _ *parallel.Budget, _ *Arena,
 	return nil
 }
 
-// EstimateBatch implements BatchEstimator. The per-record score accumulates
-// normalized features in column order exactly as Estimate does — the batch
-// form only swaps the loop nesting (rows outer), which leaves every
-// score's addition sequence unchanged — and the final sort uses the same
-// (score, index) total order, so the permutation and the estimates are
-// bit-identical.
+// Rank estimates by composite rank: records are scored by the mean of their
+// min-max-normalized features and the public range is spread across the
+// score order. It needs no calibration data — only the public range —
+// making it the weakest "real" fusion baseline.
+type Rank struct{}
+
+// Name implements Estimator.
+func (Rank) Name() string { return "rank" }
+
+// EstimateBatch implements Estimator. Each record's score adds its
+// normalized features in column order, and the permutation sorts by the
+// (score, index) total order, so ties rank by record index.
 func (Rank) EstimateBatch(m Matrix, out Range, b *parallel.Budget, a *Arena, est []float64) error {
 	if !out.valid() {
 		return fmt.Errorf("fusion: empty range")
@@ -105,9 +118,73 @@ func (Rank) EstimateBatch(m Matrix, out Range, b *parallel.Budget, a *Arena, est
 	return nil
 }
 
-// EstimateBatch implements BatchEstimator: the OLS fit runs on the (small)
-// calibration set exactly as in Estimate; only the prediction pass is
-// chunk-parallel.
+// Ensemble averages several estimators — a cautious adversary hedging
+// between fusion strategies. Weights default to uniform when nil.
+type Ensemble struct {
+	Members []Estimator
+	Weights []float64
+}
+
+// Name implements Estimator.
+func (e *Ensemble) Name() string { return "ensemble" }
+
+// EstimateBatch implements Estimator: members estimate in order, sharing
+// the budget and arena, and the weighted accumulation runs member-outer.
+func (e *Ensemble) EstimateBatch(m Matrix, out Range, b *parallel.Budget, a *Arena, est []float64) error {
+	if len(e.Members) == 0 {
+		return errors.New("fusion: ensemble has no members")
+	}
+	weights := e.Weights
+	if weights == nil {
+		weights = make([]float64, len(e.Members))
+		for i := range weights {
+			weights[i] = 1
+		}
+	}
+	if len(weights) != len(e.Members) {
+		return fmt.Errorf("fusion: ensemble has %d members and %d weights", len(e.Members), len(weights))
+	}
+	var totalW float64
+	for _, w := range weights {
+		if w < 0 {
+			return fmt.Errorf("fusion: negative ensemble weight %g", w)
+		}
+		totalW += w
+	}
+	if totalW == 0 {
+		return errors.New("fusion: ensemble weights sum to zero")
+	}
+	acc := a.Floats(m.Rows)
+	sub := a.Floats(m.Rows)
+	for mi, member := range e.Members {
+		if err := member.EstimateBatch(m, out, b, a, sub); err != nil {
+			return fmt.Errorf("fusion: ensemble member %s: %w", member.Name(), err)
+		}
+		w := weights[mi]
+		for i, v := range sub {
+			acc[i] += w * v
+		}
+	}
+	for i := range acc {
+		est[i] = stats.Clamp(acc[i]/totalW, out.Lo, out.Hi)
+	}
+	return nil
+}
+
+// Regression fits ordinary least squares on a leaked calibration subset —
+// records whose sensitive values the adversary already knows (e.g. salaries
+// disclosed in public records) — and predicts the rest.
+type Regression struct {
+	// CalibFeatures and CalibTargets are the adversary's labeled examples.
+	CalibFeatures [][]float64
+	CalibTargets  []float64
+}
+
+// Name implements Estimator.
+func (*Regression) Name() string { return "regression" }
+
+// EstimateBatch implements Estimator: the OLS fit runs on the (small)
+// calibration set; only the prediction pass is chunk-parallel.
 func (r *Regression) EstimateBatch(m Matrix, out Range, b *parallel.Budget, _ *Arena, est []float64) error {
 	model, err := stats.FitOLS(r.CalibFeatures, r.CalibTargets)
 	if err != nil {
@@ -124,9 +201,29 @@ func (r *Regression) EstimateBatch(m Matrix, out Range, b *parallel.Budget, _ *A
 	return nil
 }
 
+// KNN averages the sensitive values of the K nearest calibration records in
+// feature space. Ties in distance break by calibration index, so the chosen
+// neighbourhood is a deterministic function of the data alone.
+type KNN struct {
+	K             int
+	CalibFeatures [][]float64
+	CalibTargets  []float64
+
+	// The calibration features flattened row-major, built once, and the
+	// per-worker neighbour heaps. Do not mutate CalibFeatures after the
+	// first estimate.
+	calibOnce sync.Once
+	calibFlat []float64
+	calibD    int
+	calibErr  error
+	heapPool  sync.Pool
+}
+
+// Name implements Estimator.
+func (*KNN) Name() string { return "knn" }
+
 // calibMatrix lazily flattens the calibration features row-major, once per
-// estimator. Mutating CalibFeatures after the first batch call is not
-// supported.
+// estimator. Mutating CalibFeatures after the first call is not supported.
 func (k *KNN) calibMatrix() ([]float64, int, error) {
 	k.calibOnce.Do(func() {
 		if len(k.CalibFeatures) == 0 {
@@ -146,12 +243,10 @@ func (k *KNN) calibMatrix() ([]float64, int, error) {
 	return k.calibFlat, k.calibD, k.calibErr
 }
 
-// EstimateBatch implements BatchEstimator. Every query row scans the
-// flattened calibration matrix with the exact distance accumulation of the
-// row-slice path, keeps the kk nearest in a bounded max-heap ordered by
-// (distance, index) — the same total order the selection sort uses — and
-// sums their targets in ascending order, so each estimate is bit-identical
-// at any worker count.
+// EstimateBatch implements Estimator. Every query row scans the flattened
+// calibration matrix, keeps the kk nearest in a bounded max-heap ordered by
+// (distance, index), and sums their targets in ascending order, so each
+// estimate is a pure function of the data at any worker count.
 func (k *KNN) EstimateBatch(m Matrix, out Range, b *parallel.Budget, _ *Arena, est []float64) error {
 	if k.K < 1 {
 		return fmt.Errorf("fusion: knn needs K ≥ 1, got %d", k.K)
@@ -199,73 +294,3 @@ func (k *KNN) EstimateBatch(m Matrix, out Range, b *parallel.Budget, _ *Arena, e
 	})
 	return nil
 }
-
-// EstimateBatch implements BatchEstimator: members estimate in order, each
-// through its own batch face when it has one (sharing the budget and arena)
-// and through the row-slice path otherwise, and the weighted accumulation
-// runs member-outer exactly as in Estimate.
-func (e *Ensemble) EstimateBatch(m Matrix, out Range, b *parallel.Budget, a *Arena, est []float64) error {
-	if len(e.Members) == 0 {
-		return errors.New("fusion: ensemble has no members")
-	}
-	weights := e.Weights
-	if weights == nil {
-		weights = make([]float64, len(e.Members))
-		for i := range weights {
-			weights[i] = 1
-		}
-	}
-	if len(weights) != len(e.Members) {
-		return fmt.Errorf("fusion: ensemble has %d members and %d weights", len(e.Members), len(weights))
-	}
-	var totalW float64
-	for _, w := range weights {
-		if w < 0 {
-			return fmt.Errorf("fusion: negative ensemble weight %g", w)
-		}
-		totalW += w
-	}
-	if totalW == 0 {
-		return errors.New("fusion: ensemble weights sum to zero")
-	}
-	acc := a.Floats(m.Rows)
-	tmp := a.Floats(m.Rows)
-	var rows [][]float64 // lazy row views for members without a batch face
-	for mi, member := range e.Members {
-		sub := tmp
-		if bm, ok := member.(BatchEstimator); ok {
-			if err := bm.EstimateBatch(m, out, b, a, sub); err != nil {
-				return fmt.Errorf("fusion: ensemble member %s: %w", member.Name(), err)
-			}
-		} else {
-			if rows == nil {
-				rows = rowViews(m)
-			}
-			got, err := member.Estimate(rows, out)
-			if err != nil {
-				return fmt.Errorf("fusion: ensemble member %s: %w", member.Name(), err)
-			}
-			if len(got) != m.Rows {
-				return fmt.Errorf("fusion: ensemble member %s returned %d estimates for %d rows", member.Name(), len(got), m.Rows)
-			}
-			sub = got
-		}
-		w := weights[mi]
-		for i, v := range sub {
-			acc[i] += w * v
-		}
-	}
-	for i := range acc {
-		est[i] = stats.Clamp(acc[i]/totalW, out.Lo, out.Hi)
-	}
-	return nil
-}
-
-// Compile-time checks: every built-in estimator offers the batch face.
-var (
-	_ BatchEstimator = Midpoint{}
-	_ BatchEstimator = Rank{}
-	_ BatchEstimator = (*Regression)(nil)
-	_ BatchEstimator = (*KNN)(nil)
-	_ BatchEstimator = (*Ensemble)(nil)
-)

@@ -28,69 +28,12 @@ type FIS struct {
 // Name implements Estimator.
 func (f *FIS) Name() string { return "fis" }
 
-// Estimate implements Estimator. Records on which no rule fires fall back
-// to the range midpoint, matching the Fuzzy estimator's convention.
-func (f *FIS) Estimate(features [][]float64, out Range) ([]float64, error) {
-	if f.System == nil {
-		return nil, errors.New("fusion: FIS estimator has no system")
-	}
-	if !out.valid() {
-		return nil, fmt.Errorf("fusion: empty range")
-	}
-	if len(features) == 0 {
-		return nil, errors.New("fusion: FIS estimator needs at least one record")
-	}
-	d := len(features[0])
-	if len(f.FeatureNames) != d {
-		return nil, fmt.Errorf("fusion: %d feature names for %d features", len(f.FeatureNames), d)
-	}
-	declared := make(map[string]bool, d)
-	for _, n := range f.FeatureNames {
-		declared[n] = true
-	}
-	for _, in := range f.System.Inputs() {
-		if !declared[in] {
-			return nil, fmt.Errorf("fusion: system input %q has no feature column", in)
-		}
-	}
-	var ev *fuzzy.Evaluator
-	if !f.Sugeno {
-		var err error
-		if ev, err = fuzzy.NewEvaluator(f.System); err != nil {
-			return nil, err
-		}
-	}
-	est := make([]float64, len(features))
-	in := make(map[string]float64, d)
-	for i, row := range features {
-		if len(row) != d {
-			return nil, fmt.Errorf("fusion: ragged feature row %d", i)
-		}
-		for j, name := range f.FeatureNames {
-			in[name] = row[j]
-		}
-		var y float64
-		var err error
-		if f.Sugeno {
-			y, err = f.System.EvaluateSugeno(in)
-		} else {
-			y, err = ev.Evaluate(in)
-		}
-		if errors.Is(err, fuzzy.ErrNoRuleFired) {
-			y = out.Mid()
-		} else if err != nil {
-			return nil, err
-		}
-		est[i] = stats.Clamp(y, out.Lo, out.Hi)
-	}
-	return est, nil
-}
-
-// EstimateBatch implements BatchEstimator. The system is compiled per call —
-// FIS runs the system exactly as currently authored, so rules added between
+// EstimateBatch implements Estimator. The system is compiled per call — FIS
+// runs the system exactly as currently authored, so rules added between
 // calls must stay visible — and the rows evaluate chunk-parallel through
-// per-chunk evaluator clones, Mamdani and Sugeno alike, with the batch NaN
-// sentinel falling back to the range midpoint.
+// per-chunk evaluator clones, Mamdani and Sugeno alike. Records on which no
+// rule fires (the batch NaN sentinel) fall back to the range midpoint,
+// matching the Fuzzy estimator's convention.
 func (f *FIS) EstimateBatch(m Matrix, out Range, b *parallel.Budget, _ *Arena, est []float64) error {
 	if f.System == nil {
 		return errors.New("fusion: FIS estimator has no system")
@@ -145,6 +88,3 @@ func (f *FIS) EstimateBatch(m Matrix, out Range, b *parallel.Budget, _ *Arena, e
 	}
 	return nil
 }
-
-// Compile-time check.
-var _ BatchEstimator = (*FIS)(nil)

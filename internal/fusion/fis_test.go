@@ -30,7 +30,7 @@ func loadFIS(t *testing.T) *fuzzy.System {
 
 func TestFISEstimator(t *testing.T) {
 	est := &FIS{System: loadFIS(t), FeatureNames: []string{"valuation"}}
-	got, err := est.Estimate([][]float64{{1}, {9}}, Range{40000, 160000})
+	got, err := estimateRows(est, [][]float64{{1}, {9}}, Range{40000, 160000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestFISEstimator(t *testing.T) {
 func TestFISNoRuleFallsBackToMidpoint(t *testing.T) {
 	// Dead zone at valuation 5: both trapezoids are zero there.
 	est := &FIS{System: loadFIS(t), FeatureNames: []string{"valuation"}}
-	got, err := est.Estimate([][]float64{{5}}, Range{40000, 160000})
+	got, err := estimateRows(est, [][]float64{{5}}, Range{40000, 160000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,27 +59,24 @@ func TestFISNoRuleFallsBackToMidpoint(t *testing.T) {
 
 func TestFISErrors(t *testing.T) {
 	sys := loadFIS(t)
-	if _, err := (&FIS{FeatureNames: []string{"x"}}).Estimate([][]float64{{1}}, Range{0, 1}); err == nil {
+	if _, err := estimateRows(&FIS{FeatureNames: []string{"x"}}, [][]float64{{1}}, Range{0, 1}); err == nil {
 		t.Error("nil system accepted")
 	}
-	if _, err := (&FIS{System: sys, FeatureNames: []string{"valuation"}}).Estimate(nil, Range{0, 1}); err == nil {
+	if _, err := estimateRows(&FIS{System: sys, FeatureNames: []string{"valuation"}}, nil, Range{0, 1}); err == nil {
 		t.Error("no records accepted")
 	}
-	if _, err := (&FIS{System: sys, FeatureNames: []string{"a", "b"}}).Estimate([][]float64{{1}}, Range{0, 1}); err == nil {
+	if _, err := estimateRows(&FIS{System: sys, FeatureNames: []string{"a", "b"}}, [][]float64{{1}}, Range{0, 1}); err == nil {
 		t.Error("name width mismatch accepted")
 	}
-	if _, err := (&FIS{System: sys, FeatureNames: []string{"wrong"}}).Estimate([][]float64{{1}}, Range{40000, 160000}); err == nil {
+	if _, err := estimateRows(&FIS{System: sys, FeatureNames: []string{"wrong"}}, [][]float64{{1}}, Range{40000, 160000}); err == nil {
 		t.Error("unmapped system input accepted")
 	}
-	if _, err := (&FIS{System: sys, FeatureNames: []string{"valuation"}}).Estimate([][]float64{{1}}, Range{5, 5}); err == nil {
+	if _, err := estimateRows(&FIS{System: sys, FeatureNames: []string{"valuation"}}, [][]float64{{1}}, Range{5, 5}); err == nil {
 		t.Error("empty range accepted")
-	}
-	if _, err := (&FIS{System: sys, FeatureNames: []string{"valuation"}}).Estimate([][]float64{{1}, {1, 2}}, Range{0, 1}); err == nil {
-		t.Error("ragged features accepted")
 	}
 	// Sugeno over Mamdani terms fails.
 	sug := &FIS{System: sys, FeatureNames: []string{"valuation"}, Sugeno: true}
-	if _, err := sug.Estimate([][]float64{{9}}, Range{40000, 160000}); err == nil {
+	if _, err := estimateRows(sug, [][]float64{{9}}, Range{40000, 160000}); err == nil {
 		t.Error("Sugeno over non-singleton terms accepted")
 	}
 }
@@ -100,7 +97,7 @@ RULE IF x IS high THEN income IS high
 		t.Fatal(err)
 	}
 	est := &FIS{System: sys, FeatureNames: []string{"x"}, Sugeno: true}
-	got, err := est.Estimate([][]float64{{0}, {10}, {5}}, Range{0, 100})
+	got, err := estimateRows(est, [][]float64{{0}, {10}, {5}}, Range{0, 100})
 	if err != nil {
 		t.Fatal(err)
 	}

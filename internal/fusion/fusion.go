@@ -13,9 +13,9 @@ package fusion
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/dataset"
+	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
@@ -29,15 +29,23 @@ func (r Range) Mid() float64 { return (r.Lo + r.Hi) / 2 }
 // valid reports whether the range is non-empty.
 func (r Range) valid() bool { return r.Hi > r.Lo }
 
-// Estimator maps per-record feature vectors to sensitive estimates within a
-// range.
+// Estimator maps the adversary's feature matrix to sensitive estimates
+// within a range.
 type Estimator interface {
 	// Name identifies the estimator in reports and benches.
 	Name() string
-	// Estimate returns one estimate per feature row, each inside [out.Lo,
-	// out.Hi].
-	Estimate(features [][]float64, out Range) ([]float64, error)
+	// EstimateBatch writes one estimate per matrix row into est, each inside
+	// [out.Lo, out.Hi], drawing scratch from the arena and spreading row
+	// chunks over the budget's spare workers (both may be nil). The
+	// determinism contract of parallel.For applies: results never depend on
+	// the number of workers.
+	EstimateBatch(m Matrix, out Range, b *parallel.Budget, a *Arena, est []float64) error
 }
+
+// BatchEstimator is the former name of Estimator. It remains only because
+// the fredbench module asserts it; the next change to that module can drop
+// it.
+type BatchEstimator = Estimator
 
 // ErrNoFeatures is returned when the release and auxiliary tables yield no
 // numeric features.
@@ -63,20 +71,24 @@ func PrepareAux(aux *dataset.Table) *AuxFeatures {
 		return af
 	}
 	af.rows = aux.NumRows()
+	present := make([]bool, af.rows)
 	for _, i := range aux.Schema().IndicesOf(dataset.QuasiIdentifier) {
 		if aux.Schema().Column(i).Kind != dataset.Number {
 			continue
 		}
-		af.cols = append(af.cols, imputedColumn(aux, i))
+		af.cols = append(af.cols, imputedColumnInto(aux, i, nil, present))
 		af.names = append(af.names, "aux."+aux.Schema().Column(i).Name)
 	}
 	return af
 }
 
-// imputedColumn reads a column's numeric values (interval midpoints) with
-// missing cells replaced by the mean of the observed ones.
-func imputedColumn(t *dataset.Table, idx int) []float64 {
-	vals, present := t.FloatColumn(idx)
+// imputedColumnInto reads a column's numeric values (interval midpoints)
+// into an arena buffer, with missing cells replaced by the mean of the
+// observed ones, accumulated in row order. present is caller scratch of
+// length NumRows.
+func imputedColumnInto(t *dataset.Table, idx int, a *Arena, present []bool) []float64 {
+	vals := a.Floats(t.NumRows())
+	t.FloatColumnInto(idx, vals, present)
 	var sum float64
 	var seen int
 	for r, ok := range present {
@@ -97,50 +109,53 @@ func imputedColumn(t *dataset.Table, idx int) []float64 {
 	return vals
 }
 
-// Features assembles the adversary's input matrix: the numeric
+// FeaturesMatrixWith assembles the adversary's input matrix: the numeric
 // quasi-identifiers of the release (generalized cells read at interval
-// midpoints) concatenated with the numeric quasi-identifiers of the aux
-// table, row-aligned. Missing cells (suppressed, unlinked web attributes)
-// are imputed with the column mean of the observed values. The returned
-// names parallel the feature columns.
-func Features(release, aux *dataset.Table) (features [][]float64, names []string, err error) {
-	return FeaturesWith(release, PrepareAux(aux))
-}
-
-// FeaturesWith is Features with the aux-side columns already prepared — the
-// per-level half of the work. It extracts the release's feature columns from
-// its column buffers and assembles the row-major matrix the Estimator
-// contract expects.
-func FeaturesWith(release *dataset.Table, aux *AuxFeatures) (features [][]float64, names []string, err error) {
+// midpoints), then the prepared aux-side columns, row-aligned. Missing cells
+// (suppressed, unlinked web attributes) are imputed with the column mean of
+// the observed values. Release columns are imputed into arena buffers and
+// the transpose into the flat matrix runs chunk-parallel under the budget;
+// both may be nil. Names parallels the feature columns.
+func FeaturesMatrixWith(release *dataset.Table, aux *AuxFeatures, b *parallel.Budget, a *Arena) (Matrix, error) {
 	if aux.rows >= 0 && release.NumRows() != aux.rows {
-		return nil, nil, fmt.Errorf("fusion: release has %d rows, aux has %d; align them first (web.Gather aligns by roster order)", release.NumRows(), aux.rows)
+		return Matrix{}, fmt.Errorf("fusion: release has %d rows, aux has %d; align them first (web.Gather aligns by roster order)", release.NumRows(), aux.rows)
 	}
+	qis := release.Schema().IndicesOf(dataset.QuasiIdentifier)
 	var cols [][]float64
-	for _, i := range release.Schema().IndicesOf(dataset.QuasiIdentifier) {
-		if release.Schema().Column(i).Kind == dataset.Number {
-			cols = append(cols, imputedColumn(release, i))
-			names = append(names, release.Schema().Column(i).Name)
+	var names []string
+	var present []bool
+	for _, i := range qis {
+		if release.Schema().Column(i).Kind != dataset.Number {
+			continue
 		}
+		if present == nil {
+			present = a.Bools(release.NumRows())
+		}
+		cols = append(cols, imputedColumnInto(release, i, a, present))
+		names = append(names, release.Schema().Column(i).Name)
 	}
 	cols = append(cols, aux.cols...)
 	names = append(names, aux.names...)
 	if len(cols) == 0 {
-		return nil, nil, ErrNoFeatures
+		return Matrix{}, ErrNoFeatures
 	}
-	m := release.NumRows()
-	features = make([][]float64, m)
-	flat := make([]float64, m*len(cols))
-	for r := range features {
-		// cap==len so estimator code appending to a row cannot clobber the
-		// next row in the shared backing array.
-		row := flat[r*len(cols) : (r+1)*len(cols) : (r+1)*len(cols)]
-		for j := range cols {
-			row[j] = cols[j][r]
+	n := release.NumRows()
+	d := len(cols)
+	flat := a.Floats(n * d)
+	b.For(n, transposeGrain, func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			row := flat[r*d : (r+1)*d]
+			for j := range cols {
+				row[j] = cols[j][r]
+			}
 		}
-		features[r] = row
-	}
-	return features, names, nil
+	})
+	return Matrix{Flat: flat, Rows: n, Stride: d, Names: names}, nil
 }
+
+// transposeGrain sizes the chunks of the column-to-row transpose; the work
+// per row is a handful of strided loads, so chunks stay large.
+const transposeGrain = 8192
 
 // sensitiveColumn validates the release's sensitive column for fusion: there
 // must be exactly one and it must be numeric.
@@ -155,15 +170,13 @@ func sensitiveColumn(release *dataset.Table) (int, error) {
 	return sens[0], nil
 }
 
-// Fuse runs the full F(P', Q) step: build features, estimate the sensitive
-// attribute, and return P̂ — the release with its (single, numeric) sensitive
-// column holding the estimates and every other column shared.
-func Fuse(release, aux *dataset.Table, est Estimator, out Range) (*dataset.Table, error) {
-	return FuseWith(release, PrepareAux(aux), est, out)
-}
-
-// FuseWith is Fuse with the aux-side feature columns already prepared.
-func FuseWith(release *dataset.Table, aux *AuxFeatures, est Estimator, out Range) (*dataset.Table, error) {
+// FuseWith runs the full F(P', Q) step with the aux-side feature columns
+// already prepared (PrepareAux): assemble the feature matrix, estimate the
+// sensitive attribute, and return P̂ — the release with its (single,
+// numeric) sensitive column holding the estimates and every other column
+// shared. Scratch comes from the arena and row chunks spread over the
+// budget; both may be nil.
+func FuseWith(release *dataset.Table, aux *AuxFeatures, est Estimator, out Range, b *parallel.Budget, a *Arena) (*dataset.Table, error) {
 	if est == nil {
 		return nil, errors.New("fusion: nil estimator")
 	}
@@ -174,25 +187,23 @@ func FuseWith(release *dataset.Table, aux *AuxFeatures, est Estimator, out Range
 	if err != nil {
 		return nil, err
 	}
-	features, _, err := FeaturesWith(release, aux)
+	m, err := FeaturesMatrixWith(release, aux, b, a)
 	if err != nil {
 		return nil, err
 	}
-	est2, err := est.Estimate(features, out)
-	if err != nil {
+	vals := a.Floats(m.Rows)
+	if err := est.EstimateBatch(m, out, b, a, vals); err != nil {
 		return nil, err
 	}
-	if len(est2) != release.NumRows() {
-		return nil, fmt.Errorf("fusion: estimator %s returned %d estimates for %d rows", est.Name(), len(est2), release.NumRows())
+	for i, v := range vals {
+		vals[i] = stats.Clamp(v, out.Lo, out.Hi)
 	}
-	for i, v := range est2 {
-		est2[i] = stats.Clamp(v, out.Lo, out.Hi)
-	}
-	return release.WithColumnFloats(sens, est2)
+	// WithColumnFloats copies vals, so the arena slice can be reused freely.
+	return release.WithColumnFloats(sens, vals)
 }
 
 // CanFuse reports whether a release can enter the fusion step for the given
-// range: the checks Fuse performs before any feature work (valid range,
+// range: the checks FuseWith performs before any feature work (valid range,
 // exactly one numeric sensitive column, at least one numeric feature when
 // the adversary has no aux table). It is the allocation-free validation
 // core.SweepContext runs per level in place of building the midpoint
@@ -204,258 +215,12 @@ func CanFuse(release *dataset.Table, out Range) error {
 	if _, err := sensitiveColumn(release); err != nil {
 		return err
 	}
-	// Features(release, nil) fails only when the release contributes no
-	// numeric quasi-identifiers; preserve that contract without the build.
+	// A release-only feature matrix fails only when the release contributes
+	// no numeric quasi-identifiers; preserve that contract without the build.
 	for _, i := range release.Schema().IndicesOf(dataset.QuasiIdentifier) {
 		if release.Schema().Column(i).Kind == dataset.Number {
 			return nil
 		}
 	}
 	return ErrNoFeatures
-}
-
-// FuseBaseline returns the no-fusion estimate P̂₀: the release with its
-// sensitive column set to the public-range midpoint. It is Fuse(release,
-// nil, Midpoint{}, out) minus the feature assembly the Midpoint estimator
-// ignores, with identical validation — the pre-fusion side of the attack.
-func FuseBaseline(release *dataset.Table, out Range) (*dataset.Table, error) {
-	if err := CanFuse(release, out); err != nil {
-		return nil, err
-	}
-	sens, _ := sensitiveColumn(release)
-	mid := out.Mid()
-	vals := make([]float64, release.NumRows())
-	for i := range vals {
-		vals[i] = mid
-	}
-	return release.WithColumnFloats(sens, vals)
-}
-
-// ---------------------------------------------------------------------------
-// Baseline estimators
-
-// Midpoint is the no-fusion adversary of Section 6.B: with the sensitive
-// column suppressed, the best k-independent guess is the middle of the
-// public range. (P ∘ P') in Figure 4 corresponds to this estimate.
-type Midpoint struct{}
-
-// Name implements Estimator.
-func (Midpoint) Name() string { return "midpoint" }
-
-// Estimate implements Estimator.
-func (Midpoint) Estimate(features [][]float64, out Range) ([]float64, error) {
-	if !out.valid() {
-		return nil, fmt.Errorf("fusion: empty range")
-	}
-	est := make([]float64, len(features))
-	for i := range est {
-		est[i] = out.Mid()
-	}
-	return est, nil
-}
-
-// Rank estimates by composite rank: records are scored by the mean of their
-// min-max-normalized features and the public range is spread across the
-// score order. It needs no calibration data — only the public range —
-// making it the weakest "real" fusion baseline.
-type Rank struct{}
-
-// Name implements Estimator.
-func (Rank) Name() string { return "rank" }
-
-// Estimate implements Estimator.
-func (Rank) Estimate(features [][]float64, out Range) ([]float64, error) {
-	if !out.valid() {
-		return nil, fmt.Errorf("fusion: empty range")
-	}
-	n := len(features)
-	if n == 0 {
-		return nil, errors.New("fusion: rank estimator needs at least one record")
-	}
-	d := len(features[0])
-	scores := make([]float64, n)
-	for j := 0; j < d; j++ {
-		colVals := make([]float64, n)
-		for i := range features {
-			colVals[i] = features[i][j]
-		}
-		norm := stats.Normalize(colVals)
-		for i := range scores {
-			scores[i] += norm[i] / float64(d)
-		}
-	}
-	// Rank by score (average ranks are unnecessary; stable order by index).
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	for i := 1; i < n; i++ { // insertion sort on (score, index)
-		for j := i; j > 0 && (scores[order[j]] < scores[order[j-1]] ||
-			(scores[order[j]] == scores[order[j-1]] && order[j] < order[j-1])); j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	est := make([]float64, n)
-	if n == 1 {
-		est[0] = out.Mid()
-		return est, nil
-	}
-	for rank, idx := range order {
-		est[idx] = out.Lo + float64(rank)/float64(n-1)*(out.Hi-out.Lo)
-	}
-	return est, nil
-}
-
-// Ensemble averages several estimators — a cautious adversary hedging
-// between fusion strategies. Weights default to uniform when nil.
-type Ensemble struct {
-	Members []Estimator
-	Weights []float64
-}
-
-// Name implements Estimator.
-func (e *Ensemble) Name() string { return "ensemble" }
-
-// Estimate implements Estimator.
-func (e *Ensemble) Estimate(features [][]float64, out Range) ([]float64, error) {
-	if len(e.Members) == 0 {
-		return nil, errors.New("fusion: ensemble has no members")
-	}
-	weights := e.Weights
-	if weights == nil {
-		weights = make([]float64, len(e.Members))
-		for i := range weights {
-			weights[i] = 1
-		}
-	}
-	if len(weights) != len(e.Members) {
-		return nil, fmt.Errorf("fusion: ensemble has %d members and %d weights", len(e.Members), len(weights))
-	}
-	var totalW float64
-	for _, w := range weights {
-		if w < 0 {
-			return nil, fmt.Errorf("fusion: negative ensemble weight %g", w)
-		}
-		totalW += w
-	}
-	if totalW == 0 {
-		return nil, errors.New("fusion: ensemble weights sum to zero")
-	}
-	acc := make([]float64, len(features))
-	for m, member := range e.Members {
-		est, err := member.Estimate(features, out)
-		if err != nil {
-			return nil, fmt.Errorf("fusion: ensemble member %s: %w", member.Name(), err)
-		}
-		if len(est) != len(features) {
-			return nil, fmt.Errorf("fusion: ensemble member %s returned %d estimates for %d rows", member.Name(), len(est), len(features))
-		}
-		for i, v := range est {
-			acc[i] += weights[m] * v
-		}
-	}
-	for i := range acc {
-		acc[i] = stats.Clamp(acc[i]/totalW, out.Lo, out.Hi)
-	}
-	return acc, nil
-}
-
-// Regression fits ordinary least squares on a leaked calibration subset —
-// records whose sensitive values the adversary already knows (e.g. salaries
-// disclosed in public records) — and predicts the rest.
-type Regression struct {
-	// CalibFeatures and CalibTargets are the adversary's labeled examples.
-	CalibFeatures [][]float64
-	CalibTargets  []float64
-}
-
-// Name implements Estimator.
-func (*Regression) Name() string { return "regression" }
-
-// Estimate implements Estimator.
-func (r *Regression) Estimate(features [][]float64, out Range) ([]float64, error) {
-	model, err := stats.FitOLS(r.CalibFeatures, r.CalibTargets)
-	if err != nil {
-		return nil, fmt.Errorf("fusion: regression calibration: %w", err)
-	}
-	est := make([]float64, len(features))
-	for i, f := range features {
-		est[i] = stats.Clamp(model.Predict(f), out.Lo, out.Hi)
-	}
-	return est, nil
-}
-
-// KNN averages the sensitive values of the K nearest calibration records in
-// feature space. Ties in distance break by calibration index, so the chosen
-// neighbourhood is a deterministic function of the data alone.
-type KNN struct {
-	K             int
-	CalibFeatures [][]float64
-	CalibTargets  []float64
-
-	// Batch-path caches (see batch.go): the calibration features flattened
-	// row-major, built once, and the per-worker neighbour heaps. Do not
-	// mutate CalibFeatures after the first batch estimate.
-	calibOnce sync.Once
-	calibFlat []float64
-	calibD    int
-	calibErr  error
-	heapPool  sync.Pool
-}
-
-// Name implements Estimator.
-func (*KNN) Name() string { return "knn" }
-
-// Estimate implements Estimator.
-func (k *KNN) Estimate(features [][]float64, out Range) ([]float64, error) {
-	if k.K < 1 {
-		return nil, fmt.Errorf("fusion: knn needs K ≥ 1, got %d", k.K)
-	}
-	if len(k.CalibFeatures) != len(k.CalibTargets) || len(k.CalibFeatures) == 0 {
-		return nil, errors.New("fusion: knn calibration features and targets must be non-empty and aligned")
-	}
-	kk := k.K
-	if kk > len(k.CalibFeatures) {
-		kk = len(k.CalibFeatures)
-	}
-	est := make([]float64, len(features))
-	type cand struct {
-		d float64
-		y float64
-		i int
-	}
-	for i, f := range features {
-		cands := make([]cand, len(k.CalibFeatures))
-		for c, cf := range k.CalibFeatures {
-			if len(cf) != len(f) {
-				return nil, fmt.Errorf("fusion: knn calibration row %d has %d features, query has %d", c, len(cf), len(f))
-			}
-			var d float64
-			for j := range f {
-				diff := f[j] - cf[j]
-				d += diff * diff
-			}
-			cands[c] = cand{d, k.CalibTargets[c], c}
-		}
-		// Partial selection of the kk nearest under the (distance, index)
-		// total order — the tie-break keeps the selected set and its sum
-		// order a pure function of the data (the batch path's neighbour
-		// heap relies on this).
-		for s := 0; s < kk; s++ {
-			best := s
-			for j := s + 1; j < len(cands); j++ {
-				if cands[j].d < cands[best].d ||
-					(cands[j].d == cands[best].d && cands[j].i < cands[best].i) {
-					best = j
-				}
-			}
-			cands[s], cands[best] = cands[best], cands[s]
-		}
-		var sum float64
-		for s := 0; s < kk; s++ {
-			sum += cands[s].y
-		}
-		est[i] = stats.Clamp(sum/float64(kk), out.Lo, out.Hi)
-	}
-	return est, nil
 }

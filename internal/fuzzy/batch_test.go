@@ -8,8 +8,43 @@ import (
 	"testing"
 )
 
+// buildTestSystem assembles a 2-input Mamdani system with the generated
+// Ruspini partitions the fusion layer uses.
+func buildTestSystem(t *testing.T, opts Options, rules []string) *System {
+	t.Helper()
+	out, err := NewVariable("out", 0, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := out.ThreeTerms("low", "med", "high"); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(out, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b"} {
+		v, err := NewVariable(name, 0, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := v.ThreeTerms("low", "med", "high"); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.AddInput(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range rules {
+		if err := sys.AddRuleText(r); err != nil {
+			t.Fatalf("rule %q: %v", r, err)
+		}
+	}
+	return sys
+}
+
 // batchGrid produces the flat row-major (a, b) feature matrix the batch
-// entry points consume, mirroring the grid TestEvaluatorMatchesSystem walks.
+// entry points consume.
 func batchGrid() ([]float64, int) {
 	var flat []float64
 	for ai := 0.0; ai <= 10; ai += 0.7 {
@@ -21,8 +56,9 @@ func batchGrid() ([]float64, int) {
 }
 
 // TestEvaluateBatchMatchesEvaluate: batch results must carry the exact bits
-// of the per-row Evaluate path across rule shapes, implications and
-// defuzzifiers, with NaN standing in for ErrNoRuleFired.
+// of the reference System.Evaluate across simple, compound and sparse rule
+// bases, implications and defuzzifiers, with NaN standing in for
+// ErrNoRuleFired.
 func TestEvaluateBatchMatchesEvaluate(t *testing.T) {
 	ruleSets := map[string][]string{
 		"simple": {
@@ -50,13 +86,9 @@ func TestEvaluateBatchMatchesEvaluate(t *testing.T) {
 			{Norms: Norms{ProductAND: true}, Resolution: 101},
 		} {
 			sys := buildTestSystem(t, opts, rules)
-			ref, err := NewEvaluator(sys)
-			if err != nil {
-				t.Fatalf("%s: NewEvaluator: %v", name, err)
-			}
 			batch, err := NewEvaluator(sys)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: NewEvaluator: %v", name, err)
 			}
 			flat, stride := batchGrid()
 			n := len(flat) / stride
@@ -67,7 +99,7 @@ func TestEvaluateBatchMatchesEvaluate(t *testing.T) {
 			in := map[string]float64{}
 			for r := 0; r < n; r++ {
 				in["a"], in["b"] = flat[r*stride], flat[r*stride+1]
-				want, err := ref.Evaluate(in)
+				want, err := sys.Evaluate(in)
 				if errors.Is(err, ErrNoRuleFired) {
 					if !math.IsNaN(out[r]) {
 						t.Fatalf("%s row %d: no rule fired but batch returned %v", name, r, out[r])
@@ -78,7 +110,7 @@ func TestEvaluateBatchMatchesEvaluate(t *testing.T) {
 					t.Fatalf("%s row %d: Evaluate: %v", name, r, err)
 				}
 				if math.Float64bits(out[r]) != math.Float64bits(want) {
-					t.Fatalf("%s row %d (%v): batch %v != evaluate %v", name, r, in, out[r], want)
+					t.Fatalf("%s %+v row %d (%v): batch %v != evaluate %v", name, opts, r, in, out[r], want)
 				}
 			}
 		}
@@ -112,12 +144,8 @@ func TestEvaluateBatchBoundInputs(t *testing.T) {
 	if err := ev.EvaluateBatch(flat, 3, out); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewEvaluator(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for r := 0; r < 3; r++ {
-		want, err := ref.Evaluate(map[string]float64{"a": flat[r*3+2], "b": flat[r*3+1]})
+		want, err := sys.Evaluate(map[string]float64{"a": flat[r*3+2], "b": flat[r*3+1]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +232,7 @@ func TestEvaluateBatchSugenoMatchesSystem(t *testing.T) {
 	}
 
 	// A non-singleton output term is only an error once a rule firing on it
-	// fires, matching the per-row path's lazy check.
+	// fires, matching System.EvaluateSugeno's lazy check.
 	mixed := buildTestSystem(t, Options{}, []string{"IF a IS low THEN out IS low"})
 	mev, err := NewEvaluator(mixed)
 	if err != nil {
@@ -290,8 +318,8 @@ func TestEvaluateBatchNoAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkEvaluateBatch is the attack-plane CI smoke benchmark for the
-// fuzzy kernel: batch Mamdani inference over a 3-input system.
+// BenchmarkEvaluateBatch measures batch Mamdani inference over a 3-input
+// system.
 func BenchmarkEvaluateBatch(b *testing.B) {
 	out, err := NewVariable("out", 0, 100)
 	if err != nil {

@@ -191,8 +191,9 @@ var ErrNoRuleFired = errors.New("fuzzy: no rule fired")
 
 // Evaluate runs Mamdani inference: fuzzify inputs, fire every rule, clip or
 // scale its consequent, aggregate by max, and defuzzify. Inputs are crisp
-// values keyed by variable name; every registered input must be present
-// (the fusion layer handles missing web attributes before calling this).
+// values keyed by variable name; every registered input must be present.
+// It is the reference implementation: the compiled Evaluator's batch
+// inference is pinned to its bits.
 func (s *System) Evaluate(in map[string]float64) (float64, error) {
 	if len(s.rules) == 0 {
 		return 0, errors.New("fuzzy: system has no rules")
@@ -225,7 +226,8 @@ func (s *System) Evaluate(in map[string]float64) (float64, error) {
 
 // EvaluateSugeno runs zero-order Sugeno inference: each output term must be
 // a Singleton; the result is the firing-strength-weighted average of the
-// singletons. It is cheaper than Mamdani and used as an engine ablation.
+// singletons. It is cheaper than Mamdani and used as an engine ablation, and
+// it is the reference Evaluator.EvaluateBatchSugeno is pinned to.
 func (s *System) EvaluateSugeno(in map[string]float64) (float64, error) {
 	if len(s.rules) == 0 {
 		return 0, errors.New("fuzzy: system has no rules")

@@ -6,16 +6,17 @@ import (
 	"sort"
 )
 
-// Evaluator runs repeated inferences over one System without the per-call
-// allocations of System.Evaluate: fuzzified grades, firing strengths and the
-// defuzzifier accumulators live in reused buffers, rules are precompiled to
-// term indices, and the common membership shapes are devirtualized. Rules
-// firing on the same output term are aggregated by their maximum strength
-// up front — max_j min(g, w_j) = min(g, max_j w_j), so the Mamdani surface
-// is unchanged and every result is bit-identical to System.Evaluate.
+// Evaluator is the compiled form of a System for batch inference (batch.go)
+// without the per-row allocations of System.Evaluate: fuzzified grades,
+// firing strengths and the defuzzifier accumulators live in reused buffers,
+// rules are precompiled to term indices, and the common membership shapes
+// are devirtualized. Rules firing on the same output term are aggregated by
+// their maximum strength up front — max_j min(g, w_j) = min(g, max_j w_j),
+// so the Mamdani surface is unchanged and every result is bit-identical to
+// System.Evaluate (and EvaluateSugeno), which stay the reference.
 //
-// An Evaluator is not safe for concurrent use; create one per goroutine
-// (construction is cheap next to a single row's defuzzification).
+// An Evaluator is not safe for concurrent use; give each goroutine its own
+// Clone.
 type Evaluator struct {
 	sys    *System
 	vars   []*Variable
@@ -186,105 +187,12 @@ func NewEvaluator(s *System) (*Evaluator, error) {
 	return e, nil
 }
 
-// Evaluate runs Mamdani inference for one crisp input vector, exactly as
-// System.Evaluate does.
-func (e *Evaluator) Evaluate(in map[string]float64) (float64, error) {
-	s := e.sys
-	if len(e.rules) == 0 {
-		return 0, fmt.Errorf("fuzzy: system has no rules")
-	}
-	for vi, v := range e.vars {
-		x, ok := in[v.Name]
-		if !ok {
-			return 0, fmt.Errorf("fuzzy: missing input %q", v.Name)
-		}
-		buf := e.grades[vi]
-		for ti := range e.terms[vi] {
-			buf[ti] = e.terms[vi][ti].grade(x)
-		}
-		if e.needMaps {
-			m := e.gradesMap[v.Name]
-			for ti, term := range v.order {
-				m[term] = buf[ti]
-			}
-		}
-	}
-	for i := range e.caps {
-		e.caps[i] = 0
-	}
-	fired := false
-	for i := range e.rules {
-		cr := &e.rules[i]
-		var w float64
-		if cr.simple {
-			w = e.grades[cr.varI][cr.terI]
-		} else {
-			w = cr.expr.strength(e.gradesMap, s.opts.Norms)
-		}
-		w *= cr.weight
-		if w <= 0 {
-			continue
-		}
-		fired = true
-		if w > e.caps[cr.outI] {
-			e.caps[cr.outI] = w
-		}
-	}
-	if !fired {
-		return 0, ErrNoRuleFired
-	}
-	return e.defuzzify()
-}
-
-// surfaceGrade is the aggregated Mamdani output surface at x: the maximum
-// over fired output terms of their clipped (or scaled) membership.
-func (e *Evaluator) surfaceGrade(x float64, prod bool) float64 {
-	var best float64
-	for oi := range e.caps {
-		c := e.caps[oi]
-		if c == 0 {
-			continue
-		}
-		g := e.outTerms[oi].grade(x)
-		if prod {
-			g *= c
-		} else if g > c {
-			g = c
-		}
-		if g > best {
-			best = g
-		}
-	}
-	return best
-}
-
+// defuzzify runs a defuzzifier other than the centroid (which EvaluateBatch
+// computes from its precomputed sample grades) on the current caps: it
+// builds the clipped aggregate and reuses System.defuzzify.
 func (e *Evaluator) defuzzify() (float64, error) {
 	s := e.sys
 	prod := s.opts.ProductImplication
-	if s.opts.Defuzz == Centroid {
-		// Single pass: the three accumulators advance in the same sample
-		// order as System.defuzzify's two loops, so the sums carry the same
-		// rounding and the result is bit-identical.
-		n := s.opts.Resolution
-		lo, hi := s.output.Lo, s.output.Hi
-		dx := (hi - lo) / float64(n-1)
-		var maxY, area, num float64
-		for i := 0; i < n; i++ {
-			x := lo + float64(i)*dx
-			y := e.surfaceGrade(x, prod)
-			if y > maxY {
-				maxY = y
-			}
-			area += y
-			num += x * y
-		}
-		if maxY == 0 || area == 0 {
-			return 0, ErrNoRuleFired
-		}
-		return num / area, nil
-	}
-	// The other defuzzifiers need the sampled surface in array form; build
-	// the aggregate and reuse the generic path.
 	var surface aggregate
 	for oi := range e.caps {
 		if e.caps[oi] == 0 {

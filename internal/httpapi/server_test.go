@@ -10,6 +10,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -686,49 +688,67 @@ func TestEndToEndFREDSweep(t *testing.T) {
 	}
 }
 
-// TestFREDSweepNonFiniteQuasiIdentifierFails: a NaN quasi-identifier cell
-// parses as a number at upload, but MDAV cannot order distances to it, so
-// the sweep ends failed with an error naming the column.
+// TestFREDSweepNonFiniteQuasiIdentifierFails: a NaN cell in one of P's
+// compared columns parses as a number at upload, but neither MDAV (which
+// cannot order distances to it) nor the dissimilarity metrics can use it, so
+// the sweep ends failed with an error naming the column, and the job's
+// status and event stream stay encodable.
 func TestFREDSweepNonFiniteQuasiIdentifierFails(t *testing.T) {
-	ts, _ := newTestServer(t, true)
-	sc, err := repro.UniversityScenario(repro.ScenarioOptions{Seed: 42, N: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var csvBody bytes.Buffer
-	if err := dataset.WriteCSV(&csvBody, sc.P); err != nil {
-		t.Fatal(err)
-	}
-	// Lines 0 and 1 are the headers; column 1 is Teaching.
-	lines := strings.Split(csvBody.String(), "\n")
-	fields := strings.Split(lines[5], ",")
-	fields[1] = "NaN"
-	lines[5] = strings.Join(fields, ",")
-	resp, err := http.Post(ts.URL+"/v1/tables?name=P", "text/csv", strings.NewReader(strings.Join(lines, "\n")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pInfo service.TableInfo
-	func() {
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusCreated {
-			t.Fatalf("upload with a NaN cell: status %d", resp.StatusCode)
-		}
-		decodeJSON(t, resp.Body, &pInfo)
-	}()
-	qInfo := uploadTable(t, ts.URL, "Q", sc.Q)
+	for _, tc := range []struct{ scheme, column string }{
+		{"mdav", "Teaching"},
+		{"mondrian", "Teaching"},
+		{"mdav", "Salary"},
+	} {
+		t.Run(tc.scheme+"/"+tc.column, func(t *testing.T) {
+			ts, _ := newTestServer(t, true)
+			sc, err := repro.UniversityScenario(repro.ScenarioOptions{Seed: 42, N: 40})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var csvBody bytes.Buffer
+			if err := dataset.WriteCSV(&csvBody, sc.P); err != nil {
+				t.Fatal(err)
+			}
+			// Lines 0 and 1 are the headers.
+			lines := strings.Split(csvBody.String(), "\n")
+			col := slices.Index(strings.Split(lines[0], ","), tc.column)
+			if col < 0 {
+				t.Fatalf("no %s column in %q", tc.column, lines[0])
+			}
+			fields := strings.Split(lines[5], ",")
+			fields[col] = "NaN"
+			lines[5] = strings.Join(fields, ",")
+			resp, err := http.Post(ts.URL+"/v1/tables?name=P", "text/csv", strings.NewReader(strings.Join(lines, "\n")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var pInfo service.TableInfo
+			func() {
+				defer resp.Body.Close()
+				if resp.StatusCode != http.StatusCreated {
+					t.Fatalf("upload with a NaN cell: status %d", resp.StatusCode)
+				}
+				decodeJSON(t, resp.Body, &pInfo)
+			}()
+			qInfo := uploadTable(t, ts.URL, "Q", sc.Q)
 
-	st := submitJob(t, ts.URL, service.Spec{
-		Type: service.JobFREDSweep, Table: pInfo.ID, Aux: qInfo.ID,
-		MinK: 2, MaxK: 6,
-		SensitiveLo: 40000, SensitiveHi: 160000,
-	})
-	st = pollJob(t, ts.URL, st.ID)
-	if st.State != service.StateFailed {
-		t.Fatalf("sweep over a NaN cell ended %s, want failed", st.State)
-	}
-	if !strings.Contains(st.Error, `quasi-identifier "Teaching"`) || !strings.Contains(st.Error, "non-finite") {
-		t.Fatalf("error %q does not name the non-finite Teaching column", st.Error)
+			st := submitJob(t, ts.URL, service.Spec{
+				Type: service.JobFREDSweep, Table: pInfo.ID, Aux: qInfo.ID,
+				Scheme: tc.scheme, MinK: 2, MaxK: 6,
+				SensitiveLo: 40000, SensitiveHi: 160000,
+			})
+			st = pollJob(t, ts.URL, st.ID)
+			if st.State != service.StateFailed {
+				t.Fatalf("sweep over a NaN cell ended %s, want failed", st.State)
+			}
+			if !strings.Contains(st.Error, strconv.Quote(tc.column)) || !strings.Contains(st.Error, "non-finite") {
+				t.Fatalf("error %q does not name the non-finite %s column", st.Error, tc.column)
+			}
+			events := fetchEvents(t, ts.URL, st.ID, "", "")
+			if len(events) == 0 || events[len(events)-1].Status == nil || events[len(events)-1].Status.State != service.StateFailed {
+				t.Fatalf("event stream does not end with the failed status: %+v", events)
+			}
+		})
 	}
 }
 

@@ -40,8 +40,9 @@ type Scenario struct {
 	SensitiveRange fusion.Range
 	SensitiveCol   string
 	// FeatureDomains fixes the fuzzy input ranges from domain knowledge,
-	// aligned with fusion.Features' column order (release numeric QIs, then
-	// aux Seniority and PropertyHoldings) — the Figure 2 convention.
+	// aligned with the column order of fusion.FeaturesMatrixWith (release
+	// numeric QIs, then aux Seniority and PropertyHoldings) — the Figure 2
+	// convention.
 	FeatureDomains []fusion.Range
 }
 
