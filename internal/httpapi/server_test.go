@@ -689,17 +689,27 @@ func TestEndToEndFREDSweep(t *testing.T) {
 }
 
 // TestFREDSweepNonFiniteQuasiIdentifierFails: a NaN cell in one of P's
-// compared columns parses as a number at upload, but neither MDAV (which
-// cannot order distances to it) nor the dissimilarity metrics can use it, so
-// the sweep ends failed with an error naming the column, and the job's
-// status and event stream stay encodable.
+// compared columns parses as a number at upload, but neither anonymizer
+// (MDAV cannot order distances to it, Mondrian cannot order the column) nor
+// the dissimilarity metrics can use it, so a sweep or an anonymize job ends
+// failed with an error naming the column, and the job's status and event
+// stream stay encodable. Sweep subtests are named scheme/column.
 func TestFREDSweepNonFiniteQuasiIdentifierFails(t *testing.T) {
-	for _, tc := range []struct{ scheme, column string }{
-		{"mdav", "Teaching"},
-		{"mondrian", "Teaching"},
-		{"mdav", "Salary"},
+	for _, tc := range []struct {
+		typ            service.JobType
+		scheme, column string
+	}{
+		{service.JobFREDSweep, "mdav", "Teaching"},
+		{service.JobFREDSweep, "mondrian", "Teaching"},
+		{service.JobFREDSweep, "mdav", "Salary"},
+		{service.JobAnonymize, "mondrian", "Teaching"},
+		{service.JobAnonymize, "mdav", "Teaching"},
 	} {
-		t.Run(tc.scheme+"/"+tc.column, func(t *testing.T) {
+		name := tc.scheme + "/" + tc.column
+		if tc.typ != service.JobFREDSweep {
+			name = string(tc.typ) + "/" + name
+		}
+		t.Run(name, func(t *testing.T) {
 			ts, _ := newTestServer(t, true)
 			sc, err := repro.UniversityScenario(repro.ScenarioOptions{Seed: 42, N: 40})
 			if err != nil {
@@ -732,14 +742,18 @@ func TestFREDSweepNonFiniteQuasiIdentifierFails(t *testing.T) {
 			}()
 			qInfo := uploadTable(t, ts.URL, "Q", sc.Q)
 
-			st := submitJob(t, ts.URL, service.Spec{
+			spec := service.Spec{
 				Type: service.JobFREDSweep, Table: pInfo.ID, Aux: qInfo.ID,
 				Scheme: tc.scheme, MinK: 2, MaxK: 6,
 				SensitiveLo: 40000, SensitiveHi: 160000,
-			})
+			}
+			if tc.typ == service.JobAnonymize {
+				spec = service.Spec{Type: service.JobAnonymize, Table: pInfo.ID, Scheme: tc.scheme, K: 2}
+			}
+			st := submitJob(t, ts.URL, spec)
 			st = pollJob(t, ts.URL, st.ID)
 			if st.State != service.StateFailed {
-				t.Fatalf("sweep over a NaN cell ended %s, want failed", st.State)
+				t.Fatalf("%s over a NaN cell ended %s, want failed", tc.typ, st.State)
 			}
 			if !strings.Contains(st.Error, strconv.Quote(tc.column)) || !strings.Contains(st.Error, "non-finite") {
 				t.Fatalf("error %q does not name the non-finite %s column", st.Error, tc.column)

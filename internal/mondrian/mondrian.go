@@ -10,22 +10,24 @@
 // paper's claim that "other solutions in this category produce similar
 // results".
 //
-// The recursion works in place on one shared row-index slice: each split
-// sorts its own segment and recurses on the two halves, so no per-split
-// copies are made and leaves are sub-slices of the original buffer. Sort
-// keys are (value, row) pairs staged through a pooled scratch buffer —
-// cache-friendly for the sorter and allocation-free at steady state. Because
-// sibling segments are disjoint, independent sub-partitions can recurse on
-// spare workers from a parallel.Budget; leaf lists are combined
-// left-then-right, so the leaf order is the sequential depth-first order at
-// any worker count.
+// Each call sorts every quasi-identifier column by (value, row) once, with a
+// stable radix sort, into one row order per column — the presorted attribute
+// lists of SPRINT (Shafer, Agrawal, Mehta, VLDB 1996). A split reads its cut
+// off the split column's order and stable-partitions every other column's
+// order into its left rows followed by its right rows, so each segment stays
+// sorted on every column and no split sorts again. Sibling segments own
+// disjoint ranges of every buffer, so independent sub-partitions recurse on
+// spare workers from a parallel.Budget, and the leaves, which tile the rows
+// in depth-first order, are the same at any worker count. DESIGN.md gives
+// the exactness argument and the order a leaf lists its rows in.
 package mondrian
 
 import (
 	"errors"
 	"fmt"
-	"slices"
+	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/parallel"
@@ -55,23 +57,21 @@ func (a *Anonymizer) Anonymize(t *dataset.Table, k int) (*dataset.Table, error) 
 // spare workers borrowed from b. A nil budget runs fully inline; the output
 // is identical at every budget.
 func (a *Anonymizer) AnonymizeParallel(t *dataset.Table, k int, b *parallel.Budget) (*dataset.Table, error) {
-	parts, err := a.PartitionParallel(t, k, b)
+	p, err := a.partition(t, k, b)
 	if err != nil {
 		return nil, err
 	}
-	qis := t.Schema().IndicesOf(dataset.QuasiIdentifier)
 	out := t.Clone()
-	for _, c := range qis {
-		vals, ok := t.FloatColumn(c)
-		for _, p := range parts {
-			lo, hi := rangeOf(vals, ok, p)
+	for j, c := range p.qis {
+		for _, leaf := range p.leaves {
+			lo, hi := rangeOf(p.vals[j], p.ok[j], leaf)
 			var cell dataset.Value
 			if lo == hi {
 				cell = dataset.Num(lo)
 			} else {
 				cell = dataset.Span(lo, hi)
 			}
-			for _, i := range p {
+			for _, i := range leaf {
 				if err := out.SetCell(i, c, cell); err != nil {
 					return nil, err
 				}
@@ -86,11 +86,21 @@ func (a *Anonymizer) Partition(t *dataset.Table, k int) ([][]int, error) {
 	return a.PartitionParallel(t, k, nil)
 }
 
-// PartitionParallel is Partition with parallel recursion over independent
-// sub-partitions. The split tree depends only on the data — segment sorting
-// and cut selection happen before any fork — so the leaves are identical to
-// the sequential ones, in the same depth-first order, at any worker budget.
+// PartitionParallel is Partition with the column sorts and independent
+// sub-partitions spread over spare workers from b. The split tree depends
+// only on the data, so the leaves are identical to the sequential ones, in
+// the same depth-first order, at any worker budget.
 func (a *Anonymizer) PartitionParallel(t *dataset.Table, k int, b *parallel.Budget) ([][]int, error) {
+	p, err := a.partition(t, k, b)
+	if err != nil {
+		return nil, err
+	}
+	return p.leaves, nil
+}
+
+// partition validates t, reads its quasi-identifier columns and splits the
+// rows into leaves.
+func (a *Anonymizer) partition(t *dataset.Table, k int, b *parallel.Budget) (*partitioner, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("mondrian: k must be ≥ 2, got %d", k)
 	}
@@ -109,59 +119,84 @@ func (a *Anonymizer) PartitionParallel(t *dataset.Table, k int, b *parallel.Budg
 	}
 	// Extract every quasi-identifier column once, indexed by position in qis;
 	// the recursion then works on flat vectors instead of per-cell reads.
-	p := &partitioner{a: a, k: k, b: b}
+	p := &partitioner{a: a, k: k, b: b, qis: qis}
 	p.vals = make([][]float64, len(qis))
 	p.ok = make([][]bool, len(qis))
 	p.span = make([]float64, len(qis))
-	p.idx = make([]int, n)
-	for i := range p.idx {
-		p.idx[i] = i
+	p.rows = make([]int, n)
+	for i := range p.rows {
+		p.rows[i] = i
 	}
 	for j, c := range qis {
 		p.vals[j], p.ok[j] = t.FloatColumn(c)
+		for i, v := range p.vals[j] {
+			if p.ok[j][i] && (math.IsNaN(v) || math.IsInf(v, 0)) {
+				return nil, fmt.Errorf("mondrian: quasi-identifier %q has a non-finite value (NaN or ±Inf)", t.Schema().Column(c).Name)
+			}
+		}
 		// Global ranges for normalized width comparison.
-		lo, hi := rangeOf(p.vals[j], p.ok[j], p.idx)
+		lo, hi := rangeOf(p.vals[j], p.ok[j], p.rows)
 		p.span[j] = hi - lo
 	}
-	segs := p.split(0, n)
-	leaves := make([][]int, len(segs))
-	for i, s := range segs {
-		leaves[i] = p.idx[s.lo:s.hi:s.hi]
+	p.sortColumns()
+	p.scratch = make([]int32, n)
+	p.split(0, n, -1)
+	// Each leaf recorded its end at scratch[lo]; leaves tile [0, n) in
+	// depth-first order, so walking the ends from 0 lists them in order.
+	count := 0
+	for lo := 0; lo < n; lo = int(p.scratch[lo]) {
+		count++
 	}
-	return leaves, nil
+	p.leaves = make([][]int, 0, count)
+	for lo := 0; lo < n; {
+		hi := int(p.scratch[lo])
+		p.leaves = append(p.leaves, p.rows[lo:hi:hi])
+		lo = hi
+	}
+	return p, nil
 }
 
-// partitioner is the per-call state of one Mondrian partitioning run: column
-// vectors indexed by quasi-identifier position, the shared row-index buffer
-// the recursion permutes in place, and the worker budget.
+// partitioner is the per-call state of one Mondrian partitioning run, with
+// columns indexed by quasi-identifier position. Rows are int32 in the
+// per-column orders, which bounds a table to 2³¹−1 rows.
 type partitioner struct {
-	a    *Anonymizer
-	vals [][]float64
-	ok   [][]bool
-	span []float64 // global hi−lo per dimension
-	idx  []int
-	k    int
-	b    *parallel.Budget
+	a      *Anonymizer
+	qis    []int
+	vals   [][]float64
+	ok     [][]bool
+	span   []float64 // global hi−lo per dimension
+	k      int
+	b      *parallel.Budget
+	leaves [][]int
+	// order[j][lo:hi] lists the rows of segment [lo, hi) sorted by
+	// (vals[j][row], row), for every column j and every segment.
+	order [][]int32
+	// rank[j][row] is the row's position in column j's sorted order.
+	rank [][]int32
+	// rows[lo:hi] lists a leaf's rows in the order DESIGN.md gives; the
+	// leaves are sub-slices of it.
+	rows []int
+	// scratch[lo:hi] holds the right rows while segment [lo, hi) is
+	// refined; once the segment is a leaf, scratch[lo] holds its end.
+	scratch []int32
 }
 
-// segment is a half-open [lo, hi) range of the shared index buffer.
-type segment struct{ lo, hi int }
-
-// split partitions idx[lo:hi] and returns its leaf segments in depth-first
-// order. When a spare worker token is available the left half recurses on a
-// goroutine; left and right leaf lists are concatenated in order either way.
-func (p *partitioner) split(lo, hi int) []segment {
-	seg := p.idx[lo:hi]
-	if len(seg) < 2*p.k {
-		return []segment{{lo, hi}}
+// split partitions segment [lo, hi) and writes its leaves. by is the column
+// whose order a leaf lists its rows in: the parent's split column, or −1 at
+// the root, whose rows stay in row order. When a spare worker token is
+// available the left half recurses on a goroutine.
+func (p *partitioner) split(lo, hi, by int) {
+	if hi-lo < 2*p.k {
+		p.leaf(lo, hi, by)
+		return
 	}
 	// Choose the dimension with the widest normalized range.
 	bestDim, bestWidth := -1, -1.0
-	for j := range p.vals {
-		l, h := rangeOf(p.vals[j], p.ok[j], seg)
+	for j := range p.order {
 		if p.span[j] == 0 {
 			continue
 		}
+		l, h := p.segRange(j, lo, hi)
 		w := (h - l) / p.span[j]
 		if w > bestWidth {
 			bestWidth, bestDim = w, j
@@ -169,95 +204,245 @@ func (p *partitioner) split(lo, hi int) []segment {
 	}
 	if bestDim < 0 || bestWidth == 0 {
 		if !p.a.Relaxed {
-			return []segment{{lo, hi}}
+			p.leaf(lo, hi, by)
+			return
 		}
 		// Relaxed partitioning may still split an all-ties partition
 		// (the halves get identical generalized cells, which is fine).
 		bestDim = 0
 	}
-	cut, ok := p.a.medianSplit(p.vals[bestDim], seg, p.k)
+	cut, ok := p.a.medianSplit(p.vals[bestDim], p.order[bestDim][lo:hi], p.k)
 	if !ok {
-		return []segment{{lo, hi}}
+		// A segment that found no allowable cut lists its rows in the
+		// order of the column it tried to cut.
+		p.leaf(lo, hi, bestDim)
+		return
 	}
 	mid := lo + cut
+	// Leaves read only the split column's order, so the other orders
+	// need refining only when a half splits again.
+	if cut >= 2*p.k || hi-mid >= 2*p.k {
+		p.refine(lo, mid, hi, bestDim)
+	}
 	if p.b.TryAcquire() {
-		var left []segment
 		done := make(chan struct{})
 		go func() {
-			left = p.split(lo, mid)
+			p.split(lo, mid, bestDim)
 			p.b.Release()
 			close(done)
 		}()
-		right := p.split(mid, hi)
+		p.split(mid, hi, bestDim)
 		<-done
-		return append(left, right...)
+		return
 	}
-	left := p.split(lo, mid)
-	return append(left, p.split(mid, hi)...)
+	p.split(lo, mid, bestDim)
+	p.split(mid, hi, bestDim)
 }
 
-// kv pairs a sort value with its row index; sorting pairs instead of
-// indirecting through the value vector keeps the comparator cache-local.
-type kv struct {
-	v float64
-	i int
-}
-
-// kvPool recycles sort scratch across splits (and across concurrent
-// branches, which each Get their own buffer).
-var kvPool = sync.Pool{New: func() any { return new([]kv) }}
-
-// medianSplit sorts seg in place by (value, row) — a strict total order, so
-// the result is unique regardless of sort algorithm — and returns the cut
-// position within seg (suppressed cells read as 0, as in the cellwise form).
-// Returns ok=false when no allowable cut leaves both halves with ≥ k records.
-func (a *Anonymizer) medianSplit(vals []float64, seg []int, k int) (cut int, ok bool) {
-	pp := kvPool.Get().(*[]kv)
-	ps := *pp
-	if cap(ps) < len(seg) {
-		ps = make([]kv, len(seg))
-	}
-	ps = ps[:len(seg)]
-	for p, i := range seg {
-		ps[p] = kv{vals[i], i}
-	}
-	slices.SortFunc(ps, func(x, y kv) int {
-		switch {
-		case x.v < y.v:
-			return -1
-		case x.v > y.v:
-			return 1
+// leaf lists the rows of leaf segment [lo, hi) in column by's order (row
+// order when by is −1) and records the leaf's end at scratch[lo].
+func (p *partitioner) leaf(lo, hi, by int) {
+	if by >= 0 {
+		for i, r := range p.order[by][lo:hi] {
+			p.rows[lo+i] = int(r)
 		}
-		return x.i - y.i
-	})
-	for p := range ps {
-		seg[p] = ps[p].i
 	}
-	*pp = ps
-	kvPool.Put(pp)
+	p.scratch[lo] = int32(hi)
+}
+
+// segRange is rangeOf over segment [lo, hi) of column j, read off the ends
+// of its sorted order: the first and last present rows hold the minimum and
+// maximum (up to the sign of a zero, which no width comparison sees).
+func (p *partitioner) segRange(j, lo, hi int) (float64, float64) {
+	seg, vals, ok := p.order[j][lo:hi], p.vals[j], p.ok[j]
+	f := 0
+	for f < len(seg) && !ok[seg[f]] {
+		f++
+	}
+	if f == len(seg) {
+		return 0, 0
+	}
+	l := len(seg) - 1
+	for !ok[seg[l]] {
+		l--
+	}
+	return vals[seg[f]], vals[seg[l]]
+}
+
+// refine splits segment [lo, hi) at mid in every order: it stable-partitions
+// every column's order but b's into its left rows followed by its right rows,
+// so both halves stay sorted on every column. A row is left of the cut when
+// it ranks below the first right row in column b.
+func (p *partitioner) refine(lo, mid, hi, b int) {
+	rank := p.rank[b]
+	pivot := rank[p.order[b][mid]]
+	right := p.scratch[lo:hi]
+	for j, ord := range p.order {
+		if j == b {
+			continue
+		}
+		seg := ord[lo:hi]
+		// Branch-free: every row is written to both sides and only the
+		// side it belongs to advances. Left rows compact in place, since
+		// the write position never passes the read position.
+		l, r := 0, 0
+		for _, row := range seg {
+			s := 0
+			if rank[row] < pivot {
+				s = 1
+			}
+			seg[l] = row
+			right[r] = row
+			l += s
+			r += 1 - s
+		}
+		copy(seg[l:], right[:r])
+	}
+}
+
+// medianSplit returns the cut position within seg, which lists at least 2k
+// rows sorted by (value, row) (suppressed cells read as 0, as in the
+// cellwise form). Relaxed cuts at the median, which leaves both halves ≥ k.
+// Strict cuts between distinct values only, at the cut closest to the median
+// that leaves both halves ≥ k, the lower of two equally close; it returns
+// ok=false when there is none.
+func (a *Anonymizer) medianSplit(vals []float64, seg []int32, k int) (cut int, ok bool) {
+	n, m := len(seg), len(seg)/2
 	if a.Relaxed {
-		mid := len(seg) / 2
-		if mid < k || len(seg)-mid < k {
-			return 0, false
-		}
-		return mid, true
+		return m, true
 	}
-	// Strict: cut between distinct values only. Find the cut closest to the
-	// median where both halves have ≥ k records.
-	bestCut, bestDist := -1, len(seg)+1
-	for c := k; c <= len(seg)-k; c++ {
-		if vals[seg[c-1]] == vals[seg[c]] {
-			continue // would split a tie group
+	for d := 0; m-d >= k || m+d <= n-k; d++ {
+		if c := m - d; c >= k && vals[seg[c-1]] != vals[seg[c]] {
+			return c, true
 		}
-		d := abs(c - len(seg)/2)
-		if d < bestDist {
-			bestDist, bestCut = d, c
+		if c := m + d; c <= n-k && vals[seg[c-1]] != vals[seg[c]] {
+			return c, true
 		}
 	}
-	if bestCut < 0 {
-		return 0, false
+	return 0, false
+}
+
+// sortColumns fills every column's order with its rows sorted by
+// (value, row), and its rank with each row's position in that order. Columns
+// are sorted concurrently on spare budget tokens; each worker reuses one set
+// of sort scratch for every column it sorts.
+func (p *partitioner) sortColumns() {
+	n, d := len(p.rows), len(p.vals)
+	flat := make([]int32, 2*d*n)
+	p.order, p.rank = make([][]int32, d), make([][]int32, d)
+	for j := range p.order {
+		p.order[j] = flat[2*j*n : (2*j+1)*n : (2*j+1)*n]
+		p.rank[j] = flat[(2*j+1)*n : (2*j+2)*n : (2*j+2)*n]
 	}
-	return bestCut, true
+	var next atomic.Int64
+	work := func() {
+		var s sorter
+		for j := int(next.Add(1)) - 1; j < d; j = int(next.Add(1)) - 1 {
+			s.sort(p.vals[j], p.order[j])
+			for i, row := range p.order[j] {
+				p.rank[j][row] = int32(i)
+			}
+		}
+	}
+	// A column short enough for the insertion sort costs less to sort
+	// than a goroutine costs to start.
+	var wg sync.WaitGroup
+	for h := 1; h < d && n >= radixMin && p.b.TryAcquire(); h++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer p.b.Release()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
+// radixMin is the row count below which an insertion sort beats the radix
+// sort's fixed histogram cost. Both are stable and fed in row order, so both
+// produce the one order that the strict total order on (value, row) allows.
+const radixMin = 80
+
+// sorter is one worker's sort scratch, grown on first use.
+type sorter struct {
+	keys, keys2 []uint64
+	rows2       []int32
+}
+
+// sortKey maps v to an unsigned integer in the same order: −0 folds into +0,
+// as the comparison treats them as equal, negative values have every bit
+// flipped and the rest have the sign bit set.
+func sortKey(v float64) uint64 {
+	x := math.Float64bits(v)
+	if v == 0 {
+		x = 0
+	}
+	if x>>63 != 0 {
+		return ^x
+	}
+	return x | 1<<63
+}
+
+// sort writes into order the rows 0..len(vals)−1 sorted by (vals[row], row):
+// a least-significant-digit radix sort over sortKey, one byte per pass, fed
+// in row order. Each pass is stable, so equal keys stay in row order. A pass
+// whose byte is the same in every key would move nothing and is skipped.
+// Below radixMin rows, an insertion sort of the keys, also stable, is used.
+func (s *sorter) sort(vals []float64, order []int32) {
+	n := len(vals)
+	if len(s.keys) < n {
+		s.keys = make([]uint64, n)
+	}
+	keys, rows := s.keys[:n], order[:n]
+	if n < radixMin {
+		for i, v := range vals {
+			x, j := sortKey(v), i
+			for ; j > 0 && keys[j-1] > x; j-- {
+				keys[j], rows[j] = keys[j-1], rows[j-1]
+			}
+			keys[j], rows[j] = x, int32(i)
+		}
+		return
+	}
+	if len(s.keys2) < n {
+		s.keys2, s.rows2 = make([]uint64, n), make([]int32, n)
+	}
+	keys2, rows2 := s.keys2[:n], s.rows2[:n]
+	var count [8][256]int32
+	for i, v := range vals {
+		x := sortKey(v)
+		keys[i], rows[i] = x, int32(i)
+		count[0][byte(x)]++
+		count[1][byte(x>>8)]++
+		count[2][byte(x>>16)]++
+		count[3][byte(x>>24)]++
+		count[4][byte(x>>32)]++
+		count[5][byte(x>>40)]++
+		count[6][byte(x>>48)]++
+		count[7][byte(x>>56)]++
+	}
+	for d := range count {
+		c, shift := &count[d], uint(8*d)
+		if int(c[byte(keys[0]>>shift)]) == n {
+			continue
+		}
+		var sum int32
+		for b, m := range c {
+			c[b], sum = sum, sum+m
+		}
+		for i, x := range keys {
+			b := byte(x >> shift)
+			at := c[b]
+			c[b] = at + 1
+			keys2[at], rows2[at] = x, rows[i]
+		}
+		keys, keys2 = keys2, keys
+		rows, rows2 = rows2, rows
+	}
+	if &rows[0] != &order[0] {
+		copy(order, rows)
+	}
 }
 
 // rangeOf is the observed [min, max] of the partition's numeric readings,
@@ -281,11 +466,4 @@ func rangeOf(vals []float64, ok []bool, idx []int) (lo, hi float64) {
 		}
 	}
 	return lo, hi
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

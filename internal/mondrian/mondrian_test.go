@@ -1,7 +1,9 @@
 package mondrian
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -159,6 +161,36 @@ func TestErrors(t *testing.T) {
 	noQI.MustAppendRow(dataset.Num(2))
 	if _, err := New().Partition(noQI, 2); err == nil {
 		t.Error("no-QI accepted")
+	}
+}
+
+// TestPartitionRejectsNonFinite: a NaN or ±Inf in a present
+// quasi-identifier cell is an error naming the column, while a suppressed
+// cell, which reads as 0, is not.
+func TestPartitionRejectsNonFinite(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		bad  float64
+	}{
+		{"nan", math.NaN()},
+		{"inf", math.Inf(1)},
+		{"minus-inf", math.Inf(-1)},
+	} {
+		rows := [][]float64{{1, 2}, {3, 4}, {5, 6}, {7, 8}}
+		rows[2][1] = c.bad
+		for _, a := range []*Anonymizer{New(), {Relaxed: true}} {
+			_, err := a.Anonymize(numTable(t, rows), 2)
+			if err == nil || !strings.Contains(err.Error(), `quasi-identifier "B"`) || !strings.Contains(err.Error(), "non-finite") {
+				t.Errorf("%s relaxed=%v: err = %v, want a non-finite error naming column B", c.name, a.Relaxed, err)
+			}
+		}
+	}
+	tb := numTable(t, [][]float64{{1, 2}, {3, 4}, {5, 6}, {7, 8}})
+	if err := tb.SetCell(2, 2, dataset.NullValue()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New().Anonymize(tb, 2); err != nil {
+		t.Errorf("suppressed cell: %v", err)
 	}
 }
 

@@ -88,8 +88,8 @@ func (b *Budget) Release() {
 // more than the work it would spread.
 const minGrain = 256
 
-// For runs fn over every chunk of [0, n) and returns the number of chunks.
-// The decomposition is fixed by (n, grain) alone: chunks are
+// For runs fn over every chunk of [0, n). The decomposition is fixed by
+// (n, grain) alone: grain is raised to at least 256, and the chunks are
 // [0,grain), [grain,2·grain), …, so the set of fn calls — and therefore any
 // per-chunk output — is identical whether the chunks ran on one goroutine or
 // many. Spare tokens (up to the budget) add helper goroutines that pull
@@ -98,8 +98,8 @@ const minGrain = 256
 // called concurrently with itself for different chunks.
 //
 // Callers reducing across chunks must combine per-chunk partials in chunk
-// order (see ForChunks) to stay deterministic; callers writing disjoint
-// element ranges need nothing more.
+// order (the chunk starting at lo is number lo/max(grain, 256)) to stay
+// deterministic; callers writing disjoint element ranges need nothing more.
 func (b *Budget) For(n, grain int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -157,18 +157,6 @@ func (b *Budget) For(n, grain int, fn func(lo, hi int)) {
 	}
 	work()
 	wg.Wait()
-}
-
-// NumChunks reports how many chunks For will decompose n into at the given
-// grain — the size a per-chunk partial buffer needs.
-func NumChunks(n, grain int) int {
-	if n <= 0 {
-		return 0
-	}
-	if grain < minGrain {
-		grain = minGrain
-	}
-	return (n + grain - 1) / grain
 }
 
 // atomicCounter is a minimal atomic int64 counter.

@@ -96,8 +96,9 @@ func TestForChunkDecompositionFixed(t *testing.T) {
 			}
 		}
 	}
-	if got, want := len(seq), NumChunks(n, grain); got != want {
-		t.Fatalf("observed %d chunks, NumChunks says %d", got, want)
+	chunk := max(grain, 256) // For's floor on the chunk size
+	if got, want := len(seq), (n+chunk-1)/chunk; got != want {
+		t.Fatalf("observed %d chunks, want ⌈%d/%d⌉ = %d", got, n, chunk, want)
 	}
 }
 
@@ -121,18 +122,19 @@ func TestForReleasesTokens(t *testing.T) {
 // combined in chunk order must be identical at every worker count.
 func TestForOrderedReduction(t *testing.T) {
 	n, grain := 100000, 1024
+	chunk := max(grain, 256) // For's floor on the chunk size
 	vals := make([]float64, n)
 	for i := range vals {
 		vals[i] = 1.0 / float64(i+3)
 	}
 	sum := func(b *Budget) float64 {
-		partials := make([]float64, NumChunks(n, grain))
+		partials := make([]float64, (n+chunk-1)/chunk)
 		b.For(n, grain, func(lo, hi int) {
 			var s float64
 			for i := lo; i < hi; i++ {
 				s += vals[i]
 			}
-			partials[lo/grain] = s
+			partials[lo/chunk] = s
 		})
 		var total float64
 		for _, p := range partials {
