@@ -44,10 +44,10 @@
 // snapshots, the job log as a write-ahead log with per-level sweep
 // checkpoints. After a crash — kill -9 included — the next boot reloads
 // every table, restores finished jobs (results included) and re-submits
-// interrupted fred-sweeps with a resume point, so they continue from their
-// last checkpointed level and finish byte-identical to an uninterrupted
-// run. -table-ttl evicts tables unreferenced by live jobs after the given
-// age. The WAL is segmented: -wal-rotate-bytes / -wal-rotate-age roll the
+// interrupted fred-sweeps holding every level they checkpointed, so they
+// compute only the rest and finish byte-identical to an uninterrupted run.
+// -table-ttl evicts tables unreferenced by live jobs after the given age.
+// The WAL is segmented: -wal-rotate-bytes / -wal-rotate-age roll the
 // active segment, -wal-compact periodically rewrites the whole log down to
 // its live image online, and -blob-gc sweeps result blobs no live job,
 // cached result or table still references (-blob-gc-dry-run reports what
@@ -173,7 +173,7 @@ func main() {
 	}
 	engine := service.NewEngine(store, opts)
 	// Recover before Start and before serving: restored jobs reclaim their
-	// IDs and interrupted sweeps enqueue with their resume points. The
+	// IDs and interrupted sweeps enqueue holding their checkpoints. The
 	// engine reports unready (503 on /v1/readyz) for this whole window.
 	recovered, err := engine.Recover()
 	if err != nil {
@@ -187,7 +187,7 @@ func main() {
 				if n := len(rj.Status.Levels); n > 0 {
 					logger.Info("resuming interrupted job",
 						"type", rj.Status.Type, "job", rj.Status.ID,
-						"start_k", rj.Status.Levels[n-1].K+1, "checkpointed_levels", n)
+						"checkpointed_levels", n)
 				} else {
 					logger.Info("re-running interrupted job",
 						"type", rj.Status.Type, "job", rj.Status.ID)

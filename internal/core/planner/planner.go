@@ -25,13 +25,18 @@
 // levels the planner never probed is undetectable and can change the band
 // — callers that cannot tolerate this submit exhaustive sweeps.
 //
+// Without thresholds or a deadline the planner is the exhaustive sweep: it
+// walks every level it does not hold through core.SweepStream. The service
+// runs every fred-sweep this way, so one executor serves range walks,
+// adaptive specs and crash resumes alike.
+//
 // Beyond bisection the planner schedules three richer specs:
 //
 //   - k-sets and strides: evaluate an arbitrary ascending level set
 //     (Expand builds one), holes held out of the gap-free stream.
-//   - Warm starts: levels another sweep of the same table already computed
-//     enter as Held seeds — adopted, not recomputed — generalizing
-//     StreamConfig.StartK's held prefix to arbitrary held sets.
+//   - Held seeds: levels the caller already has — computed by another
+//     sweep of the same table, or checkpointed by a crashed run of this
+//     one — are adopted, not recomputed, whichever k they sit at.
 //   - Wall-clock budgets: a deadline stops evaluation with a well-defined
 //     partial result. Without thresholds the planner evaluates endpoints
 //     first and then always the midpoint of the widest unevaluated gap —

@@ -24,21 +24,15 @@ type StreamConfig struct {
 	Attack AttackConfig
 	// MinK and MaxK bound the sweep (MinK ≥ 2, MaxK ≥ MinK).
 	MinK, MaxK int
-	// StartK, when non-zero, resumes the sweep mid-range: levels in
-	// [MinK, StartK) are neither evaluated nor emitted — the caller already
-	// holds them, e.g. replayed from durable checkpoints — and emission
-	// begins at StartK. Must satisfy MinK ≤ StartK ≤ MaxK; zero starts at
-	// MinK. The early-stop rule still anchors at MinK: a resumed first level
-	// outgrowing the table ends the series cleanly rather than erroring,
-	// because lower levels exist in the caller's seed.
-	StartK int
-	// Held generalizes StartK from a held prefix to an arbitrary held level
-	// set: levels with Held[k] == true are neither evaluated nor emitted —
-	// the caller already has them, e.g. warm-started from another job's
+	// Held is the set of levels the caller already has: levels with
+	// Held[k] == true are neither evaluated nor emitted — e.g. replayed from
+	// a crashed job's durable checkpoints, warm-started from another job's
 	// cached sweep of the same table, or outside a k-set/stride spec's
 	// requested set. Emission stays ascending and gap-free over the levels
-	// that remain. Keys outside the (possibly StartK-resumed) range are
-	// ignored; nil holds nothing.
+	// that remain. The early-stop rule still anchors at MinK: a first
+	// unheld level above MinK outgrowing the table ends the series cleanly
+	// rather than erroring, because the lower levels are the caller's. Keys
+	// outside [MinK, MaxK] are ignored; nil holds nothing.
 	Held map[int]bool
 	// Workers bounds level concurrency; 0 means one worker per level.
 	// Whatever the worker count, levels are emitted in ascending k order.
@@ -65,11 +59,9 @@ type StreamConfig struct {
 // Invariants:
 //
 //   - Emission is k-ordered and gap-free: emit(k) happens only after every
-//     level in [MinK, k] was emitted or the sweep ended. A resume point
-//     (StartK) shifts the series start: emission is then gap-free over
-//     [StartK, k], the caller holding [MinK, StartK) from its checkpoints.
-//     A Held set punches holes the same way: gap-free is over the non-held
-//     levels, the caller holding the rest.
+//     level in [MinK, k] was emitted or the sweep ended. A Held set punches
+//     holes: gap-free is then over the non-held levels, the caller holding
+//     the rest (a crash-resumed sweep holds its checkpointed levels).
 //   - Early stop: a level above MinK failing with the "k exceeds the table"
 //     condition (EndsSweep) ends the series cleanly — emit never sees it and
 //     SweepStream returns nil. The same condition at MinK is an error.
@@ -91,20 +83,13 @@ func SweepStream(ctx context.Context, p *dataset.Table, cfg StreamConfig, emit f
 	if minK < 2 || maxK < minK {
 		return fmt.Errorf("core: invalid sweep range [%d, %d]", minK, maxK)
 	}
-	first := minK
-	if cfg.StartK != 0 {
-		if cfg.StartK < minK || cfg.StartK > maxK {
-			return fmt.Errorf("core: resume point StartK=%d outside sweep range [%d, %d]", cfg.StartK, minK, maxK)
-		}
-		first = cfg.StartK
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	// The evaluation list is the range minus the caller-held levels; all
 	// sizing, dispatch and reordering below runs over it.
-	evalKs := make([]int, 0, maxK-first+1)
-	for k := first; k <= maxK; k++ {
+	evalKs := make([]int, 0, maxK-minK+1)
+	for k := minK; k <= maxK; k++ {
 		if cfg.Held[k] {
 			continue
 		}

@@ -12,13 +12,15 @@ import (
 
 // TestSweepStreamPropertyRandomized is a property-style test of the
 // streaming executor: across randomized (but seeded, hence reproducible)
-// worker counts, StartK resume offsets and fault injections — consumer
-// stops via ErrStopSweep and context cancellations at arbitrary emission
-// points — the emitted series is ALWAYS a gap-free, k-ordered prefix of the
-// resumed range, bit-identical to the sequential sweep. This is the
+// worker counts, held level sets (none, a checkpointed prefix, or an
+// arbitrary subset) and fault injections — consumer stops via ErrStopSweep
+// and context cancellations at arbitrary emission points — the emitted
+// series is ALWAYS a k-ordered prefix of the non-held levels, with no
+// non-held level skipped, bit-identical to the sequential sweep. This is the
 // invariant every consumer builds on: the service's WAL checkpoints, the
-// crash-resume StartK path and the HTTP event stream all assume concurrency
-// and interruption never change what is observed, only how much of it.
+// crash-resume and warm-start held sets and the HTTP event stream all
+// assume concurrency and interruption never change what is observed, only
+// how much of it.
 func TestSweepStreamPropertyRandomized(t *testing.T) {
 	const minK, maxK = 2, 12
 	p, q := universityFixture(t, 40)
@@ -45,18 +47,29 @@ func TestSweepStreamPropertyRandomized(t *testing.T) {
 	const trials = 60
 	for trial := 0; trial < trials; trial++ {
 		workers := rng.Intn(9) // 0 = one worker per level, 1 = sequential path
-		startK := 0
-		if rng.Intn(2) == 1 {
-			startK = minK + rng.Intn(maxK-minK+1)
+		held := map[int]bool{}
+		switch rng.Intn(3) {
+		case 1: // a checkpointed prefix [minK, startK)
+			startK := minK + rng.Intn(maxK-minK+1)
+			for k := minK; k < startK; k++ {
+				held[k] = true
+			}
+		case 2: // an arbitrary subset, leaving at least one level to emit
+			for k := minK; k <= maxK; k++ {
+				held[k] = rng.Intn(2) == 1
+			}
+			held[minK+rng.Intn(maxK-minK+1)] = false
 		}
-		first := startK
-		if first == 0 {
-			first = minK
+		var unheld []int
+		for k := minK; k <= maxK; k++ {
+			if !held[k] {
+				unheld = append(unheld, k)
+			}
 		}
-		remaining := maxK - first + 1
+		remaining := len(unheld)
 
 		// Fault injection: none, consumer stop, or context cancel, at a
-		// uniformly random emission index within the resumed range.
+		// uniformly random emission index among the non-held levels.
 		const (
 			injNone = iota
 			injStop
@@ -72,7 +85,7 @@ func TestSweepStreamPropertyRandomized(t *testing.T) {
 			Attack:     atk,
 			MinK:       minK,
 			MaxK:       maxK,
-			StartK:     startK,
+			Held:       held,
 			Workers:    workers,
 		}, func(lr LevelResult) error {
 			got = append(got, lr)
@@ -99,40 +112,40 @@ func TestSweepStreamPropertyRandomized(t *testing.T) {
 			// executor re-checks the context before every next emission.
 			lastEmission := injAt == remaining-1
 			if !errors.Is(err, context.Canceled) && !(lastEmission && err == nil) {
-				t.Fatalf("trial %d (workers=%d startK=%d inj=cancel@%d): err %v, want context.Canceled",
-					trial, workers, startK, injAt, err)
+				t.Fatalf("trial %d (workers=%d unheld=%v inj=cancel@%d): err %v, want context.Canceled",
+					trial, workers, unheld, injAt, err)
 			}
 			if len(got) != injAt+1 {
-				t.Fatalf("trial %d (workers=%d startK=%d): %d levels emitted after a cancel at emission %d",
-					trial, workers, startK, len(got), injAt)
+				t.Fatalf("trial %d (workers=%d unheld=%v): %d levels emitted after a cancel at emission %d",
+					trial, workers, unheld, len(got), injAt)
 			}
 		default:
 			if err != nil {
-				t.Fatalf("trial %d (workers=%d startK=%d inj=%s@%d): %v",
-					trial, workers, startK, desc(), injAt, err)
+				t.Fatalf("trial %d (workers=%d unheld=%v inj=%s@%d): %v",
+					trial, workers, unheld, desc(), injAt, err)
 			}
 			want := remaining
 			if inj == injStop {
 				want = injAt + 1
 			}
 			if len(got) != want {
-				t.Fatalf("trial %d (workers=%d startK=%d inj=%s@%d): emitted %d levels, want %d",
-					trial, workers, startK, desc(), injAt, len(got), want)
+				t.Fatalf("trial %d (workers=%d unheld=%v inj=%s@%d): emitted %d levels, want %d",
+					trial, workers, unheld, desc(), injAt, len(got), want)
 			}
 		}
 
-		// The core property: whatever happened, the emissions are the
-		// gap-free k-ordered prefix starting at the resume point, and every
-		// level is bit-identical to the sequential baseline.
+		// The core property: whatever happened, the emissions are a
+		// k-ordered prefix of the non-held levels, and every level is
+		// bit-identical to the sequential baseline.
 		for i, lr := range got {
-			wantK := first + i
+			wantK := unheld[i]
 			if lr.K != wantK {
-				t.Fatalf("trial %d (workers=%d startK=%d): emission %d has k=%d, want %d (gap or disorder)",
-					trial, workers, startK, i, lr.K, wantK)
+				t.Fatalf("trial %d (workers=%d unheld=%v): emission %d has k=%d, want %d (gap or disorder)",
+					trial, workers, unheld, i, lr.K, wantK)
 			}
 			if !sameBits(lr, seq[wantK-minK]) {
-				t.Fatalf("trial %d (workers=%d startK=%d): k=%d differs from the sequential sweep:\n got %+v\nwant %+v",
-					trial, workers, startK, lr.K, lr, seq[wantK-minK])
+				t.Fatalf("trial %d (workers=%d unheld=%v): k=%d differs from the sequential sweep:\n got %+v\nwant %+v",
+					trial, workers, unheld, lr.K, lr, seq[wantK-minK])
 			}
 		}
 	}

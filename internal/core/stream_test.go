@@ -170,11 +170,21 @@ func TestSweepStreamStopSentinel(t *testing.T) {
 	}
 }
 
-// TestSweepStreamStartKResume: a sweep resumed from StartK emits exactly the
-// tail of the full series, bit-identical, under sequential and parallel
-// execution — the contract crash recovery relies on to finish an interrupted
-// sweep without changing a single bit of the result.
-func TestSweepStreamStartKResume(t *testing.T) {
+// heldBelow holds the prefix [minK, k): the levels a crashed sweep had
+// checkpointed before it was cut.
+func heldBelow(minK, k int) map[int]bool {
+	held := make(map[int]bool, k-minK)
+	for h := minK; h < k; h++ {
+		held[h] = true
+	}
+	return held
+}
+
+// TestSweepStreamHeldPrefixResume: a sweep holding [MinK, k) emits exactly
+// the tail of the full series from k, bit-identical, under sequential and
+// parallel execution — the contract crash recovery relies on to finish an
+// interrupted sweep without changing a single bit of the result.
+func TestSweepStreamHeldPrefixResume(t *testing.T) {
 	p, q := universityFixture(t, 40)
 	atk := AttackConfig{Aux: q, SensitiveRange: salaryRange()}
 	full, err := Sweep(p, microagg.New(), atk, 2, 12)
@@ -189,7 +199,7 @@ func TestSweepStreamStartKResume(t *testing.T) {
 				Attack:     atk,
 				MinK:       2,
 				MaxK:       12,
-				StartK:     startK,
+				Held:       heldBelow(2, startK),
 				Workers:    workers,
 			}, func(lr LevelResult) error {
 				got = append(got, lr)
@@ -215,10 +225,11 @@ func TestSweepStreamStartKResume(t *testing.T) {
 	}
 }
 
-// TestSweepStreamStartKPastTableEndsCleanly: a resume point beyond what the
-// table supports ends the series cleanly (the caller's seed holds the lower
-// levels), even when it is the first level the resumed sweep attempts.
-func TestSweepStreamStartKPastTableEndsCleanly(t *testing.T) {
+// TestSweepStreamHeldPrefixPastTableEndsCleanly: a held prefix reaching
+// beyond what the table supports ends the series cleanly (the caller holds
+// the lower levels), even when the first unheld level is the first one the
+// sweep attempts.
+func TestSweepStreamHeldPrefixPastTableEndsCleanly(t *testing.T) {
 	p, q := universityFixture(t, 10)
 	atk := AttackConfig{Aux: q, SensitiveRange: salaryRange()}
 	emitted := 0
@@ -227,7 +238,7 @@ func TestSweepStreamStartKPastTableEndsCleanly(t *testing.T) {
 		Attack:     atk,
 		MinK:       2,
 		MaxK:       40,
-		StartK:     11, // table holds 10 records: k=11 exceeds it immediately
+		Held:       heldBelow(2, 11), // table holds 10 records: k=11 exceeds it immediately
 		Workers:    2,
 	}, func(LevelResult) error {
 		emitted++
@@ -253,12 +264,6 @@ func TestSweepStreamValidation(t *testing.T) {
 	}
 	if err := SweepStream(context.Background(), p, StreamConfig{Anonymizer: microagg.New(), MinK: 5, MaxK: 4}, noop); err == nil {
 		t.Error("inverted range accepted")
-	}
-	if err := SweepStream(context.Background(), p, StreamConfig{Anonymizer: microagg.New(), MinK: 2, MaxK: 6, StartK: 7}, noop); err == nil {
-		t.Error("StartK above MaxK accepted")
-	}
-	if err := SweepStream(context.Background(), p, StreamConfig{Anonymizer: microagg.New(), MinK: 3, MaxK: 6, StartK: 2}, noop); err == nil {
-		t.Error("StartK below MinK accepted")
 	}
 }
 

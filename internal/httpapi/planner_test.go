@@ -13,7 +13,7 @@ import (
 
 // End-to-end coverage of the adaptive planner spec fields over REST: k-set
 // and budget-bound sweeps, spec validation, and the SSE shape of the skip
-// events a bisecting sweep publishes. Runs in CI's planner job — keep test
+// events a bisecting sweep publishes. Runs in CI's sweep job — keep test
 // names matching 'Planner|WarmStart'.
 
 // TestEndToEndAdaptivePlannerSpecs uploads a monotone-utility cohort and

@@ -20,9 +20,9 @@
 //	POST   /v1/jobs/{id}/cancel  cancel a pending or running job
 //	DELETE /v1/jobs/{id}         purge a terminal job (409 while running)
 //	GET    /v1/jobs/{id}/trace   per-job trace spans (job.run, sweep.level,
-//	                             and for adaptive sweeps planner.plan,
-//	                             planner.warmstart, planner.skip,
-//	                             planner.fallback)
+//	                             planner.plan on every sweep, and for
+//	                             adaptive sweeps planner.warmstart,
+//	                             planner.skip, planner.fallback)
 //
 // fred-sweep specs accept the adaptive planner fields alongside min_k/max_k:
 // "k_set" (explicit level set), "stride" (every Nth level), "budget_ms"

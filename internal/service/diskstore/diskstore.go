@@ -3,7 +3,7 @@
 // snapshots, and a service.JobBackend persisting the job log as a JSON-lines
 // write-ahead log. With both plugged in, `served -data-dir` survives
 // restarts: uploaded tables reload, finished jobs keep their results, and
-// interrupted fred-sweeps resume from their last checkpointed level.
+// interrupted fred-sweeps resume holding every level they checkpointed.
 //
 // Layout under the data directory:
 //

@@ -7,12 +7,16 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/fusion"
+	"repro/internal/microagg"
 	"repro/internal/service"
 	"repro/internal/service/diskstore"
 )
@@ -96,12 +100,20 @@ func sweepSpec(p, q string) service.Spec {
 // and returns the data dir, the job ID, the final status and result.
 func runUninterrupted(t *testing.T) (string, string, service.Status, *service.Result) {
 	t.Helper()
+	return runSpecUninterrupted(t, repro.ScenarioOptions{Seed: 42, N: 30},
+		service.Options{Workers: 2, SweepWorkers: 2}, sweepSpec)
+}
+
+// runSpecUninterrupted is runUninterrupted for the fred-sweep spec builds
+// over the scenario sopts describes, on an engine configured by opts.
+func runSpecUninterrupted(t *testing.T, sopts repro.ScenarioOptions, opts service.Options, spec func(p, q string) service.Spec) (string, string, service.Status, *service.Result) {
+	t.Helper()
 	dir := t.TempDir()
-	sc, err := repro.UniversityScenario(repro.ScenarioOptions{Seed: 42, N: 30})
+	sc, err := repro.UniversityScenario(sopts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, store, engine := openPlane(t, dir, service.Options{Workers: 2, SweepWorkers: 2})
+	ds, store, engine := openPlane(t, dir, opts)
 	pInfo, err := store.Put(service.DefaultTenant, "P", sc.P)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +126,7 @@ func runUninterrupted(t *testing.T) (string, string, service.Status, *service.Re
 		t.Fatal(err)
 	}
 	engine.Start()
-	st, err := engine.Submit(service.DefaultTenant, sweepSpec(pInfo.ID, qInfo.ID))
+	st, err := engine.Submit(service.DefaultTenant, spec(pInfo.ID, qInfo.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,12 +305,23 @@ func TestRecoverRestoresTerminalJobsDisk(t *testing.T) {
 // SIGKILL between the keepLevels'th and the next checkpoint leaves behind.
 func truncateWAL(t *testing.T, dir, jobID string, keepLevels int) {
 	t.Helper()
+	if kept := cutWAL(t, dir, jobID, func(i int) bool { return i < keepLevels }); len(kept) != keepLevels {
+		t.Fatalf("WAL held %d level checkpoints, want ≥ %d to build the crash image", len(kept), keepLevels)
+	}
+}
+
+// cutWAL rewrites dir's active WAL segment to a crash image of jobID: its
+// submission record and the level checkpoints whose append index i passes
+// keep, nothing else. It returns the kept checkpoints' ks in append order.
+func cutWAL(t *testing.T, dir, jobID string, keep func(i int) bool) []int {
+	t.Helper()
 	path := activeWALPath(t, dir)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
+	var kept []int
 	levels := 0
 	for _, line := range bytes.Split(raw, []byte("\n")) {
 		if len(bytes.TrimSpace(line)) == 0 {
@@ -311,33 +334,30 @@ func truncateWAL(t *testing.T, dir, jobID string, keepLevels int) {
 		if rec.JobID != jobID {
 			continue
 		}
-		keep := false
 		switch rec.Kind {
 		case service.WALJob:
-			keep = true
 		case service.WALLevel:
-			if levels < keepLevels {
-				keep = true
-				levels++
+			levels++
+			if !keep(levels - 1) {
+				continue
 			}
+			kept = append(kept, rec.Level.K)
+		default:
+			continue
 		}
-		if keep {
-			out.Write(line)
-			out.WriteByte('\n')
-		}
-	}
-	if levels != keepLevels {
-		t.Fatalf("WAL held %d level checkpoints, want ≥ %d to build the crash image", levels, keepLevels)
+		out.Write(line)
+		out.WriteByte('\n')
 	}
 	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return kept
 }
 
 // TestRecoverResumesInterruptedSweepDisk is the crash-recovery acceptance
 // test: a fred-sweep killed after two checkpointed levels (the WAL image a
-// SIGKILL mid-sweep leaves) is re-submitted on the next boot with a StartK
-// resume point, continues from level three, and finishes with a final level
+// SIGKILL mid-sweep leaves) is re-submitted on the next boot holding those
+// levels, continues from level three, and finishes with a final level
 // series, candidate flags and release table byte-identical to the
 // uninterrupted run.
 func TestRecoverResumesInterruptedSweepDisk(t *testing.T) {
@@ -429,9 +449,8 @@ func TestRecoverResumesInterruptedSweepDisk(t *testing.T) {
 }
 
 // TestRecoverResumePointPastSeriesDisk: a crash after the final checkpoint
-// but before the terminal record resumes with StartK past every remaining
-// level — the re-run evaluates nothing new and still reaches the identical
-// decision.
+// but before the terminal record resumes holding every level — the re-run
+// evaluates nothing new and still reaches the identical decision.
 func TestRecoverResumePointPastSeriesDisk(t *testing.T) {
 	dir, jobID, want, wantRes := runUninterrupted(t)
 	truncateWAL(t, dir, jobID, len(want.Levels))
@@ -698,22 +717,46 @@ func TestRecoverHonorsDurableCancelDisk(t *testing.T) {
 	}
 }
 
-// TestRecoverDiscardsGappedSeedDisk: a WAL whose level checkpoints have a
-// gap (a dropped append) must not seed the resume — splicing a gapped
-// prefix would duplicate or skip levels — and the sweep re-runs from
-// scratch, still finishing correctly.
-func TestRecoverDiscardsGappedSeedDisk(t *testing.T) {
-	created := time.Now().Round(0)
-	dir := craftWAL(t, func(p, q string) []service.WALRecord {
-		spec := sweepSpec(p, q)
-		return []service.WALRecord{
-			{Seq: 1, Kind: service.WALJob, JobID: "job-1", JobSeq: 1, Spec: &spec, Created: &created},
-			levelRecord(2, 2),
-			levelRecord(3, 3),
-			levelRecord(4, 5), // gap: k=4 missing
+// levelKs lists a series' ks in order.
+func levelKs(levels []service.LevelSummary) []int {
+	ks := make([]int, len(levels))
+	for i, ls := range levels {
+		ks[i] = ls.K
+	}
+	return ks
+}
+
+// feedLevels drains a job's event feed up to its terminal status and returns
+// its level events in feed order, failing on any k listed twice.
+func feedLevels(t *testing.T, events <-chan service.Event) []service.Event {
+	t.Helper()
+	var levels []service.Event
+	seen := map[int]bool{}
+	for ev := range events {
+		if ev.Type == service.EventStatus {
+			break
 		}
-	})
-	_, _, engine := openPlane(t, dir, service.Options{Workers: 1})
+		if ev.Type != service.EventLevel {
+			continue
+		}
+		if seen[ev.Level.K] {
+			t.Fatalf("event feed lists k=%d twice", ev.Level.K)
+		}
+		seen[ev.Level.K] = true
+		levels = append(levels, ev)
+	}
+	return levels
+}
+
+// resumeMatchesUninterrupted recovers dir's crash image of jobID, whose WAL
+// keeps the checkpoints of kept, and holds the resume to the uninterrupted
+// run: the recovered status holds the kept levels, the run computes only
+// the levels it lacks, its series, candidate flags, decision and release
+// match bit for bit, and its event feed lists each k exactly once — live,
+// and again after one more restart.
+func resumeMatchesUninterrupted(t *testing.T, dir, jobID string, kept []int, opts service.Options, want service.Status, wantRes *service.Result) {
+	t.Helper()
+	ds, _, engine := openPlane(t, dir, opts)
 	recovered, err := engine.Recover()
 	if err != nil {
 		t.Fatal(err)
@@ -721,18 +764,149 @@ func TestRecoverDiscardsGappedSeedDisk(t *testing.T) {
 	if len(recovered) != 1 || !recovered[0].Resumed {
 		t.Fatalf("recovered %+v, want one resumed job", recovered)
 	}
-	if n := len(recovered[0].Status.Levels); n != 0 {
-		t.Fatalf("gapped seed kept %d levels, want 0 (full re-run)", n)
+	if got := levelKs(recovered[0].Status.Levels); !slices.Equal(got, kept) {
+		t.Fatalf("resumed job holds levels %v, want the checkpointed %v", got, kept)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	events, err := engine.Stream(ctx, service.DefaultTenant, jobID)
+	if err != nil {
+		t.Fatal(err)
 	}
 	engine.Start()
-	st := waitDone(t, engine, "job-1")
-	if st.State != service.StateDone {
-		t.Fatalf("state %s (%s), want done", st.State, st.Error)
+	live := feedLevels(t, events)
+	if len(live) != len(want.Levels) {
+		t.Fatalf("live feed lists %d levels, want each of the %d once", len(live), len(want.Levels))
 	}
-	// The re-run swept the full range: a gap-free series from MinK.
-	for i, ls := range st.Levels {
-		if ls.K != i+2 {
-			t.Fatalf("re-run series %+v has a gap at position %d", st.Levels, i)
+	// The feed replays the checkpoints, then publishes the levels computed
+	// now. A running calibration on those is taken over every level known
+	// at that point, held checkpoints included, in ascending k.
+	var known []core.LevelResult
+	for i, ev := range live {
+		lr := core.LevelResult{K: ev.Level.K, After: ev.Level.After, Utility: ev.Level.Utility}
+		known = slices.Insert(known, sort.Search(len(known), func(i int) bool { return known[i].K > lr.K }), lr)
+		if i < len(kept) {
+			if ev.Level.K != kept[i] {
+				t.Fatalf("feed event %d has k=%d, want the checkpointed k=%d replayed first", i, ev.Level.K, kept[i])
+			}
+			continue
+		}
+		if ev.Calibration == nil {
+			continue
+		}
+		tp, tu, err := core.CalibrateThresholds(known)
+		if err != nil || math.Float64bits(ev.Calibration.Tp) != math.Float64bits(tp) ||
+			math.Float64bits(ev.Calibration.Tu) != math.Float64bits(tu) {
+			t.Fatalf("k=%d calibration %+v, want CalibrateThresholds over the %d known levels = (%v, %v, %v)",
+				ev.Level.K, *ev.Calibration, len(known), tp, tu, err)
 		}
 	}
+
+	st := waitDone(t, engine, jobID)
+	if st.State != service.StateDone {
+		t.Fatalf("resumed job state %s (%s), want done", st.State, st.Error)
+	}
+	if got, wantN := int(st.Summary["levels_evaluated"]), int(want.Summary["levels_evaluated"])-len(kept); got != wantN {
+		t.Fatalf("resumed run evaluated %d levels, want %d (uninterrupted %v minus %d checkpointed)",
+			got, wantN, want.Summary["levels_evaluated"], len(kept))
+	}
+	res, err := engine.Result(service.DefaultTenant, jobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Levels) != len(wantRes.Levels) {
+		t.Fatalf("resumed series %v, uninterrupted %v", levelKs(res.Levels), levelKs(wantRes.Levels))
+	}
+	for i := range res.Levels {
+		a, b := res.Levels[i], wantRes.Levels[i]
+		if a.K != b.K || a.Candidate != b.Candidate ||
+			math.Float64bits(a.Before) != math.Float64bits(b.Before) ||
+			math.Float64bits(a.After) != math.Float64bits(b.After) ||
+			math.Float64bits(a.Gain) != math.Float64bits(b.Gain) ||
+			math.Float64bits(a.Utility) != math.Float64bits(b.Utility) {
+			t.Fatalf("level %d differs after resume:\n got %+v\nwant %+v", i, a, b)
+		}
+	}
+	if res.OptimalK != wantRes.OptimalK ||
+		math.Float64bits(res.Hmax) != math.Float64bits(wantRes.Hmax) ||
+		math.Float64bits(res.Tp) != math.Float64bits(wantRes.Tp) ||
+		math.Float64bits(res.Tu) != math.Float64bits(wantRes.Tu) {
+		t.Fatalf("resumed decision k=%d H=%g tp=%g tu=%g, uninterrupted k=%d H=%g tp=%g tu=%g",
+			res.OptimalK, res.Hmax, res.Tp, res.Tu, wantRes.OptimalK, wantRes.Hmax, wantRes.Tp, wantRes.Tu)
+	}
+	if fingerprintHex(t, res.Table) != fingerprintHex(t, wantRes.Table) {
+		t.Fatal("resumed run's release table is not byte-identical to the uninterrupted run's")
+	}
+
+	if err := engine.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, _, engine2 := openPlane(t, dir, opts)
+	if _, err := engine2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	events2, err := engine2.Stream(ctx, service.DefaultTenant, jobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(feedLevels(t, events2)); n != len(want.Levels) {
+		t.Fatalf("feed after another restart lists %d levels, want each of the %d once", n, len(want.Levels))
+	}
+}
+
+// TestRecoverResumesGappedSeedDisk: a WAL whose level checkpoints have a gap
+// (a dropped append: k=3 is missing between k=2 and k=4) resumes holding
+// both checkpoints — the sweep computes only the other seven levels and
+// finishes exactly as the uninterrupted run did.
+func TestRecoverResumesGappedSeedDisk(t *testing.T) {
+	dir, jobID, want, wantRes := runUninterrupted(t)
+	kept := cutWAL(t, dir, jobID, func(i int) bool { return i == 0 || i == 2 })
+	if !slices.Equal(kept, []int{2, 4}) {
+		t.Fatalf("crash image keeps checkpoints %v, want k=2 and k=4", kept)
+	}
+	resumeMatchesUninterrupted(t, dir, jobID, kept, service.Options{Workers: 1}, want, wantRes)
+}
+
+// TestRecoverResumesInterruptedAdaptiveSweepDisk: an adaptive sweep's
+// checkpoints arrive in evaluation order, not as a prefix; a crash after two
+// of them resumes holding both. One spec bisects (the 400-row cohort, Tu at
+// the k=6 utility, so the first checkpoints are probes), the other is a
+// k_set.
+func TestRecoverResumesInterruptedAdaptiveSweepDisk(t *testing.T) {
+	t.Run("bisect", func(t *testing.T) {
+		sopts := repro.ScenarioOptions{Seed: 42, N: 400, DirectAux: true}
+		sc, err := repro.UniversityScenario(sopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe, err := core.Sweep(sc.P, microagg.New(), core.AttackConfig{
+			Aux: sc.Q, SensitiveRange: fusion.Range{Lo: 40000, Hi: 160000},
+		}, 6, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// No level index, so no warm start blurs the evaluated counts.
+		opts := service.Options{Workers: 1, SweepWorkers: 2, LevelIndexSize: -1}
+		dir, jobID, want, wantRes := runSpecUninterrupted(t, sopts, opts, func(p, q string) service.Spec {
+			sp := sweepSpec(p, q)
+			sp.MaxK, sp.Tu, sp.Adaptive = 16, probe[0].Utility, true
+			return sp
+		})
+		if n := want.Summary["levels_evaluated"]; n >= 15 {
+			t.Fatalf("uninterrupted adaptive run evaluated %v of 15 levels; it must bisect", n)
+		}
+		resumeMatchesUninterrupted(t, dir, jobID, cutWAL(t, dir, jobID, func(i int) bool { return i < 2 }), opts, want, wantRes)
+	})
+	t.Run("k_set", func(t *testing.T) {
+		opts := service.Options{Workers: 1, SweepWorkers: 2}
+		dir, jobID, want, wantRes := runSpecUninterrupted(t, repro.ScenarioOptions{Seed: 42, N: 30}, opts, func(p, q string) service.Spec {
+			sp := sweepSpec(p, q)
+			sp.KSet = []int{2, 4, 6, 8, 10}
+			return sp
+		})
+		resumeMatchesUninterrupted(t, dir, jobID, cutWAL(t, dir, jobID, func(i int) bool { return i < 2 }), opts, want, wantRes)
+	})
 }

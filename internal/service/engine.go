@@ -206,9 +206,6 @@ type job struct {
 	// assigned by logTerminal (best-effort: a subscriber racing the WAL
 	// append may observe it as zero). Guarded by mu.
 	termSeq uint64
-	// resume seeds a recovered fred-sweep with its checkpointed levels so
-	// the sweep restarts at startK instead of MinK. Set only by Recover.
-	resume *resumeSeed
 	// resultRec is the durable projection logTerminal wrote (nil for jobs
 	// that failed, were canceled, or ran on an ephemeral store). Online log
 	// compaction re-emits it instead of re-hashing the result table, and
@@ -220,12 +217,6 @@ type job struct {
 	// Guarded by mu.
 	cancelRequested bool
 	cancelSeq       uint64
-}
-
-// resumeSeed carries a recovered sweep's checkpointed prefix.
-type resumeSeed struct {
-	startK int
-	levels []LevelSummary
 }
 
 func (j *job) snapshot() Status {
@@ -998,5 +989,5 @@ func (e *Engine) runAssess(ctx context.Context, j *job) (*Result, error) {
 	return &Result{Table: phat, Assessment: a}, nil
 }
 
-// runFREDSweep lives in sweepjob.go: the classic range walk with cross-job
-// warm-starting, and the adaptive planner path behind it.
+// runFREDSweep lives in sweepjob.go: every fred-sweep runs through the
+// planner.

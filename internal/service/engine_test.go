@@ -3,6 +3,7 @@ package service_test
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -205,6 +206,61 @@ func TestFREDSweepJobAndCache(t *testing.T) {
 		t.Fatal("different config must miss the cache")
 	}
 	waitDone(t, e, st3.ID)
+}
+
+// TestFREDSweepMaxKAboveRowCount: a max_k far beyond the table (2⁴⁰ on 30
+// rows) is capped at the row count before the level list is expanded — no
+// scheme anonymizes n rows at k > n — so a range and an adaptive sweep both
+// finish with exactly the series and decision of max_k = 30, instead of
+// allocating a level per requested k.
+func TestFREDSweepMaxKAboveRowCount(t *testing.T) {
+	// No level index: every job computes its own series.
+	e, p, q, _ := testFixture(t, service.Options{Workers: 1, LevelIndexSize: -1})
+	e.Start()
+	run := func(spec service.Spec) service.Status {
+		t.Helper()
+		st, err := e.Submit(service.DefaultTenant, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st = waitDone(t, e, st.ID)
+		if st.State != service.StateDone {
+			t.Fatalf("max_k=%d adaptive=%v: state %s (%s), want done", spec.MaxK, spec.Adaptive, st.State, st.Error)
+		}
+		return st
+	}
+
+	rangeSpec := sweepSpec(p, q)
+	rangeSpec.MaxK = 30
+	want := run(rangeSpec)
+	adaptive := rangeSpec
+	adaptive.Adaptive = true
+	adaptive.Tu = want.Levels[4].Utility // k=6
+	wantAdaptive := run(adaptive)
+
+	for _, c := range []struct {
+		spec service.Spec
+		want service.Status
+	}{{rangeSpec, want}, {adaptive, wantAdaptive}} {
+		c.spec.MaxK = 1 << 40
+		got := run(c.spec)
+		if len(got.Levels) != len(c.want.Levels) {
+			t.Fatalf("adaptive=%v: %d levels, want %d as with max_k=30", c.spec.Adaptive, len(got.Levels), len(c.want.Levels))
+		}
+		for i, a := range got.Levels {
+			b := c.want.Levels[i]
+			if a.K != b.K || a.Candidate != b.Candidate ||
+				math.Float64bits(a.After) != math.Float64bits(b.After) ||
+				math.Float64bits(a.Utility) != math.Float64bits(b.Utility) {
+				t.Fatalf("adaptive=%v: level %d is %+v, want %+v", c.spec.Adaptive, i, a, b)
+			}
+		}
+		for _, key := range []string{"optimal_k", "h_max"} {
+			if math.Float64bits(got.Summary[key]) != math.Float64bits(c.want.Summary[key]) {
+				t.Errorf("adaptive=%v: %s = %v, want %v as with max_k=30", c.spec.Adaptive, key, got.Summary[key], c.want.Summary[key])
+			}
+		}
+	}
 }
 
 func TestCancelPendingJob(t *testing.T) {

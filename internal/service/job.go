@@ -71,10 +71,12 @@ type Spec struct {
 	// job with the best series obtainable in the budget and Result.Partial
 	// set. fred-sweep only; implies the adaptive planner.
 	BudgetMS int64 `json:"budget_ms,omitempty"`
-	// Adaptive opts a plain range sweep into the planner: with explicit
-	// thresholds the Tu crossing is bisected instead of walking every level
-	// (the decision is bit-identical — see internal/core/planner). KSet,
-	// Stride and BudgetMS imply it.
+	// Adaptive lets the planner skip levels of a plain range sweep: with
+	// explicit thresholds the Tu crossing is bisected instead of walking
+	// every level (the decision is bit-identical — see
+	// internal/core/planner). Every sweep runs on the planner; without
+	// Adaptive (or KSet, Stride or BudgetMS, which imply it) it walks the
+	// whole range in ascending k.
 	Adaptive bool `json:"adaptive,omitempty"`
 	// Tp and Tu are the FRED thresholds; both zero auto-calibrates from
 	// the sweep the way the paper did from experimental observations.
@@ -118,8 +120,9 @@ func (sp Spec) withDefaults() Spec {
 	return sp
 }
 
-// adaptive reports whether the spec routes through the planner: an explicit
-// opt-in, or any selection the classic range walk cannot express.
+// adaptive reports whether the planner may skip levels and streams them in
+// evaluation order: an explicit opt-in, or any selection a plain range
+// cannot express.
 func (sp Spec) adaptive() bool {
 	return sp.Adaptive || len(sp.KSet) > 0 || sp.Stride > 1 || sp.BudgetMS > 0
 }
@@ -219,8 +222,8 @@ type Status struct {
 	// Cached reports that the result was served from the LRU cache.
 	Cached bool `json:"cached,omitempty"`
 	// Resumed reports that the job was interrupted by a crash and
-	// re-submitted by Engine.Recover — fred-sweeps continue from their last
-	// checkpointed level rather than restarting.
+	// re-submitted by Engine.Recover — fred-sweeps keep every level they
+	// checkpointed and compute only the rest rather than restarting.
 	Resumed bool   `json:"resumed,omitempty"`
 	Error   string `json:"error,omitempty"`
 	// Summary carries the headline numbers of a finished job (optimal k,

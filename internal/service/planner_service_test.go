@@ -3,18 +3,20 @@ package service_test
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
 
 // The adaptive-planner service suite: cross-job warm starts through the
 // level index, the bisection planner behind adaptive specs, and the
-// observability both feed. Runs in CI's planner job (raced) — keep test
+// observability both feed. Runs in CI's sweep job (raced) — keep test
 // names matching 'Planner|WarmStart'.
 
 // plannerFixture is testFixture at a cohort size where the utility series
@@ -125,6 +127,68 @@ func TestWarmStartSecondSweepComputesOnlyGap(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `planner_warmstart_levels_total{tenant="default"} 9`) {
 		t.Errorf("metrics exposition missing the warm-start counter:\n%s", grepFamily(buf.String(), "planner_"))
+	}
+}
+
+// TestWarmStartRangeSweepStreamsInKOrder: warm levels sitting above
+// computed ones still stream at their k position. A k=2..14 sweep after a
+// k=6..10 one computes only k=2..5 and 11..14, streams k=2..14 in order
+// with source "warm" on exactly k=6..10, and each level event's progress
+// and running calibration are those of the ascending prefix it closes.
+func TestWarmStartRangeSweepStreamsInKOrder(t *testing.T) {
+	e, p, q, _ := testFixture(t, service.Options{Workers: 1})
+	e.Start()
+	run := func(minK, maxK int) service.Status {
+		t.Helper()
+		spec := sweepSpec(p, q)
+		spec.MinK, spec.MaxK = minK, maxK
+		st, err := e.Submit(service.DefaultTenant, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st = waitDone(t, e, st.ID)
+		if st.State != service.StateDone {
+			t.Fatalf("k=%d..%d sweep ended %s: %s", minK, maxK, st.State, st.Error)
+		}
+		return st
+	}
+	run(6, 10)
+	st := run(2, 14)
+	if got := int(st.Summary["levels_evaluated"]); got != 8 {
+		t.Fatalf("second sweep evaluated %d levels, want 8 (k=2..5 and 11..14)", got)
+	}
+
+	var prefix []core.LevelResult
+	for ev := range mustStream(t, e, st.ID) {
+		if ev.Type != service.EventLevel {
+			continue
+		}
+		k := ev.Level.K
+		if want := 2 + len(prefix); k != want {
+			t.Fatalf("level event %d has k=%d, want %d", len(prefix), k, want)
+		}
+		if warm := k >= 6 && k <= 10; (ev.Source == "warm") != warm {
+			t.Errorf("k=%d streamed with source %q, want warm=%v", k, ev.Source, warm)
+		}
+		prefix = append(prefix, core.LevelResult{K: k, After: ev.Level.After, Utility: ev.Level.Utility})
+		if want := 0.95 * float64(len(prefix)) / 13; math.Float64bits(ev.Progress) != math.Float64bits(want) {
+			t.Errorf("k=%d progress %v, want %v", k, ev.Progress, want)
+		}
+		tp, tu, err := core.CalibrateThresholds(prefix)
+		switch {
+		case err != nil:
+			if ev.Calibration != nil {
+				t.Errorf("k=%d carries a calibration over only %d levels", k, len(prefix))
+			}
+		case ev.Calibration == nil:
+			t.Errorf("k=%d carries no calibration", k)
+		case math.Float64bits(ev.Calibration.Tp) != math.Float64bits(tp) ||
+			math.Float64bits(ev.Calibration.Tu) != math.Float64bits(tu):
+			t.Errorf("k=%d calibration %+v, want CalibrateThresholds over k=2..%d = (%v, %v)", k, *ev.Calibration, k, tp, tu)
+		}
+	}
+	if len(prefix) != 13 {
+		t.Fatalf("streamed %d level events, want 13 (k=2..14)", len(prefix))
 	}
 }
 

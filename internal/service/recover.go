@@ -10,17 +10,17 @@ import (
 // This file implements crash recovery: Engine.Recover replays the durable
 // job log after Store.Open reloaded the tables, rebuilds terminal jobs
 // (results included, via the table backend's blob space), re-submits
-// interrupted jobs — fred-sweeps with a StartK resume point seeded from
-// their checkpointed levels, so they continue instead of restarting — and
-// compacts the log to the live image. It also hosts the table TTL sweep,
-// which consults the live-job set recovery re-established.
+// interrupted jobs — fred-sweeps seeded with every level they checkpointed,
+// which the planner holds instead of recomputing, so they continue instead
+// of restarting — and compacts the log to the live image. It also hosts the
+// table TTL sweep, which consults the live-job set recovery re-established.
 
 // RecoveredJob describes one job Engine.Recover restored or re-submitted.
 type RecoveredJob struct {
 	Status Status
 	// Resumed reports that the job was interrupted by the crash and has
-	// been re-submitted; for fred-sweeps with checkpointed levels the
-	// re-run continues from the checkpoint instead of restarting.
+	// been re-submitted; a fred-sweep holds its checkpointed levels and
+	// computes only the rest instead of restarting.
 	Resumed bool
 }
 
@@ -320,8 +320,12 @@ func (e *Engine) reseedCache(j *job, res *Result) {
 }
 
 // rebuildInterrupted reconstructs an interrupted job as pending, seeded
-// with its checkpointed levels: Status.Levels and the event feed replay the
-// prefix, and a fred-sweep resumes at the first uncheckpointed level.
+// with its checkpointed levels: Status.Levels and the event feed replay
+// them, Status.Progress is the last one's, and the fred-sweep's run holds
+// them (runFREDSweep), computing only the levels it lacks. Every checkpoint
+// counts, whatever order it was written in and whether or not an append was
+// dropped before it, so a range sweep, an adaptive one and a gapped one
+// resume alike.
 func (e *Engine) rebuildInterrupted(rj *replayedJob) *job {
 	ctx, cancel := context.WithCancel(e.baseCtx)
 	j := &job{
@@ -336,37 +340,13 @@ func (e *Engine) rebuildInterrupted(rj *replayedJob) *job {
 		done:   make(chan struct{}),
 		notify: make(chan struct{}),
 	}
-	// Adaptive sweeps re-plan from scratch: their checkpoints arrive in
-	// evaluation order (probes jump), which the StartK resume machinery
-	// cannot splice, and a re-run warm-starts from the level index anyway.
-	if rj.spec.Type == JobFREDSweep && len(rj.levels) > 0 && !rj.spec.adaptive() {
-		seed := make([]LevelSummary, 0, len(rj.levels))
-		for _, rec := range rj.levels {
-			if rec.Level != nil {
-				seed = append(seed, *rec.Level)
-			}
-		}
-		// Emission is k-ordered and gap-free from MinK, so a healthy seed is
-		// exactly MinK, MinK+1, …; verify it, because recordLevel tolerates
-		// a dropped WAL append (durability degrades, not availability) and a
-		// gapped seed spliced into a resumed sweep would duplicate or skip
-		// levels. A gapped seed is discarded — the sweep re-runs from
-		// scratch, which is always correct.
-		contiguous := true
-		for i, ls := range seed {
-			if ls.K != rj.spec.MinK+i {
-				contiguous = false
-				break
-			}
-		}
-		if contiguous {
-			j.resume = &resumeSeed{startK: seed[len(seed)-1].K + 1, levels: seed}
-			j.status.Levels = seed
-			j.events = eventsFromCheckpoints(rj)
-			total := rj.spec.MaxK - rj.spec.MinK + 1
-			j.status.Progress = 0.95 * float64(len(seed)) / float64(total)
+	for _, rec := range rj.levels {
+		if rec.Level != nil {
+			j.status.Levels = append(j.status.Levels, *rec.Level)
+			j.status.Progress = rec.Progress
 		}
 	}
+	j.events = eventsFromCheckpoints(rj)
 	e.mu.Lock()
 	e.jobs[j.status.ID] = j
 	e.mu.Unlock()

@@ -14,8 +14,8 @@
 // plane durable — tables as columnar snapshots under tenant-prefixed
 // paths, jobs and per-level sweep checkpoints in a WAL — and
 // Engine.Recover rebuilds the service after a restart, re-submitting
-// interrupted fred-sweeps with a resume point so they finish byte-identical
-// to an uninterrupted run.
+// interrupted fred-sweeps holding every level they checkpointed, so they
+// compute only the rest and finish byte-identical to an uninterrupted run.
 package service
 
 import (

@@ -11,8 +11,9 @@ type EventType string
 // exactly one status event carrying the terminal snapshot.
 const (
 	// EventLevel reports one completed sweep level — ascending k order for
-	// classic range sweeps; evaluation order (probes jump) for adaptive
-	// jobs, each level tagged with its Source.
+	// range sweeps; evaluation order (probes jump) for adaptive jobs — each
+	// level tagged with its Source. A crash-resumed job's feed replays its
+	// checkpointed levels first, in the order they were checkpointed.
 	EventLevel EventType = "level"
 	// EventSkip reports a contiguous run of requested levels an adaptive
 	// sweep decided not to evaluate, with the reason (bisection, deadline,
@@ -315,10 +316,10 @@ func (e *Engine) recordLevel(j *job, ls LevelSummary, cal *Calibration, progress
 }
 
 // recordSkip publishes a planner skip range to subscribers. Skips are not
-// WAL-checkpointed — an adaptive job interrupted by a crash re-plans from
-// scratch anyway (its checkpoints are non-contiguous and recovery discards
-// them) — so the event carries no durable sequence number and is always
-// replayed to reconnecting subscribers.
+// WAL-checkpointed — an adaptive job interrupted by a crash resumes from its
+// level checkpoints and re-derives its skip ranges when its plan completes —
+// so the event carries no durable sequence number and is always replayed to
+// reconnecting subscribers.
 func (e *Engine) recordSkip(j *job, sk Skip) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

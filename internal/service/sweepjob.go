@@ -2,6 +2,9 @@ package service
 
 import (
 	"context"
+	"maps"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -12,12 +15,10 @@ import (
 	"repro/internal/obs"
 )
 
-// This file is the fred-sweep job executor: the classic exhaustive range
-// walk (runFREDSweep) and the adaptive planner path (runAdaptiveSweep) a
-// spec opts into with adaptive/k_set/stride/budget_ms. Both warm-start from
-// the engine's cross-job level index, publish per-level events and trace
-// spans, and end in core.DecideWithin — so their decisions are bit-identical
-// for the same series.
+// This file is the fred-sweep job executor: runFREDSweep runs every
+// fred-sweep through the planner (internal/core/planner) and ends in
+// core.DecideWithin over the ascending series, so decisions are
+// bit-identical for the same series.
 //
 // The selection deliberately differs from core.Run/Decide: the service
 // sweeps the full requested selection (the client asked for — and receives
@@ -26,9 +27,10 @@ import (
 // by Tp alone. On a non-monotone utility series the two can admit different
 // candidate sets.
 
-// sweepEmitter funnels every level entering a sweep job's series — computed,
-// warm-started or resume-seeded — through one bookkeeping path: the series,
-// the WAL checkpoint, the event stream, metrics and traces.
+// sweepEmitter funnels every level entering a sweep job's series through
+// one bookkeeping path: the series, the WAL checkpoint, the event stream,
+// metrics and traces. A job's own checkpoints join the series only (add);
+// computed and warm-started levels are published too (emit).
 type sweepEmitter struct {
 	e        *Engine
 	j        *job
@@ -38,17 +40,25 @@ type sweepEmitter struct {
 	tp, tu   float64
 	total    int
 	// calibrate enables the running-calibration payload on level events;
-	// the classic path emits ascending series where the running calibration
-	// is meaningful, the adaptive path does not.
+	// range sweeps stream in ascending k, where the running calibration is
+	// meaningful, adaptive sweeps in evaluation order, where it is not.
 	calibrate bool
 
+	// levels is the series so far, kept ascending in k whatever order
+	// levels arrive in: the running calibration is positional.
 	levels []core.LevelResult
 }
 
-// emit records one level. source is "" for computed levels, "warm" for
-// level-index seeds.
+// add enters a level into the series at its k position.
+func (se *sweepEmitter) add(lr core.LevelResult) {
+	i := sort.Search(len(se.levels), func(i int) bool { return se.levels[i].K > lr.K })
+	se.levels = slices.Insert(se.levels, i, lr)
+}
+
+// emit records and publishes one level. source is "" for computed levels,
+// "warm" for level-index seeds.
 func (se *sweepEmitter) emit(lr core.LevelResult, source string) {
-	se.levels = append(se.levels, lr)
+	se.add(lr)
 	ls := summarizeLevel(lr)
 	ls.Candidate = se.explicit && lr.After >= se.tp && lr.Utility >= se.tu
 	var cal *Calibration
@@ -79,10 +89,10 @@ func (se *sweepEmitter) emit(lr core.LevelResult, source string) {
 		"k", lr.K, "after", lr.After, "utility", lr.Utility, "elapsed", lr.Elapsed)
 }
 
-// finishSweep is the shared decision tail: resolve thresholds, decide over
-// the (ascending) series with the band selection, rebuild the optimal
-// release if the argmax landed on a level without one (warm or
-// resume-seeded), and index the series for future warm starts.
+// finishSweep is the decision tail: resolve thresholds, decide over the
+// (ascending) series with the band selection, rebuild the optimal release
+// if the argmax landed on a level without one (warm or resume-seeded), and
+// index the series for future warm starts.
 func (e *Engine) finishSweep(j *job, levels []core.LevelResult, tp, tu float64, evaluated int, partial bool) (*Result, error) {
 	if tp == 0 && tu == 0 {
 		var err error
@@ -117,157 +127,96 @@ func (e *Engine) finishSweep(j *job, levels []core.LevelResult, tp, tu float64, 
 	}, nil
 }
 
-// runFREDSweep is Algorithm 1 as a service job: the level sweep runs through
-// core.SweepStream on SweepWorkers workers, so levels arrive in k order as
-// they complete. Each completed level advances progress, is stored on the
+// runFREDSweep is Algorithm 1 as a service job, run by planner.Run. A plain
+// range spec is a planner run without thresholds, which walks every level it
+// does not hold through core.SweepStream in ascending k; an adaptive spec
+// also hands the planner its thresholds and budget, so it may skip levels.
+// Each level entering the series advances progress, is stored on the
 // running job as a partial result, and is published to Engine.Stream
-// subscribers together with the running threshold calibration over the
-// prefix. Cancellation interrupts the sweep between levels. Levels an
-// earlier sweep of the same (table, adversary, scheme, range) already
-// computed are adopted from the level index — held out of the stream and
-// interleaved into the emission at their k position — so an overlapping
-// re-sweep computes only the gap. Specs with adaptive selections route to
-// the planner instead.
+// subscribers. Cancellation interrupts the sweep between levels.
+//
+// The planner's Held set is the one way a job adopts levels it did not
+// compute: levels an earlier sweep of the same (table, adversary, scheme,
+// sensitive range) left in the level index, so an overlapping re-sweep
+// computes only the gap, and the checkpoints a job Recover re-submitted
+// starts with in Status.Levels, which win for the same k. Both round-trip
+// losslessly, so the series matches an uninterrupted run bit for bit; they
+// carry no Release/Phat tables, and finishSweep recomputes the one it needs.
+//
+// A range sweep streams in ascending k with the running calibration, warm
+// levels at their k position; an adaptive one streams in evaluation order
+// (probes jump around the range), warm levels first, publishes skip events,
+// and traces warm and skip ranges ("planner.warmstart", "planner.skip").
+// Every sweep records a "planner.plan" span.
 func (e *Engine) runFREDSweep(ctx context.Context, j *job) (*Result, error) {
-	if j.spec.adaptive() {
-		return e.runAdaptiveSweep(ctx, j)
-	}
 	sp := j.spec
-	total := sp.MaxK - sp.MinK + 1
+	st := j.snapshot()
+	// A range is capped at max(MinK, rows) before it is expanded: neither
+	// scheme anonymizes n rows at k > n (the sweep would end there), and an
+	// uncapped max_k would expand without bound.
+	ks, err := planner.Expand(sp.MinK, min(sp.MaxK, max(sp.MinK, j.p.NumRows())), sp.Stride, sp.KSet)
+	if err != nil {
+		return nil, err
+	}
+	held := make(map[int]core.LevelResult)
+	maps.Copy(held, e.levels.Get(j.levelKey, ks))
+	seeded := make(map[int]bool, len(st.Levels))
+	for _, ls := range st.Levels {
+		held[ls.K] = core.LevelResult{
+			K: ls.K, Before: ls.Before, After: ls.After,
+			Gain: ls.Gain, Utility: ls.Utility, Candidate: ls.Candidate,
+			AnonymizeTime: time.Duration(ls.AnonymizeNS),
+			FuseTime:      time.Duration(ls.FuseNS),
+			MetricsTime:   time.Duration(ls.MetricsNS),
+		}
+		seeded[ls.K] = true
+	}
 	se := &sweepEmitter{
-		e: e, j: j, ctx: ctx, tenant: j.snapshot().Tenant,
+		e: e, j: j, ctx: ctx, tenant: st.Tenant,
 		// With explicit thresholds, per-level candidacy is decidable as
 		// levels stream; under auto-calibration it is settled only after
 		// the sweep.
 		explicit: sp.Tp != 0 || sp.Tu != 0, tp: sp.Tp, tu: sp.Tu,
-		total: total, calibrate: true,
-		levels: make([]core.LevelResult, 0, total),
+		total: len(ks), calibrate: !sp.adaptive(),
+		levels: make([]core.LevelResult, 0, len(ks)),
 	}
 
-	// A recovered job seeds the series with its checkpointed levels and
-	// resumes the stream at startK; the level numbers round-tripped the WAL
-	// losslessly, so the final series is bit-identical to an uninterrupted
-	// run. Seeded levels carry no Release/Phat tables — recomputed on demand
-	// in finishSweep. Resume and warm-start are mutually exclusive: the
-	// checkpointed prefix already covers the warm levels' k range or the
-	// contiguity check would have discarded it.
-	startK := 0
-	var warm map[int]core.LevelResult
-	if j.resume != nil {
-		for _, ls := range j.resume.levels {
-			se.levels = append(se.levels, core.LevelResult{
-				K: ls.K, Before: ls.Before, After: ls.After,
-				Gain: ls.Gain, Utility: ls.Utility, Candidate: ls.Candidate,
-				AnonymizeTime: time.Duration(ls.AnonymizeNS),
-				FuseTime:      time.Duration(ls.FuseNS),
-				MetricsTime:   time.Duration(ls.MetricsNS),
-			})
-		}
-		startK = j.resume.startK
-	} else {
-		warm = e.levels.Get(j.levelKey, rangeKs(sp.MinK, sp.MaxK))
-	}
-	warmKs := make([]int, 0, len(warm))
-	for k := range warm {
-		warmKs = append(warmKs, k)
-	}
-	sort.Ints(warmKs)
-	held := make(map[int]bool, len(warm))
-	for k := range warm {
-		held[k] = true
-	}
-	// flushWarmBelow interleaves warm levels into the ascending emission:
-	// every warm level below k enters the series before k does. k < 0
-	// flushes the rest.
-	flushWarmBelow := func(k int) {
-		for len(warmKs) > 0 && (k < 0 || warmKs[0] < k) {
-			se.emit(warm[warmKs[0]], "warm")
-			warmKs = warmKs[1:]
-		}
-	}
-
-	evaluated := 0
-	if startK <= sp.MaxK {
-		err := core.SweepStream(ctx, j.p, core.StreamConfig{
-			Anonymizer:      anonymizerFor(sp.Scheme),
-			Attack:          sp.attackConfig(j.aux),
-			MinK:            sp.MinK,
-			MaxK:            sp.MaxK,
-			StartK:          startK,
-			Held:            held,
-			Workers:         e.opts.SweepWorkers,
-			MinParallelRows: core.MinParallelSweepRows,
-		}, func(lr core.LevelResult) error {
-			flushWarmBelow(lr.K)
-			se.emit(lr, "")
-			evaluated++
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	flushWarmBelow(-1)
-
-	return e.finishSweep(j, se.levels, sp.Tp, sp.Tu, evaluated, false)
-}
-
-// rangeKs expands [lo, hi] into the explicit ascending level list the level
-// index and the planner consume.
-func rangeKs(lo, hi int) []int {
-	ks := make([]int, 0, hi-lo+1)
-	for k := lo; k <= hi; k++ {
-		ks = append(ks, k)
-	}
-	return ks
-}
-
-// runAdaptiveSweep executes a fred-sweep through the planner: k-sets and
-// strides expand to an explicit level list, cached levels of the same table
-// warm-start the run, explicit thresholds enable bisection of the Tu
-// crossing, and a wall-clock budget stops evaluation at the deadline with a
-// well-defined partial result. Level events arrive in evaluation order
-// (probes jump around the range), each tagged with its source; skipped
-// ranges are published as skip events, and the plan's accounting lands in
-// the job trace ("planner.plan", "planner.warmstart", "planner.skip").
-func (e *Engine) runAdaptiveSweep(ctx context.Context, j *job) (*Result, error) {
-	sp := j.spec
-	tenant := j.snapshot().Tenant
-	ks, err := planner.Expand(sp.MinK, sp.MaxK, sp.Stride, sp.KSet)
-	if err != nil {
-		return nil, err
-	}
-	warm := e.levels.Get(j.levelKey, ks)
-	held := make(map[int]core.LevelResult, len(warm))
-	for k, lr := range warm {
-		held[k] = lr
-	}
-	se := &sweepEmitter{
-		e: e, j: j, ctx: ctx, tenant: tenant,
-		explicit: sp.Tp != 0 || sp.Tu != 0, tp: sp.Tp, tu: sp.Tu,
-		total: len(ks),
-	}
+	// The planner adopts held levels first, ascending, then computes. A
+	// range sweep parks its warm levels in warmBuf and publishes each just
+	// before the first computed level above it.
+	var warmBuf []core.LevelResult
 	var warmSeen []int
+	flushWarmBelow := func(k int) {
+		for len(warmBuf) > 0 && warmBuf[0].K < k {
+			se.emit(warmBuf[0], "warm")
+			warmBuf = warmBuf[1:]
+		}
+	}
 	cfg := planner.Config{
 		Anonymizer:      anonymizerFor(sp.Scheme),
 		Attack:          sp.attackConfig(j.aux),
 		Levels:          ks,
-		Tp:              sp.Tp,
-		Tu:              sp.Tu,
 		Workers:         e.opts.SweepWorkers,
 		MinParallelRows: core.MinParallelSweepRows,
 		Held:            held,
 		Hooks: planner.Hooks{
-			Level: func(lr core.LevelResult, warmLevel bool) {
-				source := ""
-				if warmLevel {
-					source = "warm"
+			Level: func(lr core.LevelResult, warm bool) {
+				switch {
+				case seeded[lr.K]:
+					// Already checkpointed and published before the crash.
+					se.add(lr)
+				case !warm:
+					flushWarmBelow(lr.K)
+					se.emit(lr, "")
+				case sp.adaptive():
 					warmSeen = append(warmSeen, lr.K)
+					se.emit(lr, "warm")
+				default:
+					warmBuf = append(warmBuf, lr)
 				}
-				se.emit(lr, source)
 			},
 			Fallback: func(reason string) {
-				e.metrics.plannerFallbacks.With(tenant).Inc()
+				e.metrics.plannerFallbacks.With(st.Tenant).Inc()
 				e.logger.InfoContext(ctx, "planner fallback to exhaustive walk", "reason", reason)
 				e.tracer.Record(obs.Span{
 					Job: obs.JobID(ctx), Name: "planner.fallback", Start: time.Now(),
@@ -276,13 +225,17 @@ func (e *Engine) runAdaptiveSweep(ctx context.Context, j *job) (*Result, error) 
 			},
 		},
 	}
-	if sp.BudgetMS > 0 {
-		cfg.Deadline = time.Now().Add(time.Duration(sp.BudgetMS) * time.Millisecond)
+	if sp.adaptive() {
+		cfg.Tp, cfg.Tu = sp.Tp, sp.Tu
+		if sp.BudgetMS > 0 {
+			cfg.Deadline = time.Now().Add(time.Duration(sp.BudgetMS) * time.Millisecond)
+		}
 	}
 	out, err := planner.Run(ctx, j.p, cfg)
 	if err != nil {
 		return nil, err
 	}
+	flushWarmBelow(math.MaxInt)
 
 	// Publish the plan's accounting: warm ranges, skip ranges, and the
 	// summary span GET /v1/jobs/{id}/trace surfaces.
@@ -300,7 +253,7 @@ func (e *Engine) runAdaptiveSweep(ctx context.Context, j *job) (*Result, error) 
 				n++
 			}
 		}
-		e.metrics.plannerSkipped.With(tenant, r.Reason).Add(float64(n))
+		e.metrics.plannerSkipped.With(st.Tenant, r.Reason).Add(float64(n))
 		e.tracer.Record(obs.Span{
 			Job: obs.JobID(ctx), Name: "planner.skip", Start: time.Now(),
 			Attrs: map[string]string{
