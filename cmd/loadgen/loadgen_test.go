@@ -16,7 +16,7 @@ import (
 // authenticated two-tenant deployment with a deliberately tiny admission
 // envelope, so the run exercises both the happy path (jobs complete, with
 // latencies) and the shed path (429 + Retry-After honored). The duration is
-// short by default; CI's ops job stretches it via LOADGEN_SMOKE_DURATION.
+// short by default; CI's race job stretches it via LOADGEN_SMOKE_DURATION.
 func TestLoadgenSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load generation loop")

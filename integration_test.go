@@ -1,21 +1,19 @@
 package repro
 
 // Cross-module integration tests: CSV round-trips through the attack
-// pipeline, sequential-release composition on real anonymizers, the
-// perturbation family inside the FRED sweep, and parser robustness.
+// pipeline, the perturbation family inside the FRED sweep, and parser
+// robustness.
 
 import (
 	"bytes"
 	"testing"
 	"testing/quick"
 
-	"repro/internal/composition"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/fuzzy"
 	"repro/internal/kanon"
 	"repro/internal/metrics"
-	"repro/internal/microagg"
 	"repro/internal/perturb"
 	"repro/internal/risk"
 )
@@ -58,58 +56,6 @@ func TestPipelineSurvivesCSVRoundTrip(t *testing.T) {
 	if before1 != before2 || after1 != after2 {
 		t.Errorf("CSV path diverged: (%g, %g) vs (%g, %g)", before1, after1, before2, after2)
 	}
-}
-
-// TestCompositionSharpensUniversityReleases mounts the sequential-release
-// attack on two real releases of the same cohort and confirms the
-// intersection never widens and the fused estimate never worsens.
-func TestCompositionSharpensUniversityReleases(t *testing.T) {
-	sc, err := UniversityScenario(ScenarioOptions{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, r2 := intervalRelease(t, sc.P, 4), intervalRelease(t, sc.P, 6)
-	merged, err := composition.Intersect(r1, r2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio, err := composition.Narrowing(merged, r1, r2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ratio > 1+1e-12 {
-		t.Errorf("composition widened cells: %g", ratio)
-	}
-	// Attack the merged release: at least as close as the wider of the two.
-	_, _, afterMerged, err := sc.Attack(merged, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, after2, err := sc.Attack(r2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Allow a small slack: the fuzzy system is not perfectly monotone in
-	// input tightness, but the merged release must not be substantially
-	// worse for the adversary than the coarser single release.
-	if afterMerged > after2*1.05 {
-		t.Errorf("merged release attack (%g) much worse than single release (%g)", afterMerged, after2)
-	}
-}
-
-// intervalRelease produces an interval-cell microaggregated release with the
-// sensitive column suppressed (composition and NCP need bounded cells).
-func intervalRelease(t *testing.T, p *dataset.Table, k int) *dataset.Table {
-	t.Helper()
-	a := &microagg.Anonymizer{Opts: microagg.Options{Standardize: true, CentroidAsInterval: true}}
-	rel, err := a.Anonymize(p, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range rel.Schema().IndicesOf(dataset.Sensitive) {
-		rel.SuppressColumn(c)
-	}
-	return rel
 }
 
 // TestPerturbationInsideSweep runs the Laplace anonymizer through the FRED
@@ -186,9 +132,8 @@ func TestRuleParserNeverPanics(t *testing.T) {
 	}
 }
 
-// TestUtilityMetricsAgreeOnOrdering: discernibility utility and NCP-based
-// loss must order two releases consistently (more generalization → lower
-// utility and higher loss).
+// TestUtilityMetricsAgreeOnOrdering: discernibility utility must order two
+// releases consistently (more generalization → lower utility).
 func TestUtilityMetricsAgreeOnOrdering(t *testing.T) {
 	sc, err := UniversityScenario(ScenarioOptions{Seed: 42})
 	if err != nil {
@@ -212,18 +157,6 @@ func TestUtilityMetricsAgreeOnOrdering(t *testing.T) {
 	}
 	if u10 >= u3 {
 		t.Errorf("utility ordering broken: U(10)=%g ≥ U(3)=%g", u10, u3)
-	}
-	// NCP needs bounded cells: rebuild with interval mode.
-	n3, err := metrics.NCP(sc.P, intervalRelease(t, sc.P, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n10, err := metrics.NCP(sc.P, intervalRelease(t, sc.P, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n10 <= n3 {
-		t.Errorf("NCP ordering broken: NCP(10)=%g ≤ NCP(3)=%g", n10, n3)
 	}
 }
 

@@ -169,9 +169,6 @@ func (c *colData) float(i int) (float64, bool) {
 	return c.num[i], true
 }
 
-// isNull reports whether cell i is suppressed.
-func (c *colData) isNull(i int) bool { return c.nulls.get(i) }
-
 // internID interns s in the column dictionary, cloning a shared dictionary
 // before the first new append.
 func (c *colData) internID(s string) int32 {
@@ -283,49 +280,4 @@ func (c *colData) setValue(i int, v Value) {
 		c.spans = c.spans.ensure(i)
 		c.spans.set(i)
 	}
-}
-
-// permute rebuilds the storage in the order given by perm (out[i] =
-// old[perm[i]]). Callers must own the storage.
-func (c *colData) permute(perm []int) {
-	n := c.n
-	var nulls bitset
-	if c.nulls != nil {
-		nulls = make(bitset, (n+63)/64)
-	}
-	var spans bitset
-	if c.spans != nil {
-		spans = make(bitset, (n+63)/64)
-	}
-	var num, hi []float64
-	if c.num != nil {
-		num = make([]float64, n)
-	}
-	if c.hi != nil {
-		hi = make([]float64, n)
-	}
-	var ids []int32
-	if c.ids != nil {
-		ids = make([]int32, n)
-	}
-	for i, j := range perm {
-		if c.nulls.get(j) {
-			nulls = nulls.ensure(i)
-			nulls.set(i)
-		}
-		if c.spans.get(j) {
-			spans = spans.ensure(i)
-			spans.set(i)
-		}
-		if num != nil {
-			num[i] = c.num[j]
-		}
-		if hi != nil {
-			hi[i] = c.hi[j]
-		}
-		if ids != nil {
-			ids[i] = c.ids[j]
-		}
-	}
-	c.nulls, c.spans, c.num, c.hi, c.ids = nulls, spans, num, hi, ids
 }

@@ -103,13 +103,6 @@ func (s *Schema) Len() int { return len(s.cols) }
 // Column returns the i'th column.
 func (s *Schema) Column(i int) Column { return s.cols[i] }
 
-// Columns returns a copy of all columns.
-func (s *Schema) Columns() []Column {
-	out := make([]Column, len(s.cols))
-	copy(out, s.cols)
-	return out
-}
-
 // Lookup returns the index of the named column.
 func (s *Schema) Lookup(name string) (int, error) {
 	if i, ok := s.index[name]; ok {
@@ -190,17 +183,6 @@ func (s *Schema) Project(names ...string) (*Schema, error) {
 		}
 		cols = append(cols, s.cols[i])
 	}
-	return NewSchema(cols...)
-}
-
-// WithClass returns a copy of the schema with the named column reclassified.
-func (s *Schema) WithClass(name string, class AttrClass) (*Schema, error) {
-	i, err := s.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	cols := s.Columns()
-	cols[i].Class = class
 	return NewSchema(cols...)
 }
 

@@ -3,7 +3,6 @@ package dataset
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -76,35 +75,4 @@ func FormatSummary(t *Table) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// AppendTable appends all of u's rows to t. Schemas must be equal.
-func (t *Table) AppendTable(u *Table) error {
-	if !t.schema.Equal(u.schema) {
-		return fmt.Errorf("dataset: cannot append table with different schema")
-	}
-	scratch := make([]Value, u.NumCols())
-	for i := 0; i < u.NumRows(); i++ {
-		for j, c := range u.cols {
-			scratch[j] = c.value(i)
-		}
-		if err := t.AppendRow(scratch); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DistinctValues returns the sorted distinct rendered values of a column.
-func (t *Table) DistinctValues(col int) []string {
-	seen := make(map[string]bool)
-	for i := 0; i < t.nrows; i++ {
-		seen[t.cols[col].value(i).String()] = true
-	}
-	out := make([]string, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -47,27 +47,3 @@ func TestFormatSummary(t *testing.T) {
 		}
 	}
 }
-
-func TestAppendTable(t *testing.T) {
-	a := tableI(t)
-	b := tableI(t)
-	if err := a.AppendTable(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.NumRows() != 8 {
-		t.Errorf("rows = %d", a.NumRows())
-	}
-	// Different schema rejected.
-	other := New(MustSchema(Column{Name: "X", Class: Sensitive, Kind: Number}))
-	if err := a.AppendTable(other); err == nil {
-		t.Error("schema mismatch accepted")
-	}
-}
-
-func TestDistinctValues(t *testing.T) {
-	tb := tableI(t)
-	got := tb.DistinctValues(2) // Zipcode: 13053, 13068
-	if len(got) != 2 || got[0] != "13053" || got[1] != "13068" {
-		t.Errorf("distinct = %v", got)
-	}
-}

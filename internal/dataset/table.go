@@ -174,21 +174,6 @@ func (t *Table) Select(keep func(row []Value) bool) *Table {
 	return out
 }
 
-// SortByColumn stably sorts rows by the given column using Value.Compare.
-func (t *Table) SortByColumn(col int) {
-	perm := make([]int, t.nrows)
-	for i := range perm {
-		perm[i] = i
-	}
-	c := t.cols[col]
-	sort.SliceStable(perm, func(i, j int) bool {
-		return c.value(perm[i]).Compare(c.value(perm[j])) < 0
-	})
-	for j := range t.cols {
-		t.ensureOwned(j).permute(perm)
-	}
-}
-
 // ColumnFloats extracts a numeric column as a float slice. Cells without a
 // numeric reading (Null, Text) yield def.
 func (t *Table) ColumnFloats(col int, def float64) []float64 {
@@ -393,7 +378,8 @@ func (t *Table) GroupBy(cols []int) [][]int {
 }
 
 // String renders the table in the aligned plain-text style of the paper's
-// tables, suitable for examples and CLI output.
+// tables, suitable for examples and CLI output. The last column is not
+// padded, so no line ends in a space.
 func (t *Table) String() string {
 	widths := make([]int, t.schema.Len())
 	header := t.schema.Names()
@@ -410,6 +396,9 @@ func (t *Table) String() string {
 			}
 		}
 		rendered[i] = cells
+	}
+	if len(widths) > 0 {
+		widths[len(widths)-1] = 0 // no trailing padding
 	}
 	var b strings.Builder
 	writeRow := func(cells []string) {

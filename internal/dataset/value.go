@@ -160,50 +160,6 @@ func (v Value) Equal(w Value) bool {
 	}
 }
 
-// Compare orders cells of the same kind: numbers and intervals by midpoint
-// then width, text lexicographically. Nulls sort before everything. Cells of
-// different kinds order by kind. The result is -1, 0 or +1.
-func (v Value) Compare(w Value) int {
-	if v.kind != w.kind {
-		return cmpInt(int(v.kind), int(w.kind))
-	}
-	switch v.kind {
-	case Null:
-		return 0
-	case Text:
-		return strings.Compare(v.str, w.str)
-	default:
-		vm, _ := v.Float()
-		wm, _ := w.Float()
-		if c := cmpFloat(vm, wm); c != 0 {
-			return c
-		}
-		return cmpFloat(v.Width(), w.Width())
-	}
-}
-
-func cmpInt(a, b int) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func cmpFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
 // String renders the cell the way the paper's tables do: numbers plainly,
 // intervals as "[lo-hi]" and suppressed cells as "*".
 func (v Value) String() string {
@@ -266,27 +222,4 @@ func splitIntervalBody(body string) (lo, hi float64, err error) {
 		}
 	}
 	return 0, 0, fmt.Errorf("no valid bound separator in %q", body)
-}
-
-// Generalize returns the tightest cell covering both inputs. Two equal text
-// cells stay themselves; differing text cells generalize to Null (suppression
-// — the DGH-aware path lives in internal/hierarchy). Cells with bounds
-// generalize to the covering interval. Anything involving Null is Null.
-func Generalize(a, b Value) Value {
-	if a.IsNull() || b.IsNull() {
-		return NullValue()
-	}
-	if a.kind == Text || b.kind == Text {
-		if a.Equal(b) {
-			return a
-		}
-		return NullValue()
-	}
-	alo, ahi, _ := a.Bounds()
-	blo, bhi, _ := b.Bounds()
-	lo, hi := math.Min(alo, blo), math.Max(ahi, bhi)
-	if lo == hi {
-		return Num(lo)
-	}
-	return Span(lo, hi)
 }

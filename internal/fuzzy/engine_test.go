@@ -72,14 +72,6 @@ func TestVariableBasics(t *testing.T) {
 	if g["low"] != 1 || g["high"] != 0 {
 		t.Errorf("Fuzzify(0) = %v", g)
 	}
-	name, grade := v.BestTerm(10)
-	if name != "high" || grade != 1 {
-		t.Errorf("BestTerm(10) = %q, %g", name, grade)
-	}
-	name, _ = v.BestTerm(5)
-	if name != "med" {
-		t.Errorf("BestTerm(5) = %q", name)
-	}
 	if _, err := v.Term("nope"); err == nil {
 		t.Error("unknown term accepted")
 	}

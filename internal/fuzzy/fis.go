@@ -4,15 +4,13 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
 
-// This file implements a plain-text serialization of a complete fuzzy
-// inference system — the equivalent of the Matlab Fuzzy Logic Toolbox's
-// .fis files the paper's authors would have used. The format is line
-// oriented:
+// This file reads a complete fuzzy inference system from plain text — the
+// equivalent of the Matlab Fuzzy Logic Toolbox's .fis files the paper's
+// authors would have used. The format is line oriented:
 //
 //	# comment
 //	OUTPUT income 40000 160000
@@ -23,88 +21,9 @@ import (
 //	TERM valuation low ...
 //	RULE IF valuation IS low THEN income IS low WEIGHT 0.5
 //
-// Shapes: tri a b c | trap a b c d | gauss mean sigma | singleton x.
+// Shapes: tri a b c | trap a b c d | gauss mean sigma | singleton x |
+// sigmoid center slope | bell width slope center.
 // "-inf"/"inf" are legal trapezoid feet (open shoulders).
-
-// DumpFIS writes the system in the text format. Terms serialize in their
-// insertion order; rules in addition order.
-func DumpFIS(w io.Writer, s *System) error {
-	if s == nil {
-		return fmt.Errorf("fuzzy: dump of nil system")
-	}
-	write := func(format string, args ...any) error {
-		_, err := fmt.Fprintf(w, format, args...)
-		return err
-	}
-	dumpVar := func(kw string, v *Variable) error {
-		if err := write("%s %s %s %s\n", kw, v.Name, num(v.Lo), num(v.Hi)); err != nil {
-			return err
-		}
-		for _, t := range v.Terms() {
-			f, err := v.Term(t)
-			if err != nil {
-				return err
-			}
-			shape, err := shapeOf(f)
-			if err != nil {
-				return fmt.Errorf("fuzzy: variable %q term %q: %w", v.Name, t, err)
-			}
-			if err := write("TERM %s %s %s\n", v.Name, t, shape); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := dumpVar("OUTPUT", s.output); err != nil {
-		return err
-	}
-	names := s.Inputs()
-	sort.Strings(names)
-	for _, n := range names {
-		if err := dumpVar("INPUT", s.inputs[n]); err != nil {
-			return err
-		}
-	}
-	for _, r := range s.rules {
-		line := fmt.Sprintf("RULE IF %s THEN %s IS %s", r.Antecedent.String(), s.output.Name, r.OutputTerm)
-		if r.Weight != 1 {
-			line += " WEIGHT " + num(r.Weight)
-		}
-		if err := write("%s\n", line); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func num(x float64) string {
-	if math.IsInf(x, -1) {
-		return "-inf"
-	}
-	if math.IsInf(x, 1) {
-		return "inf"
-	}
-	return strconv.FormatFloat(x, 'g', -1, 64)
-}
-
-func shapeOf(f MembershipFunc) (string, error) {
-	switch m := f.(type) {
-	case Triangular:
-		return fmt.Sprintf("tri %s %s %s", num(m.A), num(m.B), num(m.C)), nil
-	case Trapezoid:
-		return fmt.Sprintf("trap %s %s %s %s", num(m.A), num(m.B), num(m.C), num(m.D)), nil
-	case Gaussian:
-		return fmt.Sprintf("gauss %s %s", num(m.Mean), num(m.Sigma)), nil
-	case Singleton:
-		return fmt.Sprintf("singleton %s", num(m.X)), nil
-	case Sigmoid:
-		return fmt.Sprintf("sigmoid %s %s", num(m.Center), num(m.Slope)), nil
-	case Bell:
-		return fmt.Sprintf("bell %s %s %s", num(m.Width), num(m.Slope), num(m.Center)), nil
-	default:
-		return "", fmt.Errorf("unserializable membership function %T", f)
-	}
-}
 
 // ParseFIS reads a system in the text format. The engine options are the
 // caller's (they are runtime configuration, not part of the model).
@@ -264,34 +183,4 @@ func parseShape(kind string, args []string) (MembershipFunc, error) {
 	default:
 		return nil, fmt.Errorf("unknown shape %q", kind)
 	}
-}
-
-// SampleSurface evaluates the membership of every term of a variable at n
-// evenly spaced points — the data behind membership-function plots like the
-// paper's Figure 2 sketches.
-func SampleSurface(v *Variable, n int) (xs []float64, grades map[string][]float64, err error) {
-	if v == nil {
-		return nil, nil, fmt.Errorf("fuzzy: nil variable")
-	}
-	if n < 2 {
-		return nil, nil, fmt.Errorf("fuzzy: need ≥ 2 samples, got %d", n)
-	}
-	xs = make([]float64, n)
-	grades = make(map[string][]float64, len(v.Terms()))
-	for _, t := range v.Terms() {
-		grades[t] = make([]float64, n)
-	}
-	dx := (v.Hi - v.Lo) / float64(n-1)
-	for i := 0; i < n; i++ {
-		x := v.Lo + float64(i)*dx
-		xs[i] = x
-		for _, t := range v.Terms() {
-			f, err := v.Term(t)
-			if err != nil {
-				return nil, nil, err
-			}
-			grades[t][i] = f.Grade(x)
-		}
-	}
-	return xs, grades, nil
 }

@@ -1,7 +1,6 @@
 package fuzzy
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -52,62 +51,50 @@ func TestParseFIS(t *testing.T) {
 	}
 }
 
-func TestDumpParseRoundTrip(t *testing.T) {
-	orig, err := ParseFIS(strings.NewReader(sampleFIS), Options{})
+// TestParseFISShapes parses one term of every smooth and point shape and
+// checks each grade for grade against the shape's own constructor.
+func TestParseFISShapes(t *testing.T) {
+	const src = `
+OUTPUT y 0 10
+TERM y g gauss 5 1.5
+TERM y p singleton 7.7
+TERM y s sigmoid 5 1.5
+TERM y b bell 2 3 5
+`
+	sys, err := ParseFIS(strings.NewReader(src), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := DumpFIS(&buf, orig); err != nil {
+	g, err := NewGaussian(5, 1.5)
+	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseFIS(bytes.NewReader(buf.Bytes()), Options{})
+	sg, err := NewSigmoid(5, 1.5)
 	if err != nil {
-		t.Fatalf("re-parse of dump failed: %v\n%s", err, buf.String())
+		t.Fatal(err)
 	}
-	// Same evaluations across the domain.
-	for x := 0.0; x <= 10; x += 0.7 {
-		in := map[string]float64{"valuation": x}
-		a, errA := orig.Evaluate(in)
-		b, errB := back.Evaluate(in)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("x=%g: error mismatch %v vs %v", x, errA, errB)
+	bl, err := NewBell(2, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]MembershipFunc{"g": g, "p": Singleton{X: 7.7}, "s": sg, "b": bl}
+	if got := sys.Output().Terms(); len(got) != len(want) {
+		t.Fatalf("terms = %v", got)
+	}
+	xs := []float64{7.7}
+	for x := 0.0; x <= 10; x += 0.1 {
+		xs = append(xs, x)
+	}
+	for name, f := range want {
+		parsed, err := sys.Output().Term(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if errA == nil && a != b {
-			t.Errorf("x=%g: %g vs %g", x, a, b)
+		for _, x := range xs {
+			if a, b := parsed.Grade(x), f.Grade(x); a != b {
+				t.Fatalf("term %s at %g: parsed %g, constructed %g", name, x, a, b)
+			}
 		}
-	}
-}
-
-func TestDumpGaussAndSingleton(t *testing.T) {
-	out, err := NewVariable("y", 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := NewGaussian(0.5, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := out.AddTerm("mid", g); err != nil {
-		t.Fatal(err)
-	}
-	if err := out.AddTerm("spike", Singleton{X: 0.9}); err != nil {
-		t.Fatal(err)
-	}
-	sys, err := NewSystem(out, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := DumpFIS(&buf, sys); err != nil {
-		t.Fatal(err)
-	}
-	s := buf.String()
-	if !strings.Contains(s, "gauss 0.5 0.1") || !strings.Contains(s, "singleton 0.9") {
-		t.Errorf("dump missing shapes:\n%s", s)
-	}
-	if _, err := ParseFIS(strings.NewReader(s), Options{}); err != nil {
-		t.Errorf("dump does not re-parse: %v", err)
 	}
 }
 
@@ -128,6 +115,9 @@ func TestParseFISErrors(t *testing.T) {
 		{"trap arity", "OUTPUT y 0 1\nTERM y a trap 1 2 3\n"},
 		{"gauss arity", "OUTPUT y 0 1\nTERM y a gauss 1\n"},
 		{"singleton arity", "OUTPUT y 0 1\nTERM y a singleton\n"},
+		{"sigmoid arity", "OUTPUT y 0 1\nTERM y a sigmoid 1\n"},
+		{"bell arity", "OUTPUT y 0 1\nTERM y a bell 1 2\n"},
+		{"flat sigmoid", "OUTPUT y 0 1\nTERM y a sigmoid 0.5 0\n"},
 		{"bad number", "OUTPUT y 0 1\nTERM y a tri 0 x 1\n"},
 		{"unknown keyword", "OUTPUT y 0 1\nTERM y a tri 0 0.5 1\nBOGUS\n"},
 		{"duplicate var", "OUTPUT y 0 1\nTERM y a tri 0 0.5 1\nINPUT y 0 1\n"},
@@ -141,47 +131,5 @@ func TestParseFISErrors(t *testing.T) {
 				t.Errorf("accepted:\n%s", tc.src)
 			}
 		})
-	}
-}
-
-func TestDumpNilSystem(t *testing.T) {
-	if err := DumpFIS(&bytes.Buffer{}, nil); err == nil {
-		t.Error("nil system accepted")
-	}
-}
-
-func TestSampleSurface(t *testing.T) {
-	v, err := NewVariable("x", 0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := v.ThreeTerms("low", "med", "high"); err != nil {
-		t.Fatal(err)
-	}
-	xs, grades, err := SampleSurface(v, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(xs) != 11 || xs[0] != 0 || xs[10] != 10 {
-		t.Errorf("xs = %v", xs)
-	}
-	if len(grades) != 3 {
-		t.Errorf("terms sampled = %d", len(grades))
-	}
-	if grades["low"][0] != 1 || grades["high"][10] != 1 {
-		t.Error("shoulder grades wrong")
-	}
-	for _, g := range grades {
-		for i, y := range g {
-			if y < 0 || y > 1 {
-				t.Fatalf("grade[%d] = %g", i, y)
-			}
-		}
-	}
-	if _, _, err := SampleSurface(nil, 5); err == nil {
-		t.Error("nil variable accepted")
-	}
-	if _, _, err := SampleSurface(v, 1); err == nil {
-		t.Error("n=1 accepted")
 	}
 }

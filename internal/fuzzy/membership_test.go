@@ -2,7 +2,6 @@ package fuzzy
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -191,48 +190,6 @@ func TestBell(t *testing.T) {
 	}
 	if _, err := NewBell(1, 0, 0); err == nil {
 		t.Error("zero slope accepted")
-	}
-}
-
-func TestFISSigmoidBellRoundTrip(t *testing.T) {
-	out, err := NewVariable("y", 0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sg, err := NewSigmoid(5, 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bl, err := NewBell(2, 3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := out.AddTerm("s", sg); err != nil {
-		t.Fatal(err)
-	}
-	if err := out.AddTerm("b", bl); err != nil {
-		t.Fatal(err)
-	}
-	sys, err := NewSystem(out, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if err := DumpFIS(&buf, sys); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseFIS(strings.NewReader(buf.String()), Options{})
-	if err != nil {
-		t.Fatalf("re-parse: %v\n%s", err, buf.String())
-	}
-	for x := 0.0; x <= 10; x += 1.1 {
-		for _, term := range []string{"s", "b"} {
-			f1, _ := sys.Output().Term(term)
-			f2, _ := back.Output().Term(term)
-			if f1.Grade(x) != f2.Grade(x) {
-				t.Fatalf("term %s differs at %g", term, x)
-			}
-		}
 	}
 }
 

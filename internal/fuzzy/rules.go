@@ -165,20 +165,6 @@ func ParseRule(text string) (Rule, error) {
 	}, nil
 }
 
-// outputVar records the THEN-side variable for validation against the
-// system's output variable.
-func (r Rule) OutputVar() string { return r.outputVar }
-
-// MustParseRule is ParseRule that panics on error, for statically known
-// rule sets.
-func MustParseRule(text string) Rule {
-	r, err := ParseRule(text)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // ParseRules parses one rule per non-empty, non-comment ('#') line.
 func ParseRules(text string) ([]Rule, error) {
 	var out []Rule

@@ -10,7 +10,7 @@ func TestParseSimpleRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.OutputTerm != "high" || r.OutputVar() != "income" || r.Weight != 1 {
+	if r.OutputTerm != "high" || r.outputVar != "income" || r.Weight != 1 {
 		t.Errorf("rule = %+v", r)
 	}
 	c, ok := r.Antecedent.(cond)
@@ -191,13 +191,4 @@ func TestStrengthEvaluation(t *testing.T) {
 			t.Errorf("%q product strength = %g, want %g", tc.src, got, tc.prod)
 		}
 	}
-}
-
-func TestMustParseRulePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustParseRule did not panic")
-		}
-	}()
-	MustParseRule("garbage")
 }

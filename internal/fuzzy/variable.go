@@ -1,9 +1,6 @@
 package fuzzy
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Variable is a linguistic variable: a named crisp domain [Lo, Hi] carved
 // into named fuzzy terms ("Low", "Med", "High" in Figure 2).
@@ -65,24 +62,6 @@ func (v *Variable) Fuzzify(x float64) map[string]float64 {
 		out[name] = f.Grade(x)
 	}
 	return out
-}
-
-// BestTerm returns the term with the highest grade at x, breaking ties by
-// term name for determinism.
-func (v *Variable) BestTerm(x float64) (string, float64) {
-	names := make([]string, 0, len(v.terms))
-	for n := range v.terms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var bestName string
-	best := -1.0
-	for _, n := range names {
-		if g := v.terms[n].Grade(x); g > best {
-			best, bestName = g, n
-		}
-	}
-	return bestName, best
 }
 
 // ThreeTerms partitions the variable into the Low/Med/High shape of

@@ -1,30 +1,23 @@
-// Package hierarchy implements generalization hierarchies — the substrate
-// k-anonymity by generalization [2] rewrites quasi-identifier values with.
+// Package hierarchy implements the numeric generalization hierarchy that
+// k-anonymity by generalization [2] rewrites quasi-identifier values with:
+// Ladder, which snaps numbers into intervals whose width doubles at each
+// level (Age 28 → [25-30) → [20-40) → …), the interval scheme of the
+// paper's Table III.
 //
-// Two kinds are provided:
-//
-//   - DGH: a domain generalization hierarchy for categorical values (a tree
-//     whose leaves are ground values and whose internal nodes are coarser
-//     labels, e.g. Russian → European → Person).
-//   - Ladder: a numeric generalization ladder that snaps numbers into
-//     intervals whose width doubles at each level (Age 28 → [25-30) →
-//     [20-40) → …), the interval scheme of the paper's Table III.
-//
-// Both satisfy Generalizer, keyed by a non-negative level where level 0 is
-// the ground (unmodified) value and MaxLevel() is full suppression.
+// Ladder satisfies Generalizer, keyed by a non-negative level where level 0
+// is the ground (unmodified) value and MaxLevel() is the whole domain.
 package hierarchy
 
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"repro/internal/dataset"
 )
 
 // Generalizer rewrites a cell to a coarser representation at a level in
 // [0, MaxLevel()]. Level 0 returns the value unchanged; MaxLevel() returns
-// the fully suppressed (or root) value.
+// the coarsest value.
 type Generalizer interface {
 	// GeneralizeValue returns the generalization of v at the given level.
 	GeneralizeValue(v dataset.Value, level int) (dataset.Value, error)
@@ -34,193 +27,6 @@ type Generalizer interface {
 
 // ErrLevel is returned for levels outside [0, MaxLevel()].
 var ErrLevel = errors.New("hierarchy: level out of range")
-
-// ErrUnknownValue is returned when a categorical value is not a leaf of the
-// DGH.
-var ErrUnknownValue = errors.New("hierarchy: value not in hierarchy")
-
-// ---------------------------------------------------------------------------
-// Categorical DGH
-
-// DGH is a domain generalization hierarchy over categorical values. All
-// leaves sit at depth Height-1; generalizing a leaf by l levels walks l
-// parent links. The root generalization is rendered as a Null (suppressed)
-// cell when the root label is "*", and as a Text cell otherwise.
-type DGH struct {
-	height int
-	parent map[string]string // child label → parent label
-	depth  map[string]int    // label → depth from root (root = 0)
-	leaf   map[string]bool
-	root   string
-}
-
-// NewDGH builds a hierarchy from parent links (child → parent) and a root
-// label. Every chain from a leaf must reach the root, and all leaves must be
-// at uniform depth so that full-domain generalization is well defined.
-func NewDGH(root string, parents map[string]string) (*DGH, error) {
-	if root == "" {
-		return nil, errors.New("hierarchy: empty root label")
-	}
-	d := &DGH{parent: make(map[string]string, len(parents)), depth: map[string]int{root: 0}, root: root}
-	for c, p := range parents {
-		if c == root {
-			return nil, fmt.Errorf("hierarchy: root %q cannot have a parent", root)
-		}
-		if c == "" || p == "" {
-			return nil, errors.New("hierarchy: empty label in parent map")
-		}
-		d.parent[c] = p
-	}
-	// Compute depths, detecting cycles and orphans.
-	hasChild := make(map[string]bool)
-	for _, p := range d.parent {
-		hasChild[p] = true
-	}
-	for c := range d.parent {
-		depth, err := d.resolveDepth(c, make(map[string]bool))
-		if err != nil {
-			return nil, err
-		}
-		d.depth[c] = depth
-	}
-	// Leaves are labels that never appear as a parent. Check uniform depth.
-	d.leaf = make(map[string]bool)
-	leafDepth := -1
-	for c := range d.parent {
-		if hasChild[c] {
-			continue
-		}
-		d.leaf[c] = true
-		if leafDepth == -1 {
-			leafDepth = d.depth[c]
-		} else if d.depth[c] != leafDepth {
-			return nil, fmt.Errorf("hierarchy: leaves at mixed depths (%d and %d); pad the shallow branches", leafDepth, d.depth[c])
-		}
-	}
-	if leafDepth == -1 {
-		return nil, errors.New("hierarchy: DGH has no leaves")
-	}
-	d.height = leafDepth + 1
-	return d, nil
-}
-
-func (d *DGH) resolveDepth(label string, seen map[string]bool) (int, error) {
-	if label == d.root {
-		return 0, nil
-	}
-	if seen[label] {
-		return 0, fmt.Errorf("hierarchy: cycle through %q", label)
-	}
-	seen[label] = true
-	p, ok := d.parent[label]
-	if !ok {
-		return 0, fmt.Errorf("hierarchy: %q does not reach root %q", label, d.root)
-	}
-	pd, err := d.resolveDepth(p, seen)
-	if err != nil {
-		return 0, err
-	}
-	return pd + 1, nil
-}
-
-// Height returns the number of levels including the ground level.
-func (d *DGH) Height() int { return d.height }
-
-// MaxLevel returns Height()-1: generalizing a leaf all the way to the root.
-func (d *DGH) MaxLevel() int { return d.height - 1 }
-
-// Root returns the root label.
-func (d *DGH) Root() string { return d.root }
-
-// IsLeaf reports whether label is a ground value of the hierarchy.
-func (d *DGH) IsLeaf(label string) bool { return d.leaf[label] }
-
-// Leaves returns the number of ground values.
-func (d *DGH) Leaves() int { return len(d.leaf) }
-
-// Ancestor returns the label l parent-steps above the given leaf.
-func (d *DGH) Ancestor(leaf string, steps int) (string, error) {
-	if _, ok := d.depth[leaf]; !ok {
-		return "", fmt.Errorf("%w: %q", ErrUnknownValue, leaf)
-	}
-	cur := leaf
-	for i := 0; i < steps; i++ {
-		p, ok := d.parent[cur]
-		if !ok {
-			return "", fmt.Errorf("%w: %d above %q", ErrLevel, steps, leaf)
-		}
-		cur = p
-	}
-	return cur, nil
-}
-
-// GeneralizeValue implements Generalizer for text cells. Null cells stay
-// Null at any level. A root label of "*" renders as a suppressed cell.
-func (d *DGH) GeneralizeValue(v dataset.Value, level int) (dataset.Value, error) {
-	if level < 0 || level > d.MaxLevel() {
-		return dataset.Value{}, fmt.Errorf("%w: %d not in [0, %d]", ErrLevel, level, d.MaxLevel())
-	}
-	if v.IsNull() {
-		return v, nil
-	}
-	s, ok := v.Text()
-	if !ok {
-		return dataset.Value{}, fmt.Errorf("hierarchy: DGH generalizes text cells, got %s", v.Kind())
-	}
-	if !d.IsLeaf(s) {
-		return dataset.Value{}, fmt.Errorf("%w: %q", ErrUnknownValue, s)
-	}
-	label, err := d.Ancestor(s, level)
-	if err != nil {
-		return dataset.Value{}, err
-	}
-	if label == "*" {
-		return dataset.NullValue(), nil
-	}
-	return dataset.Str(label), nil
-}
-
-// ParseDGH reads a hierarchy from text: the first non-comment line is the
-// root label, every further line is "child -> parent". Blank lines and '#'
-// comments are ignored. This is the CLI-friendly way to supply categorical
-// hierarchies to the kanon scheme.
-func ParseDGH(text string) (*DGH, error) {
-	var root string
-	parents := make(map[string]string)
-	for lineNo, raw := range strings.Split(text, "\n") {
-		line := strings.TrimSpace(raw)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if root == "" {
-			if strings.Contains(line, "->") {
-				return nil, fmt.Errorf("hierarchy: line %d: expected a root label before parent links", lineNo+1)
-			}
-			root = line
-			continue
-		}
-		parts := strings.SplitN(line, "->", 2)
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("hierarchy: line %d: expected \"child -> parent\", got %q", lineNo+1, line)
-		}
-		child := strings.TrimSpace(parts[0])
-		parent := strings.TrimSpace(parts[1])
-		if child == "" || parent == "" {
-			return nil, fmt.Errorf("hierarchy: line %d: empty label", lineNo+1)
-		}
-		if prev, dup := parents[child]; dup && prev != parent {
-			return nil, fmt.Errorf("hierarchy: line %d: %q already has parent %q", lineNo+1, child, prev)
-		}
-		parents[child] = parent
-	}
-	if root == "" {
-		return nil, errors.New("hierarchy: empty hierarchy text")
-	}
-	return NewDGH(root, parents)
-}
-
-// ---------------------------------------------------------------------------
-// Numeric ladder
 
 // Ladder generalizes numbers into grid-aligned intervals whose width doubles
 // per level: level 1 intervals have width Base, level 2 width 2·Base, level

@@ -7,180 +7,6 @@ import (
 	"repro/internal/dataset"
 )
 
-// nationalityDGH builds the classic three-level nationality hierarchy of the
-// k-anonymity literature: ground values → continent → "*".
-func nationalityDGH(t *testing.T) *DGH {
-	t.Helper()
-	d, err := NewDGH("*", map[string]string{
-		"Russian":  "European",
-		"Japanese": "Asian",
-		"American": "N-American",
-		"Canadian": "N-American",
-		"European": "*", "Asian": "*", "N-American": "*",
-	})
-	if err != nil {
-		t.Fatalf("NewDGH: %v", err)
-	}
-	return d
-}
-
-func TestDGHBasics(t *testing.T) {
-	d := nationalityDGH(t)
-	if d.Height() != 3 || d.MaxLevel() != 2 {
-		t.Errorf("Height = %d, MaxLevel = %d", d.Height(), d.MaxLevel())
-	}
-	if d.Root() != "*" {
-		t.Errorf("Root = %q", d.Root())
-	}
-	if !d.IsLeaf("Russian") || d.IsLeaf("European") || d.IsLeaf("*") || d.IsLeaf("Martian") {
-		t.Error("IsLeaf wrong")
-	}
-	if d.Leaves() != 4 {
-		t.Errorf("Leaves = %d", d.Leaves())
-	}
-}
-
-func TestDGHAncestor(t *testing.T) {
-	d := nationalityDGH(t)
-	for _, tc := range []struct {
-		leaf  string
-		steps int
-		want  string
-	}{
-		{"Russian", 0, "Russian"},
-		{"Russian", 1, "European"},
-		{"Russian", 2, "*"},
-		{"American", 1, "N-American"},
-	} {
-		got, err := d.Ancestor(tc.leaf, tc.steps)
-		if err != nil || got != tc.want {
-			t.Errorf("Ancestor(%q, %d) = %q, %v; want %q", tc.leaf, tc.steps, got, err, tc.want)
-		}
-	}
-	if _, err := d.Ancestor("Russian", 3); err == nil {
-		t.Error("over-deep ancestor accepted")
-	}
-	if _, err := d.Ancestor("Martian", 1); err == nil {
-		t.Error("unknown leaf accepted")
-	}
-}
-
-func TestDGHGeneralizeValue(t *testing.T) {
-	d := nationalityDGH(t)
-	v, err := d.GeneralizeValue(dataset.Str("Japanese"), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s, _ := v.Text(); s != "Asian" {
-		t.Errorf("level 1 = %v", v)
-	}
-	// Root "*" renders as suppression.
-	v, err = d.GeneralizeValue(dataset.Str("Japanese"), 2)
-	if err != nil || !v.IsNull() {
-		t.Errorf("level 2 = %v, %v; want null", v, err)
-	}
-	// Level 0 identity.
-	v, err = d.GeneralizeValue(dataset.Str("Japanese"), 0)
-	if err != nil || !v.Equal(dataset.Str("Japanese")) {
-		t.Errorf("level 0 = %v, %v", v, err)
-	}
-	// Null propagates.
-	v, err = d.GeneralizeValue(dataset.NullValue(), 1)
-	if err != nil || !v.IsNull() {
-		t.Errorf("null = %v, %v", v, err)
-	}
-	// Errors.
-	if _, err := d.GeneralizeValue(dataset.Str("Japanese"), 3); err == nil {
-		t.Error("over-level accepted")
-	}
-	if _, err := d.GeneralizeValue(dataset.Str("Japanese"), -1); err == nil {
-		t.Error("negative level accepted")
-	}
-	if _, err := d.GeneralizeValue(dataset.Num(3), 1); err == nil {
-		t.Error("numeric cell accepted by DGH")
-	}
-	if _, err := d.GeneralizeValue(dataset.Str("Martian"), 1); err == nil {
-		t.Error("unknown value accepted")
-	}
-	if _, err := d.GeneralizeValue(dataset.Str("European"), 1); err == nil {
-		t.Error("internal node accepted as input")
-	}
-}
-
-func TestNewDGHValidation(t *testing.T) {
-	if _, err := NewDGH("", nil); err == nil {
-		t.Error("empty root accepted")
-	}
-	if _, err := NewDGH("*", map[string]string{"*": "x"}); err == nil {
-		t.Error("root with parent accepted")
-	}
-	if _, err := NewDGH("*", map[string]string{"": "x"}); err == nil {
-		t.Error("empty label accepted")
-	}
-	if _, err := NewDGH("*", map[string]string{"a": "b", "b": "a"}); err == nil {
-		t.Error("cycle accepted")
-	}
-	if _, err := NewDGH("*", map[string]string{"a": "orphanparent"}); err == nil {
-		t.Error("orphan chain accepted")
-	}
-	if _, err := NewDGH("*", nil); err == nil {
-		t.Error("leafless hierarchy accepted")
-	}
-	// Mixed leaf depth: a at depth 1, b at depth 2.
-	if _, err := NewDGH("*", map[string]string{"a": "*", "b": "mid", "mid": "*"}); err == nil {
-		t.Error("mixed leaf depths accepted")
-	}
-}
-
-func TestParseDGH(t *testing.T) {
-	d, err := ParseDGH(`
-# nationality hierarchy
-*
-Russian -> European
-Japanese -> Asian
-American -> N-American
-European -> *
-Asian -> *
-N-American -> *
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Height() != 3 || !d.IsLeaf("Japanese") {
-		t.Errorf("height = %d", d.Height())
-	}
-	got, err := d.Ancestor("Russian", 1)
-	if err != nil || got != "European" {
-		t.Errorf("ancestor = %q, %v", got, err)
-	}
-}
-
-func TestParseDGHErrors(t *testing.T) {
-	cases := []struct {
-		name, src string
-	}{
-		{"empty", ""},
-		{"comments only", "# nothing\n"},
-		{"link before root", "a -> b\n"},
-		{"malformed link", "*\njust-a-label\n"},
-		{"empty child", "*\n -> x\n"},
-		{"empty parent", "*\nx -> \n"},
-		{"conflicting parents", "*\na -> b\na -> c\nb -> *\nc -> *\n"},
-		{"orphan", "*\na -> missing\n"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ParseDGH(tc.src); err == nil {
-				t.Errorf("accepted:\n%s", tc.src)
-			}
-		})
-	}
-	// Duplicate identical links are fine.
-	if _, err := ParseDGH("*\na -> *\na -> *\n"); err != nil {
-		t.Errorf("idempotent duplicate rejected: %v", err)
-	}
-}
-
 func TestLadderBasics(t *testing.T) {
 	l, err := NewLadder(0, 100, 5)
 	if err != nil {
@@ -268,37 +94,6 @@ func TestLadderContainmentProperty(t *testing.T) {
 				return false
 			}
 			prevW = g.Width()
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: DGH generalization is idempotent in the sense that two values
-// sharing a level-l ancestor share all coarser ancestors too.
-func TestDGHMonotoneMergingProperty(t *testing.T) {
-	d := nationalityDGH(t)
-	leaves := []string{"Russian", "Japanese", "American", "Canadian"}
-	f := func(i, j, lvl uint8) bool {
-		a := leaves[int(i)%len(leaves)]
-		b := leaves[int(j)%len(leaves)]
-		l := int(lvl) % (d.MaxLevel() + 1)
-		ga, err1 := d.GeneralizeValue(dataset.Str(a), l)
-		gb, err2 := d.GeneralizeValue(dataset.Str(b), l)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		if !ga.Equal(gb) {
-			return true // nothing to check
-		}
-		for m := l; m <= d.MaxLevel(); m++ {
-			ga, _ = d.GeneralizeValue(dataset.Str(a), m)
-			gb, _ = d.GeneralizeValue(dataset.Str(b), m)
-			if !ga.Equal(gb) {
-				return false
-			}
 		}
 		return true
 	}

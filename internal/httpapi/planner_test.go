@@ -13,8 +13,8 @@ import (
 
 // End-to-end coverage of the adaptive planner spec fields over REST: k-set
 // and budget-bound sweeps, spec validation, and the SSE shape of the skip
-// events a bisecting sweep publishes. Runs in CI's sweep job — keep test
-// names matching 'Planner|WarmStart'.
+// events a bisecting sweep publishes. Runs raced in CI's race job, with
+// the rest of the suite.
 
 // TestEndToEndAdaptivePlannerSpecs uploads a monotone-utility cohort and
 // drives the new spec fields through the full REST stack.

@@ -108,28 +108,6 @@ func (a *Anonymizer) AnonymizeDetail(t *dataset.Table, k int) (*Result, error) {
 	return nil, fmt.Errorf("%w (k=%d, max suppression %d rows)", ErrUnsatisfiable, k, maxSup)
 }
 
-// AnonymizeAtLevels applies an explicit level vector (keyed by QI name)
-// without any search or suppression, returning the generalized table. This
-// is the building block CLI users reach for when they want Table III exactly.
-func (a *Anonymizer) AnonymizeAtLevels(t *dataset.Table, levels map[string]int) (*dataset.Table, error) {
-	qiNames := t.Schema().NamesOf(dataset.QuasiIdentifier)
-	vec := make([]int, len(qiNames))
-	gens := make([]hierarchy.Generalizer, len(qiNames))
-	for i, n := range qiNames {
-		g, ok := a.Generalizers[n]
-		if !ok {
-			return nil, fmt.Errorf("kanon: no hierarchy for quasi-identifier %q", n)
-		}
-		gens[i] = g
-		lvl, ok := levels[n]
-		if !ok {
-			return nil, fmt.Errorf("kanon: no level given for quasi-identifier %q", n)
-		}
-		vec[i] = lvl
-	}
-	return applyVector(t, qiNames, gens, vec)
-}
-
 func (a *Anonymizer) tryVector(t *dataset.Table, qiNames []string, gens []hierarchy.Generalizer, vec []int, k, maxSup int) (*Result, bool, error) {
 	gt, err := applyVector(t, qiNames, gens, vec)
 	if err != nil {

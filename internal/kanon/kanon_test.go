@@ -157,62 +157,6 @@ func TestAnonymizeMissingHierarchy(t *testing.T) {
 	}
 }
 
-func TestAnonymizeAtLevels(t *testing.T) {
-	tb := paperTableII(t)
-	a := New(investGens(t))
-	out, err := a.AnonymizeAtLevels(tb, map[string]int{"InvstVol": 1, "InvstAmt": 1, "Valuation": 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every QI cell is one of the two level-1 buckets.
-	for i := 0; i < out.NumRows(); i++ {
-		for _, c := range out.Schema().IndicesOf(dataset.QuasiIdentifier) {
-			s := out.Cell(i, c).String()
-			if s != "[0-5]" && s != "[5-10]" {
-				t.Errorf("cell (%d,%d) = %s", i, c, s)
-			}
-		}
-	}
-	if _, err := a.AnonymizeAtLevels(tb, map[string]int{"InvstVol": 1}); err == nil {
-		t.Error("partial level map accepted")
-	}
-	if _, err := a.AnonymizeAtLevels(tb, map[string]int{"InvstVol": 99, "InvstAmt": 0, "Valuation": 0}); err == nil {
-		t.Error("out-of-range level accepted")
-	}
-}
-
-func TestCategoricalDGHIntegration(t *testing.T) {
-	tb := dataset.New(dataset.MustSchema(
-		dataset.Column{Name: "Name", Class: dataset.Identifier, Kind: dataset.Text},
-		dataset.Column{Name: "Nationality", Class: dataset.QuasiIdentifier, Kind: dataset.Text},
-		dataset.Column{Name: "Condition", Class: dataset.Sensitive, Kind: dataset.Text},
-	))
-	tb.MustAppendRow(dataset.Str("Alice"), dataset.Str("Russian"), dataset.Str("AIDS"))
-	tb.MustAppendRow(dataset.Str("Bob"), dataset.Str("American"), dataset.Str("Flu"))
-	tb.MustAppendRow(dataset.Str("Christine"), dataset.Str("Japanese"), dataset.Str("Cancer"))
-	tb.MustAppendRow(dataset.Str("Robert"), dataset.Str("American"), dataset.Str("Meningitis"))
-	dgh, err := hierarchy.NewDGH("*", map[string]string{
-		"Russian": "European", "Japanese": "Asian", "American": "N-American",
-		"European": "*", "Asian": "*", "N-American": "*",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := New(map[string]hierarchy.Generalizer{"Nationality": dgh})
-	res, err := a.AnonymizeDetail(tb, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Continent level cannot make Russian+Japanese a pair; only the root
-	// level (suppression of the column) yields 2-anonymity.
-	if res.Levels["Nationality"] != 2 {
-		t.Errorf("Nationality level = %d, want 2", res.Levels["Nationality"])
-	}
-	if !IsKAnonymous(res.Table, 2) {
-		t.Error("not 2-anonymous")
-	}
-}
-
 func TestIsKAnonymous(t *testing.T) {
 	tb := paperTableII(t)
 	if IsKAnonymous(tb, 2) {

@@ -24,41 +24,6 @@ func TestNormalizeName(t *testing.T) {
 	}
 }
 
-func TestLevenshtein(t *testing.T) {
-	tests := []struct {
-		a, b string
-		want int
-	}{
-		{"", "", 0},
-		{"abc", "", 3},
-		{"", "abc", 3},
-		{"kitten", "sitting", 3},
-		{"flaw", "lawn", 2},
-		{"gumbo", "gambol", 2},
-		{"same", "same", 0},
-	}
-	for _, tc := range tests {
-		if got := Levenshtein(tc.a, tc.b); got != tc.want {
-			t.Errorf("Levenshtein(%q, %q) = %d, want %d", tc.a, tc.b, got, tc.want)
-		}
-	}
-}
-
-func TestLevenshteinSimilarity(t *testing.T) {
-	if got := LevenshteinSimilarity("", ""); got != 1 {
-		t.Errorf("empty = %g", got)
-	}
-	if got := LevenshteinSimilarity("abcd", "abcd"); got != 1 {
-		t.Errorf("same = %g", got)
-	}
-	if got := LevenshteinSimilarity("abcd", "wxyz"); got != 0 {
-		t.Errorf("disjoint = %g", got)
-	}
-	if got := LevenshteinSimilarity("abcd", "abce"); !almost(got, 0.75, 1e-12) {
-		t.Errorf("one edit = %g", got)
-	}
-}
-
 func TestJaro(t *testing.T) {
 	// Classic reference values.
 	if got := Jaro("MARTHA", "MARHTA"); !almost(got, 0.944444, 1e-5) {
@@ -192,77 +157,6 @@ func TestLinkValidation(t *testing.T) {
 	m = &Matcher{Sim: JaroWinkler, Threshold: 1.5}
 	if _, err := m.Link([]string{"a"}, []string{"b"}); err == nil {
 		t.Error("bad threshold accepted")
-	}
-}
-
-func TestDiceBigram(t *testing.T) {
-	if got := DiceBigram("night", "nacht"); almost(got, 0.25, 1e-12) == false {
-		t.Errorf("night/nacht = %g, want 0.25", got)
-	}
-	if got := DiceBigram("same", "same"); got != 1 {
-		t.Errorf("identical = %g", got)
-	}
-	if got := DiceBigram("", ""); got != 1 {
-		t.Errorf("both empty = %g", got)
-	}
-	if got := DiceBigram("a", "b"); got != 1 { // no bigrams on either side
-		t.Errorf("single runes = %g", got)
-	}
-	if got := DiceBigram("ab", "xy"); got != 0 {
-		t.Errorf("disjoint = %g", got)
-	}
-	if got := DiceBigram("ab", "z"); got != 0 {
-		t.Errorf("one empty bigram set = %g", got)
-	}
-	// Multiset semantics: repeated bigrams do not inflate similarity.
-	if got := DiceBigram("aaaa", "aa"); got >= 1 {
-		t.Errorf("repeat inflation: %g", got)
-	}
-	// Token reordering is cheap for Dice (unlike Levenshtein).
-	reordered := DiceBigram("deutsche bank", "bank deutsche")
-	if reordered < 0.7 {
-		t.Errorf("reordered tokens = %g, want high", reordered)
-	}
-}
-
-// Property: Dice stays in [0, 1] and is symmetric.
-func TestDiceBigramRangeProperty(t *testing.T) {
-	f := func(a, b string) bool {
-		if len(a) > 20 {
-			a = a[:20]
-		}
-		if len(b) > 20 {
-			b = b[:20]
-		}
-		d1 := DiceBigram(a, b)
-		d2 := DiceBigram(b, a)
-		return d1 >= 0 && d1 <= 1 && math.Abs(d1-d2) < 1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Levenshtein is a metric on short random strings (symmetry,
-// identity, triangle inequality).
-func TestLevenshteinMetricProperty(t *testing.T) {
-	clip := func(s string) string {
-		if len(s) > 8 {
-			return s[:8]
-		}
-		return s
-	}
-	f := func(a, b, c string) bool {
-		a, b, c = clip(a), clip(b), clip(c)
-		dab := Levenshtein(a, b)
-		dba := Levenshtein(b, a)
-		daa := Levenshtein(a, a)
-		dac := Levenshtein(a, c)
-		dcb := Levenshtein(c, b)
-		return dab == dba && daa == 0 && dab <= dac+dcb
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -4,9 +4,9 @@
 // (Section 3.B).
 //
 // The paper assumes exact identifiers; real web extraction yields noisy
-// names, so the package provides approximate string similarity (Levenshtein,
-// Jaro, Jaro-Winkler), phonetic blocking (Soundex) and a best-match linker
-// with a similarity threshold.
+// names, so the package provides approximate string similarity (Jaro,
+// Jaro-Winkler), phonetic blocking (Soundex) and a best-match linker with a
+// similarity threshold.
 package linkage
 
 import (
@@ -35,58 +35,6 @@ func NormalizeName(s string) string {
 		}
 	}
 	return strings.Join(tokens, " ")
-}
-
-// Levenshtein returns the edit distance between two strings (unit costs).
-func Levenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == 0 {
-		return len(rb)
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(rb)]
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
-}
-
-// LevenshteinSimilarity maps edit distance into [0, 1]:
-// 1 − d / max(len(a), len(b)). Two empty strings are fully similar.
-func LevenshteinSimilarity(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	longest := la
-	if lb > longest {
-		longest = lb
-	}
-	return 1 - float64(Levenshtein(a, b))/float64(longest)
 }
 
 // Jaro returns the Jaro similarity in [0, 1].
@@ -160,44 +108,6 @@ func JaroWinkler(a, b string) float64 {
 		prefix++
 	}
 	return j + float64(prefix)*0.1*(1-j)
-}
-
-// DiceBigram returns the Sørensen–Dice coefficient over character bigrams —
-// a token-order-insensitive similarity that complements Jaro-Winkler for
-// long multi-word strings (e.g. employer names).
-func DiceBigram(a, b string) float64 {
-	ba := bigrams(a)
-	bb := bigrams(b)
-	if len(ba) == 0 && len(bb) == 0 {
-		return 1
-	}
-	if len(ba) == 0 || len(bb) == 0 {
-		return 0
-	}
-	counts := make(map[string]int, len(ba))
-	for _, g := range ba {
-		counts[g]++
-	}
-	var overlap int
-	for _, g := range bb {
-		if counts[g] > 0 {
-			counts[g]--
-			overlap++
-		}
-	}
-	return 2 * float64(overlap) / float64(len(ba)+len(bb))
-}
-
-func bigrams(s string) []string {
-	runes := []rune(s)
-	if len(runes) < 2 {
-		return nil
-	}
-	out := make([]string, 0, len(runes)-1)
-	for i := 0; i+1 < len(runes); i++ {
-		out = append(out, string(runes[i:i+2]))
-	}
-	return out
 }
 
 // Soundex returns the classic four-character American Soundex code of the

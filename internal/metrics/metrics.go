@@ -226,39 +226,6 @@ func UtilityWith(t *dataset.Table, k int, g *dataset.Grouper) (float64, error) {
 	return 1 / cdm, nil
 }
 
-// PerRecordUtility returns the paper's per-record utility column
-// u_i = 1/C_i where C_i is the cost of the equivalence class of record i
-// (|E|² if |E| ≥ k, |D|·|E| otherwise).
-func PerRecordUtility(t *dataset.Table, k int) ([]float64, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("metrics: per-record utility needs k ≥ 1, got %d", k)
-	}
-	qis := t.Schema().IndicesOf(dataset.QuasiIdentifier)
-	if len(qis) == 0 {
-		return nil, errors.New("metrics: table has no quasi-identifier columns")
-	}
-	var g dataset.Grouper
-	ids, sizes := g.Classes(t, qis)
-	n := float64(t.NumRows())
-	k32 := int32(k)
-	// 1/cost per class, then a gather: per-row values depend only on the
-	// row's own class, never on class order.
-	inv := make([]float64, len(sizes))
-	for c, s := range sizes {
-		size := float64(s)
-		if s >= k32 {
-			inv[c] = 1 / (size * size)
-		} else {
-			inv[c] = 1 / (n * size)
-		}
-	}
-	out := make([]float64, t.NumRows())
-	for i, id := range ids {
-		out[i] = inv[id]
-	}
-	return out, nil
-}
-
 // InformationGain is the paper's G = (P ∘ P') − (P ∘ P̂) (Section 6.B): how
 // much closer the adversary's post-fusion estimate is to the truth than the
 // pre-fusion release alone.

@@ -185,28 +185,6 @@ func TestUtilityDecreasesWithK(t *testing.T) {
 	}
 }
 
-func TestPerRecordUtility(t *testing.T) {
-	tb := groupedTable(t, []int{3, 2})
-	u, err := PerRecordUtility(tb, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First three records in the size-3 class: cost 9. Last two: cost 5·2=10.
-	for i := 0; i < 3; i++ {
-		if !almost(u[i], 1.0/9, 1e-15) {
-			t.Errorf("u[%d] = %g, want 1/9", i, u[i])
-		}
-	}
-	for i := 3; i < 5; i++ {
-		if !almost(u[i], 1.0/10, 1e-15) {
-			t.Errorf("u[%d] = %g, want 1/10", i, u[i])
-		}
-	}
-	if _, err := PerRecordUtility(tb, 0); err == nil {
-		t.Error("k=0 accepted")
-	}
-}
-
 func TestInformationGain(t *testing.T) {
 	if g := InformationGain(5.3e8, 3.2e8); !almost(g, 2.1e8, 1) {
 		t.Errorf("G = %g", g)
@@ -214,46 +192,6 @@ func TestInformationGain(t *testing.T) {
 	if g := InformationGain(1, 2); g != -1 {
 		t.Errorf("negative gain = %g", g)
 	}
-}
-
-// Property: per-record utilities of a conforming table sum to
-// Σ_E |E|·(1/|E|²) = Σ_E 1/|E| and every record in one class gets the same
-// utility.
-func TestPerRecordUtilityConsistencyProperty(t *testing.T) {
-	f := func(sizesRaw []uint8) bool {
-		var sizes []int
-		for _, s := range sizesRaw {
-			if len(sizes) >= 6 {
-				break
-			}
-			sizes = append(sizes, int(s%5)+2) // classes of 2..6
-		}
-		if len(sizes) == 0 {
-			return true
-		}
-		tb := groupedTable(nil, sizes)
-		u, err := PerRecordUtility(tb, 2)
-		if err != nil {
-			return false
-		}
-		var want float64
-		for _, s := range sizes {
-			want += 1 / float64(s)
-		}
-		return almost(Sum(u), want, 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Sum is a tiny local helper to avoid importing stats here.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }
 
 // TestColumnDissimilaritySpecializations pins every specialized column-count

@@ -100,26 +100,6 @@ func WriteAssessment(w io.Writer, a *risk.Assessment, opts Options) error {
 	return writeTable(w, head, rows, opts)
 }
 
-// WriteAdaptive renders an adaptive-defense result.
-func WriteAdaptive(w io.Writer, res *core.AdaptiveResult, opts Options) error {
-	if res == nil {
-		return errors.New("report: nil adaptive result")
-	}
-	if err := writeTitle(w, opts, "Adaptive defense"); err != nil {
-		return err
-	}
-	head := []string{"metric", "value"}
-	rows := [][]string{
-		{"rounds", fmt.Sprintf("%d", res.Rounds)},
-		{"records suppressed", fmt.Sprintf("%d", len(res.Suppressed))},
-		{"exposure before", fmt.Sprintf("%.0f%%", 100*res.ExposedBefore)},
-		{"exposure after", fmt.Sprintf("%.0f%%", 100*res.ExposedAfter)},
-		{"utility", fmt.Sprintf("%.6g", res.Utility)},
-		{"exhausted", fmt.Sprintf("%v", res.Exhausted)},
-	}
-	return writeTable(w, head, rows, opts)
-}
-
 func writeTitle(w io.Writer, opts Options, def string) error {
 	title := opts.Title
 	if title == "" {

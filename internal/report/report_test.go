@@ -101,27 +101,6 @@ func TestWriteAssessment(t *testing.T) {
 	}
 }
 
-func TestWriteAdaptive(t *testing.T) {
-	res := &core.AdaptiveResult{
-		Rounds: 18, Suppressed: make([]int, 18),
-		ExposedBefore: 0.45, ExposedAfter: 0.38,
-		Utility: 0.0011, Exhausted: true,
-	}
-	var b strings.Builder
-	if err := WriteAdaptive(&b, res, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"Adaptive defense", "45%", "38%", "true", "18"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in:\n%s", want, out)
-		}
-	}
-	if err := WriteAdaptive(&b, nil, Options{}); err == nil {
-		t.Error("nil adaptive accepted")
-	}
-}
-
 func TestTextAlignment(t *testing.T) {
 	var b strings.Builder
 	if err := WriteAssessment(&b, &risk.Assessment{Records: 7}, Options{}); err != nil {

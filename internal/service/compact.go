@@ -69,12 +69,10 @@ func (j *job) walImage() []*WALRecord {
 			Progress: ev.Progress, Source: ev.Source,
 		})
 	}
-	if st.State.Terminal() {
-		stCopy := st
-		out = append(out, &WALRecord{
-			Seq: j.termSeq, Kind: WALStatus, JobID: st.ID,
-			Status: &stCopy, Result: j.resultRec,
-		})
+	if j.termRec != nil {
+		// Terminal — or claimed, with its terminal record durable and the
+		// state not yet published.
+		out = append(out, j.termRec)
 	} else if j.cancelRequested {
 		// Cancel journaled, worker still unwinding: preserve the record, or
 		// a crash before the terminal append would re-run a canceled job.
@@ -96,8 +94,8 @@ func (j *job) firstSeqLocked() uint64 {
 			return j.events[i].Seq - 1
 		}
 	}
-	if j.termSeq > 0 {
-		return j.termSeq - 1
+	if j.termRec != nil && j.termRec.Seq > 0 {
+		return j.termRec.Seq - 1
 	}
 	return 0
 }

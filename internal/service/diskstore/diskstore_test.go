@@ -17,6 +17,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/fusion"
 	"repro/internal/microagg"
+	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/service/diskstore"
 )
@@ -445,6 +446,33 @@ func TestRecoverResumesInterruptedSweepDisk(t *testing.T) {
 	}
 	if fingerprintHex(t, res.Table) != wantHash {
 		t.Fatal("resumed run's release table is not byte-identical to the uninterrupted run's")
+	}
+}
+
+// TestRecoverResumedJobIsTracedDisk: a crash-resumed fred-sweep runs under
+// its own identity, as a submitted one does, so its trace holds the job.run
+// span and the planner.plan and sweep.level spans of the levels it computes.
+func TestRecoverResumedJobIsTracedDisk(t *testing.T) {
+	dir, jobID, _, _ := runUninterrupted(t)
+	truncateWAL(t, dir, jobID, 2)
+
+	tracer := obs.NewTracer(obs.DefaultTraceCapacity)
+	_, _, engine := openPlane(t, dir, service.Options{Workers: 1, SweepWorkers: 1, Tracer: tracer})
+	if _, err := engine.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	engine.Start()
+	if st := waitDone(t, engine, jobID); st.State != service.StateDone || !st.Resumed {
+		t.Fatalf("resumed job state %s (resumed %v), want done and resumed", st.State, st.Resumed)
+	}
+	spans := make(map[string]int)
+	for _, sp := range tracer.Spans(jobID) {
+		spans[sp.Name]++
+	}
+	for _, name := range []string{"job.run", "planner.plan", "sweep.level"} {
+		if spans[name] == 0 {
+			t.Errorf("resumed job's trace has no %s span; spans by name: %v", name, spans)
+		}
 	}
 }
 

@@ -12,6 +12,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -459,5 +461,282 @@ func TestBlobGCReclaimsUnreferenced(t *testing.T) {
 	waitDone(t, engine, st2.ID)
 	if left, _ := filepath.Glob(blobGlob); len(left) == 0 {
 		t.Fatal("re-run did not rewrite the result blob")
+	}
+}
+
+// TestDoneJobsKeepBlobsUnderGCAndCompaction races blob GC and online log
+// compaction against finishing jobs. A job is published done only after its
+// blob is written and rooted, so every job observed done has its result
+// blob on disk; half the jobs are deleted as they finish, so later jobs
+// with the same result re-root blobs the GC loop is reclaiming. After the
+// loops stop, a restart recovers every kept job done with its result.
+func TestDoneJobsKeepBlobsUnderGCAndCompaction(t *testing.T) {
+	dir := t.TempDir()
+	// CacheSize -1: no result-cache root, so each blob is rooted by its
+	// jobs alone. Nothing is held: the gated store is a plain disk store.
+	opts := service.Options{Workers: 2, SweepWorkers: 1, CacheSize: -1}
+	ds, engine, spec := openGatedPlane(t, dir, opts)
+
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	for _, pass := range []func() error{
+		func() error { _, err := engine.GCBlobs(false); return err },
+		engine.CompactLog,
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := pass(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	halt := sync.OnceFunc(func() {
+		close(stop)
+		wg.Wait()
+	})
+	t.Cleanup(halt)
+
+	kept := make(map[string]string) // job ID → result hash
+	for i := 0; i < 16; i++ {
+		spec.MaxK = 4 + i%4
+		st, err := engine.Submit(service.DefaultTenant, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st = waitDone(t, engine, st.ID); st.State != service.StateDone {
+			t.Fatalf("job %s state %s (%s), want done", st.ID, st.State, st.Error)
+		}
+		res, err := engine.Result(service.DefaultTenant, st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fingerprintHex(t, res.Table)
+		if _, err := os.Stat(filepath.Join(dir, "results", h+".snap")); err != nil {
+			t.Fatalf("job %s observed done without its result blob: %v", st.ID, err)
+		}
+		if i%2 == 1 {
+			if err := engine.Delete(service.DefaultTenant, st.ID); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		kept[st.ID] = h
+	}
+	halt()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := engine.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, _, engine2 := openPlane(t, dir, opts)
+	if _, err := engine2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	for id, h := range kept {
+		st, err := engine2.Job(service.DefaultTenant, id)
+		if err != nil || st.State != service.StateDone {
+			t.Fatalf("job %s recovered as %s (%v), want done", id, st.State, err)
+		}
+		res, err := engine2.Result(service.DefaultTenant, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Table == nil || fingerprintHex(t, res.Table) != h {
+			t.Fatalf("job %s recovered without its result table", id)
+		}
+	}
+}
+
+// gatedStore is a disk store whose next ListBlobs or SyncWAL call can be
+// held: the held call signals entered and waits until open is called.
+// Holding ListBlobs freezes a blob-GC pass between its root scan and its
+// deletes; holding SyncWAL freezes a finishing job between its terminal
+// append and its publish.
+type gatedStore struct {
+	*diskstore.Store
+	holdList, holdSync atomic.Bool
+	entered            chan struct{}
+	gate               chan struct{}
+	opened             sync.Once
+}
+
+func (g *gatedStore) open() { g.opened.Do(func() { close(g.gate) }) }
+
+func (g *gatedStore) hold(h *atomic.Bool) {
+	if h.CompareAndSwap(true, false) {
+		g.entered <- struct{}{}
+		<-g.gate
+	}
+}
+
+func (g *gatedStore) ListBlobs() ([]service.BlobInfo, error) {
+	g.hold(&g.holdList)
+	return g.Store.ListBlobs()
+}
+
+func (g *gatedStore) SyncWAL() error {
+	g.hold(&g.holdSync)
+	return g.Store.SyncWAL()
+}
+
+// openGatedPlane is openPlane over a gatedStore, with tables P and Q of the
+// 30-row university cohort uploaded and the engine recovered and started.
+func openGatedPlane(t *testing.T, dir string, opts service.Options) (*gatedStore, *service.Engine, service.Spec) {
+	t.Helper()
+	ds, err := diskstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &gatedStore{Store: ds, entered: make(chan struct{}, 1), gate: make(chan struct{})}
+	t.Cleanup(func() { ds.Close() })
+	store := service.NewStoreWith(g)
+	if err := store.Open(); err != nil {
+		t.Fatal(err)
+	}
+	opts.JobLog = g
+	engine := service.NewEngine(store, opts)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		engine.Shutdown(ctx)
+	})
+	t.Cleanup(g.open) // runs first: a failed test must not leave a call held
+	sc, err := repro.UniversityScenario(repro.ScenarioOptions{Seed: 42, N: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pInfo, err := store.Put(service.DefaultTenant, "P", sc.P)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qInfo, err := store.Put(service.DefaultTenant, "Q", sc.Q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := engine.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	engine.Start()
+	return g, engine, sweepSpec(pInfo.ID, qInfo.ID)
+}
+
+// TestBlobGCSparesBlobRootedMidPass freezes a GC pass after its root scan,
+// with an unreferenced blob on disk, and lets a job with the same result
+// finish meanwhile. The job must not be published done while its blob can
+// still be reclaimed: when the pass ends, the job is done and its blob is
+// on disk.
+func TestBlobGCSparesBlobRootedMidPass(t *testing.T) {
+	dir := t.TempDir()
+	g, engine, spec := openGatedPlane(t, dir, service.Options{Workers: 1, SweepWorkers: 1, CacheSize: -1})
+	first, err := engine.Submit(service.DefaultTenant, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, engine, first.ID)
+	res, err := engine.Result(service.DefaultTenant, first.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := filepath.Join(dir, "results", fingerprintHex(t, res.Table)+".snap")
+	if err := engine.Delete(service.DefaultTenant, first.ID); err != nil {
+		t.Fatal(err)
+	}
+
+	g.holdList.Store(true)
+	gcErr := make(chan error, 1)
+	go func() {
+		_, err := engine.GCBlobs(false)
+		gcErr <- err
+	}()
+	<-g.entered
+	second, err := engine.Submit(service.DefaultTenant, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Give the job time to finish if nothing holds it behind the pass.
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	engine.Wait(ctx, service.DefaultTenant, second.ID) //nolint:errcheck // a timeout is the expected outcome
+	cancel()
+	g.open()
+	if err := <-gcErr; err != nil {
+		t.Fatal(err)
+	}
+	if st := waitDone(t, engine, second.ID); st.State != service.StateDone {
+		t.Fatalf("job %s state %s (%s), want done", st.ID, st.State, st.Error)
+	}
+	if _, err := os.Stat(blob); err != nil {
+		t.Fatalf("job %s is done but the GC pass reclaimed its blob: %v", second.ID, err)
+	}
+}
+
+// TestCompactionKeepsUnpublishedTerminalRecord freezes a finishing job
+// between its terminal append and its publish, compacts the log there, and
+// restarts. The job is not done before its terminal record is synced, and
+// the compacted log still holds that record, so the job recovers done with
+// its result.
+func TestCompactionKeepsUnpublishedTerminalRecord(t *testing.T) {
+	dir := t.TempDir()
+	opts := service.Options{Workers: 1, SweepWorkers: 1}
+	g, engine, spec := openGatedPlane(t, dir, opts)
+	g.holdSync.Store(true)
+	st, err := engine.Submit(service.DefaultTenant, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-g.entered
+	if got, err := engine.Job(service.DefaultTenant, st.ID); err != nil || got.State.Terminal() {
+		t.Fatalf("job %s is %s (%v) before its terminal record is synced", st.ID, got.State, err)
+	}
+	if err := engine.CompactLog(); err != nil {
+		t.Fatal(err)
+	}
+	g.open()
+	waitDone(t, engine, st.ID)
+	res, err := engine.Result(service.DefaultTenant, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fingerprintHex(t, res.Table)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := engine.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, _, engine2 := openPlane(t, dir, opts)
+	if _, err := engine2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := engine2.Job(service.DefaultTenant, st.ID); err != nil || got.State != service.StateDone {
+		t.Fatalf("job %s recovered as %s (%v), want done", st.ID, got.State, err)
+	}
+	got, err := engine2.Result(service.DefaultTenant, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Table == nil || fingerprintHex(t, got.Table) != want {
+		t.Fatalf("job %s recovered without its result table", st.ID)
 	}
 }

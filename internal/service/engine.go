@@ -140,6 +140,11 @@ type Engine struct {
 	// are monotonic AND appear in the log in order.
 	walMu    sync.Mutex
 	eventSeq uint64
+	// blobMu orders result-blob writes against blob GC: persistTerminal
+	// roots a blob's hash and writes it under the read lock, and GCBlobs
+	// reads the job roots, lists and deletes under the write lock, so a pass
+	// never reclaims a blob a finishing job has rooted.
+	blobMu sync.RWMutex
 
 	mu       sync.RWMutex
 	seq      int
@@ -202,14 +207,19 @@ type job struct {
 	eventsBase int
 	droppedSeq uint64
 	notify     chan struct{}
-	// termSeq is the event sequence number of the terminal status record,
-	// assigned by logTerminal (best-effort: a subscriber racing the WAL
-	// append may observe it as zero). Guarded by mu.
-	termSeq uint64
-	// resultRec is the durable projection logTerminal wrote (nil for jobs
-	// that failed, were canceled, or ran on an ephemeral store). Online log
-	// compaction re-emits it instead of re-hashing the result table, and
-	// blob GC reads its TableHash as a liveness root. Guarded by mu.
+	// claimed marks a job whose terminal transition finalize has taken: its
+	// outcome is decided and being persisted, but not yet published.
+	// Guarded by mu.
+	claimed bool
+	// termRec is the terminal status record, attached in the same walMu
+	// critical section that appends it (Seq 0 if the append failed), so
+	// online compaction re-emits a terminal record that is durable but not
+	// yet published. Its Seq closes the event stream. Guarded by mu.
+	termRec *WALRecord
+	// resultRec is the durable projection of a done job's result (nil for
+	// jobs that failed, were canceled, or ran on an ephemeral store). It is
+	// set before the result blob is written, and blob GC reads its TableHash
+	// as a liveness root. Guarded by mu.
 	resultRec *ResultRecord
 	// cancelRequested marks a journaled cancellation whose terminal record
 	// has not landed yet; online compaction must preserve the WALCancel
@@ -228,17 +238,23 @@ func (j *job) snapshot() Status {
 func (j *job) setProgress(p float64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if !j.status.State.Terminal() {
+	if !j.settledLocked() {
 		j.status.Progress = p
 	}
 }
 
+// settledLocked reports whether the job's outcome is decided: claimed by
+// finalize or already terminal. Callers hold j.mu.
+func (j *job) settledLocked() bool {
+	return j.claimed || j.status.State.Terminal()
+}
+
 // start transitions pending → running; it reports false when the job was
-// already finalized (e.g. canceled while queued).
+// already finalized or claimed (e.g. canceled while queued).
 func (j *job) start() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status.State != StatePending {
+	if j.status.State != StatePending || j.claimed {
 		return false
 	}
 	now := time.Now()
@@ -247,46 +263,85 @@ func (j *job) start() bool {
 	return true
 }
 
-// finish finalizes the job exactly once; later calls are no-ops. It reports
-// whether this call performed the transition, so exactly one caller retires
-// the job into the engine's finished log.
-func (j *job) finish(res *Result, err error) bool {
+// claim takes the job's terminal transition exactly once and returns the
+// status it will publish; later calls report false. The job's visible state
+// is unchanged until publish.
+func (j *job) claim(res *Result, err error) (Status, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status.State.Terminal() {
-		return false
+	if j.settledLocked() {
+		return Status{}, false
 	}
+	j.claimed = true
+	st := j.status
 	now := time.Now()
-	j.status.Finished = &now
+	st.Finished = &now
 	switch {
 	case err == nil:
-		j.result = res
-		j.status.State = StateDone
-		j.status.Progress = 1
-		j.status.Summary = res.summarize(j.status.Type)
+		st.State = StateDone
+		st.Progress = 1
+		st.Summary = res.summarize(st.Type)
+		if res != nil && len(res.Levels) > 0 {
+			// Adopt the result's level summaries: they carry the final
+			// candidate flags the streamed partials could not know under
+			// auto-calibration.
+			st.Levels = res.Levels
+		}
 	case errors.Is(err, context.Canceled):
-		j.status.State = StateCanceled
-		j.status.Error = "canceled"
+		st.State = StateCanceled
+		st.Error = "canceled"
 	default:
-		j.status.State = StateFailed
-		j.status.Error = err.Error()
+		st.State = StateFailed
+		st.Error = err.Error()
 	}
+	return st, true
+}
+
+// publish makes a claimed terminal status visible. The state change, the
+// event-log truncation (down to keepEvents, negative for none), close(done)
+// and the subscriber wake-up share one critical section, so no observer
+// sees the terminal state without the bounded log or the other way round.
+func (j *job) publish(st Status, res *Result, keepEvents int) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if st.State == StateDone {
+		j.result = res
+	}
+	j.status.State = st.State
+	j.status.Finished = st.Finished
+	j.status.Progress = st.Progress
+	j.status.Summary = st.Summary
+	j.status.Error = st.Error
+	j.status.Levels = st.Levels
+	j.truncateEventsLocked(keepEvents)
 	close(j.done)
-	if err == nil && res != nil && len(res.Levels) > 0 {
-		// Adopt the result's level summaries: they carry the final candidate
-		// flags the streamed partials could not know under auto-calibration.
-		j.status.Levels = res.Levels
-	}
 	// Release the job's child context so finished jobs do not accumulate
 	// on the engine's base context, and drop the captured input tables so
 	// a deleted store table is not pinned for the daemon's lifetime. The
-	// worker never reads p/aux after finish: a finalized job fails its
+	// worker never reads p/aux after finalize: a claimed job fails its
 	// start() gate.
 	j.cancel()
 	j.p, j.aux = nil, nil
 	// Wake subscribers so they observe the terminal state and close out.
 	j.broadcastLocked()
-	return true
+}
+
+// newJob builds a runnable job record. Its context carries the job's
+// identity, so every log line and trace span recorded under it is
+// correlated to the job (cancel propagates through the value wrapper
+// unchanged). Submit and crash recovery both build jobs here.
+func (e *Engine) newJob(st Status, seq int, spec Spec) *job {
+	ctx, cancel := context.WithCancel(e.baseCtx)
+	ctx = obs.WithJobID(obs.WithTenant(ctx, st.Tenant), st.ID)
+	return &job{
+		status: st,
+		seq:    seq,
+		spec:   spec,
+		ctx:    ctx,
+		cancel: cancel,
+		done:   make(chan struct{}),
+		notify: make(chan struct{}),
+	}
 }
 
 // NewEngine builds an engine over the store. Call Start to launch the
@@ -413,32 +468,32 @@ func (e *Engine) cachePut(j *job, res *Result) {
 	e.cache.Put(tenant, j.key, res, e.opts.Quotas.For(tenant).CacheShare)
 }
 
-// finalize finishes a job exactly once, writes its terminal WAL record,
-// retires it into the finished log and logs any retention evictions. It must
-// not be called while holding e.mu (it performs WAL I/O and takes the lock
-// itself).
+// finalize finishes a job exactly once, in the order that keeps every
+// client-visible terminal state behind what a crash preserves: claim the
+// transition, persist it (result blob, terminal WAL record, sync), do the
+// bookkeeping a client can see (retention eviction and its WAL deletes,
+// the finished metrics and log line), then publish. It must not be called
+// while holding e.mu (it performs WAL I/O and takes the lock itself).
 func (e *Engine) finalize(j *job, res *Result, err error) bool {
-	if !j.finish(res, err) {
+	st, ok := j.claim(res, err)
+	if !ok {
 		return false
 	}
-	e.observeTerminal(j)
-	e.logTerminal(j)
-	// The terminal record (and result blob, when durable) is on disk now, so
-	// the full in-memory event log is redundant with the result: keep only a
-	// bounded tail for resuming subscribers.
-	e.truncateEvents(j)
+	e.persistTerminal(j, st, res)
 	e.mu.Lock()
 	evicted := e.retireLocked(j)
 	e.mu.Unlock()
 	e.logDeletes(evicted)
+	e.observeTerminal(st)
+	j.publish(st, res, e.opts.MaxJobEvents)
 	return true
 }
 
-// observeTerminal records a just-finished job's metrics and log line. The
-// duration histogram measures worker start → terminal, so cache-served jobs
-// (never started) contribute to jobs_finished_total but not to duration.
-func (e *Engine) observeTerminal(j *job) {
-	st := j.snapshot()
+// observeTerminal records a finishing job's metrics and log line from its
+// terminal status. The duration histogram measures worker start →
+// terminal, so cache-served jobs (never started) contribute to
+// jobs_finished_total but not to duration.
+func (e *Engine) observeTerminal(st Status) {
 	e.doneJobs.Add(1)
 	e.metrics.finished.With(st.Tenant, string(st.Type), string(st.State)).Inc()
 	attrs := []any{"type", string(st.Type), "state", string(st.State), "cached", st.Cached}
@@ -470,8 +525,8 @@ func (e *Engine) retireLocked(j *job) []string {
 		return nil
 	}
 	if _, ok := e.jobs[j.status.ID]; !ok {
-		// Deleted between finish() and retire(): don't resurrect a ghost
-		// entry that would pin the result and consume a retention slot.
+		// No longer in the job log: don't resurrect a ghost entry that
+		// would pin the result and consume a retention slot.
 		return nil
 	}
 	e.finished = append(e.finished, j)
@@ -498,36 +553,46 @@ func (e *Engine) appendWAL(rec *WALRecord) (uint64, error) {
 	return rec.Seq, e.opts.JobLog.AppendWAL(rec)
 }
 
-// logTerminal appends a job's terminal status record — and, for a done job
-// on a durable store, the result projection plus the result table's blob —
-// then syncs the log: terminal records are the ones a crash must not lose.
-func (e *Engine) logTerminal(j *job) {
-	st := j.snapshot()
+// persistTerminal makes a claimed terminal status durable before anything
+// observes it: for a done job on a durable store the result projection and
+// its table blob, then the terminal WAL record, then a sync — terminal
+// records are the ones a crash must not lose.
+func (e *Engine) persistTerminal(j *job, st Status, res *Result) {
 	rec := &WALRecord{Kind: WALStatus, JobID: st.ID, Status: &st}
 	if st.State == StateDone {
-		rec.Result = e.resultRecord(j)
+		rec.Result = e.resultRecord(j, res)
 	}
-	seq, err := e.appendWAL(rec)
+	if e.appendTerminal(j, rec) == nil {
+		e.opts.JobLog.SyncWAL() //nolint:errcheck // durability is best-effort here
+	}
+}
+
+// appendTerminal appends a job's terminal record and attaches it to the job
+// in the same walMu critical section. CompactLog holds walMu for its whole
+// rewrite, so it either runs before the append or finds the record on the
+// job, even while the job has not published its terminal state.
+func (e *Engine) appendTerminal(j *job, rec *WALRecord) error {
+	e.walMu.Lock()
+	defer e.walMu.Unlock()
+	e.eventSeq++
+	rec.Seq = e.eventSeq
+	err := e.opts.JobLog.AppendWAL(rec)
 	if err != nil {
 		// Not durable: the terminal event must not advertise a sequence
 		// number recovery could reissue (see recordLevel).
-		seq = 0
-	} else {
-		e.opts.JobLog.SyncWAL() //nolint:errcheck // durability is best-effort here
+		rec.Seq = 0
 	}
 	j.mu.Lock()
-	j.termSeq = seq
-	j.resultRec = rec.Result
+	j.termRec = rec
 	j.mu.Unlock()
+	return err
 }
 
 // resultRecord builds the durable projection of a done job's result,
-// persisting the result table as a content-addressed blob. Ephemeral stores
+// persisting the result table as a content-addressed blob. The hash is a
+// blob-GC root (resultRec) before the blob is written. Ephemeral stores
 // skip the blob work entirely.
-func (e *Engine) resultRecord(j *job) *ResultRecord {
-	j.mu.Lock()
-	res := j.result
-	j.mu.Unlock()
+func (e *Engine) resultRecord(j *job, res *Result) *ResultRecord {
 	if res == nil || !e.store.Durable() {
 		return nil
 	}
@@ -543,12 +608,26 @@ func (e *Engine) resultRecord(j *job) *ResultRecord {
 		After:      res.After,
 		Assessment: res.Assessment,
 	}
-	if res.Table != nil {
-		if h, err := HashTable(res.Table); err == nil {
-			if err := e.store.PutBlob(h, res.Table); err == nil {
-				rec.TableHash = h
-			}
-		}
+	j.mu.Lock()
+	j.resultRec = rec
+	j.mu.Unlock()
+	if res.Table == nil {
+		return rec
+	}
+	h, err := HashTable(res.Table)
+	if err != nil {
+		return rec
+	}
+	// Root the hash, then write the blob, both under blobMu (see GCBlobs).
+	e.blobMu.RLock()
+	defer e.blobMu.RUnlock()
+	j.mu.Lock()
+	rec.TableHash = h
+	j.mu.Unlock()
+	if err := e.store.PutBlob(h, res.Table); err != nil {
+		j.mu.Lock()
+		rec.TableHash = "" // no blob: recovery must not look for one
+		j.mu.Unlock()
 	}
 	return rec
 }
@@ -622,26 +701,9 @@ func (e *Engine) Submit(tenant string, spec Spec) (Status, error) {
 		return Status{}, &QuotaError{Tenant: tenant, Resource: "jobs", Limit: q.MaxJobs}
 	}
 	e.seq++
-	id := fmt.Sprintf("job-%d", e.seq)
-	ctx, cancel := context.WithCancel(e.baseCtx)
-	// The job context carries its identity so every log line and trace span
-	// recorded under it is correlated to this job (cancel propagates through
-	// the value wrapper unchanged).
-	ctx = obs.WithJobID(obs.WithTenant(ctx, tenant), id)
 	now := time.Now()
-	j := &job{
-		status:   Status{ID: id, Tenant: tenant, Type: spec.Type, State: StatePending, Created: now},
-		seq:      e.seq,
-		spec:     spec,
-		p:        p,
-		aux:      aux,
-		key:      key,
-		levelKey: levelKey,
-		ctx:      ctx,
-		cancel:   cancel,
-		done:     make(chan struct{}),
-		notify:   make(chan struct{}),
-	}
+	j := e.newJob(Status{ID: fmt.Sprintf("job-%d", e.seq), Tenant: tenant, Type: spec.Type, State: StatePending, Created: now}, e.seq, spec)
+	j.p, j.aux, j.key, j.levelKey = p, aux, key, levelKey
 	// Register before releasing the lock: a submission must be visible to
 	// EvictTables (which spares tables referenced by live jobs) for the
 	// whole window the WAL append below may block on disk. A refused
@@ -652,7 +714,7 @@ func (e *Engine) Submit(tenant string, spec Spec) (Status, error) {
 		e.mu.Lock()
 		delete(e.jobs, j.status.ID)
 		e.mu.Unlock()
-		cancel()
+		j.cancel()
 	}
 	// The WAL submission record is written before the job becomes runnable:
 	// a crash at any later point replays as an interrupted job and is
@@ -684,7 +746,7 @@ func (e *Engine) Submit(tenant string, spec Spec) (Status, error) {
 		j.mu.Lock()
 		j.status.Cached = true
 		j.mu.Unlock()
-		e.logger.InfoContext(ctx, "job submitted", "type", string(spec.Type), "cached", true)
+		e.logger.InfoContext(j.ctx, "job submitted", "type", string(spec.Type), "cached", true)
 		e.finalize(j, res, nil)
 		return j.snapshot(), nil
 	}
@@ -704,7 +766,7 @@ func (e *Engine) Submit(tenant string, spec Spec) (Status, error) {
 		e.mu.Unlock()
 		return retract(e.shed(tenant, "global", e.opts.QueueDepth))
 	}
-	e.logger.InfoContext(ctx, "job submitted", "type", string(spec.Type), "cached", false)
+	e.logger.InfoContext(j.ctx, "job submitted", "type", string(spec.Type), "cached", false)
 	return j.snapshot(), nil
 }
 

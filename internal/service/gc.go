@@ -6,7 +6,7 @@ import (
 )
 
 // This file implements garbage collection of content-addressed result blobs.
-// Blobs are written by logTerminal for every durable done job and are shared
+// Blobs are written by persistTerminal for every durable done job and are shared
 // by content, so nothing deletes them eagerly: Engine.Delete, retention
 // eviction and WAL compaction all leave the blob space alone. GCBlobs is the
 // reclaim path: it walks the backend's blob space and deletes every blob not
@@ -53,21 +53,25 @@ type GCReport struct {
 
 // GCBlobs deletes every result blob unreferenced by live jobs, the result
 // cache, or the stored tables. With dryRun it only reports what a real pass
-// would delete. It is safe to run while the engine is serving: the live set
-// is computed from the engine's own job log, which every reachable blob hash
-// passes through (logTerminal records it before the job becomes terminal,
-// and recovery restores it), so a blob can never be observed unreferenced
-// while a job that will reference it is in flight — jobs only reference
-// blobs they themselves just wrote.
+// would delete. It is safe to run while the engine is serving: every blob a
+// job references is rooted in the job (resultRec) before it is written, and
+// the pass reads the job roots, lists and deletes under blobMu's write lock
+// while a finishing job roots and writes its blob under the read lock. So a
+// blob a job has rooted is never reclaimed, and a blob reclaimed just
+// before a job roots the same content is written again — a job is
+// published done only after that write.
 func (e *Engine) GCBlobs(dryRun bool) (GCReport, error) {
 	gc, ok := e.store.backend.(BlobGC)
 	if !ok {
 		return GCReport{}, ErrNoBlobGC
 	}
-	live, err := e.liveBlobHashes()
+	live, err := e.cacheAndTableHashes()
 	if err != nil {
 		return GCReport{}, err
 	}
+	e.blobMu.Lock()
+	defer e.blobMu.Unlock()
+	e.addJobRoots(live)
 	blobs, err := gc.ListBlobs()
 	if err != nil {
 		return GCReport{}, fmt.Errorf("service: list blobs: %w", err)
@@ -97,10 +101,9 @@ func (e *Engine) GCBlobs(dryRun bool) (GCReport, error) {
 	return rep, nil
 }
 
-// liveBlobHashes computes the GC root set: every blob hash reachable from a
-// job in the engine's log, a cached result's table, or a stored table.
-func (e *Engine) liveBlobHashes() (map[string]bool, error) {
-	live := make(map[string]bool)
+// addJobRoots adds every blob hash rooted by a job in the engine's log to
+// live. Callers hold blobMu's write lock.
+func (e *Engine) addJobRoots(live map[string]bool) {
 	e.mu.RLock()
 	jobs := make([]*job, 0, len(e.jobs))
 	for _, j := range e.jobs {
@@ -114,6 +117,13 @@ func (e *Engine) liveBlobHashes() (map[string]bool, error) {
 		}
 		j.mu.Unlock()
 	}
+}
+
+// cacheAndTableHashes computes the GC roots outside the job log: every
+// cached result's table and every stored table. They need no lock against
+// finishing jobs, which root their own blobs (addJobRoots).
+func (e *Engine) cacheAndTableHashes() (map[string]bool, error) {
+	live := make(map[string]bool)
 	// Cached results hold their tables in memory; hashing them re-derives
 	// the content address their blob (if any) lives under. Hash outside the
 	// cache lock — fingerprinting a large table is not cheap.

@@ -16,8 +16,8 @@ import (
 
 // The adaptive-planner service suite: cross-job warm starts through the
 // level index, the bisection planner behind adaptive specs, and the
-// observability both feed. Runs in CI's sweep job (raced) — keep test
-// names matching 'Planner|WarmStart'.
+// observability both feed. Runs raced in CI's race job, with the rest of
+// the suite.
 
 // plannerFixture is testFixture at a cohort size where the utility series
 // is strictly monotone (n ≥ ~400), so bisection actually skips levels

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -187,7 +186,7 @@ func (e *Engine) Recover() ([]RecoveredJob, error) {
 		if rj.status != nil && rj.status.State.Terminal() {
 			j := e.rebuildTerminal(rj)
 			live = append(live, &WALRecord{
-				Seq: j.termSeq, Kind: WALStatus, JobID: rj.id,
+				Seq: rj.statusSeq, Kind: WALStatus, JobID: rj.id,
 				Status: rj.status, Result: rj.result,
 			})
 			recovered = append(recovered, RecoveredJob{Status: j.snapshot()})
@@ -227,18 +226,19 @@ func firstSeqOf(rj *replayedJob) uint64 {
 // degrades to a result-less job rather than failing recovery.
 func (e *Engine) rebuildTerminal(rj *replayedJob) *job {
 	j := &job{
-		status:  *rj.status,
-		seq:     rj.seq,
-		spec:    rj.spec,
-		done:    make(chan struct{}),
-		notify:  make(chan struct{}),
-		termSeq: rj.statusSeq,
+		status: *rj.status,
+		seq:    rj.seq,
+		spec:   rj.spec,
+		done:   make(chan struct{}),
+		notify: make(chan struct{}),
 	}
 	if j.status.Tenant == "" {
 		// Terminal records written before multi-tenancy: the migrated
 		// tenant from the job record carries over.
 		j.status.Tenant = rj.tenant
 	}
+	st := j.status
+	j.termRec = &WALRecord{Seq: rj.statusSeq, Kind: WALStatus, JobID: rj.id, Status: &st, Result: rj.result}
 	close(j.done)
 	j.events = eventsFromCheckpoints(rj)
 	if n := len(rj.status.Levels) - len(j.events); n > 0 && len(j.events) > 0 {
@@ -274,7 +274,10 @@ func (e *Engine) rebuildTerminal(rj *replayedJob) *job {
 		e.reseedCache(j, res)
 	}
 	// Recovered terminal jobs obey the same replay-buffer bound as live ones.
-	e.truncateEvents(j)
+	// The job is not yet visible, but truncation wants the lock held.
+	j.mu.Lock()
+	j.truncateEventsLocked(e.opts.MaxJobEvents)
+	j.mu.Unlock()
 	e.mu.Lock()
 	e.jobs[j.status.ID] = j
 	e.finished = append(e.finished, j)
@@ -327,19 +330,10 @@ func (e *Engine) reseedCache(j *job, res *Result) {
 // dropped before it, so a range sweep, an adaptive one and a gapped one
 // resume alike.
 func (e *Engine) rebuildInterrupted(rj *replayedJob) *job {
-	ctx, cancel := context.WithCancel(e.baseCtx)
-	j := &job{
-		status: Status{
-			ID: rj.id, Tenant: rj.tenant, Type: rj.spec.Type, State: StatePending,
-			Created: rj.created, Resumed: true,
-		},
-		seq:    rj.seq,
-		spec:   rj.spec,
-		ctx:    ctx,
-		cancel: cancel,
-		done:   make(chan struct{}),
-		notify: make(chan struct{}),
-	}
+	j := e.newJob(Status{
+		ID: rj.id, Tenant: rj.tenant, Type: rj.spec.Type, State: StatePending,
+		Created: rj.created, Resumed: true,
+	}, rj.seq, rj.spec)
 	for _, rec := range rj.levels {
 		if rec.Level != nil {
 			j.status.Levels = append(j.status.Levels, *rec.Level)

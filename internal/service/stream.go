@@ -159,9 +159,12 @@ func (e *Engine) StreamAfter(ctx context.Context, tenant, id string, after uint6
 				}
 			}
 			if w.terminal {
-				st := j.snapshot()
 				j.mu.Lock()
-				seq := j.termSeq
+				st := j.status
+				var seq uint64
+				if j.termRec != nil {
+					seq = j.termRec.Seq
+				}
 				j.mu.Unlock()
 				send(Event{Type: EventStatus, Seq: seq, Job: st.ID, Progress: st.Progress, Status: &st})
 				return
@@ -207,19 +210,14 @@ func (j *job) eventWindow(i int) eventWindow {
 	return w
 }
 
-// truncateEvents drops a terminal job's event-log prefix beyond the
-// Options.MaxJobEvents retention bound. It runs only after the terminal WAL
-// record (and result blob, on durable stores) landed, so nothing is lost:
-// subscribers behind the truncation point fall back to the synthesized
-// result replay, which the cache-hit path already exercises.
-func (e *Engine) truncateEvents(j *job) {
-	keep := e.opts.MaxJobEvents
+// truncateEventsLocked drops a terminal job's event-log prefix beyond keep
+// events (a negative keep retains everything). It runs only once the
+// terminal WAL record (and result blob, on durable stores) landed, so
+// nothing is lost: subscribers behind the truncation point fall back to the
+// synthesized result replay, which the cache-hit path already exercises.
+// Callers hold j.mu and wake parked subscribers afterwards (publish does).
+func (j *job) truncateEventsLocked(keep int) {
 	if keep < 0 {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.status.State.Terminal() {
 		return
 	}
 	drop := len(j.events) - keep
@@ -235,9 +233,6 @@ func (e *Engine) truncateEvents(j *job) {
 	copy(tail, j.events[drop:])
 	j.events = tail
 	j.eventsBase += drop
-	// Wake parked subscribers so stragglers switch to the synthesized replay
-	// immediately instead of at the next broadcast.
-	j.broadcastLocked()
 }
 
 // replayEvents synthesizes level events from a terminal job's result — or,
@@ -298,7 +293,7 @@ func (e *Engine) recordLevel(j *job, ls LevelSummary, cal *Calibration, progress
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status.State.Terminal() {
+	if j.settledLocked() {
 		return
 	}
 	j.status.Levels = append(j.status.Levels, ls)
@@ -323,7 +318,7 @@ func (e *Engine) recordLevel(j *job, ls LevelSummary, cal *Calibration, progress
 func (e *Engine) recordSkip(j *job, sk Skip) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status.State.Terminal() {
+	if j.settledLocked() {
 		return
 	}
 	j.events = append(j.events, Event{

@@ -1,14 +1,13 @@
 // Package stats provides the small numerical substrate shared by the fusion
-// baselines, t-closeness and the experiment harness: summaries, quantiles,
-// correlation, ordinary least squares, histograms and the 1-D earth mover's
-// distance.
+// estimators, the data generator and the anonymization kernels: summaries,
+// normalization and clamping, correlation, ordinary least squares and a
+// bounded nearest-neighbour selection.
 package stats
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by statistics that need at least one observation.
@@ -31,23 +30,6 @@ func Mean(xs []float64) float64 {
 	return Sum(xs) / float64(len(xs))
 }
 
-// Variance returns the population variance of xs (division by n).
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // MinMax returns the minimum and maximum of xs.
 func MinMax(xs []float64) (lo, hi float64, err error) {
 	if len(xs) == 0 {
@@ -63,32 +45,6 @@ func MinMax(xs []float64) (lo, hi float64, err error) {
 		}
 	}
 	return lo, hi, nil
-}
-
-// Median returns the sample median (average of the two central order
-// statistics for even n).
-func Median(xs []float64) (float64, error) {
-	return Quantile(xs, 0.5)
-}
-
-// Quantile returns the q-quantile of xs (0 ≤ q ≤ 1) with linear
-// interpolation between order statistics.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 || q > 1 {
-		return 0, fmt.Errorf("stats: quantile %g outside [0,1]", q)
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	pos := q * float64(len(s)-1)
-	i := int(math.Floor(pos))
-	if i >= len(s)-1 {
-		return s[len(s)-1], nil
-	}
-	frac := pos - float64(i)
-	return s[i]*(1-frac) + s[i+1]*frac, nil
 }
 
 // Correlation returns the Pearson correlation of paired samples. Degenerate
@@ -112,22 +68,6 @@ func Correlation(xs, ys []float64) (float64, error) {
 		return 0, nil
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// MeanSquaredError returns the mean of squared differences of paired samples.
-func MeanSquaredError(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("stats: mse of unequal lengths %d and %d", len(a), len(b))
-	}
-	if len(a) == 0 {
-		return 0, ErrEmpty
-	}
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return s / float64(len(a)), nil
 }
 
 // Normalize maps xs affinely onto [0,1] using its own min and max. A

@@ -16,13 +16,7 @@ func TestSummaries(t *testing.T) {
 	if got := Mean(xs); got != 5 {
 		t.Errorf("Mean = %g", got)
 	}
-	if got := Variance(xs); got != 4 {
-		t.Errorf("Variance = %g", got)
-	}
-	if got := StdDev(xs); got != 2 {
-		t.Errorf("StdDev = %g", got)
-	}
-	if Mean(nil) != 0 || Variance(nil) != 0 {
+	if Mean(nil) != 0 {
 		t.Error("empty summaries should be 0")
 	}
 }
@@ -34,33 +28,6 @@ func TestMinMax(t *testing.T) {
 	}
 	if _, _, err := MinMax(nil); err == nil {
 		t.Error("MinMax(nil) should error")
-	}
-}
-
-func TestMedianAndQuantile(t *testing.T) {
-	m, err := Median([]float64{5, 1, 3})
-	if err != nil || m != 3 {
-		t.Errorf("Median odd = %g, %v", m, err)
-	}
-	m, err = Median([]float64{4, 1, 3, 2})
-	if err != nil || m != 2.5 {
-		t.Errorf("Median even = %g, %v", m, err)
-	}
-	q, err := Quantile([]float64{0, 10}, 0.25)
-	if err != nil || q != 2.5 {
-		t.Errorf("Quantile = %g, %v", q, err)
-	}
-	if q, _ := Quantile([]float64{1, 2, 3}, 1); q != 3 {
-		t.Errorf("Quantile(1) = %g", q)
-	}
-	if q, _ := Quantile([]float64{1, 2, 3}, 0); q != 1 {
-		t.Errorf("Quantile(0) = %g", q)
-	}
-	if _, err := Quantile(nil, 0.5); err == nil {
-		t.Error("Quantile(nil) should error")
-	}
-	if _, err := Quantile([]float64{1}, 1.5); err == nil {
-		t.Error("Quantile(1.5) should error")
 	}
 }
 
@@ -81,19 +48,6 @@ func TestCorrelation(t *testing.T) {
 		t.Error("length mismatch accepted")
 	}
 	if _, err := Correlation(nil, nil); err == nil {
-		t.Error("empty accepted")
-	}
-}
-
-func TestMeanSquaredError(t *testing.T) {
-	got, err := MeanSquaredError([]float64{1, 2, 3}, []float64{1, 4, 0})
-	if err != nil || !almost(got, (0+4+9)/3.0, 1e-12) {
-		t.Errorf("MSE = %g, %v", got, err)
-	}
-	if _, err := MeanSquaredError([]float64{1}, nil); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := MeanSquaredError(nil, nil); err == nil {
 		t.Error("empty accepted")
 	}
 }

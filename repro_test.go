@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/diversity"
 	"repro/internal/fusion"
 	"repro/internal/hierarchy"
 	"repro/internal/kanon"
@@ -235,12 +234,17 @@ func TestDiversityGuardsDoNotStopFusion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := diversity.Distinct(anon, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Satisfied {
-		t.Skipf("cohort does not satisfy 2-diversity at k=8; guard comparison not applicable")
+	// Distinct 2-diversity: every QI equivalence class holds at least two
+	// distinct salaries.
+	sCol := anon.Schema().IndicesOf(dataset.Sensitive)[0]
+	for _, class := range anon.GroupBy(anon.Schema().IndicesOf(dataset.QuasiIdentifier)) {
+		distinct := make(map[string]bool)
+		for _, i := range class {
+			distinct[anon.Cell(i, sCol).String()] = true
+		}
+		if len(distinct) < 2 {
+			t.Skipf("cohort does not satisfy 2-diversity at k=8; guard comparison not applicable")
+		}
 	}
 	// Even so, the fusion attack on the released (suppressed) version gains
 	// information.
