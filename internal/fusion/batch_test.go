@@ -3,6 +3,7 @@ package fusion
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
@@ -301,28 +302,40 @@ func TestKNNTieBreak(t *testing.T) {
 	}
 }
 
-// BenchmarkFuzzyEstimateBatch measures the paper's estimator with fixed
-// domains over a mid-size cohort.
+// BenchmarkFuzzyEstimateBatch measures the paper's estimator two ways: with
+// fixed domains over a mid-size cohort, inline, and as the service runs it,
+// with observed domains (so every call compiles its own system, as every
+// sweep level does) over the university cohort's feature-matrix shape,
+// 2·10⁴ rows × 5 features, under a GOMAXPROCS budget.
 func BenchmarkFuzzyEstimateBatch(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	const n, d = 4096, 4
-	m, _ := randMatrix(rng, n, d)
-	doms := make([]Range, d)
-	for j := range doms {
-		doms[j] = Range{0, 10}
+	fixed := make([]Range, 4)
+	for j := range fixed {
+		fixed[j] = Range{0, 10}
 	}
-	f := &Fuzzy{Opts: FuzzyOptions{Domains: doms}}
-	out := Range{Lo: 40, Hi: 160}
-	arena := &Arena{}
-	est := arena.Floats(n)
-	if err := f.EstimateBatch(m, out, nil, arena, est); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := f.EstimateBatch(m, out, nil, arena, est); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name   string
+		n, d   int
+		f      *Fuzzy
+		out    Range
+		budget *parallel.Budget
+	}{
+		{"fixed-4096x4", 4096, 4, &Fuzzy{Opts: FuzzyOptions{Domains: fixed}}, Range{Lo: 40, Hi: 160}, nil},
+		{"observed-20000x5", 20000, 5, NewFuzzy(), Range{Lo: 40000, Hi: 160000}, parallel.NewBudget(runtime.GOMAXPROCS(0))},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			m, _ := randMatrix(rand.New(rand.NewSource(9)), bc.n, bc.d)
+			arena := &Arena{}
+			est := arena.Floats(bc.n)
+			if err := bc.f.EstimateBatch(m, bc.out, bc.budget, arena, est); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := bc.f.EstimateBatch(m, bc.out, bc.budget, arena, est); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

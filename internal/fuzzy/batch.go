@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // This file is the Evaluator's inference: whole-matrix evaluation over a flat
@@ -14,10 +15,10 @@ import (
 // ErrNoRuleFired, so one bad row does not abort the batch.
 
 // Clone returns an evaluator sharing e's compiled, immutable state (system,
-// variables, membership functions, rules, sample grades) with fresh mutable
-// buffers, so each worker goroutine of a chunk-parallel batch can evaluate
-// race-free. Cloning is much cheaper than NewEvaluator: no rule compilation,
-// no output-term sampling.
+// variables, membership functions, rules, output samples, sample grades and
+// run table) with fresh mutable buffers, so each worker goroutine of a
+// chunk-parallel batch can evaluate race-free. Cloning is much cheaper than
+// NewEvaluator: no rule compilation, no output-term sampling.
 func (e *Evaluator) Clone() *Evaluator {
 	c := &Evaluator{
 		sys:      e.sys,
@@ -29,15 +30,13 @@ func (e *Evaluator) Clone() *Evaluator {
 		varCol:   e.varCol,
 		xs:       e.xs,
 		otg:      e.otg,
+		runs:     e.runs,
 	}
 	c.grades = make([][]float64, len(e.grades))
 	for i := range e.grades {
 		c.grades[i] = make([]float64, len(e.grades[i]))
 	}
 	c.caps = make([]float64, len(e.caps))
-	if e.otg != nil {
-		c.surf = make([]float64, len(e.xs))
-	}
 	if e.needMaps {
 		c.gradesMap = make(map[string]map[string]float64, len(c.vars))
 		for i, v := range c.vars {
@@ -139,15 +138,12 @@ func (e *Evaluator) fireRow(row []float64, cols []int) bool {
 	return fired
 }
 
-// ensureSamples precomputes, once per evaluator, the output-domain sample
-// points and every output term's grade at each of them. The samples are the
+// sample precomputes the output-domain sample points, every output term's
+// grade at each of them, and the run table over them. The samples are the
 // exact x = lo + i·dx values of System.defuzzify's sample loop, and grade()
 // mirrors the term's Grade, so reading otg[oi][i] is bit-identical to
 // evaluating the term at sample i.
-func (e *Evaluator) ensureSamples() {
-	if e.otg != nil {
-		return
-	}
+func (e *Evaluator) sample() {
 	n := e.sys.opts.Resolution
 	lo, hi := e.sys.output.Lo, e.sys.output.Hi
 	dx := (hi - lo) / float64(n-1)
@@ -163,56 +159,106 @@ func (e *Evaluator) ensureSamples() {
 		}
 		e.otg[oi] = g
 	}
-	e.surf = make([]float64, n)
-}
-
-// centroidBatch defuzzifies the current caps through the precomputed sample
-// grades. The per-sample surface value is the max over fired terms of their
-// clipped (or scaled) grade — the maximum System.Evaluate's aggregate takes
-// over every fired rule, since clipping and scaling are monotone in the cap,
-// visited terms-outer instead of rules-inner; max is exact and
-// order-independent, so surf[i] carries the aggregate's bits at xs[i]. The
-// closing maxY/area/num pass then accumulates in the same sample order as
-// System.defuzzify. Returns NaN when the surface is empty.
-func (e *Evaluator) centroidBatch() float64 {
-	surf := e.surf
-	for i := range surf {
-		surf[i] = 0
-	}
-	prod := e.sys.opts.ProductImplication
-	for oi := range e.caps {
-		c := e.caps[oi]
-		if c == 0 {
+	var set []int
+	for i := range e.xs {
+		set = set[:0]
+		for oi, g := range e.otg {
+			if g[i] != 0 {
+				set = append(set, oi)
+			}
+		}
+		if k := len(e.runs) - 1; k >= 0 && slices.Equal(e.runs[k].terms, set) {
+			e.runs[k].hi = i + 1
 			continue
 		}
-		g := e.otg[oi]
-		if prod {
-			for i, gv := range g {
-				if v := gv * c; v > surf[i] {
-					surf[i] = v
-				}
-			}
-		} else {
-			for i, gv := range g {
-				if gv > c {
-					gv = c
-				}
-				if gv > surf[i] {
-					surf[i] = gv
-				}
-			}
+		e.runs = append(e.runs, sampleRun{lo: i, hi: i + 1, terms: slices.Clone(set)})
+	}
+	for k := range e.runs {
+		r := &e.runs[k]
+		r.pair = len(r.terms) == 2 &&
+			finitePositive(e.otg[r.terms[0]][r.lo:r.hi]) &&
+			finitePositive(e.otg[r.terms[1]][r.lo:r.hi])
+	}
+}
+
+// finitePositive reports whether every grade in g is finite and > 0.
+func finitePositive(g []float64) bool {
+	for _, v := range g {
+		if !(v > 0 && v <= math.MaxFloat64) {
+			return false
 		}
 	}
-	var maxY, area, num float64
-	xs := e.xs
-	for i, y := range surf {
-		if y > maxY {
-			maxY = y
+	return true
+}
+
+// centroidBatch defuzzifies the current caps through the run table. The
+// surface value y at a sample is the max, starting at +0 and rising only on
+// a strict >, over the fired terms of their clipped (or scaled) grade: the
+// value System.Evaluate's aggregate takes over every fired rule, since
+// clipping and scaling are monotone in the cap. A term outside a run has a
+// zero grade there, so it cannot raise y and the run's own terms suffice; an
+// unfired term has cap +0 and cannot raise y either. A pair run's two
+// grades are finite and > 0, so both candidates are ≥ +0 and never NaN, and
+// their max needs no start value. Every y is ≥ +0, so an empty surface is
+// area == 0, and area and num accumulate in System.defuzzify's sample order.
+// Returns NaN when the surface is empty.
+func (e *Evaluator) centroidBatch() float64 {
+	caps, xs := e.caps, e.xs
+	prod := e.sys.opts.ProductImplication
+	var area, num float64
+	for k := range e.runs {
+		r := &e.runs[k]
+		if r.pair {
+			x := xs[r.lo:r.hi]
+			ga := e.otg[r.terms[0]][r.lo:r.hi]
+			gb := e.otg[r.terms[1]][r.lo:r.hi]
+			ga, gb = ga[:len(x)], gb[:len(x)] // one length: no bounds checks below
+			ca, cb := caps[r.terms[0]], caps[r.terms[1]]
+			if prod {
+				for i, xi := range x {
+					y := ga[i] * ca
+					if v := gb[i] * cb; v > y {
+						y = v
+					}
+					area += y
+					num += xi * y
+				}
+			} else {
+				for i, xi := range x {
+					y, v := ga[i], gb[i]
+					if y > ca {
+						y = ca
+					}
+					if v > cb {
+						v = cb
+					}
+					if v > y {
+						y = v
+					}
+					area += y
+					num += xi * y
+				}
+			}
+			continue
 		}
-		area += y
-		num += xs[i] * y
+		for i := r.lo; i < r.hi; i++ {
+			var y float64
+			for _, oi := range r.terms {
+				g, c := e.otg[oi][i], caps[oi]
+				if prod {
+					g *= c
+				} else if g > c {
+					g = c
+				}
+				if g > y {
+					y = g
+				}
+			}
+			area += y
+			num += xs[i] * y
+		}
 	}
-	if maxY == 0 || area == 0 {
+	if area == 0 {
 		return math.NaN()
 	}
 	return num / area
@@ -238,8 +284,8 @@ func checkBatch(flat []float64, stride, n int) error {
 // rule fired.
 //
 // With the centroid defuzzifier (the default) the whole batch runs against
-// precomputed output-term sample grades and allocates nothing once warm;
-// other defuzzifiers build each row's surface and run System.defuzzify.
+// the evaluator's run table and allocates nothing once warm; other
+// defuzzifiers build each row's surface and run System.defuzzify.
 func (e *Evaluator) EvaluateBatch(flat []float64, stride int, out []float64) error {
 	if len(e.rules) == 0 {
 		return errors.New("fuzzy: system has no rules")
@@ -256,9 +302,6 @@ func (e *Evaluator) EvaluateBatch(flat []float64, stride int, out []float64) err
 		return err
 	}
 	centroid := e.sys.opts.Defuzz == Centroid
-	if centroid {
-		e.ensureSamples()
-	}
 	for r := 0; r < n; r++ {
 		row := flat[r*stride : r*stride+stride]
 		if !e.fireRow(row, cols) {

@@ -166,13 +166,6 @@ func (s *System) AddRuleText(text string) error {
 	return s.AddRule(r)
 }
 
-// Rules returns a copy of the rule base.
-func (s *System) Rules() []Rule {
-	out := make([]Rule, len(s.rules))
-	copy(out, s.rules)
-	return out
-}
-
 // Inputs returns the input variable names in no particular order.
 func (s *System) Inputs() []string {
 	out := make([]string, 0, len(s.inputs))

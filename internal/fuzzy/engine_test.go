@@ -323,8 +323,8 @@ func TestSystemValidation(t *testing.T) {
 	if _, err := sys.EvaluateSugeno(map[string]float64{}); err == nil {
 		t.Error("missing Sugeno input accepted")
 	}
-	if got := len(sys.Rules()); got != 1 {
-		t.Errorf("Rules() = %d", got)
+	if got := len(sys.rules); got != 1 {
+		t.Errorf("rules = %d", got)
 	}
 	if got := len(sys.Inputs()); got != 1 {
 		t.Errorf("Inputs() = %d", got)

@@ -33,12 +33,23 @@ type Evaluator struct {
 	caps     []float64 // reused: max firing strength per output term
 
 	// Batch-evaluation state (see batch.go): the flat-matrix column feeding
-	// each input variable, and — for the centroid fast path — the output
-	// domain sample points with every output term's grade precomputed there.
+	// each input variable, and — for the centroid — the output-domain sample
+	// points, every output term's grade there and the run table over them.
 	varCol []int       // input variable index → feature column
 	xs     []float64   // output-domain sample points
 	otg    [][]float64 // per output term: grade at each sample point
-	surf   []float64   // reused: aggregated surface for the current row
+	runs   []sampleRun // the samples, split where their nonzero terms change
+}
+
+// sampleRun is a maximal stretch xs[lo:hi] of output samples on which the
+// same output terms, listed in terms in term order, have a nonzero grade (a
+// NaN grade counts as nonzero). pair marks a run of exactly two terms whose
+// grades are finite and > 0 at every sample of the run; centroidBatch
+// evaluates those runs with both caps hoisted.
+type sampleRun struct {
+	lo, hi int
+	terms  []int
+	pair   bool
 }
 
 // compiledRule is one rule with its lookups resolved to indices.
@@ -126,7 +137,9 @@ func (m *concreteMF) grade(x float64) float64 {
 }
 
 // NewEvaluator compiles the system's current rule base. Rules added to the
-// system afterwards are not seen by the evaluator.
+// system afterwards are not seen by the evaluator. Under the centroid
+// defuzzifier it also samples the output domain once (see sample), and every
+// Clone shares those tables.
 func NewEvaluator(s *System) (*Evaluator, error) {
 	e := &Evaluator{sys: s}
 	names := make([]string, 0, len(s.inputs))
@@ -183,6 +196,9 @@ func NewEvaluator(s *System) (*Evaluator, error) {
 		for i, v := range e.vars {
 			e.gradesMap[v.Name] = make(map[string]float64, len(e.terms[i]))
 		}
+	}
+	if s.opts.Defuzz == Centroid {
+		e.sample()
 	}
 	return e, nil
 }

@@ -31,10 +31,10 @@ func TestParseFIS(t *testing.T) {
 	if got := sys.Inputs(); len(got) != 1 || got[0] != "valuation" {
 		t.Errorf("inputs = %v", got)
 	}
-	if got := len(sys.Rules()); got != 3 {
+	if got := len(sys.rules); got != 3 {
 		t.Errorf("rules = %d", got)
 	}
-	if w := sys.Rules()[2].Weight; w != 0.9 {
+	if w := sys.rules[2].Weight; w != 0.9 {
 		t.Errorf("rule 3 weight = %g", w)
 	}
 	// The parsed system evaluates sensibly.
