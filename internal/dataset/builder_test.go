@@ -104,29 +104,36 @@ func TestBuilderRejectsBadRows(t *testing.T) {
 	}
 }
 
-// TestMatrixFlatMatchesMatrix pins MatrixFlat to the row-major Matrix layout
-// bit for bit, including interval midpoints and suppressed-cell defaults.
-func TestMatrixFlatMatchesMatrix(t *testing.T) {
+// TestMatrixFlatMatchesCells pins MatrixFlat to the table's cells bit for
+// bit: Value.Float of each (interval midpoints), def where a cell has no
+// float (null or text).
+func TestMatrixFlatMatchesCells(t *testing.T) {
 	schema := MustSchema(
 		Column{Name: "A", Class: QuasiIdentifier, Kind: Number},
 		Column{Name: "B", Class: QuasiIdentifier, Kind: Number},
+		Column{Name: "C", Class: QuasiIdentifier, Kind: Number},
+		Column{Name: "T", Class: QuasiIdentifier, Kind: Text},
 	)
 	tb := New(schema)
-	tb.MustAppendRow(Num(1.25), Num(-3))
-	tb.MustAppendRow(Span(2, 5), Num(0.1))
-	tb.MustAppendRow(NullValue(), Span(-1, 1))
-	tb.MustAppendRow(Num(7), NullValue())
-	cols := []int{0, 1}
+	tb.MustAppendRow(Num(1.25), Num(-3), Num(9), Str("x"))
+	tb.MustAppendRow(Span(2, 5), Num(0.1), Num(-0.5), NullValue())
+	tb.MustAppendRow(NullValue(), Span(-1, 1), Num(1e300), Str("y"))
+	tb.MustAppendRow(Num(7), NullValue(), Num(0), Str("x"))
+	// C is all numbers, the typed-buffer copy; A and B take the cell path.
+	cols := []int{0, 1, 2, 3, 2}
 	const def = 42.5
-	want := tb.Matrix(cols, def)
 	got := tb.MatrixFlat(cols, def)
 	if len(got) != tb.NumRows()*len(cols) {
 		t.Fatalf("flat length %d, want %d", len(got), tb.NumRows()*len(cols))
 	}
-	for i, row := range want {
-		for j, v := range row {
-			if g := got[i*len(cols)+j]; math.Float64bits(g) != math.Float64bits(v) {
-				t.Fatalf("cell (%d,%d): flat %v, matrix %v", i, j, g, v)
+	for i := 0; i < tb.NumRows(); i++ {
+		for j, c := range cols {
+			want, ok := tb.Cell(i, c).Float()
+			if !ok {
+				want = def
+			}
+			if g := got[i*len(cols)+j]; math.Float64bits(g) != math.Float64bits(want) {
+				t.Fatalf("cell (%d,%d): flat %v, Cell.Float %v", i, c, g, want)
 			}
 		}
 	}

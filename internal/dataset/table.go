@@ -236,35 +236,13 @@ func (t *Table) ColumnStrings(col int) []string {
 	return out
 }
 
-// Matrix extracts the given columns as a dense row-major float matrix, using
-// Value.Float (interval midpoints) and def for non-numeric cells. This is the
-// numeric view the dissimilarity metric of Definition 1 operates on.
-func (t *Table) Matrix(cols []int, def float64) [][]float64 {
-	out := make([][]float64, t.nrows)
-	flat := make([]float64, t.nrows*len(cols))
-	for i := range out {
-		// Full slice expression: cap==len, so a caller appending to a row
-		// reallocates instead of overwriting its neighbour in the flat
-		// backing array.
-		row := flat[i*len(cols) : (i+1)*len(cols) : (i+1)*len(cols)]
-		for j, c := range cols {
-			if f, ok := t.cols[c].float(i); ok {
-				row[j] = f
-			} else {
-				row[j] = def
-			}
-		}
-		out[i] = row
-	}
-	return out
-}
-
-// MatrixFlat is Matrix without the row headers: the same cells in one
-// contiguous row-major buffer of NumRows()×len(cols) values (row i's
-// attributes at [i*len(cols), (i+1)*len(cols))). It is the SoA layout the
-// partitioning kernels scan — one allocation, stride access, no per-row
-// pointer chasing. The fill runs column by column so all-number columns copy
-// straight out of their typed buffers.
+// MatrixFlat extracts the given columns as one dense row-major buffer of
+// NumRows()×len(cols) floats, row i's at [i*len(cols), (i+1)*len(cols)):
+// each cell as Value.Float reads it (interval midpoints), and def for a null
+// or non-numeric cell. It is the layout the MDAV kernel scans: one
+// allocation, stride access, no per-row pointer chasing. The fill runs
+// column by column so all-number columns copy straight out of their typed
+// buffers.
 func (t *Table) MatrixFlat(cols []int, def float64) []float64 {
 	d := len(cols)
 	flat := make([]float64, t.nrows*d)

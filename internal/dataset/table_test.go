@@ -215,22 +215,22 @@ func TestColumnExtraction(t *testing.T) {
 	}
 }
 
-func TestTableMatrix(t *testing.T) {
+func TestTableMatrixFlat(t *testing.T) {
 	tb := tableI(t)
-	m := tb.Matrix([]int{2, 3}, 0)
-	if len(m) != 4 || len(m[0]) != 2 {
-		t.Fatalf("matrix shape %dx%d", len(m), len(m[0]))
+	m := tb.MatrixFlat([]int{2, 3}, 0)
+	if len(m) != 8 {
+		t.Fatalf("matrix length %d, want 4×2", len(m))
 	}
-	if m[0][0] != 13053 || m[0][1] != 28 {
-		t.Errorf("matrix row 0 = %v", m[0])
+	if m[0] != 13053 || m[1] != 28 {
+		t.Errorf("matrix row 0 = %v", m[:2])
 	}
 	// Interval midpoints flow through.
 	if err := tb.SetCell(0, 3, Span(20, 30)); err != nil {
 		t.Fatal(err)
 	}
-	m = tb.Matrix([]int{3}, 0)
-	if m[0][0] != 25 {
-		t.Errorf("interval midpoint in matrix = %v", m[0][0])
+	m = tb.MatrixFlat([]int{3}, 0)
+	if m[0] != 25 {
+		t.Errorf("interval midpoint in matrix = %v", m[0])
 	}
 }
 

@@ -32,7 +32,7 @@ func ParseFIS(r io.Reader, opts Options) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fuzzy: read fis: %w", err)
 	}
-	var sys *System
+	var output *Variable
 	vars := make(map[string]*Variable)
 	var inputOrder []string
 	var pendingRules []string
@@ -66,17 +66,13 @@ func ParseFIS(r io.Reader, opts Options) (*System, error) {
 			}
 			vars[v.Name] = v
 			if kw == "OUTPUT" {
-				if sys != nil {
+				if output != nil {
 					return nil, fail("second OUTPUT")
 				}
-				// System is created after its terms arrive; remember it via
-				// a sentinel below.
-				sys = &System{inputs: make(map[string]*Variable), output: v, opts: opts}
-				if sys.opts.Resolution == 0 {
-					sys.opts.Resolution = 201
-				}
+				// The system is built once the output's terms have arrived.
+				output = v
 			} else {
-				if sys == nil {
+				if output == nil {
 					return nil, fail("INPUT before OUTPUT")
 				}
 				// Terms arrive on later lines; attach to the system once
@@ -105,11 +101,12 @@ func ParseFIS(r io.Reader, opts Options) (*System, error) {
 			return nil, fail("unknown keyword %q", fields[0])
 		}
 	}
-	if sys == nil {
+	if output == nil {
 		return nil, fmt.Errorf("fuzzy: fis has no OUTPUT")
 	}
-	if len(sys.output.Terms()) == 0 {
-		return nil, fmt.Errorf("fuzzy: fis output %q has no terms", sys.output.Name)
+	sys, err := NewSystem(output, opts)
+	if err != nil {
+		return nil, err
 	}
 	for _, name := range inputOrder {
 		if err := sys.AddInput(vars[name]); err != nil {

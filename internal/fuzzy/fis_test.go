@@ -1,6 +1,7 @@
 package fuzzy
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -129,6 +130,15 @@ func TestParseFISErrors(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := ParseFIS(strings.NewReader(tc.src), Options{}); err == nil {
 				t.Errorf("accepted:\n%s", tc.src)
+			}
+		})
+	}
+	// A well-formed file with a resolution NewSystem rejects.
+	for _, res := range []int{1, -5} {
+		t.Run(fmt.Sprintf("resolution %d", res), func(t *testing.T) {
+			src := "OUTPUT y 0 1\nTERM y a tri 0 0.5 1\n"
+			if _, err := ParseFIS(strings.NewReader(src), Options{Resolution: res}); err == nil {
+				t.Errorf("resolution %d accepted", res)
 			}
 		})
 	}

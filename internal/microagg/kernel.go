@@ -7,12 +7,13 @@ import (
 )
 
 // MDAV asks two questions of the rows that remain, round after round: which
-// row lies farthest from a point, and which k−1 rows lie nearest to a seed
-// row. The kernel answers both from an exact k-d tree built once per Assign
-// over the (standardized) points; carving a group takes its rows out of the
-// tree, so each query sees exactly the remaining rows. The groups are
-// bit-identical to brute-force scans of the row-slice formulation
-// (referenceAssign in kernel_test.go); DESIGN.md gives the argument.
+// row lies farthest from a point, and which rows lie nearest to one. The
+// kernel answers both from an exact k-d tree built once per Assign over the
+// (standardized) points; carving a group takes its rows out of the tree, so
+// each query sees exactly the remaining rows. MDAV and V-MDAV share it. The
+// groups are bit-identical to brute-force scans of the row-slice
+// formulation (referenceAssign and referenceVAssign in reference_test.go);
+// DESIGN.md gives the argument.
 
 // leafSize is the most rows a tree leaf holds, chosen by measurement. On
 // BenchmarkAssign and a 10⁴-row k=2..16 sweep, leaves of 16 to 64 rows ran
@@ -321,15 +322,14 @@ func (kn *kernel) farthest(ref []float64) int {
 	return best
 }
 
-// nearest returns the k−1 live rows nearest to seed, seed excluded, in
-// ascending (distance, row) order. A node is skipped only when the heap is
-// full and no row in the node can enter it: its lower bound is above the
-// heap's worst distance, or equal to it with every row numbered above the
-// worst row.
-func (kn *kernel) nearest(seed, k int) []stats.DistIdx {
-	ref := kn.row(seed)
+// nearest returns the m live rows nearest to ref, row skip excluded (−1
+// excludes none), in ascending (distance, row) order. A node is skipped only
+// when the heap is full and no row in the node can enter it: its lower
+// bound is above the heap's worst distance, or equal to it with every row
+// numbered above the worst row.
+func (kn *kernel) nearest(ref []float64, skip, m int) []stats.DistIdx {
 	h := &kn.near
-	h.Reset(k - 1)
+	h.Reset(m)
 	st := append(kn.stack[:0], frame{0, 0})
 	for len(st) > 0 {
 		f := st[len(st)-1]
@@ -342,7 +342,7 @@ func (kn *kernel) nearest(seed, k int) []stats.DistIdx {
 		}
 		if nd.right == 0 {
 			for _, r := range kn.rows[nd.start : nd.start+nd.live] {
-				if i := int(r); i != seed {
+				if i := int(r); i != skip {
 					h.Offer(stats.DistIdx{D: kn.sqDistTo(i, ref), Idx: i})
 				}
 			}
@@ -368,6 +368,46 @@ func (kn *kernel) nearest(seed, k int) []stats.DistIdx {
 		}
 	}
 	return h.Sorted()
+}
+
+// compact drops carved rows from remaining, keeping ascending order, and
+// returns the centroid of the rows left: each coordinate one sum in row
+// order and one division, the arithmetic of the row-slice centroidOf.
+// Columns are summed four at a time into locals, which stay in registers;
+// the pass over the first four also compacts.
+func (kn *kernel) compact() []float64 {
+	pts, d, slot, c := kn.pts, kn.d, kn.slot, kn.centroid
+	rows, rest := kn.remaining, kn.remaining[:0]
+	for j := 0; j < d; j += 4 {
+		w := min(d-j, 4)
+		var s0, s1, s2, s3 float64
+		for _, r := range rows {
+			if j == 0 {
+				if slot[r] < 0 {
+					continue
+				}
+				rest = append(rest, r)
+			}
+			o := int(r)*d + j
+			s0 += pts[o]
+			if w > 1 {
+				s1 += pts[o+1]
+				if w > 2 {
+					s2 += pts[o+2]
+					if w > 3 {
+						s3 += pts[o+3]
+					}
+				}
+			}
+		}
+		rows = rest
+		sums := [4]float64{s0, s1, s2, s3}
+		for i := range w {
+			c[j+i] = sums[i] / float64(len(rest))
+		}
+	}
+	kn.remaining = rest
+	return c
 }
 
 // take removes the rows from the tree, then refits the leaves that lost
@@ -455,52 +495,12 @@ func (kn *kernel) descend(s int32) []int32 {
 func (kn *kernel) carve(seed, k int) []int {
 	start := len(kn.arena)
 	kn.arena = append(kn.arena, seed)
-	for _, c := range kn.nearest(seed, k) {
+	for _, c := range kn.nearest(kn.row(seed), seed, k-1) {
 		kn.arena = append(kn.arena, c.Idx)
 	}
 	group := kn.arena[start:len(kn.arena):len(kn.arena)]
 	kn.take(group)
 	return group
-}
-
-// compact drops carved rows from remaining, keeping ascending order, and
-// returns the centroid of the rows left: each coordinate one sum in row
-// order and one division, the arithmetic of the row-slice centroidOf.
-// Columns are summed four at a time into locals, which stay in registers;
-// the pass over the first four also compacts.
-func (kn *kernel) compact() []float64 {
-	pts, d, slot, c := kn.pts, kn.d, kn.slot, kn.centroid
-	rows, rest := kn.remaining, kn.remaining[:0]
-	for j := 0; j < d; j += 4 {
-		w := min(d-j, 4)
-		var s0, s1, s2, s3 float64
-		for _, r := range rows {
-			if j == 0 {
-				if slot[r] < 0 {
-					continue
-				}
-				rest = append(rest, r)
-			}
-			o := int(r)*d + j
-			s0 += pts[o]
-			if w > 1 {
-				s1 += pts[o+1]
-				if w > 2 {
-					s2 += pts[o+2]
-					if w > 3 {
-						s3 += pts[o+3]
-					}
-				}
-			}
-		}
-		rows = rest
-		sums := [4]float64{s0, s1, s2, s3}
-		for i := range w {
-			c[j+i] = sums[i] / float64(len(rest))
-		}
-	}
-	kn.remaining = rest
-	return c
 }
 
 // assign runs the MDAV group-carving loop. Each round carves a group around
@@ -519,16 +519,66 @@ func (kn *kernel) assign(k int) [][]int {
 		r := kn.farthest(kn.compact())
 		groups = append(groups, kn.carve(r, k))
 	}
-	if kn.nodes[0].live > 0 {
+	return kn.rest(groups)
+}
+
+// vassign runs V-MDAV (Solanas and Martínez-Ballesté, "V-MDAV: a
+// multivariate microaggregation with variable group size", COMPSTAT 2006).
+// Each round carves a k-group around the row farthest from the centroid,
+// then extends it, up to 2k−1 rows and while more than k rows are live,
+// with the live row nearest the group's centroid, unless that row's
+// distance to the group is at least gamma times its distance to the nearest
+// other live row.
+func (kn *kernel) vassign(k int, gamma float64) [][]int {
+	groups := make([][]int, 0, kn.n/k+1)
+	for kn.nodes[0].live >= int32(2*k) {
 		start := len(kn.arena)
-		for _, r := range kn.remaining {
-			if kn.slot[r] >= 0 {
-				kn.arena = append(kn.arena, int(r))
+		kn.carve(kn.farthest(kn.compact()), k)
+		// More than k ≥ 2 live rows: cand and other both exist.
+		for len(kn.arena)-start < 2*k-1 && kn.nodes[0].live > int32(k) {
+			cand := kn.nearest(kn.groupCentroid(kn.arena[start:]), -1, 1)[0]
+			other := kn.nearest(kn.row(cand.Idx), cand.Idx, 1)[0]
+			if cand.D >= gamma*other.D {
+				break
 			}
+			kn.arena = append(kn.arena, cand.Idx)
+			kn.take(kn.arena[len(kn.arena)-1:])
 		}
 		groups = append(groups, kn.arena[start:len(kn.arena):len(kn.arena)])
 	}
-	return groups
+	return kn.rest(groups)
+}
+
+// groupCentroid returns the centroid of the group's rows: each coordinate one
+// sum in group order and one division, the arithmetic of the row-slice
+// centroidOf. It overwrites the centroid compact returned.
+func (kn *kernel) groupCentroid(group []int) []float64 {
+	c := kn.centroid
+	clear(c)
+	for _, i := range group {
+		for j, v := range kn.row(i) {
+			c[j] += v
+		}
+	}
+	for j := range c {
+		c[j] /= float64(len(group))
+	}
+	return c
+}
+
+// rest appends the live rows, in ascending order, to groups as the last
+// group.
+func (kn *kernel) rest(groups [][]int) [][]int {
+	if kn.nodes[0].live == 0 {
+		return groups
+	}
+	start := len(kn.arena)
+	for _, r := range kn.remaining {
+		if kn.slot[r] >= 0 {
+			kn.arena = append(kn.arena, int(r))
+		}
+	}
+	return append(groups, kn.arena[start:len(kn.arena):len(kn.arena)])
 }
 
 // standardizeFlat z-scores each column of the flat buffer in place, with the

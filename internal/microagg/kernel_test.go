@@ -12,41 +12,6 @@ import (
 	"repro/internal/parallel"
 )
 
-// referenceAssign is the row-slice MDAV loop over [][]float64, rebuilt from
-// the brute-force reference helpers in optimal.go. The tree kernel must
-// reproduce its group assignments exactly.
-func referenceAssign(t *dataset.Table, k int, std bool) [][]int {
-	qis := t.Schema().IndicesOf(dataset.QuasiIdentifier)
-	points := t.Matrix(qis, 0)
-	if std {
-		standardize(points)
-	}
-	remaining := make([]int, t.NumRows())
-	for i := range remaining {
-		remaining[i] = i
-	}
-	var groups [][]int
-	for len(remaining) >= 3*k {
-		c := centroidOf(points, remaining)
-		r := farthestFrom(points, remaining, c)
-		g1, rest := takeNearest(points, remaining, r, k)
-		groups = append(groups, g1)
-		s := farthestFrom(points, rest, points[r])
-		g2, rest := takeNearest(points, rest, s, k)
-		groups = append(groups, g2)
-		remaining = rest
-	}
-	if len(remaining) >= 2*k {
-		c := centroidOf(points, remaining)
-		r := farthestFrom(points, remaining, c)
-		g1, rest := takeNearest(points, remaining, r, k)
-		groups = append(groups, g1, rest)
-	} else if len(remaining) > 0 {
-		groups = append(groups, remaining)
-	}
-	return groups
-}
-
 // quantizedTable builds an n-row table of 3 numeric quasi-identifiers drawn
 // from a small grid, so duplicate values (and therefore distance ties) are
 // common — the cases where tie-break order matters.
@@ -165,6 +130,67 @@ func TestKernelMatchesReference(t *testing.T) {
 	}
 }
 
+// TestVMDAVMatchesReference pins V-MDAV on the tree kernel to the
+// brute-force row-slice reference, group for group and row for row: on
+// tie-heavy grids at several gammas, standardized and raw; on a 10⁴-row
+// university cohort; on the coinciding-rows tables; and on raw rows near
+// ±1e308, whose distances and group centroids overflow.
+func TestVMDAVMatchesReference(t *testing.T) {
+	type input struct {
+		name   string
+		tbl    *dataset.Table
+		ks     []int
+		gammas []float64
+		stds   []bool
+	}
+	gammas := []float64{0, 0.5, 1, 2}
+	both := []bool{true, false}
+	var inputs []input
+	for _, n := range []int{7, 40, 250, 1000} {
+		inputs = append(inputs, input{fmt.Sprintf("quantized/n=%d", n), quantizedTable(t, n, int64(n*37)), []int{2, 3, 5}, gammas, both})
+	}
+	university, _, err := datagen.University(datagen.UniversityConfig{Seed: 11, N: 10000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs = append(inputs, input{"university/n=10000", university, []int{5}, []float64{1}, []bool{true}})
+	for name, rows := range coincidingRows() {
+		inputs = append(inputs, input{name, numTable(t, rows), []int{2, 3, 4}, gammas, both})
+	}
+	// A quarter of the rows sit near ±1e308: raw distances to them, and
+	// gamma·distance at gamma 0, are +Inf and NaN.
+	rng := rand.New(rand.NewSource(7))
+	huge := make([][]float64, 300)
+	for i := range huge {
+		a := rng.NormFloat64()
+		if rng.Intn(4) == 0 {
+			a = float64(2*rng.Intn(2)-1) * 1e308 * (0.5 + rng.Float64()/2)
+		}
+		huge[i] = []float64{a, rng.Float64()}
+	}
+	inputs = append(inputs, input{"overflowing", numTable(t, huge), []int{2, 3, 5}, gammas, []bool{false}})
+
+	for _, in := range inputs {
+		for _, k := range in.ks {
+			for _, gamma := range in.gammas {
+				for _, std := range in.stds {
+					t.Run(fmt.Sprintf("%s/k=%d/gamma=%g/std=%v", in.name, k, gamma, std), func(t *testing.T) {
+						t.Parallel()
+						want := referenceVAssign(in.tbl, k, gamma, std)
+						got, err := (&VMDAV{Opts: Options{Standardize: std}, Gamma: gamma}).Assign(in.tbl, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !groupsEqual(got, want) {
+							t.Fatalf("V-MDAV groups diverge from reference:\ngot  %v\nwant %v", got, want)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
 // outliersThenCoinciding returns nOut distinct outlier rows followed by
 // nSame rows at one point.
 func outliersThenCoinciding(nOut, nSame int) [][]float64 {
@@ -176,6 +202,20 @@ func outliersThenCoinciding(nOut, nSame int) [][]float64 {
 		rows = append(rows, []float64{1, 2})
 	}
 	return rows
+}
+
+// coincidingRows returns a constant table, and rows that coincide after one
+// outlier and after several.
+func coincidingRows() map[string][][]float64 {
+	constant := make([][]float64, 12)
+	for i := range constant {
+		constant[i] = []float64{5, 5}
+	}
+	return map[string][][]float64{
+		"constant":         constant,
+		"one-outlier":      outliersThenCoinciding(1, 20),
+		"several-outliers": outliersThenCoinciding(4, 30),
+	}
 }
 
 // TestKernelSeedOutsideRemaining covers a carve whose seed was carved
@@ -203,15 +243,7 @@ func TestKernelSeedOutsideRemaining(t *testing.T) {
 // several), must anonymize with every row in exactly one group of at
 // least k rows.
 func TestAssignCoincidingRows(t *testing.T) {
-	constant := make([][]float64, 12)
-	for i := range constant {
-		constant[i] = []float64{5, 5}
-	}
-	for name, rows := range map[string][][]float64{
-		"constant":         constant,
-		"one-outlier":      outliersThenCoinciding(1, 20),
-		"several-outliers": outliersThenCoinciding(4, 30),
-	} {
+	for name, rows := range coincidingRows() {
 		tb := numTable(t, rows)
 		for _, k := range []int{2, 3, 4} {
 			for _, std := range []bool{true, false} {
@@ -249,8 +281,20 @@ func TestAssignCoincidingRows(t *testing.T) {
 }
 
 // TestAssignRejectsNonFinite: a NaN or ±Inf coordinate, in the data or
-// produced by standardization overflowing, is an error naming the column.
+// produced by standardization overflowing, is an error naming the column,
+// from MDAV and V-MDAV alike.
 func TestAssignRejectsNonFinite(t *testing.T) {
+	type scheme interface {
+		Name() string
+		Assign(*dataset.Table, int) ([][]int, error)
+		Anonymize(*dataset.Table, int) (*dataset.Table, error)
+	}
+	schemes := func(std bool) []scheme {
+		return []scheme{
+			&Anonymizer{Opts: Options{Standardize: std}},
+			&VMDAV{Opts: Options{Standardize: std}, Gamma: 1},
+		}
+	}
 	for _, c := range []struct {
 		name string
 		bad  float64
@@ -267,16 +311,19 @@ func TestAssignRejectsNonFinite(t *testing.T) {
 		if c.name == "overflow" {
 			rows[1][1], rows[3][1] = c.bad, c.bad
 		}
-		a := &Anonymizer{Opts: Options{Standardize: c.std}}
-		_, err := a.Assign(numTable(t, rows), 2)
-		if err == nil || !strings.Contains(err.Error(), `quasi-identifier "B"`) || !strings.Contains(err.Error(), "non-finite") {
-			t.Errorf("%s: err = %v, want a non-finite error naming column B", c.name, err)
+		for _, a := range schemes(c.std) {
+			_, err := a.Assign(numTable(t, rows), 2)
+			if err == nil || !strings.Contains(err.Error(), `quasi-identifier "B"`) || !strings.Contains(err.Error(), "non-finite") {
+				t.Errorf("%s %s: err = %v, want a non-finite error naming column B", a.Name(), c.name, err)
+			}
 		}
 	}
 	// Finite coordinates whose distances overflow are ordered (+Inf ties
 	// break by row) and stay allowed.
 	huge := numTable(t, [][]float64{{-1e308}, {1e308}, {-1e308}, {1e308}})
-	if _, err := (&Anonymizer{}).Anonymize(huge, 2); err != nil {
-		t.Errorf("raw coordinates with overflowing distances: %v", err)
+	for _, a := range schemes(false) {
+		if _, err := a.Anonymize(huge, 2); err != nil {
+			t.Errorf("%s: raw coordinates with overflowing distances: %v", a.Name(), err)
+		}
 	}
 }

@@ -74,6 +74,16 @@ func (a *Anonymizer) AnonymizeParallel(t *dataset.Table, k int, _ *parallel.Budg
 // standardization if that is on, is NaN or ±Inf: distances to it have no
 // order.
 func (a *Anonymizer) Assign(t *dataset.Table, k int) ([][]int, error) {
+	kn, err := newTableKernel(t, k, a.Opts.Standardize)
+	if err != nil {
+		return nil, err
+	}
+	return kn.assign(k), nil
+}
+
+// newTableKernel checks t and k for MDAV and builds the kernel over t's
+// quasi-identifier points, z-scored when std is set.
+func newTableKernel(t *dataset.Table, k int, std bool) (*kernel, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("microagg: k must be ≥ 2, got %d", k)
 	}
@@ -92,15 +102,24 @@ func (a *Anonymizer) Assign(t *dataset.Table, k int) ([][]int, error) {
 	}
 	d := len(qis)
 	pts := t.MatrixFlat(qis, 0)
-	if a.Opts.Standardize {
+	if std {
 		standardizeFlat(pts, n, d)
 	}
+	if err := checkFinite(t, qis, pts); err != nil {
+		return nil, err
+	}
+	return newKernel(pts, n, d, k), nil
+}
+
+// checkFinite fails on the first NaN or ±Inf in pts, t's columns cols laid
+// out row-major, naming its column.
+func checkFinite(t *dataset.Table, cols []int, pts []float64) error {
 	for i, v := range pts {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("microagg: quasi-identifier %q has a non-finite coordinate (NaN or ±Inf)", t.Schema().Column(qis[i%d]).Name)
+			return fmt.Errorf("microagg: quasi-identifier %q has a non-finite coordinate (NaN or ±Inf)", t.Schema().Column(cols[i%len(cols)]).Name)
 		}
 	}
-	return newKernel(pts, n, d, k).assign(k), nil
+	return nil
 }
 
 // AssignParallel is Assign; the budget is unused.

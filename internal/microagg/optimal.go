@@ -3,7 +3,6 @@ package microagg
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/dataset"
@@ -65,6 +64,9 @@ func (o *OptimalUnivariate) Assign(t *dataset.Table, k int) ([][]int, error) {
 		order[i] = i
 	}
 	vals := t.ColumnFloats(col, 0)
+	if err := checkFinite(t, []int{col}, vals); err != nil {
+		return nil, err
+	}
 	sort.SliceStable(order, func(a, b int) bool {
 		if vals[order[a]] != vals[order[b]] {
 			return vals[order[a]] < vals[order[b]]
@@ -160,189 +162,15 @@ func (v *VMDAV) Anonymize(t *dataset.Table, k int) (*dataset.Table, error) {
 	return Aggregate(t, groups, v.Opts.CentroidAsInterval)
 }
 
-// Assign runs V-MDAV and returns groups of size in [k, 2k−1].
+// Assign runs V-MDAV and returns groups of size in [k, 2k−1]. It rejects
+// what MDAV's Assign rejects, NaN and ±Inf coordinates included.
 func (v *VMDAV) Assign(t *dataset.Table, k int) ([][]int, error) {
-	if k < 2 {
-		return nil, fmt.Errorf("microagg: k must be ≥ 2, got %d", k)
-	}
-	n := t.NumRows()
-	if n < k {
-		return nil, fmt.Errorf("%w: %d < %d", ErrTooFewRecords, n, k)
-	}
 	if v.Gamma < 0 {
 		return nil, fmt.Errorf("microagg: gamma %g must be non-negative", v.Gamma)
 	}
-	qis := t.Schema().IndicesOf(dataset.QuasiIdentifier)
-	if len(qis) == 0 {
-		return nil, errors.New("microagg: table has no quasi-identifier columns")
+	kn, err := newTableKernel(t, k, v.Opts.Standardize)
+	if err != nil {
+		return nil, err
 	}
-	for _, c := range qis {
-		if t.Schema().Column(c).Kind != dataset.Number {
-			return nil, fmt.Errorf("microagg: quasi-identifier %q is not numeric", t.Schema().Column(c).Name)
-		}
-	}
-	points := t.Matrix(qis, 0)
-	if v.Opts.Standardize {
-		standardize(points)
-	}
-
-	remaining := make([]int, n)
-	for i := range remaining {
-		remaining[i] = i
-	}
-	var groups [][]int
-	for len(remaining) >= 2*k {
-		c := centroidOf(points, remaining)
-		seed := farthestFrom(points, remaining, c)
-		group, rest := takeNearest(points, remaining, seed, k)
-		// Extension phase: add up to k−1 more records that are much closer
-		// to the group than to the remaining crowd.
-		for len(group) < 2*k-1 && len(rest) > k {
-			gc := centroidOf(points, group)
-			// Nearest outside candidate to the group centroid.
-			cand, candD := -1, 0.0
-			for _, i := range rest {
-				if d := sqDist(points[i], gc); cand < 0 || d < candD {
-					cand, candD = i, d
-				}
-			}
-			// Its distance to the nearest other outside record.
-			otherD := -1.0
-			for _, i := range rest {
-				if i == cand {
-					continue
-				}
-				if d := sqDist(points[i], points[cand]); otherD < 0 || d < otherD {
-					otherD = d
-				}
-			}
-			if otherD < 0 || candD >= v.Gamma*otherD {
-				break
-			}
-			group = append(group, cand)
-			rest = removeOne(rest, cand)
-		}
-		groups = append(groups, group)
-		remaining = rest
-	}
-	if len(remaining) > 0 {
-		groups = append(groups, remaining)
-	}
-	return groups, nil
-}
-
-func removeOne(xs []int, x int) []int {
-	out := xs[:0]
-	for _, v := range xs {
-		if v != x {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// The row-slice helpers below are the original MDAV formulation over
-// [][]float64 points. V-MDAV's ablation path still uses them, and the kernel
-// equivalence tests pin the flat SoA kernel (kernel.go) against them — they
-// define the reference semantics the flat path must reproduce bit for bit.
-
-func standardize(points [][]float64) {
-	if len(points) == 0 {
-		return
-	}
-	d := len(points[0])
-	for j := 0; j < d; j++ {
-		var sum float64
-		for _, p := range points {
-			sum += p[j]
-		}
-		mean := sum / float64(len(points))
-		var ss float64
-		for _, p := range points {
-			dv := p[j] - mean
-			ss += dv * dv
-		}
-		sd := math.Sqrt(ss / float64(len(points)))
-		if sd == 0 {
-			sd = 1
-		}
-		for _, p := range points {
-			p[j] = (p[j] - mean) / sd
-		}
-	}
-}
-
-func centroidOf(points [][]float64, idx []int) []float64 {
-	d := len(points[0])
-	c := make([]float64, d)
-	for _, i := range idx {
-		for j := 0; j < d; j++ {
-			c[j] += points[i][j]
-		}
-	}
-	for j := range c {
-		c[j] /= float64(len(idx))
-	}
-	return c
-}
-
-func sqDist(a, b []float64) float64 {
-	var s float64
-	for j := range a {
-		d := a[j] - b[j]
-		s += d * d
-	}
-	return s
-}
-
-// farthestFrom returns the index (into points) of the remaining record
-// farthest from ref, breaking ties by lowest row index for determinism.
-func farthestFrom(points [][]float64, remaining []int, ref []float64) int {
-	best, bestD := remaining[0], -1.0
-	for _, i := range remaining {
-		if d := sqDist(points[i], ref); d > bestD {
-			best, bestD = i, d
-		}
-	}
-	return best
-}
-
-// takeNearest removes seed and its k−1 nearest neighbours from remaining,
-// returning them as a group plus the leftover slice. Ties break by row index.
-func takeNearest(points [][]float64, remaining []int, seed int, k int) (group, rest []int) {
-	type cand struct {
-		idx int
-		d   float64
-	}
-	cands := make([]cand, 0, len(remaining))
-	for _, i := range remaining {
-		if i == seed {
-			continue
-		}
-		cands = append(cands, cand{i, sqDist(points[i], points[seed])})
-	}
-	// Selection of the k−1 smallest, stable on (distance, index).
-	for sel := 0; sel < k-1 && sel < len(cands); sel++ {
-		best := sel
-		for j := sel + 1; j < len(cands); j++ {
-			if cands[j].d < cands[best].d || (cands[j].d == cands[best].d && cands[j].idx < cands[best].idx) {
-				best = j
-			}
-		}
-		cands[sel], cands[best] = cands[best], cands[sel]
-	}
-	group = []int{seed}
-	for i := 0; i < k-1 && i < len(cands); i++ {
-		group = append(group, cands[i].idx)
-	}
-	inGroup := make(map[int]bool, len(group))
-	for _, i := range group {
-		inGroup[i] = true
-	}
-	for _, i := range remaining {
-		if !inGroup[i] {
-			rest = append(rest, i)
-		}
-	}
-	return group, rest
+	return kn.vassign(k, v.Gamma), nil
 }

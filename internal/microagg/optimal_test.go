@@ -1,7 +1,9 @@
 package microagg
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -126,6 +128,13 @@ func TestOptimalUnivariateErrors(t *testing.T) {
 	}
 	if _, err := (&OptimalUnivariate{Column: "Name"}).Assign(tb, 2); err == nil {
 		t.Error("identifier column accepted")
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		rows := [][]float64{{1}, {2}, {bad}, {4}}
+		_, err := opt.Assign(numTable(t, rows), 2)
+		if err == nil || !strings.Contains(err.Error(), `quasi-identifier "A"`) || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("%v: err = %v, want a non-finite error naming column A", bad, err)
+		}
 	}
 }
 

@@ -15,8 +15,6 @@
 package repro
 
 import (
-	"context"
-
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
@@ -223,24 +221,6 @@ func (s *Scenario) SweepParallel(minK, maxK int, anon core.Anonymizer, est fusio
 		anon = microagg.New()
 	}
 	return core.SweepParallel(s.P, anon, s.attack(est), minK, maxK, workers)
-}
-
-// SweepStream streams levels minK..maxK in ascending k order as they
-// complete on workers concurrent workers (0 → one per level), calling emit
-// for each — the incremental form of Sweep, for consumers that want results
-// before the sweep finishes. Cancelling ctx aborts the sweep; emit returning
-// core.ErrStopSweep ends it early without error.
-func (s *Scenario) SweepStream(ctx context.Context, minK, maxK int, anon core.Anonymizer, est fusion.Estimator, workers int, emit func(core.LevelResult) error) error {
-	if anon == nil {
-		anon = microagg.New()
-	}
-	return core.SweepStream(ctx, s.P, core.StreamConfig{
-		Anonymizer: anon,
-		Attack:     s.attack(est),
-		MinK:       minK,
-		MaxK:       maxK,
-		Workers:    workers,
-	}, emit)
 }
 
 // FREDOptions configures RunFRED. Zero values auto-calibrate thresholds the
