@@ -10,16 +10,25 @@ import (
 // row lies farthest from a point, and which rows lie nearest to one. The
 // kernel answers both from an exact k-d tree built once per Assign over the
 // (standardized) points; carving a group takes its rows out of the tree, so
-// each query sees exactly the remaining rows. MDAV and V-MDAV share it. The
-// groups are bit-identical to brute-force scans of the row-slice
-// formulation (referenceAssign and referenceVAssign in reference_test.go);
-// DESIGN.md gives the argument.
+// each query sees exactly the remaining rows. MDAV and V-MDAV share it. A
+// round's first seed comes from running column sums, certified against the
+// row-order centroid the reference computes (seed). The groups are
+// bit-identical to brute-force scans of the row-slice formulation
+// (referenceAssign and referenceVAssign in reference_test.go); DESIGN.md
+// gives the argument.
 
 // leafSize is the most rows a tree leaf holds, chosen by measurement. On
 // BenchmarkAssign and a 10⁴-row k=2..16 sweep, leaves of 16 to 64 rows ran
 // within noise of each other from 250 rows up; 48 keeps the paper's 40-row
 // cohort in one leaf, where leaves of 16 or 32 ran 1.3× slower.
 const leafSize = 48
+
+// u is the unit roundoff of float64 arithmetic, round to nearest.
+const u = 0x1p-53
+
+// maxCertified is the largest computed seed distance seed certifies; far
+// below overflow, so the reference's own distances stay finite.
+const maxCertified = 0x1p1000
 
 // kdNode is one node of the tree. Nodes are stored in preorder, so an inner
 // node's left child is the node after it.
@@ -54,8 +63,15 @@ type kernel struct {
 
 	fitted    []float64 // 2d: refit scratch
 	centroid  []float64
-	remaining []int32 // uncarved rows, ascending; compacted once a round
+	remaining []int32 // uncarved rows, ascending; compacted on fallback rounds
 	arena     []int   // backing store of the returned groups, which partition 0..n−1
+
+	// What seed certifies from: per column, the running sum of the live
+	// rows, a bound on its distance from their exact sum, and Σ|x| over all
+	// rows. shrink is 1 − 2γ_{d+2} less 8u, which covers tau's rounding.
+	sum, drift, absSum []float64
+	shrink             float64
+	fallbacks          int // rounds seed could not certify
 }
 
 func newKernel(pts []float64, n, d, k int) *kernel {
@@ -68,7 +84,7 @@ func newKernel(pts []float64, n, d, k int) *kernel {
 	}
 	// The int32 and float64 buffers share one allocation each.
 	ints := make([]int32, 3*n+depth+k)
-	floats := make([]float64, 2*d*nodes+3*d)
+	floats := make([]float64, 2*d*nodes+6*d)
 	nb := 2 * d * nodes
 	kn := &kernel{
 		pts: pts, n: n, d: d,
@@ -80,7 +96,11 @@ func newKernel(pts []float64, n, d, k int) *kernel {
 		path:      ints[3*n : 3*n : 3*n+depth],
 		dirty:     ints[3*n+depth : 3*n+depth],
 		fitted:    floats[nb : nb+2*d : nb+2*d],
-		centroid:  floats[nb+2*d:],
+		centroid:  floats[nb+2*d : nb+3*d : nb+3*d],
+		sum:       floats[nb+3*d : nb+4*d : nb+4*d],
+		drift:     floats[nb+4*d : nb+5*d : nb+5*d],
+		absSum:    floats[nb+5*d:],
+		shrink:    1 - 2*gammaN(d+2) - 8*u,
 		stack:     make([]frame, 0, depth+1),
 		arena:     make([]int, 0, n),
 	}
@@ -88,6 +108,16 @@ func newKernel(pts []float64, n, d, k int) *kernel {
 	for i := range kn.rows {
 		kn.rows[i] = int32(i)
 		kn.remaining[i] = int32(i)
+	}
+	// The sums start as the reference's first-round sums, in row order.
+	for i := range n {
+		for j, v := range kn.row(i) {
+			kn.sum[j] += v
+			kn.absSum[j] += math.Abs(v)
+		}
+	}
+	for j, a := range kn.absSum {
+		kn.drift[j] = gammaN(n-1) * a
 	}
 	if n > leafSize {
 		kn.bound(kn.box, kn.rows)
@@ -300,26 +330,136 @@ func (kn *kernel) farthest(ref []float64) int {
 			}
 			continue
 		}
-		// Push the less promising child first, so the other pops first.
-		a, b := f.node+1, nd.right
-		var ua, ub float64
-		if kn.nodes[a].live > 0 {
-			ua = kn.maxDistBound(int(a), ref)
-		}
-		if kn.nodes[b].live > 0 {
-			ub = kn.maxDistBound(int(b), ref)
-		}
-		if ua > ub || ua == ub && kn.nodes[a].first < kn.nodes[b].first {
-			a, b, ua, ub = b, a, ub, ua
-		}
-		if kn.nodes[a].live > 0 {
-			st = append(st, frame{a, ua})
-		}
-		if kn.nodes[b].live > 0 {
-			st = append(st, frame{b, ub})
-		}
+		st = kn.pushFarther(st, f.node, ref)
 	}
 	return best
+}
+
+// farthestCert is farthest with pruning loosened to tau(bestD, delta): a
+// node or row is skipped only when its bound or distance lies below it.
+// Besides the farthest row and its distance it returns rival, the largest
+// distance at or above tau among rows whose coordinates differ from the
+// best row's, or −1 when there is none.
+func (kn *kernel) farthestCert(ref []float64, delta float64) (best int, bestD, rival float64) {
+	best, bestD, rival = -1, -1.0, -1.0
+	rivalRow, tau := -1, math.Inf(-1)
+	st := append(kn.stack[:0], frame{0, math.Inf(1)})
+	for len(st) > 0 {
+		f := st[len(st)-1]
+		st = st[:len(st)-1]
+		if f.bound < tau {
+			continue
+		}
+		nd := kn.nodes[f.node]
+		if nd.right == 0 {
+			for _, r := range kn.rows[nd.start : nd.start+nd.live] {
+				i := int(r)
+				switch dd := kn.sqDistTo(i, ref); {
+				case dd < tau:
+				case dd > bestD || dd == bestD && i < best:
+					// A rival that coincides with i ties with the old
+					// best, which then differs from i and replaces it.
+					if rivalRow >= 0 && kn.same(rivalRow, i) {
+						rival, rivalRow = -1, -1
+					}
+					if best >= 0 && bestD > rival && !kn.same(best, i) {
+						rival, rivalRow = bestD, best
+					}
+					best, bestD = i, dd
+					tau = kn.tau(dd, delta)
+				case dd > rival && !kn.same(best, i):
+					rival, rivalRow = dd, i
+				}
+			}
+			continue
+		}
+		st = kn.pushFarther(st, f.node, ref)
+	}
+	return best, bestD, rival
+}
+
+// pushFarther pushes inner node id's live children with their upper bounds
+// from ref, the less promising first, so the other pops first.
+func (kn *kernel) pushFarther(st []frame, id int32, ref []float64) []frame {
+	a, b := id+1, kn.nodes[id].right
+	var ua, ub float64
+	if kn.nodes[a].live > 0 {
+		ua = kn.maxDistBound(int(a), ref)
+	}
+	if kn.nodes[b].live > 0 {
+		ub = kn.maxDistBound(int(b), ref)
+	}
+	if ua > ub || ua == ub && kn.nodes[a].first < kn.nodes[b].first {
+		a, b, ua, ub = b, a, ub, ua
+	}
+	if kn.nodes[a].live > 0 {
+		st = append(st, frame{a, ua})
+	}
+	if kn.nodes[b].live > 0 {
+		st = append(st, frame{b, ub})
+	}
+	return st
+}
+
+// same reports whether rows a and b have equal coordinates. Distances to
+// any point are then bit-identical, −0 and +0 included.
+func (kn *kernel) same(a, b int) bool {
+	ra, rb := kn.row(a), kn.row(b)
+	for j, v := range ra {
+		if v != rb[j] {
+			return false
+		}
+	}
+	return true
+}
+
+// seed returns the round's first seed: the live row the reference picks,
+// farthest from centroidOf over the remaining rows. It divides the running
+// sums instead of re-summing, bounds by delta how far that centroid can
+// lie from centroidOf's (in Euclidean norm), and asks farthestCert from
+// it. The best row is the reference's when no row differing from it lies
+// at or above tau; otherwise, or if any quantity is not finite, the round
+// re-sums in row order (compact) and asks farthest from that centroid, as
+// the reference does. DESIGN.md gives the argument.
+func (kn *kernel) seed() int {
+	m := float64(kn.nodes[0].live)
+	g := gammaN(int(kn.nodes[0].live) - 1)
+	c := kn.centroid
+	var delta float64
+	for j, s := range kn.sum {
+		c[j] = s / m
+		delta += ((1+u)*(kn.drift[j]+g*kn.absSum[j]) + 2*u*math.Abs(s)) / m
+	}
+	// Doubling covers the rounding of the bound's own arithmetic; the
+	// constant covers underflow.
+	if delta = 2*delta + 0x1p-500; delta < math.Inf(1) {
+		best, bestD, rival := kn.farthestCert(c, delta)
+		if bestD <= maxCertified && rival < kn.tau(bestD, delta) {
+			return best
+		}
+	}
+	kn.fallbacks++
+	return kn.farthest(kn.compact())
+}
+
+// tau returns τ(bestD): a row whose computed distance from the running
+// centroid lies below it gets, in the reference's arithmetic, a strictly
+// smaller distance from centroidOf's centroid than the row at bestD. It is
+// ((1 − 2γ_{d+2})·√bestD − 2·delta)², rounded down, or 0 when the root is
+// not positive, and it never decreases as bestD grows.
+func (kn *kernel) tau(bestD, delta float64) float64 {
+	if t := kn.shrink*math.Sqrt(bestD) - 2*delta; t > 0 {
+		return t * t
+	}
+	return 0
+}
+
+// gammaN returns γ_n = n·u/(1 − n·u), which bounds the relative error of n
+// rounded operations (Higham, Accuracy and Stability of Numerical
+// Algorithms, ch. 3).
+func gammaN(n int) float64 {
+	nu := float64(n) * u
+	return nu / (1 - nu)
 }
 
 // nearest returns the m live rows nearest to ref, row skip excluded (−1
@@ -371,43 +511,28 @@ func (kn *kernel) nearest(ref []float64, skip, m int) []stats.DistIdx {
 }
 
 // compact drops carved rows from remaining, keeping ascending order, and
-// returns the centroid of the rows left: each coordinate one sum in row
-// order and one division, the arithmetic of the row-slice centroidOf.
-// Columns are summed four at a time into locals, which stay in registers;
-// the pass over the first four also compacts.
+// re-anchors the running sums to the rows left: each column added in row
+// order from +0, so the returned centroid carries the bits of the
+// row-slice centroidOf.
 func (kn *kernel) compact() []float64 {
-	pts, d, slot, c := kn.pts, kn.d, kn.slot, kn.centroid
-	rows, rest := kn.remaining, kn.remaining[:0]
-	for j := 0; j < d; j += 4 {
-		w := min(d-j, 4)
-		var s0, s1, s2, s3 float64
-		for _, r := range rows {
-			if j == 0 {
-				if slot[r] < 0 {
-					continue
-				}
-				rest = append(rest, r)
-			}
-			o := int(r)*d + j
-			s0 += pts[o]
-			if w > 1 {
-				s1 += pts[o+1]
-				if w > 2 {
-					s2 += pts[o+2]
-					if w > 3 {
-						s3 += pts[o+3]
-					}
-				}
-			}
+	rest := kn.remaining[:0]
+	clear(kn.sum)
+	for _, r := range kn.remaining {
+		if kn.slot[r] < 0 {
+			continue
 		}
-		rows = rest
-		sums := [4]float64{s0, s1, s2, s3}
-		for i := range w {
-			c[j+i] = sums[i] / float64(len(rest))
+		rest = append(rest, r)
+		for j, v := range kn.row(int(r)) {
+			kn.sum[j] += v
 		}
 	}
 	kn.remaining = rest
-	return c
+	m, g := float64(len(rest)), gammaN(len(rest)-1)
+	for j, s := range kn.sum {
+		kn.centroid[j] = s / m
+		kn.drift[j] = g * kn.absSum[j]
+	}
+	return kn.centroid
 }
 
 // take removes the rows from the tree, then refits the leaves that lost
@@ -430,14 +555,19 @@ func (kn *kernel) take(rows []int) {
 	kn.dirty = dirty
 }
 
-// remove takes row i out of its leaf's live slots, counts one row fewer on
-// every node above it, and reports the leaf and whether the leaf needs a
-// refit: it is not the root, and the row was its first or lay on its box's
-// boundary.
+// remove takes row i out of its leaf's live slots and out of the running
+// sums, counts one row fewer on every node above it, and reports the leaf
+// and whether the leaf needs a refit: it is not the root, and the row was
+// its first or lay on its box's boundary.
 func (kn *kernel) remove(i int) (leaf int32, edge bool) {
 	s := kn.slot[i]
 	if s < 0 {
 		return 0, false
+	}
+	for j, v := range kn.row(i) {
+		sum := kn.sum[j] - v
+		kn.sum[j] = sum
+		kn.drift[j] += u * math.Abs(sum)
 	}
 	for {
 		nd := &kn.nodes[leaf]
@@ -510,14 +640,13 @@ func (kn *kernel) carve(seed, k int) []int {
 func (kn *kernel) assign(k int) [][]int {
 	groups := make([][]int, 0, kn.n/k+1)
 	for kn.nodes[0].live >= int32(3*k) {
-		r := kn.farthest(kn.compact())
+		r := kn.seed()
 		groups = append(groups, kn.carve(r, k))
 		s := kn.farthest(kn.row(r))
 		groups = append(groups, kn.carve(s, k))
 	}
 	if kn.nodes[0].live >= int32(2*k) {
-		r := kn.farthest(kn.compact())
-		groups = append(groups, kn.carve(r, k))
+		groups = append(groups, kn.carve(kn.seed(), k))
 	}
 	return kn.rest(groups)
 }
@@ -533,7 +662,7 @@ func (kn *kernel) vassign(k int, gamma float64) [][]int {
 	groups := make([][]int, 0, kn.n/k+1)
 	for kn.nodes[0].live >= int32(2*k) {
 		start := len(kn.arena)
-		kn.carve(kn.farthest(kn.compact()), k)
+		kn.carve(kn.seed(), k)
 		// More than k ≥ 2 live rows: cand and other both exist.
 		for len(kn.arena)-start < 2*k-1 && kn.nodes[0].live > int32(k) {
 			cand := kn.nearest(kn.groupCentroid(kn.arena[start:]), -1, 1)[0]
@@ -551,7 +680,7 @@ func (kn *kernel) vassign(k int, gamma float64) [][]int {
 
 // groupCentroid returns the centroid of the group's rows: each coordinate one
 // sum in group order and one division, the arithmetic of the row-slice
-// centroidOf. It overwrites the centroid compact returned.
+// centroidOf. It overwrites the centroid seed computed.
 func (kn *kernel) groupCentroid(group []int) []float64 {
 	c := kn.centroid
 	clear(c)

@@ -3,6 +3,8 @@ package microagg
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/dataset"
@@ -78,12 +80,32 @@ func (o *OptimalUnivariate) Assign(t *dataset.Table, k int) ([][]int, error) {
 		sorted[i] = vals[idx]
 	}
 
-	// Prefix sums for O(1) within-group SSE of any contiguous run.
+	// Prefix sums for O(1) within-group SSE of any contiguous run. dp[i] is
+	// the minimal cost of partitioning the first i sorted values, inf
+	// while none is feasible; cut[i] records the start of the last group.
+	const inf = 1e308
 	prefix := make([]float64, n+1)
 	prefixSq := make([]float64, n+1)
-	for i, v := range sorted {
-		prefix[i+1] = prefix[i] + v
-		prefixSq[i+1] = prefixSq[i] + v*v
+	sums := func() {
+		for i, v := range sorted {
+			prefix[i+1] = prefix[i] + v
+			prefixSq[i+1] = prefixSq[i] + v*v
+		}
+	}
+	sums()
+	if !(prefixSq[n] < inf) {
+		// The squares reach the sentinel or overflow, so costs could too,
+		// and an overflowed SSE is NaN or Inf. Scale the values by a power
+		// of two below 2^(500−L), n < 2^L: sums, squares and costs then
+		// stay under 2^1000. The scaling is exact (unless it pushes a value
+		// below 2^−1022), so every cost scales by its square and the DP
+		// picks the runs exact arithmetic would at the old scale.
+		_, e := math.Frexp(max(-sorted[0], sorted[n-1]))
+		shift := 500 - bits.Len(uint(n)) - e
+		for i, v := range sorted {
+			sorted[i] = math.Ldexp(v, shift)
+		}
+		sums()
 	}
 	sse := func(lo, hi int) float64 { // [lo, hi)
 		cnt := float64(hi - lo)
@@ -92,9 +114,6 @@ func (o *OptimalUnivariate) Assign(t *dataset.Table, k int) ([][]int, error) {
 		return sq - sum*sum/cnt
 	}
 
-	// dp[i] = minimal cost partitioning the first i sorted values; cut[i]
-	// records the start of the last group.
-	const inf = 1e308
 	dp := make([]float64, n+1)
 	cut := make([]int, n+1)
 	for i := 1; i <= n; i++ {
@@ -163,9 +182,10 @@ func (v *VMDAV) Anonymize(t *dataset.Table, k int) (*dataset.Table, error) {
 }
 
 // Assign runs V-MDAV and returns groups of size in [k, 2k−1]. It rejects
-// what MDAV's Assign rejects, NaN and ±Inf coordinates included.
+// what MDAV's Assign rejects, NaN and ±Inf coordinates included, and a
+// negative or NaN Gamma; +Inf extends every group as far as it can grow.
 func (v *VMDAV) Assign(t *dataset.Table, k int) ([][]int, error) {
-	if v.Gamma < 0 {
+	if !(v.Gamma >= 0) {
 		return nil, fmt.Errorf("microagg: gamma %g must be non-negative", v.Gamma)
 	}
 	kn, err := newTableKernel(t, k, v.Opts.Standardize)

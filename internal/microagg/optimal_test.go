@@ -235,10 +235,68 @@ func TestVMDAVErrors(t *testing.T) {
 	if _, err := NewVMDAV().Assign(tb, 4); err == nil {
 		t.Error("k>n accepted")
 	}
-	bad := NewVMDAV()
-	bad.Gamma = -1
-	if _, err := bad.Assign(tb, 2); err == nil {
-		t.Error("negative gamma accepted")
+	// A NaN gamma fails every comparison, so every candidate would join.
+	for _, g := range []float64{-1, math.NaN()} {
+		bad := NewVMDAV()
+		bad.Gamma = g
+		if _, err := bad.Assign(tb, 2); err == nil || !strings.Contains(err.Error(), "must be non-negative") {
+			t.Errorf("gamma %g: err = %v, want the non-negative error", g, err)
+		}
+	}
+}
+
+// TestVMDAVInfiniteGamma: γ = +Inf, which extends every group as far as
+// it can grow, matches the reference, with raw and standardized distances.
+func TestVMDAVInfiniteGamma(t *testing.T) {
+	var clouds [][]float64
+	for _, base := range []float64{0, 100, 200} {
+		for i := range 4 {
+			clouds = append(clouds, []float64{base + float64(i)})
+		}
+	}
+	for name, in := range map[string]*dataset.Table{
+		"clouds":    numTable(t, clouds),
+		"quantized": quantizedTable(t, 250, 41),
+	} {
+		for _, k := range []int{2, 3, 5} {
+			for _, std := range []bool{true, false} {
+				got, err := (&VMDAV{Opts: Options{Standardize: std}, Gamma: math.Inf(1)}).Assign(in, k)
+				if err != nil {
+					t.Fatalf("%s k=%d std=%v: %v", name, k, std, err)
+				}
+				if want := referenceVAssign(in, k, math.Inf(1), std); !groupsEqual(got, want) {
+					t.Errorf("%s k=%d std=%v: groups diverge from reference:\ngot  %v\nwant %v", name, k, std, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestOptimalUnivariateHugeValues: finite values whose squares overflow,
+// or whose squares stay finite but reach the DP's 1e308 sentinel (the last
+// table), partition as the same values scaled by 2⁻⁶⁰⁰.
+func TestOptimalUnivariateHugeValues(t *testing.T) {
+	opt := &OptimalUnivariate{Column: "A"}
+	for _, vals := range [][]float64{
+		{1e200, 2e200, 3e200, 4e200},
+		{1e160, 2e160, 3e160, 4e160, 5e160, 6e160},
+		{-7.3e153, 0, 7.3e153},
+	} {
+		rows, scaled := make([][]float64, len(vals)), make([][]float64, len(vals))
+		for i, v := range vals {
+			rows[i], scaled[i] = []float64{v}, []float64{math.Ldexp(v, -600)}
+		}
+		got, err := opt.Assign(numTable(t, rows), 2)
+		if err != nil {
+			t.Fatalf("%g: %v", vals, err)
+		}
+		want, err := opt.Assign(numTable(t, scaled), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !groupsEqual(got, want) {
+			t.Errorf("%g: groups %v, want those of the scaled table %v", vals, got, want)
+		}
 	}
 }
 
