@@ -1,9 +1,9 @@
 package repro
 
-// One benchmark per table and figure of the paper, plus the ablations called
-// out in DESIGN.md §6 and micro-benchmarks of the substrates. The benches
-// also publish the headline series values through b.ReportMetric so
-// `go test -bench` output doubles as a numeric record (EXPERIMENTS.md).
+// One benchmark per table and figure of the paper, plus ablations and
+// micro-benchmarks of the substrates. The benches also publish the headline
+// series values through b.ReportMetric so `go test -bench` output doubles as
+// a numeric record.
 
 import (
 	"bytes"
@@ -178,7 +178,7 @@ func BenchmarkFig8WeightedSum(b *testing.B) {
 	b.ReportMetric(res.Hmax, "Hmax")
 }
 
-// --- Ablations (DESIGN.md §6) ----------------------------------------------
+// --- Ablations ---------------------------------------------------------------
 
 // BenchmarkAblationSchemes re-runs the sweep under each partitioning scheme,
 // checking the paper's "other solutions produce similar results" claim.
@@ -225,7 +225,8 @@ func BenchmarkAblationFusion(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationHNormalization compares the H scalings of DESIGN.md §6.
+// BenchmarkAblationHNormalization compares the H scalings of
+// metrics.HNormalization.
 func BenchmarkAblationHNormalization(b *testing.B) {
 	sc := benchScenario(b)
 	levels := sweepOnce(b, sc)
@@ -407,7 +408,7 @@ func BenchmarkRiskAssessment(b *testing.B) {
 // BenchmarkAblationHandAuthoredFIS attacks with the hand-written compound
 // rule base of testdata/university.fis — the "adversary with domain
 // knowledge" of Section 3.B. It breaches far harder than the auto-generated
-// single-antecedent rules (see EXPERIMENTS.md).
+// single-antecedent rules.
 func BenchmarkAblationHandAuthoredFIS(b *testing.B) {
 	sc := benchScenario(b)
 	release, err := sc.Release(6, nil)

@@ -1,10 +1,3 @@
-// Command experiments regenerates every table and figure of the paper's
-// evaluation (Section 6) plus the worked example of Section 1, printing the
-// same series the paper plots. See EXPERIMENTS.md for paper-vs-measured.
-//
-// Usage:
-//
-//	experiments [-fig all|2|4|5|6|7|8|tables] [-seed N] [-n N] [-maxk K]
 package main
 
 import (
@@ -21,13 +14,16 @@ import (
 	"repro/internal/web"
 )
 
-func main() {
-	log.SetFlags(0)
-	fig := flag.String("fig", "all", "which figure to regenerate: all, tables, 2, 4, 5, 6, 7, 8")
-	seed := flag.Int64("seed", 42, "scenario seed")
-	n := flag.Int("n", 40, "university cohort size")
-	maxK := flag.Int("maxk", 16, "largest anonymization level")
-	flag.Parse()
+// runExperiments regenerates every table and figure of the paper's
+// evaluation (Section 6) plus the worked example of Section 1, printing the
+// same series the paper plots.
+func runExperiments(args []string) {
+	fs := flag.NewFlagSet("fred experiments", flag.ExitOnError)
+	fig := fs.String("fig", "all", "which figure to regenerate: all, tables, 2, 4, 5, 6, 7, 8")
+	seed := fs.Int64("seed", 42, "scenario seed")
+	n := fs.Int("n", 40, "university cohort size")
+	maxK := fs.Int("maxk", 16, "largest anonymization level")
+	fs.Parse(args)
 
 	switch *fig {
 	case "all":
@@ -45,7 +41,7 @@ func main() {
 		fig8(*seed, *n, *maxK)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *fig)
-		flag.Usage()
+		fs.Usage()
 		os.Exit(2)
 	}
 }
@@ -181,16 +177,8 @@ func fig8(seed int64, n, maxK int) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	probe, err := sc.Sweep(2, maxK, nil, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	tp, tu, err := repro.CalibrateThresholds(probe)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println("== Figure 8: weighted sum of protection and utility H vs k ==")
-	fmt.Printf("(auto-calibrated thresholds: Tp = %.6g, Tu = %.6g; W1 = W2 = 0.5)\n", tp, tu)
+	fmt.Printf("(auto-calibrated thresholds: Tp = %.6g, Tu = %.6g; W1 = W2 = 0.5)\n", res.Tp, res.Tu)
 	fmt.Println("k\tH")
 	for i, li := range res.Candidates {
 		fmt.Printf("%d\t%.4f\n", res.Levels[li].K, res.H[i])

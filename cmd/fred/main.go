@@ -1,303 +1,73 @@
-// Command fred runs FRED Anonymization (Algorithm 1) over a private table
-// and an auxiliary table: it sweeps anonymization levels, simulates the
-// fusion attack at each, and emits the fusion-resilient release with the
-// optimal level.
+// Command fred runs the paper's pipeline, one subcommand a step: generate
+// the cohort, anonymize it, run the Section 3 fusion attack, run FRED
+// Anonymization (Algorithm 1), and assess the release.
 //
 // Usage:
 //
-//	fred -p p.csv -q q.csv -lo 40000 -hi 160000 \
-//	     [-tp T] [-tu T] [-mink 2] [-maxk 16] [-scheme mdav|mondrian] \
-//	     [-workers N] [-out optimal.csv] [-literal-loop]
+//	fred datagen -scenario university|financial|tableii [-seed N] [-n N] \
+//	     [-p p.csv] [-q q.csv] [-web-missing P] [-web-typos P] [-web-noise F]
+//	fred anonymize -in p.csv -out release.csv -k 6 [-scheme mdav|mondrian|kanon] \
+//	     [-keep-sensitive]
+//	fred attack -p p.csv -release release.csv [-q q.csv] -lo 40000 -hi 160000 \
+//	     [-estimator fuzzy|rank|midpoint] [-fis system.fis] [-report] [-out phat.csv]
+//	fred assess -in table.csv                   # column summary + re-id risk
+//	fred assess -in p.csv -est phat.csv -lo L -hi H [-markdown]
+//	                                             # disclosure risk of an estimate
+//	fred sweep -p p.csv -q q.csv -lo 40000 -hi 160000 \
+//	     [-tp T] [-tu T] [-mink 2] [-maxk 16] [-scheme mdav|mondrian|kanon] \
+//	     [-workers N] [-out optimal.csv] [-literal-loop] [-markdown]
 //	     [-adaptive] [-kset 2,4,8] [-stride N] [-budget 30s]
 //	     [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	fred experiments [-fig all|2|4|5|6|7|8|tables] [-seed N] [-n N] [-maxk K]
 //
-// The sweep streams: levels print as a live table the moment each completes
-// (in k order, even with -workers > 1), so a long sweep on a big cohort
-// shows progress instead of going dark until the end. The sweep runs once —
-// when -tp and -tu are both zero, thresholds are auto-calibrated from the
-// streamed series the way the paper set them "based on experimental
-// observations", with no second probe sweep.
-//
-// -adaptive, -kset, -stride and -budget switch to the adaptive planner
-// (internal/core/planner): with explicit thresholds it bisects the Tu
-// crossing instead of walking every level and prints which ranges it
-// skipped and why; -kset / -stride restrict the evaluated set; -budget
-// bounds wall-clock and reports the best partial release at the deadline.
-// Adaptive rows print in evaluation order (probes jump around the range)
-// and the decision uses the service's band semantics (both thresholds
-// filter candidacy, no Tu truncation), bit-identical to an exhaustive
-// adaptive run of the same spec.
-//
-// -cpuprofile and -memprofile write pprof profiles of the run (the heap
-// profile is taken after the sweep, post-GC) for `go tool pprof`. Profiles
-// are flushed only on successful exits — error paths leave at most a
-// truncated file.
+// CSV files use the two-header layout (column names, then class:kind tags;
+// see internal/dataset/csv.go). Every scheme flag takes the same three
+// schemes; kanon builds a numeric generalization ladder per
+// quasi-identifier from its observed range (base width = range/8).
 package main
 
 import (
-	"context"
-	"flag"
 	"fmt"
 	"log"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"strconv"
-	"strings"
-	"time"
 
-	"repro"
 	"repro/internal/core"
-	"repro/internal/core/planner"
 	"repro/internal/dataset"
-	"repro/internal/fusion"
-	"repro/internal/metrics"
+	"repro/internal/hierarchy"
+	"repro/internal/kanon"
 	"repro/internal/microagg"
 	"repro/internal/mondrian"
-	"repro/internal/report"
+	"repro/internal/risk"
 )
+
+var commands = []struct {
+	name, summary string
+	run           func(args []string)
+}{
+	{"datagen", "generate the private table P and the auxiliary table Q", runDatagen},
+	{"anonymize", "k-anonymize a table and write the release", runAnonymize},
+	{"attack", "fuse a release with Q and score the adversary's estimate", runAttack},
+	{"assess", "summarize a table, or score an estimate's disclosure risk", runAssess},
+	{"sweep", "run FRED (Algorithm 1) and write the optimal release", runSweep},
+	{"experiments", "print the paper's tables and figure series", runExperiments},
+}
 
 func main() {
 	log.SetFlags(0)
-	pPath := flag.String("p", "", "private table P CSV")
-	qPath := flag.String("q", "", "auxiliary table Q CSV (optional)")
-	lo := flag.Float64("lo", 0, "public lower bound of the sensitive attribute")
-	hi := flag.Float64("hi", 0, "public upper bound of the sensitive attribute")
-	tp := flag.Float64("tp", 0, "protection threshold Tp (0 = auto-calibrate)")
-	tu := flag.Float64("tu", 0, "utility threshold Tu (0 = auto-calibrate)")
-	minK := flag.Int("mink", 2, "first anonymization level")
-	maxK := flag.Int("maxk", 16, "last anonymization level")
-	scheme := flag.String("scheme", "mdav", "mdav or mondrian")
-	workers := flag.Int("workers", 0, "parallel sweep workers (0 = NumCPU)")
-	out := flag.String("out", "", "optional output CSV for the optimal release")
-	literal := flag.Bool("literal-loop", false, "use the pseudocode's literal stopping rule")
-	markdown := flag.Bool("markdown", false, "emit the run report as Markdown")
-	adaptive := flag.Bool("adaptive", false, "use the adaptive planner (bisect the Tu crossing instead of walking every level)")
-	kset := flag.String("kset", "", "comma-separated explicit level set (adaptive; overrides -mink/-maxk)")
-	stride := flag.Int("stride", 0, "evaluate every Nth level of the range (adaptive)")
-	budget := flag.Duration("budget", 0, "wall-clock budget: stop at the deadline with the best partial release (adaptive)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile (taken after the sweep) to this file")
-	flag.Parse()
-	if *pPath == "" || *hi <= *lo {
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			runtime.GC() // settle live heap so the profile shows retention, not garbage
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Fatal(err)
-			}
-		}()
-	}
-
-	p, err := readCSV(*pPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var q *dataset.Table
-	if *qPath != "" {
-		if q, err = readCSV(*qPath); err != nil {
-			log.Fatal(err)
-		}
-	}
-	var anon core.Anonymizer
-	switch *scheme {
-	case "mdav":
-		anon = microagg.New()
-	case "mondrian":
-		anon = mondrian.New()
-	default:
-		log.Fatalf("unknown scheme %q", *scheme)
-	}
-	atk := core.AttackConfig{Aux: q, SensitiveRange: fusion.Range{Lo: *lo, Hi: *hi}}
-	nWorkers := *workers
-	if nWorkers <= 0 {
-		nWorkers = runtime.NumCPU()
-	}
-
-	cfg := core.Config{
-		Anonymizer:       anon,
-		Attack:           atk,
-		Tp:               *tp,
-		Tu:               *tu,
-		MinK:             *minK,
-		MaxK:             *maxK,
-		LiteralPaperLoop: *literal,
-	}
-	// With explicit thresholds the stopping rule is decidable per level, so
-	// the stream halts the sweep the moment it fires — exactly Algorithm 1's
-	// loop. Auto-calibration needs the full series first; the stop rule is
-	// applied to the streamed levels afterwards, with no second sweep.
-	explicit := *tp != 0 || *tu != 0
-
-	var res *core.Result
-	if *kset != "" || *stride > 1 || *budget > 0 || *adaptive {
-		if *literal {
-			log.Fatal("fred: -literal-loop applies to the classic range sweep only")
-		}
-		if *kset != "" && *stride > 1 {
-			log.Fatal("fred: -kset and -stride are mutually exclusive")
-		}
-		res, err = runAdaptive(p, anon, atk, &cfg, nWorkers, *kset, *stride, *budget, explicit)
-		if err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		fmt.Printf("sweeping k = %d..%d on %d workers\n", *minK, *maxK, nWorkers)
-		fmt.Printf("%4s  %13s  %13s  %13s  %12s\n", "k", "P∘P' (before)", "P∘P̂ (after)", "gain G", "utility U")
-		var levels []core.LevelResult
-		err = core.SweepStream(context.Background(), p, core.StreamConfig{
-			Anonymizer: anon,
-			Attack:     atk,
-			MinK:       *minK,
-			MaxK:       *maxK,
-			Workers:    nWorkers,
-			Tp:         *tp,
-		}, func(lr core.LevelResult) error {
-			levels = append(levels, lr)
-			fmt.Printf("%4d  %13.6g  %13.6g  %13.6g  %12.6g\n",
-				lr.K, lr.Before, lr.After, lr.Gain, lr.Utility)
-			if explicit && cfg.StopsAfter(lr) {
-				return core.ErrStopSweep
-			}
-			return nil
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println()
-
-		if !explicit {
-			cfg.Tp, cfg.Tu, err = repro.CalibrateThresholds(levels)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("auto-calibrated thresholds: Tp = %.6g, Tu = %.6g\n", cfg.Tp, cfg.Tu)
-			// Truncate the series where Algorithm 1's stopping rule would have
-			// ended the sweep under the calibrated thresholds.
-			for i, lr := range levels {
-				if cfg.StopsAfter(lr) {
-					levels = levels[:i+1]
-					break
-				}
+	if len(os.Args) > 1 {
+		for _, c := range commands {
+			if c.name == os.Args[1] {
+				c.run(os.Args[2:])
+				return
 			}
 		}
-
-		if res, err = core.Decide(levels, cfg); err != nil {
-			log.Fatal(err)
-		}
 	}
-
-	if err := report.WriteFRED(os.Stdout, res, report.Options{Markdown: *markdown}); err != nil {
-		log.Fatal(err)
+	fmt.Fprintln(os.Stderr, "usage: fred <command> [flags]\n\ncommands:")
+	for _, c := range commands {
+		fmt.Fprintf(os.Stderr, "  %-12s %s\n", c.name, c.summary)
 	}
-
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		if err := dataset.WriteCSV(f, res.Optimal); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote fusion-resilient release to %s\n", *out)
-	}
-}
-
-// runAdaptive executes the sweep through the adaptive planner and decides
-// with the band semantics (core.DecideWithin). cfg's thresholds are updated
-// in place when auto-calibrated so the report reflects the values used.
-func runAdaptive(p *dataset.Table, anon core.Anonymizer, atk core.AttackConfig, cfg *core.Config, workers int, kset string, stride int, budget time.Duration, explicit bool) (*core.Result, error) {
-	set, err := parseKSet(kset)
-	if err != nil {
-		return nil, err
-	}
-	ks, err := planner.Expand(cfg.MinK, cfg.MaxK, stride, set)
-	if err != nil {
-		return nil, err
-	}
-	pcfg := planner.Config{
-		Anonymizer:      anon,
-		Attack:          atk,
-		Levels:          ks,
-		Tp:              cfg.Tp,
-		Tu:              cfg.Tu,
-		Workers:         workers,
-		MinParallelRows: core.MinParallelSweepRows,
-		Hooks: planner.Hooks{
-			Level: func(lr core.LevelResult, _ bool) {
-				fmt.Printf("%4d  %13.6g  %13.6g  %13.6g  %12.6g\n",
-					lr.K, lr.Before, lr.After, lr.Gain, lr.Utility)
-			},
-			Fallback: func(reason string) {
-				fmt.Printf("exhaustive fallback: %s\n", reason)
-			},
-		},
-	}
-	if budget > 0 {
-		pcfg.Deadline = time.Now().Add(budget)
-	}
-	fmt.Printf("adaptive sweep over %d requested levels on %d workers\n", len(ks), workers)
-	fmt.Printf("%4s  %13s  %13s  %13s  %12s\n", "k", "P∘P' (before)", "P∘P̂ (after)", "gain G", "utility U")
-	out, err := planner.Run(context.Background(), p, pcfg)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Println()
-	for _, r := range out.SkippedRanges {
-		fmt.Printf("skipped k = %d..%d (%s)\n", r.FromK, r.ToK, r.Reason)
-	}
-	if out.Partial {
-		fmt.Println("budget expired: deciding over the levels evaluated in time")
-	}
-	fmt.Printf("evaluated %d of %d requested levels\n", out.Evaluated, out.Requested)
-	if !explicit {
-		if cfg.Tp, cfg.Tu, err = repro.CalibrateThresholds(out.Levels); err != nil {
-			return nil, err
-		}
-		fmt.Printf("auto-calibrated thresholds: Tp = %.6g, Tu = %.6g\n", cfg.Tp, cfg.Tu)
-	}
-	return core.DecideWithin(out.Levels, cfg.Tp, cfg.Tu, metrics.DefaultHOptions())
-}
-
-// parseKSet parses the -kset flag: comma-separated anonymization levels.
-func parseKSet(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, part := range parts {
-		k, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("fred: bad -kset entry %q", part)
-		}
-		out = append(out, k)
-	}
-	return out, nil
+	fmt.Fprintln(os.Stderr, "\nRun 'fred <command> -h' for a command's flags.")
+	os.Exit(2)
 }
 
 func readCSV(path string) (*dataset.Table, error) {
@@ -307,4 +77,69 @@ func readCSV(path string) (*dataset.Table, error) {
 	}
 	defer f.Close()
 	return dataset.ReadCSV(f)
+}
+
+func writeCSV(path string, t *dataset.Table) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if err := dataset.WriteCSV(f, t); err != nil {
+		return err
+	}
+	return f.Close()
+}
+
+// pickScheme is the scheme table every subcommand shares. kanon derives its
+// ladders from t, so t is the table the scheme will anonymize.
+func pickScheme(name string, t *dataset.Table) (core.Anonymizer, error) {
+	switch name {
+	case "mdav":
+		return microagg.New(), nil
+	case "mondrian":
+		return mondrian.New(), nil
+	case "kanon":
+		gens := make(map[string]hierarchy.Generalizer)
+		for _, i := range t.Schema().IndicesOf(dataset.QuasiIdentifier) {
+			col := t.Schema().Column(i)
+			if col.Kind != dataset.Number {
+				return nil, fmt.Errorf("kanon CLI scheme supports numeric quasi-identifiers only; %q is text", col.Name)
+			}
+			vals := t.ColumnFloats(i, 0)
+			lo, hi := vals[0], vals[0]
+			for _, v := range vals {
+				if v < lo {
+					lo = v
+				}
+				if v > hi {
+					hi = v
+				}
+			}
+			if hi == lo {
+				hi = lo + 1
+			}
+			l, err := hierarchy.NewLadder(lo, hi, (hi-lo)/8)
+			if err != nil {
+				return nil, err
+			}
+			gens[col.Name] = l
+		}
+		a := kanon.New(gens)
+		a.MaxSuppressFraction = 0.05
+		return a, nil
+	default:
+		return nil, fmt.Errorf("unknown scheme %q", name)
+	}
+}
+
+// assessRisk scores the estimate phat against the ground truth on truth's
+// one sensitive column: the record-level disclosure report of attack
+// -report and assess -est.
+func assessRisk(truth, phat *dataset.Table, lo, hi float64) (*risk.Assessment, error) {
+	sens := truth.Schema().NamesOf(dataset.Sensitive)
+	if len(sens) != 1 {
+		return nil, fmt.Errorf("risk report needs exactly one sensitive column, found %d", len(sens))
+	}
+	return risk.Assess(truth, phat, sens[0], lo, hi)
 }

@@ -71,7 +71,7 @@ func TestPerturbationInsideSweep(t *testing.T) {
 	// Moderate budget: ε(k) = 10/k keeps the low levels informative. With
 	// the default ε = 1/k the perturbed reviews are pure noise and the
 	// naive fuzzy fusion does WORSE than the midpoint — the garbage release
-	// features poison the estimator (recorded in EXPERIMENTS.md).
+	// features poison the estimator.
 	lap.Epsilon = func(k int) float64 { return 10 / float64(k) }
 	levels, err := core.Sweep(sc.P, lap, atk, 2, 8)
 	if err != nil {

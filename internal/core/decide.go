@@ -28,6 +28,9 @@ type Result struct {
 	Hmax float64
 	// Optimal is the fusion-resilient release P'_opt.
 	Optimal *dataset.Table
+	// Tp and Tu are the thresholds the decision used: the caller's, or the
+	// calibrated pair when both were zero.
+	Tp, Tu float64
 }
 
 // ErrNoCandidate is returned when no level passes both thresholds.
@@ -44,22 +47,33 @@ func (cfg Config) StopsAfter(lr LevelResult) bool {
 	return lr.Utility < cfg.Tu
 }
 
-// Decide applies Algorithm 1's selection to a swept (possibly truncated)
-// series: the Tp candidate filter, the weighted objective H over the
-// candidates, and the argmax. It records candidacy on the series in place
-// and returns the partial Result alongside ErrNoCandidate when no level
-// passes the filter. Run is SweepStream + Decide; callers that stream a
-// sweep themselves (e.g. a CLI printing levels live) reuse it to reach
-// Run's exact decision without a second sweep — provided they also apply
-// Run's Tu stopping rule (Config.StopsAfter) as truncation first. The
-// service's fred-sweep job deliberately deviates: it sweeps the full
-// requested range and filters candidacy by both thresholds instead of
-// truncating at Tu (DecideWithin).
+// Decide applies Algorithm 1's selection to a swept series: the stopping
+// rule's truncation (Config.StopsAfter), the Tp candidate filter, the
+// weighted objective H over the candidates, and the argmax. When Tp and Tu
+// are both zero it first calibrates them from the whole series
+// (CalibrateThresholds). The truncation is a no-op on a series the sweep
+// already stopped under the same thresholds, so Run is SweepStream +
+// Decide, and callers that stream a sweep themselves (a CLI printing levels
+// live) reach Run's exact decision without a second sweep. Decide records
+// candidacy on the series in place and returns the partial Result
+// alongside ErrNoCandidate when no level passes the filter. The service's
+// fred-sweep job deliberately deviates: it sweeps the full requested range
+// and filters candidacy by both thresholds instead of truncating at Tu
+// (DecideWithin).
 func Decide(levels []LevelResult, cfg Config) (*Result, error) {
-	if cfg.HOpts.W1 == 0 && cfg.HOpts.W2 == 0 {
-		cfg.HOpts = metrics.DefaultHOptions()
+	if cfg.Tp == 0 && cfg.Tu == 0 {
+		var err error
+		if cfg.Tp, cfg.Tu, err = CalibrateThresholds(levels); err != nil {
+			return nil, err
+		}
 	}
-	res := &Result{Levels: levels}
+	for i, lr := range levels {
+		if cfg.StopsAfter(lr) {
+			levels = levels[:i+1]
+			break
+		}
+	}
+	res := &Result{Levels: levels, Tp: cfg.Tp, Tu: cfg.Tu}
 	for i := range res.Levels {
 		res.Levels[i].Candidate = res.Levels[i].After >= cfg.Tp
 		if res.Levels[i].Candidate {
@@ -75,15 +89,17 @@ func Decide(levels []LevelResult, cfg Config) (*Result, error) {
 		dis[i] = res.Levels[li].After
 		utl[i] = res.Levels[li].Utility
 	}
-	return decideTail(res, dis, utl, cfg.HOpts)
+	return decideTail(res, dis, utl, metrics.DefaultHOptions())
 }
 
 // DecideWithin applies the band variant of the selection the service's
 // fred-sweep job uses: a level is a candidate only when it clears BOTH
 // thresholds (After ≥ tp AND Utility ≥ tu), with no Tu truncation — the
-// whole series is considered and the H argmax runs over the band. Candidacy
-// is recorded on the series in place; the partial Result is returned
-// alongside ErrNoCandidate when the band is empty.
+// whole series is considered and the H argmax runs over the band. When tp
+// and tu are both zero they are first calibrated from the series
+// (CalibrateThresholds). Candidacy is recorded on the series in place; the
+// partial Result is returned alongside ErrNoCandidate when the band is
+// empty.
 //
 // Because H normalization (metrics.HSeries) is computed over the candidate
 // arrays alone, any two series that agree on the candidate band decide
@@ -93,7 +109,13 @@ func DecideWithin(levels []LevelResult, tp, tu float64, opts metrics.HOptions) (
 	if opts.W1 == 0 && opts.W2 == 0 {
 		opts = metrics.DefaultHOptions()
 	}
-	res := &Result{Levels: levels}
+	if tp == 0 && tu == 0 {
+		var err error
+		if tp, tu, err = CalibrateThresholds(levels); err != nil {
+			return nil, err
+		}
+	}
+	res := &Result{Levels: levels, Tp: tp, Tu: tu}
 	var dis, utl []float64
 	for i := range res.Levels {
 		res.Levels[i].Candidate = res.Levels[i].After >= tp && res.Levels[i].Utility >= tu

@@ -72,13 +72,11 @@ type Config struct {
 	// Attack is the simulated fusion adversary. Required.
 	Attack AttackConfig
 	// Tp is the protection threshold: a level is a candidate only if
-	// (P ∘ P̂) ≥ Tp.
+	// (P ∘ P̂) ≥ Tp. Tp and Tu both zero calibrate the pair from the swept
+	// series (CalibrateThresholds).
 	Tp float64
 	// Tu is the utility threshold: the sweep stops when U_k < Tu.
 	Tu float64
-	// HOpts weighs protection and utility (paper: W1 = W2 = 0.5, terms
-	// normalized; see metrics.DefaultHOptions).
-	HOpts metrics.HOptions
 	// MinK is the first anonymization level; 0 means the paper's minimal
 	// k = 2.
 	MinK int
@@ -88,7 +86,7 @@ type Config struct {
 	// LiteralPaperLoop reproduces the pseudocode's literal stopping rule
 	// ("repeat … until U_level ≥ Tu"), which halts as soon as a release is
 	// useful — almost certainly a typo for the prose rule. Kept for the
-	// ablation bench (DESIGN.md §6).
+	// ablation bench (DESIGN.md, "Ablation: the literal paper loop").
 	LiteralPaperLoop bool
 }
 
@@ -367,8 +365,10 @@ func comparisonColumns(p *dataset.Table) []string {
 }
 
 // Run executes FRED Anonymization (Algorithm 1) on the private table p: a
-// sequential SweepStream under the configured stopping rule, then Decide's
-// threshold filter and H-objective argmax.
+// sequential SweepStream, then Decide's threshold filter and H-objective
+// argmax. Explicit thresholds stop the stream at the stopping rule; with Tp
+// and Tu both zero the whole range is swept, and Decide calibrates the
+// thresholds from it and truncates.
 func Run(p *dataset.Table, cfg Config) (*Result, error) {
 	if cfg.Anonymizer == nil {
 		return nil, errors.New("core: config needs an anonymizer")
@@ -391,6 +391,7 @@ func Run(p *dataset.Table, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("core: MaxK %d below MinK %d", maxK, minK)
 	}
 
+	explicit := cfg.Tp != 0 || cfg.Tu != 0
 	var levels []LevelResult
 	err := SweepStream(context.Background(), p, StreamConfig{
 		Anonymizer: cfg.Anonymizer,
@@ -401,7 +402,7 @@ func Run(p *dataset.Table, cfg Config) (*Result, error) {
 		Tp:         cfg.Tp,
 	}, func(lr LevelResult) error {
 		levels = append(levels, lr)
-		if cfg.StopsAfter(lr) {
+		if explicit && cfg.StopsAfter(lr) {
 			return ErrStopSweep
 		}
 		return nil

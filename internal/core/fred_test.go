@@ -245,7 +245,7 @@ func TestSweepParallelEndsEarlyPastTable(t *testing.T) {
 
 func TestRunFindsInteriorOptimum(t *testing.T) {
 	p, q := universityFixture(t, 40)
-	// Thresholds recalibrated for the synthetic cohort (DESIGN.md §4):
+	// Thresholds recalibrated for the synthetic cohort:
 	// derive them from a probe sweep the way the authors did "based on
 	// experimental observations".
 	atk := AttackConfig{Aux: q, SensitiveRange: salaryRange()}

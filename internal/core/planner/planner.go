@@ -128,7 +128,7 @@ type SkipRange struct {
 type Outcome struct {
 	// Levels is the ascending series of every level known at the end —
 	// warm seeds and computed levels merged. Decisions run over it
-	// (core.DecideWithin / core.CalibrateThresholds).
+	// (core.DecideWithin, which calibrates zero thresholds).
 	Levels []core.LevelResult
 	// Requested is len(Config.Levels).
 	Requested int
@@ -296,8 +296,8 @@ func (s *runState) eval(i int) (evalStatus, error) {
 
 // Run executes the adaptive sweep and returns the series with its
 // evaluation accounting. Decide over Outcome.Levels with
-// core.DecideWithin (after core.CalibrateThresholds when thresholds were
-// left for auto-calibration).
+// core.DecideWithin, which calibrates the thresholds when both were left
+// zero.
 func Run(ctx context.Context, p *dataset.Table, cfg Config) (*Outcome, error) {
 	if cfg.Anonymizer == nil {
 		return nil, errors.New("planner: config needs an anonymizer")

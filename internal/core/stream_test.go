@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/microagg"
@@ -267,8 +268,10 @@ func TestSweepStreamValidation(t *testing.T) {
 	}
 }
 
-// TestDecideMatchesRun: Decide over a streamed series reaches Run's exact
-// decision — same candidates, same H, same optimal level.
+// TestDecideMatchesRun: Decide over a full series reaches Run's exact
+// decision — same thresholds, candidates, H and optimal level — under
+// explicit thresholds, where Run stops its stream and Decide truncates the
+// series itself, and under zero thresholds, where both calibrate.
 func TestDecideMatchesRun(t *testing.T) {
 	p, q := universityFixture(t, 40)
 	atk := AttackConfig{Aux: q, SensitiveRange: salaryRange()}
@@ -276,33 +279,44 @@ func TestDecideMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tp := probe[4].After
-	tu := probe[12].Utility
-	cfg := Config{Anonymizer: microagg.New(), Attack: atk, Tp: tp, Tu: tu, MaxK: 16}
-
-	want, err := Run(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Replay Run's loop on the probe series: truncate at the stopping rule,
-	// then Decide.
-	levels := probe
-	for i, lr := range levels {
-		if cfg.StopsAfter(lr) {
-			levels = levels[:i+1]
-			break
-		}
-	}
-	got, err := Decide(levels, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.OptimalK != want.OptimalK || got.Hmax != want.Hmax {
-		t.Errorf("Decide picked k=%d (H=%g), Run picked k=%d (H=%g)",
-			got.OptimalK, got.Hmax, want.OptimalK, want.Hmax)
-	}
-	if len(got.Candidates) != len(want.Candidates) || len(got.Levels) != len(want.Levels) {
-		t.Errorf("Decide: %d candidates over %d levels, Run: %d over %d",
-			len(got.Candidates), len(got.Levels), len(want.Candidates), len(want.Levels))
+	for _, tc := range []struct {
+		name    string
+		tp, tu  float64
+		literal bool
+		stops   bool // the stopping rule fires inside k = 2..16
+	}{
+		{"explicit", probe[4].After, probe[12].Utility, false, false},
+		{"explicit-stop", probe[4].After, probe[4].Utility, false, true},
+		{"literal", probe[4].After, probe[4].Utility, true, true},
+		{"calibrated", 0, 0, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Anonymizer: microagg.New(), Attack: atk, Tp: tc.tp, Tu: tc.tu, MaxK: 16, LiteralPaperLoop: tc.literal}
+			want, err := Run(p, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Decide(slices.Clone(probe), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.OptimalK != want.OptimalK || got.Hmax != want.Hmax || !slices.Equal(got.H, want.H) {
+				t.Errorf("Decide picked k=%d (H=%g), Run picked k=%d (H=%g)",
+					got.OptimalK, got.Hmax, want.OptimalK, want.Hmax)
+			}
+			if !slices.Equal(got.Candidates, want.Candidates) || len(got.Levels) != len(want.Levels) {
+				t.Errorf("Decide: candidates %v over %d levels, Run: %v over %d",
+					got.Candidates, len(got.Levels), want.Candidates, len(want.Levels))
+			}
+			if got.Tp != want.Tp || got.Tu != want.Tu {
+				t.Errorf("Decide used (Tp, Tu) = (%g, %g), Run (%g, %g)", got.Tp, got.Tu, want.Tp, want.Tu)
+			}
+			if tc.tp != 0 && (got.Tp != tc.tp || got.Tu != tc.tu) {
+				t.Errorf("explicit thresholds reported as (%g, %g), want (%g, %g)", got.Tp, got.Tu, tc.tp, tc.tu)
+			}
+			if stopped := len(got.Levels) < len(probe); stopped != tc.stops {
+				t.Errorf("Decide kept %d of %d levels, want the stopping rule to fire: %v", len(got.Levels), len(probe), tc.stops)
+			}
+		})
 	}
 }

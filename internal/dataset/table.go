@@ -97,26 +97,8 @@ func (t *Table) MustAppendRow(row ...Value) {
 	}
 }
 
-// Row returns the i'th row as a fresh slice.
-func (t *Table) Row(i int) []Value {
-	out := make([]Value, len(t.cols))
-	for j, c := range t.cols {
-		out[j] = c.value(i)
-	}
-	return out
-}
-
 // Cell returns the cell at (row, col).
 func (t *Table) Cell(row, col int) Value { return t.cols[col].value(row) }
-
-// CellByName returns the cell at (row, named column).
-func (t *Table) CellByName(row int, col string) (Value, error) {
-	i, err := t.schema.Lookup(col)
-	if err != nil {
-		return Value{}, err
-	}
-	return t.cols[i].value(row), nil
-}
 
 // SetCell overwrites the cell at (row, col) after kind validation.
 func (t *Table) SetCell(row, col int, v Value) error {

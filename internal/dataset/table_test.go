@@ -44,9 +44,6 @@ func TestSchemaBasics(t *testing.T) {
 	if _, err := s.Lookup("Salary"); err == nil {
 		t.Error("Lookup(Salary) should fail")
 	}
-	if !s.Has("Zipcode") || s.Has("zipcode") {
-		t.Error("Has is case-sensitive exact match")
-	}
 	if got := s.NamesOf(QuasiIdentifier); len(got) != 3 || got[0] != "Zipcode" {
 		t.Errorf("NamesOf(QI) = %v", got)
 	}
@@ -141,11 +138,6 @@ func TestTableAppendValidation(t *testing.T) {
 
 func TestTableRowIsolation(t *testing.T) {
 	tb := tableI(t)
-	r := tb.Row(0)
-	r[0] = Str("Mallory")
-	if got, _ := tb.Cell(0, 0).Text(); got != "Alice" {
-		t.Error("Row did not return a copy")
-	}
 	in := []Value{Str("E"), Str("5"), Num(1), Num(1), Str("US"), Str("Flu")}
 	if err := tb.AppendRow(in); err != nil {
 		t.Fatal(err)
@@ -283,18 +275,8 @@ func TestTableString(t *testing.T) {
 	}
 }
 
-func TestCellByNameAndSetCellValidation(t *testing.T) {
+func TestSetCellValidation(t *testing.T) {
 	tb := tableI(t)
-	v, err := tb.CellByName(1, "Condition")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := v.Text(); got != "Flu" {
-		t.Errorf("CellByName = %q", got)
-	}
-	if _, err := tb.CellByName(1, "Nope"); err == nil {
-		t.Error("CellByName unknown column accepted")
-	}
 	if err := tb.SetCell(0, 0, Num(3)); err == nil {
 		t.Error("SetCell kind violation accepted")
 	}

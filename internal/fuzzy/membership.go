@@ -4,8 +4,7 @@
 // variables, a textual rule language, Mamdani and zero-order Sugeno
 // inference, and five defuzzifiers.
 //
-// The engine replaces the Matlab Fuzzy Logic Toolbox the authors used; see
-// DESIGN.md §4.
+// The engine replaces the Matlab Fuzzy Logic Toolbox the authors used.
 package fuzzy
 
 import (

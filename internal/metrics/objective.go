@@ -12,8 +12,8 @@ import (
 //
 // The paper's Figure 8 plots H in [0.16, 0.32], which is only reachable if
 // the two terms are brought to a common scale before weighting (the raw
-// dissimilarity is ~1e8 while U is ~1e-3). Normalize controls that scaling —
-// see DESIGN.md §6.
+// dissimilarity is ~1e8 while U is ~1e-3). Normalize controls that scaling
+// (HNormalization).
 type HOptions struct {
 	// W1 weighs protection (dissimilarity of the adversary's estimate), W2
 	// weighs utility. The paper uses W1 = W2 = 0.5.

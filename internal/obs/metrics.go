@@ -282,14 +282,6 @@ func (g Gauge) Inc() { g.Add(1) }
 // Dec decrements the gauge by one.
 func (g Gauge) Dec() { g.Add(-1) }
 
-// Value reads the gauge, for tests and snapshot logging.
-func (g Gauge) Value() float64 {
-	if g.s == nil {
-		return 0
-	}
-	return math.Float64frombits(g.s.bits.Load())
-}
-
 // --- histogram --------------------------------------------------------------
 
 // HistogramVec is a histogram family; With resolves one labeled histogram.

@@ -127,19 +127,6 @@ func (t *Tracer) Spans(job string) []Span {
 	return out
 }
 
-// Recent returns up to n most recent spans across all jobs, oldest first.
-func (t *Tracer) Recent(n int) []Span {
-	if t == nil || n <= 0 {
-		return nil
-	}
-	var all []Span
-	t.scan(func(sp Span) { all = append(all, sp) })
-	if len(all) > n {
-		all = all[len(all)-n:]
-	}
-	return all
-}
-
 // scan visits retained spans oldest-first under the lock. While the ring is
 // filling the oldest span is index 0; once full, the write cursor points at
 // the slot about to be overwritten — the oldest entry.

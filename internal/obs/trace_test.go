@@ -60,9 +60,6 @@ func TestTracerRingOverwrite(t *testing.T) {
 			t.Fatalf("span %d = %s, want %s", i, sp.Name, want)
 		}
 	}
-	if got := tr.Recent(2); len(got) != 2 || got[1].Name != "s9" {
-		t.Fatalf("Recent(2) = %v", got)
-	}
 }
 
 // TestTracerDoubleEndRecordsOnce: End is idempotent.
@@ -96,7 +93,7 @@ func TestTracerConcurrent(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if got := len(tr.Recent(1000)); got != 64 {
+	if got := len(tr.Spans("job-0")) + len(tr.Spans("job-1")); got != 64 {
 		t.Fatalf("ring retained %d spans, want 64", got)
 	}
 }

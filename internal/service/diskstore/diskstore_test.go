@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -298,6 +299,74 @@ func TestRecoverRestoresTerminalJobsDisk(t *testing.T) {
 	}
 	if !st2.Cached {
 		t.Fatal("identical post-restart submission missed the re-seeded cache")
+	}
+}
+
+// jobRecordVers returns the spec version of every job record in dir's WAL,
+// in replay order.
+func jobRecordVers(t *testing.T, dir string) []int {
+	t.Helper()
+	ds, err := diskstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	var vers []int
+	err = ds.ReplayWAL(func(rec service.WALRecord) error {
+		if rec.Kind == service.WALJob {
+			vers = append(vers, rec.Ver)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vers
+}
+
+// TestRecoverKeepsSpecVersionDisk: the log Recover compacts to keeps the
+// job record's spec version, so a downgraded build still refuses a spec it
+// cannot honour after any number of restarts.
+func TestRecoverKeepsSpecVersionDisk(t *testing.T) {
+	dir, _, _, _ := runUninterrupted(t)
+	want := jobRecordVers(t, dir)
+	if len(want) != 1 || want[0] == 0 {
+		t.Fatalf("submitted job records carry versions %v, want one nonzero", want)
+	}
+	for restart := 1; restart <= 2; restart++ {
+		ds, _, engine := openPlane(t, dir, service.Options{Workers: 1})
+		if _, err := engine.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		err := engine.Shutdown(ctx)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ds.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := jobRecordVers(t, dir); !slices.Equal(got, want) {
+			t.Fatalf("after restart %d the job records carry versions %v, want %v", restart, got, want)
+		}
+	}
+}
+
+// TestRecoverRefusesNewerSpecVersionDisk: a job record written under a
+// newer spec vocabulary than this build's fails recovery loudly instead of
+// replaying a spec whose unknown fields were dropped.
+func TestRecoverRefusesNewerSpecVersionDisk(t *testing.T) {
+	created := time.Now().Round(0)
+	dir := craftWAL(t, func(p, q string) []service.WALRecord {
+		spec := sweepSpec(p, q)
+		return []service.WALRecord{
+			{Seq: 1, Kind: service.WALJob, Ver: 1 << 20, JobID: "job-1", JobSeq: 1, Spec: &spec, Created: &created},
+		}
+	})
+	_, _, engine := openPlane(t, dir, service.Options{Workers: 1})
+	if _, err := engine.Recover(); err == nil || !strings.Contains(err.Error(), "spec version") {
+		t.Fatalf("Recover: err %v, want the spec version refusal", err)
 	}
 }
 

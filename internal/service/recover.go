@@ -171,8 +171,10 @@ func (e *Engine) Recover() ([]RecoveredJob, error) {
 			rj.levels = kept
 		}
 		created := rj.created
+		// The record is re-encoded from this build's Spec, so it carries
+		// this build's version, as walImage's does.
 		live = append(live, &WALRecord{
-			Seq: firstSeqOf(rj), Kind: WALJob, JobID: rj.id,
+			Seq: firstSeqOf(rj), Kind: WALJob, Ver: walSpecVersion, JobID: rj.id,
 			JobSeq: rj.seq, Tenant: rj.tenant, Spec: &rj.spec, Created: &created,
 		})
 		// Checkpoints stay in the compacted log for every job: interrupted

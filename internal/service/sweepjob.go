@@ -89,17 +89,11 @@ func (se *sweepEmitter) emit(lr core.LevelResult, source string) {
 		"k", lr.K, "after", lr.After, "utility", lr.Utility, "elapsed", lr.Elapsed)
 }
 
-// finishSweep is the decision tail: resolve thresholds, decide over the
-// (ascending) series with the band selection, rebuild the optimal release
-// if the argmax landed on a level without one (warm or resume-seeded), and
-// index the series for future warm starts.
+// finishSweep is the decision tail: decide over the (ascending) series with
+// the band selection (which calibrates zero thresholds), rebuild the
+// optimal release if the argmax landed on a level without one (warm or
+// resume-seeded), and index the series for future warm starts.
 func (e *Engine) finishSweep(j *job, levels []core.LevelResult, tp, tu float64, evaluated int, partial bool) (*Result, error) {
-	if tp == 0 && tu == 0 {
-		var err error
-		if tp, tu, err = core.CalibrateThresholds(levels); err != nil {
-			return nil, err
-		}
-	}
 	res, err := core.DecideWithin(levels, tp, tu, metrics.DefaultHOptions())
 	if err != nil {
 		return nil, err
@@ -120,8 +114,8 @@ func (e *Engine) finishSweep(j *job, levels []core.LevelResult, tp, tu float64, 
 		Levels:    summarizeLevels(res.Levels),
 		OptimalK:  res.OptimalK,
 		Hmax:      res.Hmax,
-		Tp:        tp,
-		Tu:        tu,
+		Tp:        res.Tp,
+		Tu:        res.Tu,
 		Evaluated: evaluated,
 		Partial:   partial,
 	}, nil

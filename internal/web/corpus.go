@@ -163,9 +163,6 @@ func (c *Corpus) add(p Page) {
 // Len returns the number of pages.
 func (c *Corpus) Len() int { return len(c.pages) }
 
-// Page returns the i'th page.
-func (c *Corpus) Page(i int) Page { return c.pages[i] }
-
 // Tokenize lower-cases and splits on non-alphanumerics.
 func Tokenize(s string) []string {
 	var out []string

@@ -4,9 +4,9 @@
 // employment and property-holdings attributes back out (with configurable
 // noise and missing data).
 //
-// This is the substitution for real homepages/blogs documented in
-// DESIGN.md §4: the adversary pipeline — identifier → search → extract →
-// link → fuse — exercises the same code path the paper describes.
+// This is the substitution for real homepages/blogs: the adversary
+// pipeline — identifier → search → extract → link → fuse — exercises the
+// same code path the paper describes.
 package web
 
 import "strings"

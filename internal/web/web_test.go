@@ -67,7 +67,7 @@ func TestBuildCorpusDeterministic(t *testing.T) {
 		t.Fatalf("lens = %d, %d", c1.Len(), c2.Len())
 	}
 	for i := 0; i < c1.Len(); i++ {
-		if c1.Page(i) != c2.Page(i) {
+		if c1.pages[i] != c2.pages[i] {
 			t.Fatalf("page %d differs between same-seed corpora", i)
 		}
 	}
@@ -145,7 +145,7 @@ func TestExtractRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, ok := Extract(c.Page(0), CorporateLadder)
+	e, ok := Extract(c.pages[0], CorporateLadder)
 	if !ok {
 		t.Fatal("profile page not recognized")
 	}
@@ -160,7 +160,7 @@ func TestExtractRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := Extract(c2.Page(0), CorporateLadder); ok {
+	if _, ok := Extract(c2.pages[0], CorporateLadder); ok {
 		t.Error("distractor extracted as entity")
 	}
 }
@@ -170,7 +170,7 @@ func TestExtractMissingAttributes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, ok := Extract(c.Page(1), CorporateLadder)
+	e, ok := Extract(c.pages[1], CorporateLadder)
 	if !ok {
 		t.Fatal("page not recognized")
 	}
@@ -261,7 +261,7 @@ func TestDirectoryPages(t *testing.T) {
 	if c.Len() != 6 {
 		t.Fatalf("corpus = %d pages", c.Len())
 	}
-	dir := c.Page(4)
+	dir := c.pages[4]
 	if !strings.Contains(dir.Title, "Staff Directory") {
 		t.Fatalf("page 4 = %q", dir.Title)
 	}
@@ -276,7 +276,7 @@ func TestDirectoryPages(t *testing.T) {
 		t.Error("directory lines must not carry property holdings")
 	}
 	// A profile page still extracts exactly one entity through ExtractAll.
-	if got := ExtractAll(c.Page(0), CorporateLadder); len(got) != 1 {
+	if got := ExtractAll(c.pages[0], CorporateLadder); len(got) != 1 {
 		t.Errorf("profile ExtractAll = %d entities", len(got))
 	}
 }

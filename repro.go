@@ -20,7 +20,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/fusion"
 	"repro/internal/linkage"
-	"repro/internal/metrics"
 	"repro/internal/microagg"
 	"repro/internal/risk"
 	"repro/internal/web"
@@ -223,20 +222,20 @@ func (s *Scenario) SweepParallel(minK, maxK int, anon core.Anonymizer, est fusio
 	return core.SweepParallel(s.P, anon, s.attack(est), minK, maxK, workers)
 }
 
-// FREDOptions configures RunFRED. Zero values auto-calibrate thresholds the
-// way the paper did — "based on experimental observations" — via a probe
-// sweep (see CalibrateThresholds).
+// FREDOptions configures RunFRED. Tp and Tu both zero calibrate the
+// thresholds the way the paper did — "based on experimental observations" —
+// from the swept series (core.CalibrateThresholds).
 type FREDOptions struct {
 	Anonymizer core.Anonymizer
 	Estimator  fusion.Estimator
 	Tp, Tu     float64
-	HOpts      metrics.HOptions
-	MinK, MaxK int
+	MaxK       int
 	// LiteralPaperLoop reproduces the pseudocode's literal stopping rule.
 	LiteralPaperLoop bool
 }
 
-// RunFRED executes Algorithm 1 on the scenario.
+// RunFRED executes Algorithm 1 on the scenario over k = 2..MaxK (nil
+// anonymizer → MDAV, MaxK 0 → 16).
 func (s *Scenario) RunFRED(opts FREDOptions) (*core.Result, error) {
 	anon := opts.Anonymizer
 	if anon == nil {
@@ -246,24 +245,11 @@ func (s *Scenario) RunFRED(opts FREDOptions) (*core.Result, error) {
 	if maxK == 0 {
 		maxK = 16
 	}
-	tp, tu := opts.Tp, opts.Tu
-	if tp == 0 && tu == 0 {
-		probe, err := s.Sweep(2, maxK, anon, opts.Estimator)
-		if err != nil {
-			return nil, err
-		}
-		tp, tu, err = CalibrateThresholds(probe)
-		if err != nil {
-			return nil, err
-		}
-	}
 	return core.Run(s.P, core.Config{
 		Anonymizer:       anon,
 		Attack:           s.attack(opts.Estimator),
-		Tp:               tp,
-		Tu:               tu,
-		HOpts:            opts.HOpts,
-		MinK:             opts.MinK,
+		Tp:               opts.Tp,
+		Tu:               opts.Tu,
 		MaxK:             maxK,
 		LiteralPaperLoop: opts.LiteralPaperLoop,
 	})
@@ -292,14 +278,4 @@ func (s *Scenario) RunAdaptive(k int, riskTol, maxExposed float64) (*core.Adapti
 		RiskTol:            riskTol,
 		MaxExposedFraction: maxExposed,
 	})
-}
-
-// CalibrateThresholds derives (Tp, Tu) from a probe sweep so the solution
-// space is an interior band of levels, mirroring the paper's Tp = 3.075e8,
-// Tu = 0.0018 which carve k = 7..14 out of k = 2..16: Tp is the post-fusion
-// dissimilarity one third into the sweep, Tu the utility five sixths in.
-// It delegates to core.CalibrateThresholds, the single calibration policy
-// shared with the serving layer.
-func CalibrateThresholds(levels []core.LevelResult) (tp, tu float64, err error) {
-	return core.CalibrateThresholds(levels)
 }

@@ -1,13 +1,19 @@
 package repro
 
 import (
+	"errors"
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/fusion"
 	"repro/internal/hierarchy"
 	"repro/internal/kanon"
 	"repro/internal/microagg"
+	"repro/internal/mondrian"
 	"repro/internal/web"
 )
 
@@ -139,6 +145,70 @@ func TestRunFREDAutoCalibration(t *testing.T) {
 	}
 }
 
+// TestRunFREDOneSweepMatchesProbe: RunFRED without thresholds sweeps once
+// and calibrates inside core.Decide. That must equal the two-sweep recipe —
+// a probe Sweep, CalibrateThresholds, then RunFRED at those thresholds — bit
+// for bit, ErrNoCandidate outcomes included.
+func TestRunFREDOneSweepMatchesProbe(t *testing.T) {
+	var noCandidate int
+	for _, n := range []int{24, 40, 120, 400} {
+		sc, err := UniversityScenario(ScenarioOptions{Seed: 42, N: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, anon := range []core.Anonymizer{microagg.New(), mondrian.New()} {
+			probe, err := sc.Sweep(2, 16, anon, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tp, tu, err := core.CalibrateThresholds(probe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, literal := range []bool{false, true} {
+				t.Run(fmt.Sprintf("n=%d/%s/literal=%v", n, anon.Name(), literal), func(t *testing.T) {
+					want, wantErr := sc.RunFRED(FREDOptions{Anonymizer: anon, Tp: tp, Tu: tu, LiteralPaperLoop: literal})
+					got, gotErr := sc.RunFRED(FREDOptions{Anonymizer: anon, LiteralPaperLoop: literal})
+					if !errors.Is(gotErr, wantErr) {
+						t.Fatalf("one sweep: err %v; probe + calibrate: err %v", gotErr, wantErr)
+					}
+					if errors.Is(gotErr, core.ErrNoCandidate) {
+						noCandidate++
+					} else if gotErr != nil {
+						t.Fatal(gotErr)
+					}
+					if got.Tp != tp || got.Tu != tu || want.Tp != tp || want.Tu != tu {
+						t.Errorf("thresholds (%g, %g) and (%g, %g), want the calibrated (%g, %g)",
+							got.Tp, got.Tu, want.Tp, want.Tu, tp, tu)
+					}
+					if len(got.Levels) != len(want.Levels) || !slices.Equal(got.Candidates, want.Candidates) {
+						t.Errorf("candidates %v of %d levels, want %v of %d",
+							got.Candidates, len(got.Levels), want.Candidates, len(want.Levels))
+					}
+					if gotErr != nil {
+						return
+					}
+					if got.OptimalK != want.OptimalK || math.Float64bits(got.Hmax) != math.Float64bits(want.Hmax) {
+						t.Errorf("optimum k=%d H=%v, want k=%d H=%v", got.OptimalK, got.Hmax, want.OptimalK, want.Hmax)
+					}
+					if len(got.H) != len(want.H) {
+						t.Fatalf("%d H values, want %d", len(got.H), len(want.H))
+					}
+					for i := range want.H {
+						if math.Float64bits(got.H[i]) != math.Float64bits(want.H[i]) {
+							t.Errorf("H[%d] = %v, want %v", i, got.H[i], want.H[i])
+						}
+					}
+					if !got.Optimal.Equal(want.Optimal) {
+						t.Error("optimal releases differ")
+					}
+				})
+			}
+		}
+	}
+	t.Logf("%d of 16 configurations end in ErrNoCandidate on both paths", noCandidate)
+}
+
 func TestRunFREDWithGeneralizationScheme(t *testing.T) {
 	sc, err := UniversityScenario(ScenarioOptions{Seed: 9, N: 24})
 	if err != nil {
@@ -157,12 +227,6 @@ func TestRunFREDWithGeneralizationScheme(t *testing.T) {
 	}
 	if res.OptimalK < 2 {
 		t.Errorf("optimal k = %d", res.OptimalK)
-	}
-}
-
-func TestCalibrateThresholdsErrors(t *testing.T) {
-	if _, _, err := CalibrateThresholds(nil); err == nil {
-		t.Error("empty probe accepted")
 	}
 }
 
