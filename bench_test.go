@@ -8,6 +8,7 @@ package repro
 import (
 	"bytes"
 	"context"
+	"io"
 	"os"
 
 	"fmt"
@@ -696,21 +697,73 @@ func BenchmarkFeatures(b *testing.B) {
 	})
 }
 
-// BenchmarkCSVRoundTrip measures table serialization.
-func BenchmarkCSVRoundTrip(b *testing.B) {
-	sc := benchScenario(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf writeCounter
-		if err := dataset.WriteCSV(&buf, sc.P); err != nil {
+// BenchmarkCodecs times the table codecs at the shapes the service moves
+// over the wire and to disk: the uploads of P and Q (ReadCSV), the k=8
+// mondrian and MDAV release downloads and a 40-row MDAV release (WriteCSV,
+// sensitive column suppressed as the service releases it), and P's
+// snapshot (WriteSnapshot, what PutTable writes). The cohort is the
+// 2·10⁴-row university cohort with the perfectly informed adversary's Q,
+// the shape of fredbench's plan-mondrian-20k uploads.
+func BenchmarkCodecs(b *testing.B) {
+	cohort := func(n int) *Scenario {
+		sc, err := UniversityScenario(ScenarioOptions{Seed: 101, N: n, DirectAux: true})
+		if err != nil {
 			b.Fatal(err)
 		}
+		return sc
 	}
-}
-
-type writeCounter struct{ n int }
-
-func (w *writeCounter) Write(p []byte) (int, error) {
-	w.n += len(p)
-	return len(p), nil
+	release := func(p *dataset.Table, anon core.Anonymizer, k int) *dataset.Table {
+		rel, err := anon.Anonymize(p, k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return rel.WithSuppressed(rel.Schema().IndicesOf(dataset.Sensitive)...)
+	}
+	encode := func(t *dataset.Table) []byte {
+		var buf bytes.Buffer
+		if err := dataset.WriteCSV(&buf, t); err != nil {
+			b.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	sc, small := cohort(20000), cohort(40)
+	for _, c := range []struct {
+		name string
+		csv  []byte
+	}{{"P-20000", encode(sc.P)}, {"Q-20000", encode(sc.Q)}} {
+		b.Run("ReadCSV/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(c.csv)))
+			for i := 0; i < b.N; i++ {
+				if _, err := dataset.ReadCSV(bytes.NewReader(c.csv)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	for _, c := range []struct {
+		name string
+		t    *dataset.Table
+	}{
+		{"mondrian-k8-20000", release(sc.P, mondrian.New(), 8)},
+		{"mdav-k8-20000", release(sc.P, microagg.New(), 8)},
+		{"mdav-k4-40", release(small.P, microagg.New(), 4)},
+	} {
+		b.Run("WriteCSV/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := dataset.WriteCSV(io.Discard, c.t); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	b.Run("WriteSnapshot/P-20000", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := sc.P.WriteSnapshot(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

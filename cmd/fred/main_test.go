@@ -159,8 +159,9 @@ func sameBytes(t *testing.T, what string, got []byte, golden string) {
 	}
 }
 
-// TestUsageErrors: no subcommand, an unknown one, or missing required flags
-// print usage and exit 2; an estimate assessed against a table without one
+// TestUsageErrors: no subcommand, an unknown one, missing required flags, or
+// a sweep without thresholds over fewer levels than calibration needs exit
+// 2 before any work; an estimate assessed against a table without one
 // sensitive column fails with the shared risk-report check.
 func TestUsageErrors(t *testing.T) {
 	for _, c := range []struct {
@@ -175,6 +176,12 @@ func TestUsageErrors(t *testing.T) {
 		{"assess -in testdata/q.csv -est testdata/phat.csv -lo 40000 -hi 160000", 1,
 			"risk report needs exactly one sensitive column, found 0"},
 		{"sweep -p testdata/p.csv -lo 40000 -hi 160000 -scheme nope", 1, `unknown scheme "nope"`},
+		{"sweep -p testdata/p.csv -q testdata/q.csv -lo 40000 -hi 160000 -mink 2 -maxk 3", 2,
+			"calibration needs ≥ 3 levels; k = [2 3] on 40 rows reaches 2"},
+		{"sweep -p testdata/p.csv -q testdata/q.csv -lo 40000 -hi 160000 -adaptive -kset 2,3", 2,
+			"calibration needs ≥ 3 levels; k = [2 3] on 40 rows reaches 2"},
+		{"sweep -p testdata/p.csv -q testdata/q.csv -lo 40000 -hi 160000 -kset 2,8,60", 2,
+			"calibration needs ≥ 3 levels; k = [2 8 60] on 40 rows reaches 2"},
 	} {
 		_, stderr, code := runFred(t, ".", strings.Fields(c.args)...)
 		if code != c.code || !strings.Contains(stderr, c.stderr) {

@@ -30,7 +30,9 @@ import (
 // shows progress instead of going dark until the end. The sweep runs once —
 // when -tp and -tu are both zero, the decision calibrates the thresholds
 // from the streamed series the way the paper set them "based on
-// experimental observations", with no second probe sweep.
+// experimental observations", with no second probe sweep. Calibration needs
+// core.MinCalibrationLevels levels P can reach, so a selection with fewer
+// exits 2 before any level is computed.
 //
 // -adaptive, -kset, -stride and -budget switch to the adaptive planner
 // (internal/core/planner): with explicit thresholds it bisects the Tu
@@ -72,6 +74,10 @@ func runSweep(args []string) {
 		fs.Usage()
 		os.Exit(2)
 	}
+	set, err := parseKSet(*kset)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -101,6 +107,18 @@ func runSweep(args []string) {
 	p, err := readCSV(*pPath)
 	if err != nil {
 		log.Fatal(err)
+	}
+	// Without thresholds the decision calibrates them from the series: a
+	// selection that cannot reach enough levels on P is a usage error,
+	// refused before any level is computed. An invalid selection is left to
+	// the sweep to report.
+	if *tp == 0 && *tu == 0 {
+		if ks, err := planner.Expand(*minK, *maxK, *stride, set); err == nil {
+			if err := core.CheckCalibratable(ks, p.NumRows()); err != nil {
+				fmt.Fprintln(os.Stderr, "fred sweep:", err)
+				os.Exit(2)
+			}
+		}
 	}
 	var q *dataset.Table
 	if *qPath != "" {
@@ -134,7 +152,7 @@ func runSweep(args []string) {
 		if *kset != "" && *stride > 1 {
 			log.Fatal("fred: -kset and -stride are mutually exclusive")
 		}
-		res, err = sweepAdaptive(p, cfg, nWorkers, *kset, *stride, *budget)
+		res, err = sweepAdaptive(p, cfg, nWorkers, set, *stride, *budget)
 	} else {
 		res, err = sweepRange(p, cfg, nWorkers)
 	}
@@ -189,11 +207,7 @@ func sweepRange(p *dataset.Table, cfg core.Config, workers int) (*core.Result, e
 
 // sweepAdaptive executes the sweep through the adaptive planner and decides
 // with the band semantics (core.DecideWithin).
-func sweepAdaptive(p *dataset.Table, cfg core.Config, workers int, kset string, stride int, budget time.Duration) (*core.Result, error) {
-	set, err := parseKSet(kset)
-	if err != nil {
-		return nil, err
-	}
+func sweepAdaptive(p *dataset.Table, cfg core.Config, workers int, set []int, stride int, budget time.Duration) (*core.Result, error) {
 	ks, err := planner.Expand(cfg.MinK, cfg.MaxK, stride, set)
 	if err != nil {
 		return nil, err

@@ -150,14 +150,37 @@ func decideTail(res *Result, dis, utl []float64, opts metrics.HOptions) (*Result
 	return res, nil
 }
 
+// MinCalibrationLevels is the fewest levels CalibrateThresholds accepts: a
+// sweep without thresholds must run at least this many.
+const MinCalibrationLevels = 3
+
+// CheckCalibratable refuses a sweep without thresholds over the levels ks
+// of a table of rows rows when it cannot reach MinCalibrationLevels levels,
+// so the sweep is refused before it computes any. Only levels k ≤ rows
+// count: every in-tree scheme rejects k > rows with
+// dataset.ErrTooFewRecords, which ends a sweep.
+func CheckCalibratable(ks []int, rows int) error {
+	n := 0
+	for _, k := range ks {
+		if k <= rows {
+			n++
+		}
+	}
+	if n < MinCalibrationLevels {
+		return fmt.Errorf("core: without thresholds, calibration needs ≥ %d levels; k = %v on %d rows reaches %d",
+			MinCalibrationLevels, ks, rows, n)
+	}
+	return nil
+}
+
 // CalibrateThresholds derives (Tp, Tu) from a probe sweep so the solution
 // space is an interior band of levels, mirroring the paper's Tp = 3.075e8,
 // Tu = 0.0018 which carve k = 7..14 out of k = 2..16: Tp is the post-fusion
 // dissimilarity one third into the sweep, Tu the utility five sixths in —
 // thresholds set "based on experimental observations", as the paper puts it.
 func CalibrateThresholds(levels []LevelResult) (tp, tu float64, err error) {
-	if len(levels) < 3 {
-		return 0, 0, fmt.Errorf("core: calibration needs ≥ 3 levels, got %d", len(levels))
+	if len(levels) < MinCalibrationLevels {
+		return 0, 0, fmt.Errorf("core: calibration needs ≥ %d levels, got %d", MinCalibrationLevels, len(levels))
 	}
 	tp = levels[len(levels)/3].After
 	tu = levels[len(levels)*5/6].Utility

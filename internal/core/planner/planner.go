@@ -215,8 +215,8 @@ type runState struct {
 	nonMonotoneAt int
 
 	// minDecide is how many known levels deadline stops must leave behind
-	// so the run always ends decidable: 1 with explicit thresholds, 3 under
-	// auto-calibration.
+	// so the run always ends decidable: 1 with explicit thresholds,
+	// core.MinCalibrationLevels under auto-calibration.
 	minDecide int
 	partial   bool
 }
@@ -332,7 +332,7 @@ func Run(ctx context.Context, p *dataset.Table, cfg Config) (*Outcome, error) {
 		minDecide:      1,
 	}
 	if !explicit {
-		s.minDecide = 3
+		s.minDecide = core.MinCalibrationLevels
 	}
 	for _, k := range s.ks {
 		s.req[k] = true

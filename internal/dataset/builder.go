@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -77,20 +78,34 @@ func (b *Builder) AppendRow(row []Value) error {
 }
 
 // AppendRecord parses and appends one string record. Fields use the
-// Value.String encoding; plain tokens in declared-text columns stay text even
-// when they look numeric (e.g. a numeric employee code used as an
-// identifier).
+// Value.String encoding, read as ParseValue reads them, except that plain
+// tokens in declared-text columns stay text even when they look numeric
+// (e.g. a numeric employee code used as an identifier).
+//
+// Each field is decoded by its column's declared kind. A number field goes
+// to strconv.ParseFloat first: a field it accepts has no surrounding space,
+// no '*' and no bracket, so ParseValue would return the same Num. A text
+// field is never float-parsed: ParseValue's only other outcome for it is
+// the trimmed text. Only fields that are not plain (a failed number, and a
+// text field that trims to '*', to nothing or to a bracketed token) go
+// through ParseValue, so nulls, intervals and their errors are ParseValue's.
 func (b *Builder) AppendRecord(fields []string) error {
 	if len(fields) != b.schema.Len() {
 		return fmt.Errorf("%w: got %d fields, want %d", ErrRowWidth, len(fields), b.schema.Len())
 	}
 	for j, s := range fields {
+		if b.schema.cols[j].Kind == Number {
+			if f, err := strconv.ParseFloat(s, 64); err == nil {
+				b.scratch[j] = Num(f)
+				continue
+			}
+		} else if t := strings.TrimSpace(s); t != "" && t != "*" && (t[0] != '[' || t[len(t)-1] != ']') {
+			b.scratch[j] = Str(t)
+			continue
+		}
 		v, err := ParseValue(s)
 		if err != nil {
 			return fmt.Errorf("column %q: %w", b.schema.Column(j).Name, err)
-		}
-		if b.schema.Column(j).Kind == Text && v.Kind() == Number {
-			v = Str(strings.TrimSpace(s))
 		}
 		b.scratch[j] = v
 	}

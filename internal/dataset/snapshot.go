@@ -95,22 +95,26 @@ func (s *snapWriter) byte(b byte) {
 	}
 }
 
-func (s *snapWriter) u64(v uint64) {
-	if s.err != nil {
-		return
+// room makes n bytes free in the bufio.Writer's buffer, so that a word is
+// appended in place (AvailableBuffer) rather than through a slice of its
+// own, which would move to the heap.
+func (s *snapWriter) room(n int) bool {
+	if s.err == nil && s.w.Available() < n {
+		s.err = s.w.Flush()
 	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	_, s.err = s.w.Write(buf[:])
+	return s.err == nil
+}
+
+func (s *snapWriter) u64(v uint64) {
+	if s.room(8) {
+		_, s.err = s.w.Write(binary.LittleEndian.AppendUint64(s.w.AvailableBuffer(), v))
+	}
 }
 
 func (s *snapWriter) u32(v uint32) {
-	if s.err != nil {
-		return
+	if s.room(4) {
+		_, s.err = s.w.Write(binary.LittleEndian.AppendUint32(s.w.AvailableBuffer(), v))
 	}
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	_, s.err = s.w.Write(buf[:])
 }
 
 func (s *snapWriter) str(v string) {
@@ -232,10 +236,13 @@ func ReadSnapshot(r io.Reader) (*Table, error) {
 
 // snapReader hashes exactly the bytes it consumes (not the bufio
 // read-ahead), so the running CRC at the trailer covers the payload alone.
+// Words are read through scratch, which lives in the reader, so a word
+// costs no allocation.
 type snapReader struct {
-	r   *bufio.Reader
-	crc hash.Hash32
-	err error
+	r       *bufio.Reader
+	crc     hash.Hash32
+	err     error
+	scratch [8]byte
 }
 
 // fill reads len(buf) payload bytes and feeds them into the checksum.
@@ -252,27 +259,24 @@ func (s *snapReader) fill(buf []byte) bool {
 }
 
 func (s *snapReader) byte() byte {
-	var buf [1]byte
-	if !s.fill(buf[:]) {
+	if !s.fill(s.scratch[:1]) {
 		return 0
 	}
-	return buf[0]
+	return s.scratch[0]
 }
 
 func (s *snapReader) u64() uint64 {
-	var buf [8]byte
-	if !s.fill(buf[:]) {
+	if !s.fill(s.scratch[:8]) {
 		return 0
 	}
-	return binary.LittleEndian.Uint64(buf[:])
+	return binary.LittleEndian.Uint64(s.scratch[:8])
 }
 
 func (s *snapReader) u32() uint32 {
-	var buf [4]byte
-	if !s.fill(buf[:]) {
+	if !s.fill(s.scratch[:4]) {
 		return 0
 	}
-	return binary.LittleEndian.Uint32(buf[:])
+	return binary.LittleEndian.Uint32(s.scratch[:4])
 }
 
 func (s *snapReader) str() string {

@@ -155,3 +155,37 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 	}
 	b.SetBytes(int64(buf.Len()))
 }
+
+// TestSnapshotAllocsDoNotGrowWithRows: both directions move words through
+// a buffer they own (the bufio.Writer's, the reader's scratch), so a
+// number-only table's WriteSnapshot and ReadSnapshot make as many
+// allocations at 2·10⁴ rows as at 10⁴.
+func TestSnapshotAllocsDoNotGrowWithRows(t *testing.T) {
+	allocs := func(rows int) (write, read float64) {
+		tb := New(MustSchema(
+			Column{Name: "Age", Class: QuasiIdentifier, Kind: Number},
+			Column{Name: "Income", Class: Sensitive, Kind: Number},
+		))
+		for i := 0; i < rows; i++ {
+			tb.MustAppendRow(Num(float64(i%90)), Num(float64(i)*1.5))
+		}
+		var buf bytes.Buffer
+		write = testing.AllocsPerRun(5, func() {
+			buf.Reset()
+			if err := tb.WriteSnapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+		read = testing.AllocsPerRun(5, func() {
+			if _, err := ReadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return write, read
+	}
+	w1, r1 := allocs(10000)
+	w2, r2 := allocs(20000)
+	if w1 != w2 || r1 != r2 {
+		t.Errorf("allocations at 10⁴ → 2·10⁴ rows: WriteSnapshot %v → %v, ReadSnapshot %v → %v; want no growth", w1, w2, r1, r2)
+	}
+}

@@ -685,6 +685,9 @@ func (e *Engine) Submit(tenant string, spec Spec) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
+	if err := spec.checkCalibratable(p.NumRows()); err != nil {
+		return Status{}, err
+	}
 
 	// ID assignment is its own short critical section; the WAL append (disk
 	// I/O) runs outside e.mu so a slow submission never stalls job reads,

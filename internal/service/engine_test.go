@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -73,6 +74,60 @@ func TestSubmitValidation(t *testing.T) {
 	} {
 		if _, err := e.Submit(service.DefaultTenant, spec); err == nil {
 			t.Errorf("%s: expected a validation error", name)
+		}
+	}
+}
+
+// TestSubmitRefusesUncalibratableSweep: a fred-sweep without thresholds
+// calibrates them from its levels, so one that reaches fewer than
+// core.MinCalibrationLevels (a two-level range or k_set, a k_set whose
+// third level exceeds the rows, or a range capped by a 3-row table) is
+// refused at submit instead of failing after computing them. The same
+// selections with explicit thresholds run.
+func TestSubmitRefusesUncalibratableSweep(t *testing.T) {
+	sc, err := repro.UniversityScenario(repro.ScenarioOptions{Seed: 42, N: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := func(tb *dataset.Table) *dataset.Table {
+		row := 0
+		return tb.Select(func([]dataset.Value) bool { row++; return row <= 3 })
+	}
+	store := service.NewStore()
+	var ids []string
+	for _, tb := range []*dataset.Table{sc.P, sc.Q, head(sc.P), head(sc.Q)} {
+		info, err := store.Put(service.DefaultTenant, "t", tb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, info.ID)
+	}
+	e := service.NewEngine(store, service.Options{Workers: 1})
+	e.Start()
+	t.Cleanup(func() { e.Shutdown(context.Background()) })
+	sweep := func(table, aux string, minK, maxK int, set ...int) service.Spec {
+		return service.Spec{
+			Type: service.JobFREDSweep, Table: table, Aux: aux,
+			MinK: minK, MaxK: maxK, KSet: set,
+			SensitiveLo: 40000, SensitiveHi: 160000,
+		}
+	}
+	for name, spec := range map[string]service.Spec{
+		"range 2..3":           sweep(ids[0], ids[1], 2, 3),
+		"k_set {2, 3}":         sweep(ids[0], ids[1], 0, 0, 2, 3),
+		"k_set {2, 4, 40}":     sweep(ids[0], ids[1], 0, 0, 2, 4, 40),
+		"3-row table at 2..16": sweep(ids[2], ids[3], 2, 16),
+	} {
+		if _, err := e.Submit(service.DefaultTenant, spec); err == nil || !strings.Contains(err.Error(), "calibration needs ≥ 3 levels") {
+			t.Errorf("%s: Submit error %v, want a refusal naming the 3-level floor", name, err)
+		}
+		spec.Tp, spec.Tu = 1, 1e-12
+		st, err := e.Submit(service.DefaultTenant, spec)
+		if err != nil {
+			t.Fatalf("%s with thresholds: %v", name, err)
+		}
+		if st = waitDone(t, e, st.ID); st.State != service.StateDone {
+			t.Errorf("%s with thresholds: state %s (%s), want done", name, st.State, st.Error)
 		}
 	}
 }

@@ -79,7 +79,9 @@ type Spec struct {
 	// whole range in ascending k.
 	Adaptive bool `json:"adaptive,omitempty"`
 	// Tp and Tu are the FRED thresholds; both zero auto-calibrates from
-	// the sweep the way the paper did from experimental observations.
+	// the sweep the way the paper did from experimental observations,
+	// which needs core.MinCalibrationLevels levels the table can reach:
+	// Submit refuses a sweep with fewer.
 	Tp float64 `json:"tp,omitempty"`
 	Tu float64 `json:"tu,omitempty"`
 	// SensitiveLo and SensitiveHi give the publicly known range of the

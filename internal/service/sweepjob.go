@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"maps"
 	"math"
 	"slices"
@@ -121,6 +122,31 @@ func (e *Engine) finishSweep(j *job, levels []core.LevelResult, tp, tu float64, 
 	}, nil
 }
 
+// sweepLevels expands a fred-sweep spec into the levels runFREDSweep runs
+// on a table of rows rows. A range is capped at max(MinK, rows) before it
+// is expanded: neither scheme anonymizes n rows at k > n (the sweep would
+// end there), and an uncapped max_k would expand without bound.
+func (sp Spec) sweepLevels(rows int) ([]int, error) {
+	return planner.Expand(sp.MinK, min(sp.MaxK, max(sp.MinK, rows)), sp.Stride, sp.KSet)
+}
+
+// checkCalibratable refuses a fred-sweep without thresholds that cannot
+// reach the levels calibrating them needs: it would compute every level
+// and only then fail in finishSweep.
+func (sp Spec) checkCalibratable(rows int) error {
+	if sp.Type != JobFREDSweep || sp.Tp != 0 || sp.Tu != 0 {
+		return nil
+	}
+	ks, err := sp.sweepLevels(rows)
+	if err != nil {
+		return err
+	}
+	if err := core.CheckCalibratable(ks, rows); err != nil {
+		return fmt.Errorf("service: fred-sweep: %w", err)
+	}
+	return nil
+}
+
 // runFREDSweep is Algorithm 1 as a service job, run by planner.Run. A plain
 // range spec is a planner run without thresholds, which walks every level it
 // does not hold through core.SweepStream in ascending k; an adaptive spec
@@ -145,10 +171,7 @@ func (e *Engine) finishSweep(j *job, levels []core.LevelResult, tp, tu float64, 
 func (e *Engine) runFREDSweep(ctx context.Context, j *job) (*Result, error) {
 	sp := j.spec
 	st := j.snapshot()
-	// A range is capped at max(MinK, rows) before it is expanded: neither
-	// scheme anonymizes n rows at k > n (the sweep would end there), and an
-	// uncapped max_k would expand without bound.
-	ks, err := planner.Expand(sp.MinK, min(sp.MaxK, max(sp.MinK, j.p.NumRows())), sp.Stride, sp.KSet)
+	ks, err := sp.sweepLevels(j.p.NumRows())
 	if err != nil {
 		return nil, err
 	}
