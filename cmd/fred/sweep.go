@@ -35,14 +35,16 @@ import (
 // exits 2 before any level is computed.
 //
 // -adaptive, -kset, -stride and -budget switch to the adaptive planner
-// (internal/core/planner): with explicit thresholds it bisects the Tu
-// crossing instead of walking every level and prints which ranges it
-// skipped and why; -kset / -stride restrict the evaluated set; -budget
-// bounds wall-clock and reports the best partial release at the deadline.
-// Adaptive rows print in evaluation order (probes jump around the range)
-// and the decision uses the service's band semantics (both thresholds
-// filter candidacy, no Tu truncation), bit-identical to an exhaustive
-// adaptive run of the same spec.
+// (internal/core/planner): with explicit thresholds it scans the levels
+// upward to the Tu crossing, checks the skip with utility-only probes at
+// bisection's probe points, and prints which ranges it skipped and why;
+// -kset / -stride restrict the evaluated set; -budget bounds wall-clock and
+// reports the best partial release at the deadline. Adaptive rows print as
+// the planner adopts them — ascending k, unless a budget without
+// thresholds evaluates endpoints and midpoints first — and the decision
+// uses the service's band semantics (both thresholds filter candidacy, no
+// Tu truncation), bit-identical to an exhaustive adaptive run of the same
+// spec.
 //
 // -cpuprofile and -memprofile write pprof profiles of the run (the heap
 // profile is taken after the sweep, post-GC) for `go tool pprof`. Profiles
@@ -63,7 +65,7 @@ func runSweep(args []string) {
 	out := fs.String("out", "", "optional output CSV for the optimal release")
 	literal := fs.Bool("literal-loop", false, "use the pseudocode's literal stopping rule")
 	markdown := fs.Bool("markdown", false, "emit the run report as Markdown")
-	adaptive := fs.Bool("adaptive", false, "use the adaptive planner (bisect the Tu crossing instead of walking every level)")
+	adaptive := fs.Bool("adaptive", false, "use the adaptive planner (stop at the Tu crossing instead of walking every level)")
 	kset := fs.String("kset", "", "comma-separated explicit level set (adaptive; overrides -mink/-maxk)")
 	stride := fs.Int("stride", 0, "evaluate every Nth level of the range (adaptive)")
 	budget := fs.Duration("budget", 0, "wall-clock budget: stop at the deadline with the best partial release (adaptive)")

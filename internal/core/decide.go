@@ -103,8 +103,8 @@ func Decide(levels []LevelResult, cfg Config) (*Result, error) {
 //
 // Because H normalization (metrics.HSeries) is computed over the candidate
 // arrays alone, any two series that agree on the candidate band decide
-// bit-identically — the invariant the adaptive planner's bisection relies
-// on to skip levels outside the band.
+// bit-identically — the invariant the adaptive planner's scan relies on to
+// skip the levels above the Tu crossing.
 func DecideWithin(levels []LevelResult, tp, tu float64, opts metrics.HOptions) (*Result, error) {
 	if opts.W1 == 0 && opts.W2 == 0 {
 		opts = metrics.DefaultHOptions()

@@ -221,10 +221,11 @@ func NewSweepContext(p *dataset.Table, atk AttackConfig) *SweepContext {
 }
 
 // NewSweepContextParallel is NewSweepContext with a worker budget attached:
-// budgeted kernels inside RunLevel may use up to workers tokens. The
-// adaptive planner's single-level probes share one such context so
-// bisection keeps within-level parallelism even though levels are probed
-// one at a time; workers ≤ 1 attaches no budget and kernels run inline.
+// budgeted kernels inside RunLevel and ProbeUtilities may use up to workers
+// tokens. The adaptive planner runs the work it does outside the level pool
+// on such a context — the utility-only probes that check its scan, and
+// budgeted walks without thresholds — so that work keeps within-level
+// parallelism; workers ≤ 1 attaches no budget and kernels run inline.
 func NewSweepContextParallel(p *dataset.Table, atk AttackConfig, workers int) *SweepContext {
 	sc := NewSweepContext(p, atk)
 	sc.budget = parallel.NewBudget(workers)
@@ -313,12 +314,21 @@ func (sc *SweepContext) attack(release *dataset.Table, ls *levelScratch) (phat *
 // suppressed, zero-copy), attacks it and measures utility — one sweep
 // iteration.
 func (sc *SweepContext) RunLevel(anon Anonymizer, k int, tp float64) (LevelResult, error) {
+	return sc.runLevel(context.Background(), anon, k, tp)
+}
+
+// runLevel is RunLevel for the sweep pool: it returns ctx.Err() between the
+// anonymize and attack phases, so a level dispatched past a stop, or one of
+// a cancelled sweep, skips its attack.
+func (sc *SweepContext) runLevel(ctx context.Context, anon Anonymizer, k int, tp float64) (LevelResult, error) {
 	start := time.Now()
-	anonT, err := anonymizeLevel(anon, sc.p, k, sc.budget)
+	release, err := sc.release(anon, k)
 	if err != nil {
 		return LevelResult{}, err
 	}
-	release := anonT.WithSuppressed(anonT.Schema().IndicesOf(dataset.Sensitive)...)
+	if err := ctx.Err(); err != nil {
+		return LevelResult{}, err
+	}
 	anonDone := time.Now()
 	ls := sc.getScratch()
 	defer sc.putScratch(ls)
@@ -346,6 +356,55 @@ func (sc *SweepContext) RunLevel(anon Anonymizer, k int, tp float64) (LevelResul
 		FuseTime:      fuseDone.Sub(anonDone),
 		MetricsTime:   end.Sub(fuseDone),
 	}, nil
+}
+
+// ProbeUtilities is the utility half of RunLevel for the levels ks: it
+// anonymizes P at each k exactly as RunLevel does and returns U_k — bit for
+// bit RunLevel's Utility — without the fusion attack. The adaptive planner
+// checks its scan with such probes. The levels run concurrently, each
+// holding one of the context's worker tokens as a sweep level does, so
+// their kernels borrow only the tokens the probes leave idle; without a
+// budget they run one after another. errs[i] is level ks[i]'s failure.
+func (sc *SweepContext) ProbeUtilities(anon Anonymizer, ks []int) (us []float64, errs []error) {
+	us, errs = make([]float64, len(ks)), make([]error, len(ks))
+	probe := func(i int) {
+		release, err := sc.release(anon, ks[i])
+		if err == nil {
+			ls := sc.getScratch()
+			us[i], err = metrics.UtilityWith(release, ks[i], &ls.grouper)
+			sc.putScratch(ls)
+		}
+		errs[i] = err
+	}
+	if sc.budget == nil {
+		for i := range ks {
+			probe(i)
+		}
+		return us, errs
+	}
+	var wg sync.WaitGroup
+	for i := range ks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc.budget.Acquire()
+			defer sc.budget.Release()
+			probe(i)
+		}()
+	}
+	wg.Wait()
+	return us, errs
+}
+
+// release anonymizes P at level k and projects the release with its
+// sensitive columns suppressed (zero-copy): the anonymize step RunLevel and
+// ProbeUtilities share.
+func (sc *SweepContext) release(anon Anonymizer, k int) (*dataset.Table, error) {
+	anonT, err := anonymizeLevel(anon, sc.p, k, sc.budget)
+	if err != nil {
+		return nil, err
+	}
+	return anonT.WithSuppressed(anonT.Schema().IndicesOf(dataset.Sensitive)...), nil
 }
 
 // comparisonColumns returns the numeric quasi-identifier and sensitive

@@ -6,31 +6,45 @@
 // large enough that the discernibility metric's remainder-group jitter
 // cannot outweigh its O(n·k) growth (empirically: every in-tree cohort
 // ≥ ~400 rows, and structurally ever more so as n grows). The Tu filter
-// therefore admits a prefix of the range, whose end — the Tu crossing —
-// bisection finds in O(log K) probes; everything above it is provably
-// non-candidate and is skipped, and only the prefix band is evaluated
-// exhaustively. The After series, by contrast, is measurement-noisy in
-// both directions at scale (the paper's Figure 5 trend does not survive
-// 10⁵-row cohorts), so the planner never skips on the Tp filter: After is
-// tested per level inside the band, where every level is evaluated anyway.
+// therefore admits a prefix of the range, which ends at the Tu crossing:
+// the first level with U_k < Tu.
+//
+// With explicit thresholds the planner scans for that crossing the way
+// Algorithm 1 walks its levels: upward from the bottom on the level pool
+// (core.SweepStream, one level per worker), stopping at the first level
+// below Tu. The scan computes exactly the band and its crossing level, two
+// at a time on two workers; everything above the crossing is provably
+// non-candidate on a monotone series and is skipped. The After series, by
+// contrast, is measurement-noisy in both directions at scale (the paper's
+// Figure 5 trend does not survive 10⁵-row cohorts), so the planner never
+// skips on the Tp filter: After is tested per level inside the band, where
+// every level is evaluated anyway.
+//
+// Bisection survives as a check of the skip. From the crossing index the
+// planner derives the indices sort.Search would probe to find it — index
+// arithmetic, no evaluation — and probes the utility of each one above the
+// crossing: anonymize, suppress, C_DM, no fusion attack
+// (core.SweepContext.ProbeUtilities). Probe utilities never enter the
+// series; they join the monotonicity check.
 //
 // The contract with the exhaustive sweep is exact, not approximate: H
 // normalization is computed over the candidate arrays alone, so as long as
 // the planner evaluates every candidate the decision — optimal k, Hmax,
 // the chosen release — is IEEE-754-bit-identical to the full walk.
-// Utility monotonicity is verified over every level the planner sees
-// (probed, band-filled, or warm-started); a violation triggers an
+// Utility monotonicity is verified over every level whose utility the
+// planner knows (scanned, probed or warm-started); a violation triggers an
 // exhaustive fallback walk of the remaining levels, restoring the full
 // series. The one documented gap: a utility rise confined entirely to
-// levels the planner never probed is undetectable and can change the band
-// — callers that cannot tolerate this submit exhaustive sweeps.
+// levels the planner neither evaluated nor probed is undetectable and can
+// change the band — callers that cannot tolerate this submit exhaustive
+// sweeps.
 //
 // Without thresholds or a deadline the planner is the exhaustive sweep: it
 // walks every level it does not hold through core.SweepStream. The service
 // runs every fred-sweep this way, so one executor serves range walks,
 // adaptive specs and crash resumes alike.
 //
-// Beyond bisection the planner schedules three richer specs:
+// Beyond the scan the planner schedules three richer specs:
 //
 //   - k-sets and strides: evaluate an arbitrary ascending level set
 //     (Expand builds one), holes held out of the gap-free stream.
@@ -38,17 +52,20 @@
 //     sweep of the same table, or checkpointed by a crashed run of this
 //     one — are adopted, not recomputed, whichever k they sit at.
 //   - Wall-clock budgets: a deadline stops evaluation with a well-defined
-//     partial result. Without thresholds the planner evaluates endpoints
-//     first and then always the midpoint of the widest unevaluated gap —
-//     the point of maximum uncertainty about the series — so whatever the
-//     budget allows is spread over the range rather than clustered at low
-//     k.
+//     partial result. With thresholds the scan stops at the deadline and
+//     leaves a prefix of the band. Without them the planner evaluates
+//     endpoints first and then always the midpoint of the widest
+//     unevaluated gap — the point of maximum uncertainty about the series —
+//     so whatever the budget allows is spread over the range rather than
+//     clustered at low k.
 package planner
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -58,8 +75,9 @@ import (
 
 // Skip-range reasons recorded in Outcome.SkippedRanges.
 const (
-	// SkipBisection marks levels outside the candidate band that bisection
-	// proved the decision cannot depend on.
+	// SkipBisection marks levels above the Tu crossing: the scan stopped
+	// below them and bisection's probe points among them showed no utility
+	// rise, so the decision cannot depend on them.
 	SkipBisection = "bisection"
 	// SkipDeadline marks levels the wall-clock budget expired before
 	// evaluating.
@@ -74,7 +92,10 @@ const (
 type Hooks struct {
 	// Level fires for every level entering the series, in the order the
 	// planner adopts them: warm seeds first (ascending), then computed
-	// levels in evaluation order. warm distinguishes the two.
+	// levels in ascending k — the scan, then any fallback walk above it —
+	// except under a budget without thresholds, which evaluates endpoints
+	// first and then widest-gap midpoints. warm distinguishes the two.
+	// Utility-only probes never enter the series and never fire it.
 	Level func(lr core.LevelResult, warm bool)
 	// Fallback fires at most once, when a detected monotonicity violation
 	// switches the run to the exhaustive walk.
@@ -91,10 +112,11 @@ type Config struct {
 	// (build one with Expand). Required.
 	Levels []int
 	// Tp and Tu are the explicit decision thresholds. Either non-zero
-	// enables bisection of the Tu crossing (Tu alone drives skipping; the
-	// noisy Tp/After filter is tested per level inside the band). Both
-	// zero means thresholds will be auto-calibrated after the fact, which
-	// needs the full series, so the planner walks every level (deadline
+	// makes the planner scan up to the Tu crossing and check the skip at
+	// bisection's probe points (Tu alone drives skipping; the noisy
+	// Tp/After filter is tested per level inside the band). Both zero
+	// means thresholds will be auto-calibrated after the fact, which needs
+	// the full series, so the planner walks every level (deadline
 	// permitting).
 	Tp, Tu float64
 	// Workers bounds sweep concurrency exactly as StreamConfig.Workers.
@@ -102,7 +124,8 @@ type Config struct {
 	// MinParallelRows is StreamConfig's small-cohort gate, forwarded.
 	MinParallelRows int
 	// Deadline, when non-zero, bounds wall-clock: evaluation stops at the
-	// deadline with Outcome.Partial set. The first level (first three under
+	// deadline with Outcome.Partial set, checked as each level completes
+	// and before each probe. The first level (first three under
 	// auto-calibration, so a decision is always possible) is exempt.
 	Deadline time.Time
 	// Held seeds levels the caller already holds — e.g. warm-started from
@@ -134,11 +157,15 @@ type Outcome struct {
 	Requested int
 	// Evaluated counts levels computed by this run.
 	Evaluated int
+	// Probed counts utility-only probes: bisection's probe points above the
+	// Tu crossing, whose utilities feed the monotonicity check but never
+	// enter Levels.
+	Probed int
 	// Warm counts Held seeds adopted instead of recomputed.
 	Warm int
-	// Skipped counts requested feasible levels never evaluated (bisection
-	// or deadline); Infeasible counts requested levels at or above the
-	// feasibility cutoff.
+	// Skipped counts requested feasible levels never evaluated (above the
+	// Tu crossing, or past the deadline); Infeasible counts requested
+	// levels at or above the feasibility cutoff.
 	Skipped, Infeasible int
 	// SkippedRanges lists the skipped and infeasible levels as maximal
 	// same-reason runs, ascending.
@@ -184,32 +211,30 @@ func Expand(minK, maxK, stride int, set []int) ([]int, error) {
 	return out, nil
 }
 
-type evalStatus int
-
-const (
-	evalOK evalStatus = iota
-	evalInfeasible
-)
-
 type runState struct {
 	ctx context.Context
 	p   *dataset.Table
 	cfg Config
 	ks  []int
 	req map[int]bool
-	sc  *core.SweepContext
+	// sc is the kernel-budgeted context the check's probes and budget walks
+	// run on, built on first use; walks on the level pool build their own
+	// inside core.SweepStream.
+	sc *core.SweepContext
 
-	known           map[int]core.LevelResult
-	sortedK         []int
-	evaluated, warm int
+	known                   map[int]core.LevelResult
+	evaluated, warm, probed int
 
-	// infeasibleFrom is the lowest probed k the anonymizer rejected with
-	// the "k exceeds the table" condition; feasibility is monotone in k, so
-	// everything at or above it is infeasible. infeasibleErr keeps the
-	// original error for the case where even the lowest requested level is
-	// infeasible, which must fail exactly like the exhaustive sweep.
+	// utilKs lists, ascending, every level whose utility the run knows:
+	// the series' levels and the check's probes; util maps them to U_k.
+	// The monotonicity check runs over this union.
+	utilKs []int
+	util   map[int]float64
+
+	// infeasibleFrom is the lowest k the anonymizer rejected with the "k
+	// exceeds the table" condition; feasibility is monotone in k, so
+	// everything at or above it is infeasible.
 	infeasibleFrom int
-	infeasibleErr  error
 
 	nonMonotone   bool
 	nonMonotoneAt int
@@ -241,23 +266,10 @@ func (s *runState) stopForDeadline() bool {
 	return false
 }
 
-// adopt enters a level into the series and checks the monotonicity
-// invariant against its nearest known neighbors.
+// adopt enters a level into the series.
 func (s *runState) adopt(lr core.LevelResult, warm bool) {
-	k := lr.K
-	s.known[k] = lr
-	i := sort.SearchInts(s.sortedK, k)
-	s.sortedK = append(s.sortedK, 0)
-	copy(s.sortedK[i+1:], s.sortedK[i:])
-	s.sortedK[i] = k
-	if !s.nonMonotone {
-		if i > 0 && lr.Utility > s.known[s.sortedK[i-1]].Utility {
-			s.nonMonotone, s.nonMonotoneAt = true, k
-		}
-		if i+1 < len(s.sortedK) && s.known[s.sortedK[i+1]].Utility > lr.Utility {
-			s.nonMonotone, s.nonMonotoneAt = true, s.sortedK[i+1]
-		}
-	}
+	s.known[lr.K] = lr
+	s.noteUtility(lr.K, lr.Utility)
 	if warm {
 		s.warm++
 	} else {
@@ -268,30 +280,56 @@ func (s *runState) adopt(lr core.LevelResult, warm bool) {
 	}
 }
 
-// eval computes requested level index i unless it is already known or
-// infeasible. Memoized: bisection probes the same midpoints from both
-// boundary searches for free.
-func (s *runState) eval(i int) (evalStatus, error) {
-	k := s.ks[i]
-	if k >= s.infeasibleFrom {
-		return evalInfeasible, nil
+// noteUtility records U_k and checks the monotonicity invariant against
+// the nearest levels of known utility on either side.
+func (s *runState) noteUtility(k int, u float64) {
+	if _, ok := s.util[k]; ok {
+		return // a probed level the fallback walk computed: the same bits
 	}
-	if _, ok := s.known[k]; ok {
-		return evalOK, nil
+	s.util[k] = u
+	i := sort.SearchInts(s.utilKs, k)
+	s.utilKs = slices.Insert(s.utilKs, i, k)
+	if s.nonMonotone {
+		return
+	}
+	if i > 0 && u > s.util[s.utilKs[i-1]] {
+		s.nonMonotone, s.nonMonotoneAt = true, k
+	}
+	if i+1 < len(s.utilKs) && s.util[s.utilKs[i+1]] > u {
+		s.nonMonotone, s.nonMonotoneAt = true, s.utilKs[i+1]
+	}
+}
+
+// probeContext returns the run's kernel-budgeted context, building it on
+// first use.
+func (s *runState) probeContext() *core.SweepContext {
+	if s.sc == nil {
+		s.sc = core.NewSweepContextParallel(s.p, s.cfg.Attack,
+			core.SweepWorkersFor(s.p.NumRows(), s.cfg.Workers, s.cfg.MinParallelRows))
+	}
+	return s.sc
+}
+
+// eval computes requested level index i on the run's budgeted context
+// unless it is already known or infeasible. Budget walks use it.
+func (s *runState) eval(i int) error {
+	k := s.ks[i]
+	if _, ok := s.known[k]; ok || k >= s.infeasibleFrom {
+		return nil
 	}
 	if err := s.ctx.Err(); err != nil {
-		return 0, err
+		return err
 	}
-	lr, err := s.sc.RunLevel(s.cfg.Anonymizer, k, s.cfg.Tp)
+	lr, err := s.probeContext().RunLevel(s.cfg.Anonymizer, k, s.cfg.Tp)
 	if err != nil {
-		if core.EndsSweep(err) {
-			s.infeasibleFrom, s.infeasibleErr = k, err
-			return evalInfeasible, nil
+		if core.EndsSweep(err) && i > 0 {
+			s.infeasibleFrom = k
+			return nil
 		}
-		return 0, fmt.Errorf("planner: level k=%d: %w", k, err)
+		return fmt.Errorf("planner: level k=%d: %w", k, err)
 	}
 	s.adopt(lr, false)
-	return evalOK, nil
+	return nil
 }
 
 // Run executes the adaptive sweep and returns the series with its
@@ -328,7 +366,8 @@ func Run(ctx context.Context, p *dataset.Table, cfg Config) (*Outcome, error) {
 		ks:             cfg.Levels,
 		req:            make(map[int]bool, len(cfg.Levels)),
 		known:          make(map[int]core.LevelResult, len(cfg.Levels)),
-		infeasibleFrom: 1 << 62,
+		util:           make(map[int]float64, len(cfg.Levels)),
+		infeasibleFrom: math.MaxInt,
 		minDecide:      1,
 	}
 	if !explicit {
@@ -337,11 +376,6 @@ func Run(ctx context.Context, p *dataset.Table, cfg Config) (*Outcome, error) {
 	for _, k := range s.ks {
 		s.req[k] = true
 	}
-	// One kernel-budgeted context shared by every single-level probe, so
-	// bisection keeps within-level parallelism. The walk paths go through
-	// SweepStream, which builds its own context and budget.
-	s.sc = core.NewSweepContextParallel(p, cfg.Attack,
-		core.SweepWorkersFor(p.NumRows(), cfg.Workers, cfg.MinParallelRows))
 
 	// Warm seeds enter first, ascending, before anything is computed.
 	for _, k := range s.ks {
@@ -354,17 +388,17 @@ func Run(ctx context.Context, p *dataset.Table, cfg Config) (*Outcome, error) {
 	var err error
 	switch {
 	case explicit:
-		err = s.bisect()
+		err = s.scan()
 	case !cfg.Deadline.IsZero():
 		err = s.budgetWalk()
 	default:
-		err = s.walkRemaining()
+		err = s.walk(math.MaxInt, nil)
 	}
 	if err != nil {
 		return nil, err
 	}
 
-	// A detected monotonicity violation voids bisection's skip proof: walk
+	// A detected monotonicity violation voids the skip proof: walk
 	// everything still missing so the series — and therefore the decision —
 	// matches the exhaustive sweep exactly. A deadline overrides: the
 	// partial series stands, best-effort by construction.
@@ -376,31 +410,24 @@ func Run(ctx context.Context, p *dataset.Table, cfg Config) (*Outcome, error) {
 		if cfg.Hooks.Fallback != nil {
 			cfg.Hooks.Fallback(fallbackReason)
 		}
-		if err := s.walkRemaining(); err != nil {
+		if err := s.walk(math.MaxInt, nil); err != nil {
 			return nil, err
 		}
-	}
-
-	// The lowest requested level being infeasible is an error, exactly as
-	// it is for the exhaustive sweep (the early-stop rule anchors there).
-	if s.infeasibleFrom <= s.ks[0] {
-		return nil, fmt.Errorf("planner: level k=%d: %w", s.ks[0], s.infeasibleErr)
 	}
 
 	out := &Outcome{
 		Requested:      len(s.ks),
 		Evaluated:      s.evaluated,
+		Probed:         s.probed,
 		Warm:           s.warm,
 		Fallback:       fellBack,
 		FallbackReason: fallbackReason,
 		Partial:        s.partial,
-	}
-	out.Levels = make([]core.LevelResult, 0, len(s.sortedK))
-	for _, k := range s.sortedK {
-		out.Levels = append(out.Levels, s.known[k])
+		Levels:         make([]core.LevelResult, 0, len(s.known)),
 	}
 	for _, k := range s.ks {
-		if _, ok := s.known[k]; ok {
+		if lr, ok := s.known[k]; ok {
+			out.Levels = append(out.Levels, lr)
 			continue
 		}
 		reason := SkipBisection
@@ -439,60 +466,84 @@ func (s *runState) feasibleKs() []int {
 	return s.ks[:n]
 }
 
-// bisect finds the Tu crossing with one memoized binary search and
-// evaluates only the band below it. The predicate leans on utility
-// monotonicity: Utility is non-increasing in k, so "Utility < Tu" is
-// suffix-true over the requested indices, and infeasibility is suffix-true
-// structurally. Every level above the crossing fails the Tu filter — After
-// cannot rescue it — so skipping it provably preserves the candidate set;
-// levels inside the band are all evaluated, which is also where the noisy
-// Tp/After filter gets tested per level. Probe count is ≤ ⌈log₂ K⌉, total
-// evaluations ≤ ⌈log₂ K⌉ + band.
-func (s *runState) bisect() error {
-	n := len(s.ks)
-	bEnd, stopped, err := s.search(n, func(i int) (bool, error) {
-		st, err := s.eval(i)
-		if err != nil || st == evalInfeasible {
-			return st == evalInfeasible, err
+// scan is Algorithm 1's own loop on the level pool: it walks the requested
+// levels upward and stops after the first one whose utility falls below Tu
+// — the Tu crossing. On a monotone utility series every level above the
+// crossing fails the Tu filter too, and After cannot rescue it, so the
+// scan computes exactly the candidate band and its crossing level. A held
+// level below Tu is a crossing the scan need not reach: it walks only the
+// levels beneath the first one. check then tests the skip.
+func (s *runState) scan() error {
+	c := len(s.ks)
+	for i, k := range s.ks {
+		if lr, ok := s.known[k]; ok && lr.Utility < s.cfg.Tu {
+			c = i
+			break
 		}
-		return s.known[s.ks[i]].Utility < s.cfg.Tu, nil
-	})
-	if err != nil || stopped {
+	}
+	if c > 0 {
+		crossed := 0
+		err := s.walk(s.ks[c-1], func(lr core.LevelResult) bool {
+			if lr.Utility < s.cfg.Tu {
+				crossed = lr.K
+				return true
+			}
+			return false
+		})
+		if err != nil || s.partial {
+			return err
+		}
+		if crossed != 0 {
+			c = sort.SearchInts(s.ks, crossed)
+		}
+	}
+	return s.check(c)
+}
+
+// check replays bisection for the crossing index c: it lists the indices
+// sort.Search would probe for the predicate i ≥ c — index arithmetic, no
+// evaluation — and probes, all at once, the utility of every probe point
+// above c whose utility the run does not know. A probe's utility joins the
+// monotonicity check, never the series, so a rise at a probe point
+// triggers the exhaustive fallback, as it would have under bisection.
+func (s *runState) check(c int) error {
+	if s.nonMonotone {
+		return nil // the fallback walks everything anyway
+	}
+	var ks []int // descending: each probe point above c lowers the next
+	for lo, hi := 0, len(s.ks); lo < hi; {
+		mid := int(uint(lo+hi) >> 1)
+		if mid < c {
+			lo = mid + 1
+			continue
+		}
+		hi = mid
+		if _, ok := s.util[s.ks[mid]]; !ok {
+			ks = append(ks, s.ks[mid])
+		}
+	}
+	if len(ks) == 0 {
+		return nil
+	}
+	if err := s.ctx.Err(); err != nil {
 		return err
 	}
-	// Band fill: every requested level below the crossing joins the series
-	// — the argmax needs them all.
-	for i := 0; i < bEnd; i++ {
-		if s.stopForDeadline() {
-			return nil
-		}
-		if _, err := s.eval(i); err != nil {
-			return err
+	if s.stopForDeadline() {
+		return nil
+	}
+	us, errs := s.probeContext().ProbeUtilities(s.cfg.Anonymizer, ks)
+	for i, k := range ks {
+		switch {
+		case core.EndsSweep(errs[i]):
+			s.infeasibleFrom = min(s.infeasibleFrom, k)
+		case errs[i] != nil:
+			return fmt.Errorf("planner: probe k=%d: %w", k, errs[i])
+		default:
+			s.probed++
+			s.noteUtility(k, us[i])
 		}
 	}
 	return nil
-}
-
-// search is sort.Search with error propagation and deadline stops: the
-// smallest index in [0, n] with pred true (pred suffix-true).
-func (s *runState) search(n int, pred func(int) (bool, error)) (idx int, stopped bool, err error) {
-	lo, hi := 0, n
-	for lo < hi {
-		if s.stopForDeadline() {
-			return lo, true, nil
-		}
-		mid := int(uint(lo+hi) >> 1)
-		ok, err := pred(mid)
-		if err != nil {
-			return 0, false, err
-		}
-		if ok {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo, false, nil
 }
 
 // budgetWalk evaluates the requested set without thresholds under a
@@ -536,42 +587,34 @@ func (s *runState) budgetWalk() error {
 		if s.stopForDeadline() {
 			return nil
 		}
-		if _, err := s.eval(pick); err != nil {
+		if err := s.eval(pick); err != nil {
 			return err
 		}
 	}
 }
 
-// walkRemaining evaluates every requested feasible level not yet known via
-// the parallel streaming sweep — the exhaustive mode (auto-calibration
-// needs the full series) and the non-monotone fallback. Known levels and
-// non-requested holes ride in the Held set.
-func (s *runState) walkRemaining() error {
+// walk evaluates, ascending on the level pool (core.SweepStream), every
+// requested feasible level up to maxK the run does not know yet; known and
+// unrequested levels ride in the Held set. stop, when non-nil, ends the
+// walk after the first level it reports true for, and a deadline ends it
+// once a decidable prefix is known; either way the levels in flight are
+// discarded. A walk that ends on its own marks the first requested level
+// it did not reach as the feasibility cutoff: the stream ends early,
+// cleanly, only when the anonymizer outgrows the table.
+func (s *runState) walk(maxK int, stop func(core.LevelResult) bool) error {
 	minK := s.ks[0]
-	maxK := s.ks[len(s.ks)-1]
-	if s.infeasibleFrom <= maxK {
-		maxK = s.infeasibleFrom - 1
-	}
-	if maxK < minK {
+	maxK = min(maxK, s.ks[len(s.ks)-1], s.infeasibleFrom-1)
+	if maxK < minK || s.stopForDeadline() {
 		return nil
 	}
 	held := make(map[int]bool)
 	for k := minK; k <= maxK; k++ {
-		if !s.req[k] {
-			held[k] = true
-			continue
-		}
-		if _, ok := s.known[k]; ok {
+		if _, ok := s.known[k]; ok || !s.req[k] {
 			held[k] = true
 		}
 	}
-	runCtx := s.ctx
-	if !s.cfg.Deadline.IsZero() {
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithDeadline(s.ctx, s.cfg.Deadline)
-		defer cancel()
-	}
-	err := core.SweepStream(runCtx, s.p, core.StreamConfig{
+	stopped := false
+	err := core.SweepStream(s.ctx, s.p, core.StreamConfig{
 		Anonymizer:      s.cfg.Anonymizer,
 		Attack:          s.cfg.Attack,
 		MinK:            minK,
@@ -582,27 +625,21 @@ func (s *runState) walkRemaining() error {
 		Tp:              s.cfg.Tp,
 	}, func(lr core.LevelResult) error {
 		s.adopt(lr, false)
+		if (stop != nil && stop(lr)) || s.stopForDeadline() {
+			stopped = true
+			return core.ErrStopSweep
+		}
 		return nil
 	})
-	if err != nil {
-		// The deadline expiring mid-walk is a partial result, not an
-		// error — unless the caller's own context is what fired.
-		if errors.Is(err, context.DeadlineExceeded) && s.ctx.Err() == nil {
-			s.partial = true
-			return nil
-		}
+	if err != nil || stopped {
 		return err
 	}
-	// The stream ends early — cleanly — when the anonymizer outgrows the
-	// table, so after a complete walk any requested level still unknown
-	// marks the feasibility cutoff.
 	for _, k := range s.ks {
-		if k >= s.infeasibleFrom {
+		if k > maxK {
 			break
 		}
 		if _, ok := s.known[k]; !ok {
 			s.infeasibleFrom = k
-			s.infeasibleErr = fmt.Errorf("%w", dataset.ErrTooFewRecords)
 			break
 		}
 	}

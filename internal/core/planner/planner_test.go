@@ -2,6 +2,7 @@ package planner
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -74,7 +75,8 @@ func ceilLog2(n int) int {
 func TestPlannerBisectMatchesExhaustive(t *testing.T) {
 	// 400 rows: large enough that the utility series is strictly monotone
 	// (the discernibility metric's O(n·k) growth dominates remainder-group
-	// jitter), so bisection must complete without falling back.
+	// jitter), so the scan and its bisection check must complete without
+	// falling back.
 	p, q := universityFixture(t, 400)
 	atk := core.AttackConfig{Aux: q, SensitiveRange: salaryRange()}
 	series := exhaustiveSeries(t, p, q, 2, 24)
@@ -105,7 +107,7 @@ func TestPlannerBisectMatchesExhaustive(t *testing.T) {
 		t.Fatal("partial without a deadline")
 	}
 	if out.Evaluated >= out.Requested {
-		t.Fatalf("evaluated %d of %d levels: bisection saved nothing", out.Evaluated, out.Requested)
+		t.Fatalf("evaluated %d of %d levels: the scan saved nothing", out.Evaluated, out.Requested)
 	}
 	band := 0
 	for _, lr := range series {
@@ -113,8 +115,18 @@ func TestPlannerBisectMatchesExhaustive(t *testing.T) {
 			band++
 		}
 	}
-	if bound := ceilLog2(len(ks)+1) + band + 1; out.Evaluated > bound {
-		t.Fatalf("evaluated %d levels, bisection bound is %d (band %d)", out.Evaluated, bound, band)
+	if bound := band + 1; out.Evaluated > bound {
+		t.Fatalf("evaluated %d levels, the scan's bound is %d (band %d plus its crossing)", out.Evaluated, bound, band)
+	}
+	// The series is exactly MinK through the crossing level; the check's
+	// utility-only probes stay out of it.
+	for i, lr := range out.Levels {
+		if lr.K != ks[i] {
+			t.Fatalf("series level %d has k=%d, want the prefix of %v", i, lr.K, ks)
+		}
+	}
+	if out.Probed < 1 || out.Probed > ceilLog2(len(ks)+1) {
+		t.Fatalf("probed %d levels, want 1..%d (bisection's probe points above the crossing)", out.Probed, ceilLog2(len(ks)+1))
 	}
 	got, err := core.DecideWithin(out.Levels, tp, tu, metrics.HOptions{})
 	if err != nil {
@@ -206,7 +218,7 @@ func TestPlannerFallbackOnNonMonotoneSeeds(t *testing.T) {
 		4: series[2],
 		6: {K: 6, After: series[4].After, Utility: 2 * series[2].Utility},
 	}
-	// Tu at k=5 keeps the band small, so bisection would skip the tail —
+	// Tu at k=5 keeps the band small, so the scan would skip the tail —
 	// exactly what the detected violation must undo.
 	ks, _ := Expand(2, 12, 1, nil)
 	var fellBack string
@@ -315,6 +327,60 @@ func TestPlannerBudgetStopsAtDeadline(t *testing.T) {
 	}
 }
 
+// TestPlannerScanStopsAtDeadline: with explicit thresholds the deadline
+// stops the scan as levels complete, on the level pool too. The run keeps
+// the decidable ascending prefix it reached — one level when the deadline
+// has already passed — sets Partial, skips the rest for the deadline and
+// runs no check.
+func TestPlannerScanStopsAtDeadline(t *testing.T) {
+	p, q := universityFixture(t, 40)
+	atk := core.AttackConfig{Aux: q, SensitiveRange: salaryRange()}
+	series := exhaustiveSeries(t, p, q, 2, 16)
+	tp, tu := 0.0, series[12].Utility // Tu alone; its crossing is far above the prefix
+	ks, _ := Expand(2, 16, 1, nil)
+	base := time.Unix(1700000000, 0)
+	for _, tc := range []struct {
+		name     string
+		inBudget int // clock readings before the deadline passes
+		want     []int
+	}{
+		{"expired", 0, []int{2}},
+		{"mid-scan", 2, []int{2, 3, 4}},
+	} {
+		for _, workers := range []int{1, 2} {
+			readings := 0
+			out, err := Run(context.Background(), p, Config{
+				Anonymizer: microagg.New(), Attack: atk, Levels: ks,
+				Tp: tp, Tu: tu, Workers: workers, Deadline: base,
+				now: func() time.Time {
+					readings++
+					if readings > tc.inBudget {
+						return base.Add(time.Second)
+					}
+					return base.Add(-time.Second)
+				},
+			})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
+			}
+			var got []int
+			for _, lr := range out.Levels {
+				got = append(got, lr.K)
+			}
+			if !out.Partial || !slices.Equal(got, tc.want) || out.Evaluated != len(tc.want) || out.Probed != 0 {
+				t.Fatalf("%s workers=%d: partial=%v series k=%v evaluated=%d probed=%d, want a partial prefix %v and no probes",
+					tc.name, workers, out.Partial, got, out.Evaluated, out.Probed, tc.want)
+			}
+			if len(out.SkippedRanges) != 1 || out.SkippedRanges[0] != (SkipRange{FromK: len(tc.want) + 2, ToK: 16, Reason: SkipDeadline}) {
+				t.Fatalf("%s workers=%d: skip ranges %+v, want k=%d..16 for the deadline", tc.name, workers, out.SkippedRanges, len(tc.want)+2)
+			}
+			if _, err := core.DecideWithin(out.Levels, tp, tu, metrics.HOptions{}); err != nil {
+				t.Fatalf("%s workers=%d: the partial prefix is not decidable: %v", tc.name, workers, err)
+			}
+		}
+	}
+}
+
 func TestPlannerInfeasibleTail(t *testing.T) {
 	p, q := universityFixture(t, 12)
 	atk := core.AttackConfig{Aux: q, SensitiveRange: salaryRange()}
@@ -327,8 +393,8 @@ func TestPlannerInfeasibleTail(t *testing.T) {
 	// Levels 2..20 on 12 rows: the tail outgrows the table in both modes.
 	ks, _ := Expand(2, 20, 1, nil)
 	for name, cfg := range map[string]Config{
-		"walk":   {Anonymizer: microagg.New(), Attack: atk, Levels: ks},
-		"bisect": {Anonymizer: microagg.New(), Attack: atk, Levels: ks, Tp: tp, Tu: tu},
+		"walk": {Anonymizer: microagg.New(), Attack: atk, Levels: ks},
+		"scan": {Anonymizer: microagg.New(), Attack: atk, Levels: ks, Tp: tp, Tu: tu},
 	} {
 		out, err := Run(context.Background(), p, cfg)
 		if err != nil {
@@ -357,7 +423,7 @@ func TestPlannerInfeasibleTail(t *testing.T) {
 	if _, err := Run(context.Background(), p, Config{
 		Anonymizer: microagg.New(), Attack: atk, Levels: []int{15, 18}, Tp: tp, Tu: tu,
 	}); err == nil {
-		t.Fatal("bisect over an infeasible set must error, as the exhaustive sweep does")
+		t.Fatal("a scan over an infeasible set must error, as the exhaustive sweep does")
 	}
 }
 

@@ -71,7 +71,9 @@ type StreamConfig struct {
 //     emit error aborts the sweep and is returned verbatim. In-flight higher
 //     levels are discarded either way.
 //   - Cancelling ctx aborts promptly with ctx.Err(); workers stop picking up
-//     new levels and nothing further is emitted.
+//     new levels and nothing further is emitted. A stop or a cancel also
+//     reaches the levels in flight: each checks the context between its
+//     anonymize and attack phases and, once it is done, skips the attack.
 //
 // emit runs on the calling goroutine; it may block (e.g. writing an HTTP
 // response) without stalling more than the in-flight workers.
@@ -131,9 +133,14 @@ func SweepStream(ctx context.Context, p *dataset.Table, cfg StreamConfig, emit f
 				return err
 			}
 			budget.Acquire()
-			lr, err := sc.RunLevel(cfg.Anonymizer, k, cfg.Tp)
+			lr, err := sc.runLevel(ctx, cfg.Anonymizer, k, cfg.Tp)
 			budget.Release()
 			if err != nil {
+				// A level abandoned by a cancel ends the sweep with the
+				// context's error, not as a failure of that level.
+				if ctxErr := ctx.Err(); ctxErr != nil {
+					return ctxErr
+				}
 				if k > minK && isTooFewRecords(err) {
 					return nil
 				}
@@ -190,7 +197,7 @@ func SweepStream(ctx context.Context, p *dataset.Table, cfg StreamConfig, emit f
 				// itself against the sweep-wide worker bound — so kernel
 				// helpers can only use genuinely idle capacity.
 				budget.Acquire()
-				lr, err := sc.RunLevel(cfg.Anonymizer, k, cfg.Tp)
+				lr, err := sc.runLevel(ctx, cfg.Anonymizer, k, cfg.Tp)
 				budget.Release()
 				results <- slot{k: k, lr: lr, err: err}
 			}
@@ -223,6 +230,8 @@ func SweepStream(ctx context.Context, p *dataset.Table, cfg StreamConfig, emit f
 		}
 		delete(pending, next)
 		if s.err != nil {
+			// The check at the top of the loop already saw any cancel that
+			// made a worker abandon this level, so s.err is the level's own.
 			if next > minK && isTooFewRecords(s.err) {
 				// The anonymizer legitimately outgrew the table: the series
 				// ends here rather than failing.

@@ -4,10 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/dataset"
+	"repro/internal/fusion"
 	"repro/internal/microagg"
+	"repro/internal/mondrian"
+	"repro/internal/parallel"
 )
 
 // TestSweepStreamOrderedUnderParallelWorkers: whatever the worker count,
@@ -318,5 +325,160 @@ func TestDecideMatchesRun(t *testing.T) {
 				t.Errorf("Decide kept %d of %d levels, want the stopping rule to fire: %v", len(got.Levels), len(probe), tc.stops)
 			}
 		})
+	}
+}
+
+// countingEstimator is the paper's fuzzy estimator, counting the attacks
+// that reach it.
+type countingEstimator struct {
+	fusion.Estimator
+	calls atomic.Int32
+}
+
+func newCountingEstimator() *countingEstimator {
+	return &countingEstimator{Estimator: fusion.NewFuzzy()}
+}
+
+func (c *countingEstimator) EstimateBatch(m fusion.Matrix, out fusion.Range, b *parallel.Budget, a *fusion.Arena, est []float64) error {
+	c.calls.Add(1)
+	return c.Estimator.EstimateBatch(m, out, b, a, est)
+}
+
+// hookedAnonymizer is MDAV with a hook run before each level's
+// anonymization: a gate, or a cancel, at chosen levels.
+type hookedAnonymizer struct {
+	Anonymizer
+	before func(k int)
+}
+
+func (h hookedAnonymizer) Anonymize(t *dataset.Table, k int) (*dataset.Table, error) {
+	h.before(k)
+	return h.Anonymizer.Anonymize(t, k)
+}
+
+// TestSweepStreamStopSkipsAttackPastStop: a level dispatched past the stop
+// is abandoned between its anonymize and attack phases. Every level above
+// the stop is gated on the stop itself: emit, at the stop, cancels the
+// caller's context and only then opens the gate, so each gated level
+// finishes anonymizing after the pool's context is done, whatever the
+// scheduling. The estimator runs exactly once per emitted level, and the
+// stop still ends the sweep cleanly.
+func TestSweepStreamStopSkipsAttackPastStop(t *testing.T) {
+	p, q := universityFixture(t, 40)
+	est := newCountingEstimator()
+	gate := make(chan struct{})
+	const stopK = 3
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var got []int
+	err := SweepStream(ctx, p, StreamConfig{
+		Anonymizer: hookedAnonymizer{microagg.New(), func(k int) {
+			if k > stopK {
+				<-gate
+			}
+		}},
+		Attack:  AttackConfig{Aux: q, Estimator: est, SensitiveRange: salaryRange()},
+		MinK:    2,
+		MaxK:    8,
+		Workers: 2,
+	}, func(lr LevelResult) error {
+		got = append(got, lr.K)
+		if lr.K < stopK {
+			return nil
+		}
+		cancel()
+		close(gate)
+		return ErrStopSweep
+	})
+	if err != nil {
+		t.Fatalf("a stop must end the sweep cleanly, got %v", err)
+	}
+	if !slices.Equal(got, []int{2, 3}) {
+		t.Fatalf("emitted k = %v, want [2 3]", got)
+	}
+	if n := est.calls.Load(); n != int32(len(got)) {
+		t.Fatalf("estimator ran %d times for %d emitted levels: a level past the stop ran its attack", n, len(got))
+	}
+}
+
+// TestSweepStreamCancelAbandonsLevel: a level abandoned by a cancel between
+// its phases ends the sweep with the context's error — not as a failure of
+// that level — and never reaches the estimator, on the inline path (one
+// worker, the cancel landing mid-anonymize) and on the pool (the cancel
+// landing before gated levels finish anonymizing).
+func TestSweepStreamCancelAbandonsLevel(t *testing.T) {
+	p, q := universityFixture(t, 40)
+	for _, workers := range []int{1, 2} {
+		est := newCountingEstimator()
+		gate := make(chan struct{})
+		ctx, cancel := context.WithCancel(context.Background())
+		before := func(k int) {
+			switch {
+			case k == 2:
+			case workers == 1:
+				cancel()
+			default:
+				<-gate
+			}
+		}
+		emitted := 0
+		err := SweepStream(ctx, p, StreamConfig{
+			Anonymizer: hookedAnonymizer{microagg.New(), before},
+			Attack:     AttackConfig{Aux: q, Estimator: est, SensitiveRange: salaryRange()},
+			MinK:       2,
+			MaxK:       8,
+			Workers:    workers,
+		}, func(LevelResult) error {
+			emitted++
+			if workers > 1 {
+				cancel()
+				close(gate)
+			}
+			return nil
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) || strings.Contains(err.Error(), "level k=") {
+			t.Fatalf("workers=%d: err = %v, want the context's error, not a level failure", workers, err)
+		}
+		if emitted != 1 {
+			t.Fatalf("workers=%d: emitted %d levels, want 1", workers, emitted)
+		}
+		if n := est.calls.Load(); n != 1 {
+			t.Fatalf("workers=%d: estimator ran %d times, want once (k=2): an abandoned level ran its attack", workers, n)
+		}
+	}
+}
+
+// TestProbeUtilityMatchesRunLevel: utility-only probes reproduce RunLevel's
+// Utility bit for bit, for both schemes, concurrently under a budget and
+// inline without one, and never run the fusion attack; a probe past the
+// table reports the sweep-ending condition.
+func TestProbeUtilityMatchesRunLevel(t *testing.T) {
+	p, q := universityFixture(t, 60)
+	ks := []int{61, 12, 9, 5, 2, 3}
+	for _, anon := range []Anonymizer{microagg.New(), mondrian.New()} {
+		for _, workers := range []int{1, 2} {
+			est := newCountingEstimator()
+			sc := NewSweepContextParallel(p, AttackConfig{Aux: q, Estimator: est, SensitiveRange: salaryRange()}, workers)
+			us, errs := sc.ProbeUtilities(anon, ks)
+			if n := est.calls.Load(); n != 0 {
+				t.Fatalf("%s workers=%d: probes ran the estimator %d times", anon.Name(), workers, n)
+			}
+			if !EndsSweep(errs[0]) {
+				t.Fatalf("%s workers=%d: probe past the table: err = %v, want the sweep-ending condition", anon.Name(), workers, errs[0])
+			}
+			for i, k := range ks[1:] {
+				if errs[i+1] != nil {
+					t.Fatal(errs[i+1])
+				}
+				lr, err := sc.RunLevel(anon, k, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(us[i+1]) != math.Float64bits(lr.Utility) {
+					t.Fatalf("%s workers=%d k=%d: probe utility %v, RunLevel %v", anon.Name(), workers, k, us[i+1], lr.Utility)
+				}
+			}
+		}
 	}
 }

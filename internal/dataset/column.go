@@ -62,8 +62,9 @@ type intern struct {
 	idx  map[string]int32
 }
 
-func newIntern() *intern {
-	it := &intern{idx: make(map[string]int32)}
+// newIntern returns an empty dictionary with room for size strings.
+func newIntern(size int) *intern {
+	it := &intern{strs: make([]string, 0, size), idx: make(map[string]int32, size)}
 	it.refs.Store(1)
 	return it
 }
@@ -173,7 +174,7 @@ func (c *colData) float(i int) (float64, bool) {
 // before the first new append.
 func (c *colData) internID(s string) int32 {
 	if c.dict == nil {
-		c.dict = newIntern()
+		c.dict = newIntern(0)
 	}
 	if id, ok := c.dict.idx[s]; ok {
 		return id

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // This file implements the durable on-disk form of a Table: a versioned
@@ -237,12 +238,14 @@ func ReadSnapshot(r io.Reader) (*Table, error) {
 // snapReader hashes exactly the bytes it consumes (not the bufio
 // read-ahead), so the running CRC at the trailer covers the payload alone.
 // Words are read through scratch, which lives in the reader, so a word
-// costs no allocation.
+// costs no allocation; strings up to snapAllocChunk bytes are read through
+// buf, which the reader also owns, so a string costs only its conversion.
 type snapReader struct {
 	r       *bufio.Reader
 	crc     hash.Hash32
 	err     error
 	scratch [8]byte
+	buf     []byte
 }
 
 // fill reads len(buf) payload bytes and feeds them into the checksum.
@@ -288,18 +291,29 @@ func (s *snapReader) str() string {
 		s.err = fmt.Errorf("implausible string length %d", n)
 		return ""
 	}
-	// Grow by chunks as bytes actually arrive: a corrupt length header must
-	// fail with a read error, not allocate a gigabyte before the stream
-	// runs dry (see snapAllocChunk).
-	tmp := make([]byte, min(n, snapAllocChunk))
-	out := make([]byte, 0, len(tmp))
-	for read := uint64(0); read < n; {
-		c := min(n-read, snapAllocChunk)
-		if !s.fill(tmp[:c]) {
+	if n <= snapAllocChunk {
+		if uint64(cap(s.buf)) < n {
+			// Geometric growth: at most log₂ snapAllocChunk of these.
+			s.buf = make([]byte, 0, max(n, min(2*uint64(cap(s.buf)), snapAllocChunk)))
+		}
+		b := s.buf[:n]
+		if !s.fill(b) {
 			return ""
 		}
-		out = append(out, tmp[:c]...)
-		read += c
+		return string(b)
+	}
+	// A longer string grows by chunks as bytes actually arrive: a corrupt
+	// length header must fail with a read error, not allocate a gigabyte
+	// before the stream runs dry (see snapAllocChunk).
+	out := make([]byte, 0, snapAllocChunk)
+	for read := uint64(0); read < n; {
+		c := int(min(n-read, snapAllocChunk))
+		out = slices.Grow(out, c)
+		if !s.fill(out[len(out) : len(out)+c]) {
+			return ""
+		}
+		out = out[:len(out)+c]
+		read += uint64(c)
 	}
 	return string(out)
 }
@@ -378,7 +392,7 @@ func (s *snapReader) column(kind ValueKind, nrows int) (*colData, error) {
 		if nstrs > 1<<32 {
 			return nil, fmt.Errorf("implausible dictionary size %d", nstrs)
 		}
-		c.dict = newIntern()
+		c.dict = newIntern(int(min(nstrs, snapAllocChunk)))
 		for i := uint64(0); i < nstrs; i++ {
 			str := s.str()
 			if s.err != nil {

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -187,5 +188,33 @@ func TestSnapshotAllocsDoNotGrowWithRows(t *testing.T) {
 	w2, r2 := allocs(20000)
 	if w1 != w2 || r1 != r2 {
 		t.Errorf("allocations at 10⁴ → 2·10⁴ rows: WriteSnapshot %v → %v, ReadSnapshot %v → %v; want no growth", w1, w2, r1, r2)
+	}
+}
+
+// TestSnapshotReadAllocsPerDistinctString: reading a text column back costs
+// one allocation per distinct string — its conversion — plus a constant:
+// the table, the reader's buffers and the pre-sized dictionary, whose map
+// allocates its tables up front (about 90 allocations in all at 2·10⁴
+// strings).
+func TestSnapshotReadAllocsPerDistinctString(t *testing.T) {
+	const rows = 20000
+	tb := New(MustSchema(
+		Column{Name: "Name", Class: Identifier, Kind: Text},
+		Column{Name: "Age", Class: QuasiIdentifier, Kind: Number},
+	))
+	for i := 0; i < rows; i++ {
+		tb.MustAppendRow(Str(fmt.Sprintf("person-%06d", i)), Num(float64(i%90)))
+	}
+	var buf bytes.Buffer
+	if err := tb.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := ReadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(rows + 128); allocs > limit {
+		t.Errorf("ReadSnapshot of %d distinct strings made %v allocations, want at most %v", rows, allocs, limit)
 	}
 }

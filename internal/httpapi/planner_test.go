@@ -13,13 +13,13 @@ import (
 
 // End-to-end coverage of the adaptive planner spec fields over REST: k-set
 // and budget-bound sweeps, spec validation, and the SSE shape of the skip
-// events a bisecting sweep publishes. Runs raced in CI's race job, with
+// events an adaptive scan publishes. Runs raced in CI's race job, with
 // the rest of the suite.
 
 // TestEndToEndAdaptivePlannerSpecs uploads a monotone-utility cohort and
 // drives the new spec fields through the full REST stack.
 func TestEndToEndAdaptivePlannerSpecs(t *testing.T) {
-	// The level index is disabled so the adaptive job bisects instead of
+	// The level index is disabled so the adaptive job scans instead of
 	// warm-starting from the probe sweep — this test wants skip events.
 	ts, _, _ := newTestServerEngine(t, true, service.Options{
 		Workers: 2, SweepWorkers: 2, LevelIndexSize: -1,
@@ -116,7 +116,7 @@ func TestEndToEndAdaptivePlannerSpecs(t *testing.T) {
 
 	t.Run("skip events over SSE", func(t *testing.T) {
 		spec := base
-		spec.Tu = tu // band k=2..6 — bisection skips the tail
+		spec.Tu = tu // band k=2..6 — the scan stops at k=7 and skips the tail
 		spec.Adaptive = true
 		st := submitJob(t, ts.URL, spec)
 		st = pollJob(t, ts.URL, st.ID)

@@ -27,13 +27,15 @@
 // fred-sweep specs accept the adaptive planner fields alongside min_k/max_k:
 // "k_set" (explicit level set), "stride" (every Nth level), "budget_ms"
 // (wall-clock budget — the job stops at the deadline with status partial and
-// the best release over the levels it managed), and "adaptive": true (force
-// the bisection planner on a plain range). Adaptive jobs' event streams
-// deliver "level" events in evaluation order — each tagged with "source":
-// "warm" when seeded from the cross-job level index — plus "skip" events
-// naming the level ranges the planner proved it could skip and why
-// (bisection, deadline, infeasible). The final decision is bit-identical to
-// the exhaustive sweep's.
+// the best release over the levels it managed), and "adaptive": true (let
+// the planner scan a plain range up to the Tu crossing and skip the rest,
+// the skip checked at bisection's probe points). Adaptive jobs' event
+// streams deliver warm "level" events first — tagged "source": "warm" when
+// seeded from the cross-job level index — then computed ones in ascending
+// k (a budgeted sweep without thresholds evaluates endpoints, then
+// widest-gap midpoints), plus "skip" events naming the level ranges the
+// planner did not evaluate and why (bisection, deadline, infeasible). The
+// final decision is bit-identical to the exhaustive sweep's.
 //
 //	GET    /v1/healthz           liveness probe + ops snapshot (never
 //	                             authenticated)

@@ -967,11 +967,11 @@ func TestRecoverResumesGappedSeedDisk(t *testing.T) {
 	resumeMatchesUninterrupted(t, dir, jobID, kept, service.Options{Workers: 1}, want, wantRes)
 }
 
-// TestRecoverResumesInterruptedAdaptiveSweepDisk: an adaptive sweep's
-// checkpoints arrive in evaluation order, not as a prefix; a crash after two
-// of them resumes holding both. One spec bisects (the 400-row cohort, Tu at
-// the k=6 utility, so the first checkpoints are probes), the other is a
-// k_set.
+// TestRecoverResumesInterruptedAdaptiveSweepDisk: a crash after an adaptive
+// sweep's first two checkpoints resumes holding both. One spec scans to
+// the Tu crossing and checks the skip (the 400-row cohort, Tu at the k=6
+// utility, so the checkpoints are the scan's k=2 and k=3 and the resumed
+// scan goes on from k=4), the other is a k_set.
 func TestRecoverResumesInterruptedAdaptiveSweepDisk(t *testing.T) {
 	t.Run("bisect", func(t *testing.T) {
 		sopts := repro.ScenarioOptions{Seed: 42, N: 400, DirectAux: true}
@@ -993,7 +993,7 @@ func TestRecoverResumesInterruptedAdaptiveSweepDisk(t *testing.T) {
 			return sp
 		})
 		if n := want.Summary["levels_evaluated"]; n >= 15 {
-			t.Fatalf("uninterrupted adaptive run evaluated %v of 15 levels; it must bisect", n)
+			t.Fatalf("uninterrupted adaptive run evaluated %v of 15 levels; it must skip levels", n)
 		}
 		resumeMatchesUninterrupted(t, dir, jobID, cutWAL(t, dir, jobID, func(i int) bool { return i < 2 }), opts, want, wantRes)
 	})

@@ -541,16 +541,43 @@ func (e *Engine) retireLocked(j *job) []string {
 	return evicted
 }
 
+// The persistence operations persist_errors_total counts.
+const (
+	opHashTable = "hash_table"
+	opPutBlob   = "put_blob"
+	opAppendWAL = "append_wal"
+	opSyncWAL   = "sync_wal"
+)
+
+// persistFailed counts and logs a failed persistence operation for job id
+// (empty when no one job is concerned). The engine carries on less durable
+// than it should be; this is how an operator learns of it.
+func (e *Engine) persistFailed(op, id string, err error) {
+	e.metrics.persistErrors.With(op).Inc()
+	e.logger.Warn("persistence failed", "op", op, "job", id, "err", err)
+}
+
 // appendWAL assigns the next event sequence number to rec and appends it to
 // the job log. Append errors degrade durability, not availability: the
-// running job proceeds and the error is reported to the caller for paths
-// that can refuse (Submit).
+// running job proceeds, the failure is counted and logged, and the error is
+// reported to the caller for paths that can refuse (Submit).
 func (e *Engine) appendWAL(rec *WALRecord) (uint64, error) {
 	e.walMu.Lock()
 	defer e.walMu.Unlock()
 	e.eventSeq++
 	rec.Seq = e.eventSeq
-	return rec.Seq, e.opts.JobLog.AppendWAL(rec)
+	err := e.opts.JobLog.AppendWAL(rec)
+	if err != nil {
+		e.persistFailed(opAppendWAL, rec.JobID, err)
+	}
+	return rec.Seq, err
+}
+
+// syncWAL flushes the job log, counting and logging a failure.
+func (e *Engine) syncWAL(id string) {
+	if err := e.opts.JobLog.SyncWAL(); err != nil {
+		e.persistFailed(opSyncWAL, id, err)
+	}
 }
 
 // persistTerminal makes a claimed terminal status durable before anything
@@ -562,9 +589,11 @@ func (e *Engine) persistTerminal(j *job, st Status, res *Result) {
 	if st.State == StateDone {
 		rec.Result = e.resultRecord(j, res)
 	}
-	if e.appendTerminal(j, rec) == nil {
-		e.opts.JobLog.SyncWAL() //nolint:errcheck // durability is best-effort here
+	if err := e.appendTerminal(j, rec); err != nil {
+		e.persistFailed(opAppendWAL, st.ID, err)
+		return
 	}
+	e.syncWAL(st.ID)
 }
 
 // appendTerminal appends a job's terminal record and attaches it to the job
@@ -616,6 +645,7 @@ func (e *Engine) resultRecord(j *job, res *Result) *ResultRecord {
 	}
 	h, err := HashTable(res.Table)
 	if err != nil {
+		e.persistFailed(opHashTable, j.status.ID, err)
 		return rec
 	}
 	// Root the hash, then write the blob, both under blobMu (see GCBlobs).
@@ -625,6 +655,7 @@ func (e *Engine) resultRecord(j *job, res *Result) *ResultRecord {
 	rec.TableHash = h
 	j.mu.Unlock()
 	if err := e.store.PutBlob(h, res.Table); err != nil {
+		e.persistFailed(opPutBlob, j.status.ID, err)
 		j.mu.Lock()
 		rec.TableHash = "" // no blob: recovery must not look for one
 		j.mu.Unlock()
@@ -635,7 +666,7 @@ func (e *Engine) resultRecord(j *job, res *Result) *ResultRecord {
 // logDeletes appends WAL retractions for jobs dropped from the log.
 func (e *Engine) logDeletes(ids []string) {
 	for _, id := range ids {
-		e.appendWAL(&WALRecord{Kind: WALDelete, JobID: id}) //nolint:errcheck
+		e.appendWAL(&WALRecord{Kind: WALDelete, JobID: id}) //nolint:errcheck // appendWAL counts and logs a failure
 	}
 }
 
@@ -664,7 +695,7 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 	}
 	// Flush the job log last: every in-flight job has written its terminal
 	// record by now.
-	e.opts.JobLog.SyncWAL() //nolint:errcheck
+	e.syncWAL("")
 	return err
 }
 
@@ -730,7 +761,7 @@ func (e *Engine) Submit(tenant string, spec Spec) (Status, error) {
 	retract := func(reason error) (Status, error) {
 		unregister()
 		// Retract the never-enqueued submission so replay does not re-run it.
-		e.appendWAL(&WALRecord{Kind: WALDelete, JobID: j.status.ID}) //nolint:errcheck
+		e.appendWAL(&WALRecord{Kind: WALDelete, JobID: j.status.ID}) //nolint:errcheck // appendWAL counts and logs a failure
 		return Status{}, reason
 	}
 	// The enqueue shares one critical section with the closed check:
@@ -897,7 +928,7 @@ func (e *Engine) Delete(tenant, id string) error {
 		}
 	}
 	e.mu.Unlock()
-	e.appendWAL(&WALRecord{Kind: WALDelete, JobID: id}) //nolint:errcheck
+	e.appendWAL(&WALRecord{Kind: WALDelete, JobID: id}) //nolint:errcheck // appendWAL counts and logs a failure
 	return nil
 }
 

@@ -72,9 +72,10 @@ type Spec struct {
 	// set. fred-sweep only; implies the adaptive planner.
 	BudgetMS int64 `json:"budget_ms,omitempty"`
 	// Adaptive lets the planner skip levels of a plain range sweep: with
-	// explicit thresholds the Tu crossing is bisected instead of walking
-	// every level (the decision is bit-identical — see
-	// internal/core/planner). Every sweep runs on the planner; without
+	// explicit thresholds it scans upward to the Tu crossing, checks the
+	// skip with utility-only probes at bisection's probe points, and
+	// leaves the levels above unevaluated (the decision is bit-identical —
+	// see internal/core/planner). Every sweep runs on the planner; without
 	// Adaptive (or KSet, Stride or BudgetMS, which imply it) it walks the
 	// whole range in ascending k.
 	Adaptive bool `json:"adaptive,omitempty"`
@@ -122,9 +123,9 @@ func (sp Spec) withDefaults() Spec {
 	return sp
 }
 
-// adaptive reports whether the planner may skip levels and streams them in
-// evaluation order: an explicit opt-in, or any selection a plain range
-// cannot express.
+// adaptive reports whether the planner may skip levels and streams warm
+// levels ahead of computed ones: an explicit opt-in, or any selection a
+// plain range cannot express.
 func (sp Spec) adaptive() bool {
 	return sp.Adaptive || len(sp.KSet) > 0 || sp.Stride > 1 || sp.BudgetMS > 0
 }

@@ -23,11 +23,14 @@ type engineMetrics struct {
 	cacheEvictions *obs.CounterVec // tenant
 
 	plannerEvaluated *obs.CounterVec // tenant
+	plannerProbed    *obs.CounterVec // tenant
 	plannerWarm      *obs.CounterVec // tenant
 	plannerSkipped   *obs.CounterVec // tenant, reason
 	plannerFallbacks *obs.CounterVec // tenant
 
 	shed *obs.CounterVec // tenant, scope
+
+	persistErrors *obs.CounterVec // op
 
 	gcRuns      *obs.CounterVec // (no labels)
 	gcReclaimed *obs.CounterVec // (no labels)
@@ -56,14 +59,18 @@ func newEngineMetrics(r *obs.Registry, e *Engine) *engineMetrics {
 			"Result-cache evictions (capacity or tenant share).", "tenant"),
 		plannerEvaluated: r.Counter("planner_levels_evaluated_total",
 			"Sweep levels actually computed by fred-sweep jobs.", "tenant"),
+		plannerProbed: r.Counter("planner_levels_probed_total",
+			"Utility-only probes (anonymize and C_DM, no fusion attack) checking adaptive sweeps' Tu scans.", "tenant"),
 		plannerWarm: r.Counter("planner_warmstart_levels_total",
 			"Sweep levels seeded from the cross-job level index instead of recomputed.", "tenant"),
 		plannerSkipped: r.Counter("planner_levels_skipped_total",
-			"Sweep levels the planner proved unnecessary (reason: bisection, deadline, infeasible).", "tenant", "reason"),
+			"Sweep levels the planner did not evaluate (reason: bisection — above the Tu crossing, checked at bisection's probe points; deadline; infeasible).", "tenant", "reason"),
 		plannerFallbacks: r.Counter("planner_fallbacks_total",
 			"Adaptive sweeps that fell back to the exhaustive walk on a detected non-monotone utility series.", "tenant"),
 		shed: r.Counter("admission_shed_total",
 			"Submissions refused by admission control (scope: tenant, global).", "tenant", "scope"),
+		persistErrors: r.Counter("persist_errors_total",
+			"Failed persistence operations (op: hash_table, put_blob, append_wal, sync_wal), each logged at Warn with its job.", "op"),
 		gcRuns: r.Counter("blob_gc_runs_total",
 			"Blob garbage-collection passes completed (dry runs included)."),
 		gcReclaimed: r.Counter("blob_gc_reclaimed_total",

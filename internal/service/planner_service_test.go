@@ -15,12 +15,12 @@ import (
 )
 
 // The adaptive-planner service suite: cross-job warm starts through the
-// level index, the bisection planner behind adaptive specs, and the
+// level index, the planner's checked scan behind adaptive specs, and the
 // observability both feed. Runs raced in CI's race job, with the rest of
 // the suite.
 
 // plannerFixture is testFixture at a cohort size where the utility series
-// is strictly monotone (n ≥ ~400), so bisection actually skips levels
+// is strictly monotone (n ≥ ~400), so the planner actually skips levels
 // instead of falling back to the exhaustive walk.
 func plannerFixture(t *testing.T, opts service.Options) (*service.Engine, string, string) {
 	t.Helper()
@@ -194,14 +194,16 @@ func TestWarmStartRangeSweepStreamsInKOrder(t *testing.T) {
 
 // TestAdaptivePlannerJobSkipsAndMatchesExhaustive runs the same explicit
 // thresholds through a classic exhaustive sweep and an adaptive one on a
-// monotone cohort: the planner must evaluate strictly fewer levels, publish
-// skip events with the bisection reason, advance the skip counter, and
-// decide bit-identically.
+// monotone cohort: the planner must evaluate exactly the band and its
+// crossing, stream them in ascending k, publish skip events with the
+// bisection reason, count its probe and the skips, trace them on the plan
+// span, and decide bit-identically.
 func TestAdaptivePlannerJobSkipsAndMatchesExhaustive(t *testing.T) {
 	reg := obs.NewRegistry()
+	tracer := obs.NewTracer(obs.DefaultTraceCapacity)
 	// The level index is disabled so the adaptive job cannot warm-start from
-	// the exhaustive one — this test measures bisection, not warm starts.
-	e, p, q := plannerFixture(t, service.Options{Workers: 1, Metrics: reg, LevelIndexSize: -1})
+	// the exhaustive one — this test measures the scan, not warm starts.
+	e, p, q := plannerFixture(t, service.Options{Workers: 1, Metrics: reg, Tracer: tracer, LevelIndexSize: -1})
 	e.Start()
 
 	probe := service.Spec{
@@ -218,7 +220,7 @@ func TestAdaptivePlannerJobSkipsAndMatchesExhaustive(t *testing.T) {
 		t.Fatalf("probe sweep ended %s: %s", st.State, st.Error)
 	}
 	// Tu at the k=6 utility puts the candidate band at k=2..6, leaving a
-	// tail for bisection to skip. Tp stays 0 so candidacy is Tu-only and
+	// tail above the crossing k=7 to skip. Tp stays 0 so candidacy is Tu-only and
 	// the thresholds count as explicit.
 	var tu float64
 	for _, ls := range st.Levels {
@@ -258,8 +260,8 @@ func TestAdaptivePlannerJobSkipsAndMatchesExhaustive(t *testing.T) {
 		t.Fatal("adaptive spec must have its own cache identity")
 	}
 	evaluated := int(stA.Summary["levels_evaluated"])
-	if evaluated >= 15 {
-		t.Fatalf("planner evaluated %d levels, wanted fewer than the exhaustive 15", evaluated)
+	if evaluated != 6 {
+		t.Fatalf("planner evaluated %d levels, want the band k=2..6 and its crossing k=7", evaluated)
 	}
 	for _, key := range []string{"optimal_k", "h_max"} {
 		if stA.Summary[key] != stE.Summary[key] {
@@ -267,9 +269,16 @@ func TestAdaptivePlannerJobSkipsAndMatchesExhaustive(t *testing.T) {
 		}
 	}
 
-	// The event stream carries the skip ranges with the bisection reason.
-	skipped := 0
+	// The event stream carries the levels in ascending k and the skip
+	// ranges with the bisection reason.
+	skipped, lastK := 0, 0
 	for ev := range mustStream(t, e, stA.ID) {
+		if ev.Type == service.EventLevel {
+			if ev.Level.K <= lastK {
+				t.Fatalf("level k=%d streamed after k=%d: adaptive levels must arrive in ascending k", ev.Level.K, lastK)
+			}
+			lastK = ev.Level.K
+		}
 		if ev.Type != service.EventSkip {
 			continue
 		}
@@ -293,6 +302,20 @@ func TestAdaptivePlannerJobSkipsAndMatchesExhaustive(t *testing.T) {
 	if !strings.Contains(expo, `planner_levels_skipped_total{reason="bisection",tenant="default"}`) &&
 		!strings.Contains(expo, `planner_levels_skipped_total{tenant="default",reason="bisection"}`) {
 		t.Errorf("metrics exposition missing the skip counter:\n%s", grepFamily(expo, "planner_"))
+	}
+	// Bisection for the crossing k=7 over k=2..16 probes k=9 above it: one
+	// utility-only probe, counted and on the plan span.
+	if !strings.Contains(expo, `planner_levels_probed_total{tenant="default"} 1`+"\n") {
+		t.Errorf("metrics exposition does not count one probe:\n%s", grepFamily(expo, "planner_"))
+	}
+	var plans []map[string]string
+	for _, sp := range tracer.Spans(stA.ID) {
+		if sp.Name == "planner.plan" {
+			plans = append(plans, sp.Attrs)
+		}
+	}
+	if len(plans) != 1 || plans[0]["probed"] != "1" || plans[0]["evaluated"] != "6" {
+		t.Errorf("planner.plan spans %v, want one with evaluated=6 probed=1", plans)
 	}
 }
 

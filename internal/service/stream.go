@@ -10,14 +10,17 @@ type EventType string
 // The event types. A job's stream is zero or more level events followed by
 // exactly one status event carrying the terminal snapshot.
 const (
-	// EventLevel reports one completed sweep level — ascending k order for
-	// range sweeps; evaluation order (probes jump) for adaptive jobs — each
-	// level tagged with its Source. A crash-resumed job's feed replays its
-	// checkpointed levels first, in the order they were checkpointed.
+	// EventLevel reports one completed sweep level, tagged with its Source:
+	// ascending k for range sweeps; for adaptive jobs warm levels first,
+	// then computed levels in ascending k (a budgeted sweep without
+	// thresholds evaluates endpoints, then widest-gap midpoints). The
+	// planner's utility-only probes are never streamed. A crash-resumed
+	// job's feed replays its checkpointed levels first, in the order they
+	// were checkpointed.
 	EventLevel EventType = "level"
 	// EventSkip reports a contiguous run of requested levels an adaptive
-	// sweep decided not to evaluate, with the reason (bisection, deadline,
-	// infeasible). Skip events have no durable identity (seq 0) and are
+	// sweep decided not to evaluate, with the reason: bisection (above the
+	// checked Tu crossing), deadline or infeasible. Skip events have no durable identity (seq 0) and are
 	// always replayed.
 	EventSkip EventType = "skip"
 	// EventStatus carries the terminal status snapshot and always closes the

@@ -40,9 +40,9 @@ type sweepEmitter struct {
 	explicit bool
 	tp, tu   float64
 	total    int
-	// calibrate enables the running-calibration payload on level events;
-	// range sweeps stream in ascending k, where the running calibration is
-	// meaningful, adaptive sweeps in evaluation order, where it is not.
+	// calibrate enables the running-calibration payload on level events:
+	// range sweeps carry it, adaptive ones (thresholds, k-sets, strides,
+	// budgets) do not.
 	calibrate bool
 
 	// levels is the series so far, kept ascending in k whatever order
@@ -164,10 +164,14 @@ func (sp Spec) checkCalibratable(rows int) error {
 // carry no Release/Phat tables, and finishSweep recomputes the one it needs.
 //
 // A range sweep streams in ascending k with the running calibration, warm
-// levels at their k position; an adaptive one streams in evaluation order
-// (probes jump around the range), warm levels first, publishes skip events,
-// and traces warm and skip ranges ("planner.warmstart", "planner.skip").
-// Every sweep records a "planner.plan" span.
+// levels at their k position. An adaptive one streams its warm levels
+// first, then its computed levels in ascending k — the scan up to the Tu
+// crossing, then any fallback walk — except a budgeted sweep without
+// thresholds, which evaluates endpoints and then widest-gap midpoints. It
+// publishes skip events and traces warm and skip ranges
+// ("planner.warmstart", "planner.skip"). The planner's utility-only probes
+// are counted (planner_levels_probed_total) but never streamed. Every sweep
+// records a "planner.plan" span.
 func (e *Engine) runFREDSweep(ctx context.Context, j *job) (*Result, error) {
 	sp := j.spec
 	st := j.snapshot()
@@ -253,6 +257,7 @@ func (e *Engine) runFREDSweep(ctx context.Context, j *job) (*Result, error) {
 		return nil, err
 	}
 	flushWarmBelow(math.MaxInt)
+	e.metrics.plannerProbed.With(st.Tenant).Add(float64(out.Probed))
 
 	// Publish the plan's accounting: warm ranges, skip ranges, and the
 	// summary span GET /v1/jobs/{id}/trace surfaces.
@@ -285,6 +290,7 @@ func (e *Engine) runFREDSweep(ctx context.Context, j *job) (*Result, error) {
 		Attrs: map[string]string{
 			"requested":  strconv.Itoa(out.Requested),
 			"evaluated":  strconv.Itoa(out.Evaluated),
+			"probed":     strconv.Itoa(out.Probed),
 			"warm":       strconv.Itoa(out.Warm),
 			"skipped":    strconv.Itoa(out.Skipped),
 			"infeasible": strconv.Itoa(out.Infeasible),

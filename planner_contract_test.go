@@ -12,10 +12,10 @@ import (
 
 // TestPlannerEvaluatesAtMost12Of63Levels pins the adaptive planner's level
 // budget on a service fred-sweep: mondrian over a 10⁵-row cohort at
-// k=2..64, with Tu the k=6 utility, evaluates at most ⌈log₂ 63⌉ probes plus
-// the k=2..6 candidate band plus slack — 12 of the 63 levels. The result
-// cache and the level index are off, so the count is one sweep's own
-// evaluations.
+// k=2..64, with Tu the k=6 utility, evaluates at most 12 of the 63 levels.
+// The scan evaluates 6 — the k=2..6 candidate band and the crossing k=7 —
+// and its bisection check probes utilities only. The result cache and the
+// level index are off, so the count is one sweep's own evaluations.
 func TestPlannerEvaluatesAtMost12Of63Levels(t *testing.T) {
 	const maxEvaluated = 12
 	sc, err := UniversityScenario(ScenarioOptions{Seed: 42, N: 100000, DirectAux: true})

@@ -5,7 +5,7 @@ package repro
 // thresholds and warm-start subsets, the planner's decision — optimal k,
 // Hmax, the H series and the released table — must be IEEE-754-bit-identical
 // to the exhaustive sweep's, and on monotone-utility series it must evaluate
-// at most ⌈log₂(K+1)⌉ probes plus the candidate band. The trials are seeded,
+// at most the candidate band plus its crossing level. The trials are seeded,
 // so a failure reproduces deterministically; runs in CI's planner job.
 
 import (
@@ -127,8 +127,8 @@ func TestPlannerEquivalenceProperty(t *testing.T) {
 			t.Fatalf("trial %d: released tables differ at k=%d", trial, got.OptimalK)
 		}
 
-		// The speedup contract on monotone series: probes plus the candidate
-		// band (+1 for the crossing probe), warm seeds only ever helping.
+		// The speedup contract on monotone series: the candidate band plus
+		// its crossing level, warm seeds only ever helping.
 		if monotone && !out.Fallback {
 			band := 0
 			for _, lr := range series {
@@ -136,7 +136,7 @@ func TestPlannerEquivalenceProperty(t *testing.T) {
 					band++
 				}
 			}
-			bound := ceilLog2(len(series)+1) + band + 1
+			bound := band + 1
 			if out.Evaluated > bound {
 				t.Fatalf("trial %d (%s n=%d, band %d of %d): planner evaluated %d levels, bound %d",
 					trial, scheme.name, n, band, len(series), out.Evaluated, bound)
