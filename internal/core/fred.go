@@ -31,24 +31,28 @@ type Anonymizer interface {
 	Anonymize(t *dataset.Table, k int) (*dataset.Table, error)
 }
 
-// ParallelAnonymizer is the optional extension schemes implement to spread a
-// single level's work (mondrian's sub-partition recursion) over spare
-// workers from the sweep's shared budget. The contract is strict: the output
-// must be bit-identical to Anonymize at every budget, including nil. Sweeps
-// hand each level the pool budget, so within-level parallelism soaks up
-// whatever level-parallelism leaves idle — one worker bound governs both.
+// ParallelAnonymizer is the interface of schemes with a budgeted path,
+// whose output must equal Anonymize's at every budget. No sweep dispatches
+// on it (sweeps use Preparer); it stays declared for callers outside this
+// module that assert it.
 type ParallelAnonymizer interface {
 	Anonymizer
 	AnonymizeParallel(t *dataset.Table, k int, b *parallel.Budget) (*dataset.Table, error)
 }
 
-// anonymizeLevel dispatches to the scheme's budgeted path when it has one
-// and a budget is present.
-func anonymizeLevel(anon Anonymizer, t *dataset.Table, k int, b *parallel.Budget) (*dataset.Table, error) {
-	if pa, ok := anon.(ParallelAnonymizer); ok && b != nil {
-		return pa.AnonymizeParallel(t, k, b)
-	}
-	return anon.Anonymize(t, k)
+// Preparer is the optional extension schemes implement when part of their
+// work on a table does not depend on k. Prepare does that part once,
+// borrowing spare workers from b, and returns the function that anonymizes
+// t at any level k from it, borrowing spare workers from its own budget
+// argument. The contract is strict: each call must equal Anonymize(t, k)
+// bit for bit, errors included, at every budget, and calls may run
+// concurrently. A SweepContext prepares P once per Preparer and runs every
+// level through the result, so the sweep's levels (mondrian: P's sorted
+// columns) share the work. Preparers are compared as map keys, so their
+// dynamic types must be comparable (pointers are).
+type Preparer interface {
+	Anonymizer
+	Prepare(t *dataset.Table, b *parallel.Budget) func(k int, b *parallel.Budget) (*dataset.Table, error)
 }
 
 // AttackConfig describes the simulated adversary.
@@ -140,10 +144,13 @@ func Attack(p, release *dataset.Table, atk AttackConfig) (phat *dataset.Table, b
 // Definition 1, P's column vectors, the aux-side fusion feature columns, and
 // the Midpoint estimator's baseline inputs. Run, Sweep and SweepParallel
 // build one context per sweep; each level then only pays for the work that
-// actually depends on k. A context is immutable after construction (the
-// worker budget is attached once, before the context is shared) and safe for
-// concurrent use; per-level mutable state lives in pooled levelScratch
-// values, one checked out per level.
+// actually depends on k. A context is safe for concurrent use. Its fields
+// are fixed at construction (the worker budget is attached once, before the
+// context is shared), with two exceptions that change under their own
+// synchronization: per-level mutable state lives in pooled levelScratch
+// values, one checked out per level, and P's prepared form for each
+// Preparer anonymizer is built by the first level that needs it, under a
+// lock, and only read after that.
 type SweepContext struct {
 	p   *dataset.Table
 	atk AttackConfig
@@ -168,8 +175,12 @@ type SweepContext struct {
 	// scratch pools per-level working state (the fusion arena, the grouper,
 	// the comparison vectors) so a sweep's steady-state levels allocate next
 	// to nothing. Each level checks one levelScratch out for its whole
-	// duration, which keeps the context itself free of mutable shared state.
+	// duration.
 	scratch sync.Pool
+	// prepared maps each Preparer the context has run to the level
+	// function of P's prepared form; prepMu guards it.
+	prepMu   sync.Mutex
+	prepared map[Preparer]func(k int, b *parallel.Budget) (*dataset.Table, error)
 }
 
 // levelScratch is the reusable working state of one level evaluation: the
@@ -319,7 +330,8 @@ func (sc *SweepContext) RunLevel(anon Anonymizer, k int, tp float64) (LevelResul
 
 // runLevel is RunLevel for the sweep pool: it returns ctx.Err() between the
 // anonymize and attack phases, so a level dispatched past a stop, or one of
-// a cancelled sweep, skips its attack.
+// a cancelled sweep, skips its attack, and again after the attack, whose
+// kernels a stop or a cancel cuts short through the sweep's budget.
 func (sc *SweepContext) runLevel(ctx context.Context, anon Anonymizer, k int, tp float64) (LevelResult, error) {
 	start := time.Now()
 	release, err := sc.release(anon, k)
@@ -333,6 +345,9 @@ func (sc *SweepContext) runLevel(ctx context.Context, anon Anonymizer, k int, tp
 	ls := sc.getScratch()
 	defer sc.putScratch(ls)
 	phat, before, after, err := sc.attack(release, ls)
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return LevelResult{}, ctxErr
+	}
 	if err != nil {
 		return LevelResult{}, err
 	}
@@ -400,11 +415,32 @@ func (sc *SweepContext) ProbeUtilities(anon Anonymizer, ks []int) (us []float64,
 // sensitive columns suppressed (zero-copy): the anonymize step RunLevel and
 // ProbeUtilities share.
 func (sc *SweepContext) release(anon Anonymizer, k int) (*dataset.Table, error) {
-	anonT, err := anonymizeLevel(anon, sc.p, k, sc.budget)
+	anonT, err := sc.anonymize(anon, k)
 	if err != nil {
 		return nil, err
 	}
 	return anonT.WithSuppressed(anonT.Schema().IndicesOf(dataset.Sensitive)...), nil
+}
+
+// anonymize runs anon on P at level k, through P's prepared form when anon
+// is a Preparer: the first level to need that form builds it, holding the
+// lock, so concurrent levels wait for it instead of preparing twice.
+func (sc *SweepContext) anonymize(anon Anonymizer, k int) (*dataset.Table, error) {
+	pr, ok := anon.(Preparer)
+	if !ok {
+		return anon.Anonymize(sc.p, k)
+	}
+	sc.prepMu.Lock()
+	level := sc.prepared[pr]
+	if level == nil {
+		level = pr.Prepare(sc.p, sc.budget)
+		if sc.prepared == nil {
+			sc.prepared = make(map[Preparer]func(int, *parallel.Budget) (*dataset.Table, error))
+		}
+		sc.prepared[pr] = level
+	}
+	sc.prepMu.Unlock()
+	return level(k, sc.budget)
 }
 
 // comparisonColumns returns the numeric quasi-identifier and sensitive

@@ -73,7 +73,10 @@ type StreamConfig struct {
 //   - Cancelling ctx aborts promptly with ctx.Err(); workers stop picking up
 //     new levels and nothing further is emitted. A stop or a cancel also
 //     reaches the levels in flight: each checks the context between its
-//     anonymize and attack phases and, once it is done, skips the attack.
+//     anonymize and attack phases and, once it is done, skips the attack;
+//     an attack already running starts no further kernel chunk, because
+//     the sweep's budget is stopped with the context, and its level is
+//     discarded.
 //
 // emit runs on the calling goroutine; it may block (e.g. writing an HTTP
 // response) without stalling more than the in-flight workers.
@@ -116,6 +119,12 @@ func SweepStream(ctx context.Context, p *dataset.Table, cfg StreamConfig, emit f
 	if pool > n {
 		pool = n
 	}
+	// A stop or a cancel reaches the levels in flight through the budget:
+	// once the sweep's context is done, their kernels start no further
+	// chunk, and runLevel discards what they left incomplete.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	context.AfterFunc(ctx, budget.Stop)
 
 	sc := NewSweepContext(p, cfg.Attack)
 	sc.budget = budget
@@ -166,7 +175,6 @@ func SweepStream(ctx context.Context, p *dataset.Table, cfg StreamConfig, emit f
 		lr  LevelResult
 		err error
 	}
-	ctx, cancel := context.WithCancel(ctx)
 	var wg sync.WaitGroup
 
 	// Dispatcher: feeds levels one at a time so a cancel (or early stop)

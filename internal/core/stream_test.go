@@ -9,7 +9,9 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/fusion"
 	"repro/internal/microagg"
@@ -446,6 +448,92 @@ func TestSweepStreamCancelAbandonsLevel(t *testing.T) {
 		if n := est.calls.Load(); n != 1 {
 			t.Fatalf("workers=%d: estimator ran %d times, want once (k=2): an abandoned level ran its attack", workers, n)
 		}
+	}
+}
+
+// stallingEstimator writes the midpoint estimate chunk by chunk through
+// the budget's For. The first chunk of its second call signals entered and
+// waits until the budget is stopped (10 s at most), then runs onStop; the
+// chunks that call still runs after its first are counted.
+type stallingEstimator struct {
+	calls   atomic.Int32
+	entered chan struct{}
+	onStop  func()
+	after   atomic.Int32
+}
+
+func (e *stallingEstimator) Name() string { return "stalling" }
+
+func (e *stallingEstimator) EstimateBatch(m fusion.Matrix, out fusion.Range, b *parallel.Budget, _ *fusion.Arena, est []float64) error {
+	call := e.calls.Add(1)
+	b.For(m.Rows, 256, func(lo, hi int) {
+		switch {
+		case call != 2:
+		case lo == 0:
+			close(e.entered)
+			for wait := time.Now(); !b.Stopped() && time.Since(wait) < 10*time.Second; {
+				time.Sleep(time.Millisecond)
+			}
+			e.onStop()
+		default:
+			e.after.Add(1)
+		}
+		for i := lo; i < hi; i++ {
+			est[i] = out.Mid()
+		}
+	})
+	return nil
+}
+
+// TestSweepStreamStopCutsAttackShort: a stop that lands while a level past
+// it is inside its fusion attack reaches the attack's chunk loop, so no
+// further chunk runs, and the cut-short level is never emitted. On two
+// workers, k=2 runs first; k=3 waits to anonymize until k=4 holds the
+// other token (k=4 then waits for the stop), so k=3's estimator runs its
+// chunks inline, and emit stops the sweep at k=2 once k=3's first chunk
+// has begun.
+func TestSweepStreamStopCutsAttackShort(t *testing.T) {
+	p, _, err := datagen.University(datagen.UniversityConfig{Seed: 42, N: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate3, release4 := make(chan struct{}), make(chan struct{})
+	est := &stallingEstimator{entered: make(chan struct{}), onStop: func() { close(release4) }}
+	var got []int
+	err = SweepStream(context.Background(), p, StreamConfig{
+		Anonymizer: hookedAnonymizer{microagg.New(), func(k int) {
+			switch k {
+			case 3:
+				<-gate3
+			case 4:
+				close(gate3)
+				<-release4
+			}
+		}},
+		Attack:  AttackConfig{Estimator: est, SensitiveRange: salaryRange()},
+		MinK:    2,
+		MaxK:    4,
+		Workers: 2,
+	}, func(lr LevelResult) error {
+		got = append(got, lr.K)
+		select {
+		case <-est.entered:
+		case <-time.After(10 * time.Second):
+			t.Error("k=3 never reached its attack")
+		}
+		return ErrStopSweep
+	})
+	if err != nil {
+		t.Fatalf("a stop must end the sweep cleanly, got %v", err)
+	}
+	if !slices.Equal(got, []int{2}) {
+		t.Fatalf("emitted k = %v, want [2]", got)
+	}
+	if n := est.after.Load(); n != 0 {
+		t.Fatalf("%d chunks of k=3's attack ran after the stop landed", n)
+	}
+	if n := est.calls.Load(); n != 2 {
+		t.Fatalf("estimator ran %d times, want 2 (k=2, and k=3 cut short)", n)
 	}
 }
 

@@ -1,6 +1,9 @@
 package dataset
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Grouper is the reusable, allocation-free form of Table.GroupBy for hot
 // paths that only need the equivalence-class *structure* — per-row class ids
@@ -8,19 +11,22 @@ import "math"
 // The discernibility metric recomputes the partition of every release at
 // every sweep level; with GroupBy that is one rendered string key per row
 // per level (the dominant allocation of a whole sweep), while a Grouper
-// reuses its maps and buffers across calls and allocates nothing once warm.
+// reuses its buffers across calls and allocates nothing once warm.
 //
-// Classes assigns ids by refining the partition one column at a time: each
-// row's class is chained with a dense code for its cell in the next column,
-// and the (class, code) pair is renumbered densely in first-occurrence row
-// order. Two rows land in the same class exactly when all their compared
+// Classes finds the classes in one pass over the rows. Each row is keyed by
+// a 64-bit hash of its compared cells, the key is looked up in an
+// open-addressing table of class representatives (each class's first row),
+// and the row joins a class only after a cell-by-cell comparison with its
+// representative, so a hash collision costs a comparison, never a wrong
+// class. Two rows land in the same class exactly when all their compared
 // cells are equal under GroupBy's rendered-string equality: numeric cells
 // compare by their float bits (NaNs canonicalized, so all NaNs are one cell
 // value, matching their common "NaN" rendering), intervals by (lo, hi) bits
 // plus the interval-ness flag, text cells by dictionary id, and nulls form
-// their own cell value. The one divergence from string keys is text cells
-// containing the \x1f key separator, which could alias across columns in
-// GroupBy; the Grouper always keeps columns independent.
+// their own cell value, which a literal "*" text cell shares. The one
+// divergence from string keys is text cells containing the \x1f key
+// separator, which could alias across columns in GroupBy; the Grouper
+// always keeps columns independent. DESIGN.md gives the argument.
 //
 // Class ids run 0..len(sizes)-1 in order of first appearance. A Grouper is
 // not safe for concurrent use; the returned slices are valid until the next
@@ -28,8 +34,21 @@ import "math"
 type Grouper struct {
 	ids   []int32
 	sizes []int32
-	chain map[uint64]int32 // (prev class << 32 | cell code) → refined class
-	cells map[uint64]int32 // cell bit pattern → dense per-column code
+	keys  []uint64 // per-row key
+	ckeys []uint64 // each class's key
+	reps  []int32  // each class's first row
+	slots []int32  // open addressing on the key: class id + 1, 0 empty
+	cols  []groupCol
+	// collide zeroes every key, so that only the cell comparison tells
+	// classes apart (tests).
+	collide bool
+}
+
+// groupCol is one compared column: its storage and, for text, the
+// dictionary id of a literal "*" (−1 when absent).
+type groupCol struct {
+	c    *colData
+	star int32
 }
 
 // canonBits returns the comparison bits of f: Float64bits with every NaN
@@ -42,137 +61,160 @@ func canonBits(f float64) uint64 {
 	return math.Float64bits(f)
 }
 
+// The words a null cell and an interval's upper bound are keyed by.
+const (
+	nullWord = 0x9E3779B97F4A7C15
+	spanWord = 0xD6E8FEB86659FD93
+)
+
+// mixKey folds one cell word into a row key: an xxHash64 accumulator round.
+func mixKey(h, w uint64) uint64 {
+	return bits.RotateLeft64(h+w*0xC2B2AE3D27D4EB4F, 31) * 0x9E3779B185EBCA87
+}
+
 // Classes partitions the table's rows by the given columns and returns the
 // per-row class ids plus the per-class sizes. Both slices are owned by the
 // Grouper and reused by the next call.
 func (g *Grouper) Classes(t *Table, cols []int) (ids []int32, sizes []int32) {
 	n := t.nrows
-	if cap(g.ids) < n {
-		g.ids = make([]int32, n)
-	}
-	g.ids = g.ids[:n]
-	for i := range g.ids {
-		g.ids[i] = 0
-	}
-	if g.chain == nil {
-		g.chain = make(map[uint64]int32)
-		g.cells = make(map[uint64]int32)
-	}
-	nClasses := 1
-	if n == 0 {
-		nClasses = 0
-	}
+	g.ids = resize(g.ids, n)
+	g.keys = resize(g.keys, n)
+	clear(g.keys)
+	g.cols = g.cols[:0]
 	for _, ci := range cols {
-		c := t.cols[ci]
-		nClasses = g.refine(c, n)
-		if c.kind == Number && c.spans != nil {
-			nClasses = g.refineSpans(c, n)
+		gc := groupCol{c: t.cols[ci], star: -1}
+		if gc.c.kind == Text && gc.c.dict != nil {
+			if id, ok := gc.c.dict.idx["*"]; ok {
+				gc.star = id
+			}
 		}
+		g.cols = append(g.cols, gc)
+		keyColumn(g.keys, gc)
 	}
-	if cap(g.sizes) < nClasses {
-		g.sizes = make([]int32, nClasses)
+	if g.collide {
+		clear(g.keys)
 	}
-	g.sizes = g.sizes[:nClasses]
-	for i := range g.sizes {
-		g.sizes[i] = 0
+	g.ckeys, g.reps, g.sizes = g.ckeys[:0], g.reps[:0], g.sizes[:0]
+	if len(g.slots) < 16 {
+		g.slots = make([]int32, 16)
 	}
-	for _, id := range g.ids {
-		g.sizes[id]++
+	clear(g.slots)
+	shift := 64 - bits.Len(uint(len(g.slots)-1))
+	for i, key := range g.keys {
+		s := int(key * 0x9E3779B97F4A7C15 >> shift)
+		for {
+			c := g.slots[s] - 1
+			if c < 0 {
+				c = int32(len(g.reps))
+				g.slots[s] = c + 1
+				g.ckeys, g.reps, g.sizes = append(g.ckeys, key), append(g.reps, int32(i)), append(g.sizes, 0)
+				if 2*len(g.reps) > len(g.slots) {
+					shift = g.grow()
+				}
+			} else if g.ckeys[c] != key || !g.sameRow(int(g.reps[c]), i) {
+				s = (s + 1) & (len(g.slots) - 1)
+				continue
+			}
+			g.ids[i] = c
+			g.sizes[c]++
+			break
+		}
 	}
 	return g.ids, g.sizes
 }
 
-// refine chains every row's class with the main word of its cell in column c:
-// the scalar (or interval lower-bound) bits for numbers, the dictionary id
-// for text, a dedicated code for nulls. Interval upper bounds are handled by
-// a second refineSpans pass. Returns the refined class count.
-func (g *Grouper) refine(c *colData, n int) int {
-	clear(g.chain)
-	clear(g.cells)
-	var next, nextClass int32
-	nullCode := int32(-1)
-	for i := 0; i < n; i++ {
-		var code int32
-		switch {
-		case c.nulls.get(i):
-			if nullCode < 0 {
-				nullCode = next
-				next++
-			}
-			code = nullCode
-		case c.kind == Text:
-			// The dictionary id is already a dense per-string code — except
-			// that a literal "*" text cell renders exactly like a null key,
-			// which GroupBy therefore merges with suppressed cells.
-			if c.dict.strs[c.ids[i]] == "*" {
-				if nullCode < 0 {
-					nullCode = next
-					next++
-				}
-				code = nullCode
-				break
-			}
-			w := uint64(uint32(c.ids[i]))
-			cc, ok := g.cells[w]
-			if !ok {
-				cc = next
-				next++
-				g.cells[w] = cc
-			}
-			code = cc
-		default:
-			w := canonBits(c.num[i])
-			cc, ok := g.cells[w]
-			if !ok {
-				cc = next
-				next++
-				g.cells[w] = cc
-			}
-			code = cc
-		}
-		key := uint64(uint32(g.ids[i]))<<32 | uint64(uint32(code))
-		id, ok := g.chain[key]
-		if !ok {
-			id = nextClass
-			nextClass++
-			g.chain[key] = id
-		}
-		g.ids[i] = id
+// grow doubles the slot table, reinserts every class and returns the new
+// shift.
+func (g *Grouper) grow() int {
+	m := 2 * len(g.slots)
+	if cap(g.slots) >= m {
+		g.slots = g.slots[:m]
+		clear(g.slots)
+	} else {
+		g.slots = make([]int32, m)
 	}
-	return int(nextClass)
+	shift := 64 - bits.Len(uint(m-1))
+	for c, key := range g.ckeys {
+		s := int(key * 0x9E3779B97F4A7C15 >> shift)
+		for g.slots[s] != 0 {
+			s = (s + 1) & (m - 1)
+		}
+		g.slots[s] = int32(c) + 1
+	}
+	return shift
 }
 
-// refineSpans chains interval cells with their upper-bound bits. Code 0 is
-// reserved for every non-interval row (plain numbers, nulls), so a plain
-// number a never merges with the degenerate interval [a-a] — they render as
-// different keys. Null rows count as non-interval whatever their span bit
-// says: a cell overwritten to Null keeps stale buffer bits that must not
-// split the null class.
-func (g *Grouper) refineSpans(c *colData, n int) int {
-	clear(g.chain)
-	clear(g.cells)
-	next := int32(1)
-	var nextClass int32
-	for i := 0; i < n; i++ {
-		var code int32
-		if c.spans.get(i) && !c.nulls.get(i) {
-			w := canonBits(c.hi[i])
-			cc, ok := g.cells[w]
-			if !ok {
-				cc = next
-				next++
-				g.cells[w] = cc
-			}
-			code = cc
-		}
-		key := uint64(uint32(g.ids[i]))<<32 | uint64(uint32(code))
-		id, ok := g.chain[key]
-		if !ok {
-			id = nextClass
-			nextClass++
-			g.chain[key] = id
-		}
-		g.ids[i] = id
+// resize returns s with length n, reallocated only when too short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return int(nextClass)
+	return s[:n]
+}
+
+// keyColumn folds every row's cell in column c into its key. Equal cells
+// give equal words: the canonical bits of a number; those of an interval's
+// lower bound, then its upper bound marked by spanWord; a text cell's
+// dictionary id; nullWord for a null or a literal "*" (dictionary id star).
+// Null rows are checked first, so the stale buffer words under a null cell
+// are never read.
+func keyColumn(keys []uint64, gc groupCol) {
+	switch c := gc.c; {
+	case c.kind == Text:
+		for i := range keys {
+			w := uint64(nullWord)
+			if !c.nulls.get(i) && c.ids[i] != gc.star {
+				w = uint64(uint32(c.ids[i]))
+			}
+			keys[i] = mixKey(keys[i], w)
+		}
+	case c.nulls == nil && c.spans == nil:
+		for i, v := range c.num[:len(keys)] {
+			keys[i] = mixKey(keys[i], canonBits(v))
+		}
+	default:
+		for i := range keys {
+			switch {
+			case c.nulls.get(i):
+				keys[i] = mixKey(keys[i], nullWord)
+			case c.spans.get(i):
+				keys[i] = mixKey(mixKey(keys[i], canonBits(c.num[i])), canonBits(c.hi[i])^spanWord)
+			default:
+				keys[i] = mixKey(keys[i], canonBits(c.num[i]))
+			}
+		}
+	}
+}
+
+// sameRow reports whether rows a and b hold equal cells in every compared
+// column, by the cell equality keyColumn hashes.
+func (g *Grouper) sameRow(a, b int) bool {
+	for _, gc := range g.cols {
+		c := gc.c
+		na, nb := c.nulls.get(a), c.nulls.get(b)
+		if c.kind == Text {
+			na = na || c.ids[a] == gc.star
+			nb = nb || c.ids[b] == gc.star
+			if na || nb {
+				if na != nb {
+					return false
+				}
+			} else if c.ids[a] != c.ids[b] {
+				return false
+			}
+			continue
+		}
+		if na || nb {
+			if na != nb {
+				return false
+			}
+			continue
+		}
+		sa := c.spans.get(a)
+		if sa != c.spans.get(b) || canonBits(c.num[a]) != canonBits(c.num[b]) ||
+			sa && canonBits(c.hi[a]) != canonBits(c.hi[b]) {
+			return false
+		}
+	}
+	return true
 }

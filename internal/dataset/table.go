@@ -281,13 +281,75 @@ func (t *Table) WithColumnFloats(col int, vals []float64) (*Table, error) {
 	if len(vals) != t.nrows {
 		return nil, fmt.Errorf("%w: %d values for %d rows", ErrRowWidth, len(vals), t.nrows)
 	}
-	out := t.Clone()
 	nc := newColData(Number)
 	nc.n = t.nrows
 	nc.num = append([]float64(nil), vals...)
+	return t.withColumn(col, nc), nil
+}
+
+// WithColumnBounds returns a view of the table whose number column col
+// holds, in row i, a null when nulls[i] is set (nulls may be nil), else
+// Num(lo[i]) when hi is nil or lo[i] == hi[i], and Span(lo[i], hi[i])
+// otherwise; every other column buffer is shared. It is how an anonymizer
+// writes a generalized quasi-identifier column in one pass: the cells equal
+// those a SetCell per row would write. The view keeps lo as its value
+// buffer, and hi when some row is an interval, so the caller hands both
+// over and must not touch them afterwards. A row whose lo is above its hi
+// is an error.
+func (t *Table) WithColumnBounds(col int, lo, hi []float64, nulls []bool) (*Table, error) {
+	if t.schema.Column(col).Kind != Number {
+		return nil, fmt.Errorf("%w: column %q (%s) cannot hold number cells",
+			ErrKindMismatch, t.schema.Column(col).Name, t.schema.Column(col).Kind)
+	}
+	if len(lo) != t.nrows || (hi != nil && len(hi) != t.nrows) || (nulls != nil && len(nulls) != t.nrows) {
+		return nil, fmt.Errorf("%w: %d/%d bounds for %d rows", ErrRowWidth, len(lo), len(hi), t.nrows)
+	}
+	nc := newColData(Number)
+	nc.n, nc.num = t.nrows, lo
+	// Bitmaps end at the word of their last set bit, as SetCell's ensure
+	// leaves them.
+	lastSpan, lastNull := -1, -1
+	for i, l := range lo {
+		switch {
+		case nulls != nil && nulls[i]:
+			nc.nulls = bitsetFor(nc.nulls, t.nrows)
+			nc.nulls.set(i)
+			lastNull = i
+		case hi == nil:
+		case l == hi[i]:
+			hi[i] = l
+		case l > hi[i]:
+			return nil, fmt.Errorf("dataset: row %d: invalid interval [%g, %g]", i, l, hi[i])
+		default:
+			nc.spans = bitsetFor(nc.spans, t.nrows)
+			nc.spans.set(i)
+			lastSpan = i
+		}
+	}
+	if lastSpan >= 0 {
+		nc.hi, nc.spans = hi, nc.spans[:lastSpan>>6+1]
+	}
+	if lastNull >= 0 {
+		nc.nulls = nc.nulls[:lastNull>>6+1]
+	}
+	return t.withColumn(col, nc), nil
+}
+
+// bitsetFor returns b, or a zero bitset for n bits when b is nil.
+func bitsetFor(b bitset, n int) bitset {
+	if b == nil {
+		return make(bitset, (n+63)/64)
+	}
+	return b
+}
+
+// withColumn returns a view of the table with column col's storage replaced
+// by nc and every other column shared.
+func (t *Table) withColumn(col int, nc *colData) *Table {
+	out := t.Clone()
 	out.cols[col].refs.Add(-1)
 	out.cols[col] = nc
-	return out, nil
+	return out
 }
 
 // Equal reports whether two tables have equal schemas and cellwise-equal rows.

@@ -129,16 +129,16 @@ func (a *Anonymizer) AssignParallel(t *dataset.Table, k int, _ *parallel.Budget)
 
 // Aggregate replaces each record's quasi-identifiers with its group's
 // centroid (or covering interval). Groups must partition the row indices.
+// Each quasi-identifier column is written once, from per-row bounds.
 func Aggregate(t *dataset.Table, groups [][]int, asInterval bool) (*dataset.Table, error) {
-	qis := t.Schema().IndicesOf(dataset.QuasiIdentifier)
-	out := t.Clone()
-	seen := make([]bool, t.NumRows())
+	n := t.NumRows()
+	seen := make([]bool, n)
 	for _, g := range groups {
 		if len(g) == 0 {
 			return nil, errors.New("microagg: empty group")
 		}
 		for _, i := range g {
-			if i < 0 || i >= t.NumRows() {
+			if i < 0 || i >= n {
 				return nil, fmt.Errorf("microagg: group references row %d outside table", i)
 			}
 			if seen[i] {
@@ -147,27 +147,32 @@ func Aggregate(t *dataset.Table, groups [][]int, asInterval bool) (*dataset.Tabl
 			seen[i] = true
 		}
 	}
-	// One column extraction per quasi-identifier; the group loops then run
-	// over flat vectors.
-	for _, c := range qis {
+	for i, ok := range seen {
+		if !ok {
+			return nil, fmt.Errorf("microagg: row %d not covered by any group", i)
+		}
+	}
+	out := t
+	for _, c := range t.Schema().IndicesOf(dataset.QuasiIdentifier) {
+		if t.Schema().Column(c).Kind != dataset.Number {
+			// No cell has a numeric reading, so every group's cell is null.
+			out = out.WithSuppressed(c)
+			continue
+		}
 		vals, present := t.FloatColumn(c)
+		lo, hi, nulls := make([]float64, n), []float64(nil), []bool(nil)
+		if asInterval {
+			hi = make([]float64, n)
+		}
 		for _, g := range groups {
-			var cell dataset.Value
+			l, h, null := math.Inf(1), math.Inf(-1), false
 			if asInterval {
-				lo, hi := math.Inf(1), math.Inf(-1)
 				for _, i := range g {
-					if !present[i] {
-						continue
+					if present[i] {
+						l, h = math.Min(l, vals[i]), math.Max(h, vals[i])
 					}
-					lo, hi = math.Min(lo, vals[i]), math.Max(hi, vals[i])
 				}
-				if math.IsInf(lo, 1) {
-					cell = dataset.NullValue()
-				} else if lo == hi {
-					cell = dataset.Num(lo)
-				} else {
-					cell = dataset.Span(lo, hi)
-				}
+				null = math.IsInf(l, 1)
 			} else {
 				var sum float64
 				var cnt int
@@ -177,23 +182,28 @@ func Aggregate(t *dataset.Table, groups [][]int, asInterval bool) (*dataset.Tabl
 						cnt++
 					}
 				}
-				if cnt == 0 {
-					cell = dataset.NullValue()
-				} else {
-					cell = dataset.Num(sum / float64(cnt))
-				}
+				l, null = sum/float64(cnt), cnt == 0
+			}
+			if null && nulls == nil {
+				nulls = make([]bool, n)
 			}
 			for _, i := range g {
-				if err := out.SetCell(i, c, cell); err != nil {
-					return nil, err
+				lo[i] = l
+				if asInterval {
+					hi[i] = h
+				}
+				if null {
+					nulls[i] = true
 				}
 			}
 		}
-	}
-	for i, ok := range seen {
-		if !ok {
-			return nil, fmt.Errorf("microagg: row %d not covered by any group", i)
+		var err error
+		if out, err = out.WithColumnBounds(c, lo, hi, nulls); err != nil {
+			return nil, err
 		}
+	}
+	if out == t {
+		out = t.Clone()
 	}
 	return out, nil
 }

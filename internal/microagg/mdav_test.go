@@ -1,6 +1,8 @@
 package microagg
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -255,5 +257,70 @@ func TestMDAVInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAggregateMatchesReference pins Aggregate's column writer to the
+// SetCell-per-cell reference, centroid and interval mode, on groups mixing
+// nulls, intervals, ±0, NaN and ±Inf cells, and on a text
+// quasi-identifier, which both null out: the same cells, CSV bytes and
+// fingerprint.
+func TestAggregateMatchesReference(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	palette := []dataset.Value{
+		dataset.Num(0), dataset.Num(negZero), dataset.Num(1.5), dataset.Num(-2), dataset.Num(1e308),
+		dataset.Num(math.NaN()), dataset.Num(math.Inf(1)), dataset.Num(math.Inf(-1)),
+		dataset.NullValue(), dataset.Span(1, 3), dataset.Span(negZero, 0),
+	}
+	schema := dataset.MustSchema(
+		dataset.Column{Name: "id", Class: dataset.Identifier, Kind: dataset.Text},
+		dataset.Column{Name: "a", Class: dataset.QuasiIdentifier, Kind: dataset.Number},
+		dataset.Column{Name: "t", Class: dataset.QuasiIdentifier, Kind: dataset.Text},
+		dataset.Column{Name: "b", Class: dataset.QuasiIdentifier, Kind: dataset.Number},
+		dataset.Column{Name: "s", Class: dataset.Sensitive, Kind: dataset.Number},
+	)
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 60; trial++ {
+		tb := dataset.New(schema)
+		n := 1 + rng.Intn(90)
+		for i := 0; i < n; i++ {
+			// Mostly finite numbers, so that many groups stay non-null.
+			pick := func() dataset.Value {
+				if rng.Intn(3) > 0 {
+					return dataset.Num(float64(rng.Intn(5)) - 2)
+				}
+				return palette[rng.Intn(len(palette))]
+			}
+			tb.MustAppendRow(dataset.Str("r"), pick(), dataset.Str("x"), pick(), dataset.Num(float64(i)))
+		}
+		perm := rng.Perm(n)
+		var groups [][]int
+		for len(perm) > 0 {
+			m := min(len(perm), 1+rng.Intn(4))
+			groups, perm = append(groups, perm[:m]), perm[m:]
+		}
+		for _, asInterval := range []bool{false, true} {
+			want, err := referenceAggregate(tb, groups, asInterval)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Aggregate(tb, groups, asInterval)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != want.String() {
+				t.Fatalf("trial %d interval=%v: release differs from the reference:\n%s\nwant\n%s", trial, asInterval, got, want)
+			}
+			var gb, wb bytes.Buffer
+			if err := got.WriteFingerprint(&gb); err != nil {
+				t.Fatal(err)
+			}
+			if err := want.WriteFingerprint(&wb); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
+				t.Fatalf("trial %d interval=%v: fingerprints differ", trial, asInterval)
+			}
+		}
 	}
 }

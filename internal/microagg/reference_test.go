@@ -214,3 +214,52 @@ func takeNearest(points [][]float64, remaining []int, seed int, k int) (group, r
 	}
 	return group, rest
 }
+
+// referenceAggregate is Aggregate as a SetCell per cell: each group's
+// centroid (or covering interval) written row by row into a clone of t.
+// Aggregate, which writes each column once from per-row bounds, must give
+// the same cells.
+func referenceAggregate(t *dataset.Table, groups [][]int, asInterval bool) (*dataset.Table, error) {
+	out := t.Clone()
+	for _, c := range t.Schema().IndicesOf(dataset.QuasiIdentifier) {
+		vals, present := t.FloatColumn(c)
+		for _, g := range groups {
+			var cell dataset.Value
+			if asInterval {
+				lo, hi := math.Inf(1), math.Inf(-1)
+				for _, i := range g {
+					if present[i] {
+						lo, hi = math.Min(lo, vals[i]), math.Max(hi, vals[i])
+					}
+				}
+				switch {
+				case math.IsInf(lo, 1):
+					cell = dataset.NullValue()
+				case lo == hi:
+					cell = dataset.Num(lo)
+				default:
+					cell = dataset.Span(lo, hi)
+				}
+			} else {
+				var sum float64
+				var cnt int
+				for _, i := range g {
+					if present[i] {
+						sum += vals[i]
+						cnt++
+					}
+				}
+				cell = dataset.NullValue()
+				if cnt > 0 {
+					cell = dataset.Num(sum / float64(cnt))
+				}
+			}
+			for _, i := range g {
+				if err := out.SetCell(i, c, cell); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	return out, nil
+}

@@ -10,9 +10,10 @@
 // paper's claim that "other solutions in this category produce similar
 // results".
 //
-// Each call sorts every quasi-identifier column by (value, row) once, with a
-// stable radix sort, into one row order per column — the presorted attribute
-// lists of SPRINT (Shafer, Agrawal, Mehta, VLDB 1996). A split reads its cut
+// Each table's quasi-identifier columns are sorted by (value, row) once, with
+// a stable radix sort, into one row order per column — the presorted
+// attribute lists of SPRINT (Shafer, Agrawal, Mehta, VLDB 1996); Prepare
+// keeps that work for a sweep's levels to share. A split reads its cut
 // off the split column's order and stable-partitions every other column's
 // order into its left rows followed by its right rows, so each segment stays
 // sorted on every column and no split sorts again. Sibling segments own
@@ -53,32 +54,22 @@ func (a *Anonymizer) Anonymize(t *dataset.Table, k int) (*dataset.Table, error) 
 	return a.AnonymizeParallel(t, k, nil)
 }
 
-// AnonymizeParallel is Anonymize with independent sub-partitions recursed on
-// spare workers borrowed from b. A nil budget runs fully inline; the output
-// is identical at every budget.
+// AnonymizeParallel is Anonymize with the column sorts and independent
+// sub-partitions spread over spare workers borrowed from b. A nil budget
+// runs fully inline; the output is identical at every budget.
 func (a *Anonymizer) AnonymizeParallel(t *dataset.Table, k int, b *parallel.Budget) (*dataset.Table, error) {
-	p, err := a.partition(t, k, b)
-	if err != nil {
-		return nil, err
-	}
-	out := t.Clone()
-	for j, c := range p.qis {
-		for _, leaf := range p.leaves {
-			lo, hi := rangeOf(p.vals[j], p.ok[j], leaf)
-			var cell dataset.Value
-			if lo == hi {
-				cell = dataset.Num(lo)
-			} else {
-				cell = dataset.Span(lo, hi)
-			}
-			for _, i := range leaf {
-				if err := out.SetCell(i, c, cell); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return out, nil
+	return a.prepare(t, b).anonymize(k, b)
+}
+
+// Prepare does the work on t that does not depend on k once — validation,
+// column extraction, global spans, and each quasi-identifier column sorted
+// by (value, row), on spare workers from b — and returns the function that
+// anonymizes t at any level k from it, equal to AnonymizeParallel(t, k, b)
+// at every budget. The function is safe for concurrent use: each call
+// copies the sorted orders it refines. It reports k's errors first, then
+// t's, in AnonymizeParallel's order.
+func (a *Anonymizer) Prepare(t *dataset.Table, b *parallel.Budget) func(k int, b *parallel.Budget) (*dataset.Table, error) {
+	return a.prepare(t, b).anonymize
 }
 
 // Partition returns the leaf partitions (row index groups), each of size ≥ k.
@@ -91,88 +82,154 @@ func (a *Anonymizer) Partition(t *dataset.Table, k int) ([][]int, error) {
 // only on the data, so the leaves are identical to the sequential ones, in
 // the same depth-first order, at any worker budget.
 func (a *Anonymizer) PartitionParallel(t *dataset.Table, k int, b *parallel.Budget) ([][]int, error) {
-	p, err := a.partition(t, k, b)
+	p, err := a.prepare(t, b).partition(k, b)
 	if err != nil {
 		return nil, err
 	}
 	return p.leaves, nil
 }
 
-// partition validates t, reads its quasi-identifier columns and splits the
-// rows into leaves.
-func (a *Anonymizer) partition(t *dataset.Table, k int, b *parallel.Budget) (*partitioner, error) {
-	if k < 2 {
-		return nil, fmt.Errorf("mondrian: k must be ≥ 2, got %d", k)
+// prepared is a table with Mondrian's k-invariant work done, columns
+// indexed by quasi-identifier position. Everything in it is read-only once
+// prepare returns. Rows are int32 in the orders, which bounds a table to
+// 2³¹−1 rows.
+type prepared struct {
+	a    *Anonymizer
+	t    *dataset.Table
+	n    int
+	qis  []int
+	vals [][]float64
+	ok   [][]bool
+	span []float64 // global hi−lo per dimension
+	// sorted[j] lists all rows sorted by (vals[j][row], row); rank[j][row]
+	// is the row's position in it.
+	sorted, rank [][]int32
+	// err is t's validation failure, reported after the checks of k.
+	err error
+}
+
+// prepare validates t, reads its quasi-identifier columns and sorts them.
+// A table that fails validation is not read further.
+func (a *Anonymizer) prepare(t *dataset.Table, b *parallel.Budget) *prepared {
+	p := &prepared{a: a, t: t, n: t.NumRows(), qis: t.Schema().IndicesOf(dataset.QuasiIdentifier)}
+	if len(p.qis) == 0 {
+		p.err = errors.New("mondrian: table has no quasi-identifier columns")
+		return p
 	}
-	n := t.NumRows()
-	if n < k {
-		return nil, fmt.Errorf("mondrian: %d records cannot be %d-anonymous: %w", n, k, dataset.ErrTooFewRecords)
-	}
-	qis := t.Schema().IndicesOf(dataset.QuasiIdentifier)
-	if len(qis) == 0 {
-		return nil, errors.New("mondrian: table has no quasi-identifier columns")
-	}
-	for _, c := range qis {
+	for _, c := range p.qis {
 		if t.Schema().Column(c).Kind != dataset.Number {
-			return nil, fmt.Errorf("mondrian: quasi-identifier %q is not numeric", t.Schema().Column(c).Name)
+			p.err = fmt.Errorf("mondrian: quasi-identifier %q is not numeric", t.Schema().Column(c).Name)
+			return p
 		}
 	}
-	// Extract every quasi-identifier column once, indexed by position in qis;
-	// the recursion then works on flat vectors instead of per-cell reads.
-	p := &partitioner{a: a, k: k, b: b, qis: qis}
-	p.vals = make([][]float64, len(qis))
-	p.ok = make([][]bool, len(qis))
-	p.span = make([]float64, len(qis))
-	p.rows = make([]int, n)
-	for i := range p.rows {
-		p.rows[i] = i
-	}
-	for j, c := range qis {
+	// Extract every quasi-identifier column once; the recursion then works
+	// on flat vectors instead of per-cell reads.
+	p.vals = make([][]float64, len(p.qis))
+	p.ok = make([][]bool, len(p.qis))
+	p.span = make([]float64, len(p.qis))
+	for j, c := range p.qis {
 		p.vals[j], p.ok[j] = t.FloatColumn(c)
+		lo, hi, first := 0.0, 0.0, true
 		for i, v := range p.vals[j] {
-			if p.ok[j][i] && (math.IsNaN(v) || math.IsInf(v, 0)) {
-				return nil, fmt.Errorf("mondrian: quasi-identifier %q has a non-finite value (NaN or ±Inf)", t.Schema().Column(c).Name)
+			if !p.ok[j][i] {
+				continue
+			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				p.err = fmt.Errorf("mondrian: quasi-identifier %q has a non-finite value (NaN or ±Inf)", t.Schema().Column(c).Name)
+				return p
+			}
+			switch {
+			case first:
+				lo, hi, first = v, v, false
+			case v < lo:
+				lo = v
+			case v > hi:
+				hi = v
 			}
 		}
 		// Global ranges for normalized width comparison.
-		lo, hi := rangeOf(p.vals[j], p.ok[j], p.rows)
 		p.span[j] = hi - lo
 	}
-	p.sortColumns()
-	p.scratch = make([]int32, n)
-	p.split(0, n, -1)
+	p.sortColumns(b)
+	return p
+}
+
+// partition splits the prepared rows into leaves of at least k rows.
+func (p *prepared) partition(k int, b *parallel.Budget) (*partitioner, error) {
+	if k < 2 {
+		return nil, fmt.Errorf("mondrian: k must be ≥ 2, got %d", k)
+	}
+	n := p.n
+	if n < k {
+		return nil, fmt.Errorf("mondrian: %d records cannot be %d-anonymous: %w", n, k, dataset.ErrTooFewRecords)
+	}
+	if p.err != nil {
+		return nil, p.err
+	}
+	pt := &partitioner{prepared: p, k: k, b: b}
+	d := len(p.sorted)
+	flat := make([]int32, d*n)
+	pt.order = make([][]int32, d)
+	for j, s := range p.sorted {
+		pt.order[j] = flat[j*n : (j+1)*n : (j+1)*n]
+		copy(pt.order[j], s)
+	}
+	pt.rows = make([]int, n)
+	for i := range pt.rows {
+		pt.rows[i] = i
+	}
+	pt.scratch = make([]int32, n)
+	pt.split(0, n, -1)
 	// Each leaf recorded its end at scratch[lo]; leaves tile [0, n) in
 	// depth-first order, so walking the ends from 0 lists them in order.
 	count := 0
-	for lo := 0; lo < n; lo = int(p.scratch[lo]) {
+	for lo := 0; lo < n; lo = int(pt.scratch[lo]) {
 		count++
 	}
-	p.leaves = make([][]int, 0, count)
+	pt.leaves = make([][]int, 0, count)
 	for lo := 0; lo < n; {
-		hi := int(p.scratch[lo])
-		p.leaves = append(p.leaves, p.rows[lo:hi:hi])
+		hi := int(pt.scratch[lo])
+		pt.leaves = append(pt.leaves, pt.rows[lo:hi:hi])
 		lo = hi
 	}
-	return p, nil
+	return pt, nil
 }
 
-// partitioner is the per-call state of one Mondrian partitioning run, with
-// columns indexed by quasi-identifier position. Rows are int32 in the
-// per-column orders, which bounds a table to 2³¹−1 rows.
+// anonymize partitions the prepared rows at level k and writes the release:
+// every quasi-identifier column replaced, in one pass, by each row's leaf
+// range (a number where the range is a point).
+func (p *prepared) anonymize(k int, b *parallel.Budget) (*dataset.Table, error) {
+	pt, err := p.partition(k, b)
+	if err != nil {
+		return nil, err
+	}
+	n, out := p.n, p.t
+	bounds := make([]float64, 2*len(p.qis)*n)
+	for j, c := range p.qis {
+		lo, hi := bounds[2*j*n:(2*j+1)*n:(2*j+1)*n], bounds[(2*j+1)*n:(2*j+2)*n:(2*j+2)*n]
+		for _, leaf := range pt.leaves {
+			l, h := rangeOf(p.vals[j], p.ok[j], leaf)
+			for _, i := range leaf {
+				lo[i], hi[i] = l, h
+			}
+		}
+		if out, err = out.WithColumnBounds(c, lo, hi, nil); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// partitioner is the state of one partitioning run over a prepared table.
 type partitioner struct {
-	a      *Anonymizer
-	qis    []int
-	vals   [][]float64
-	ok     [][]bool
-	span   []float64 // global hi−lo per dimension
+	*prepared
 	k      int
 	b      *parallel.Budget
 	leaves [][]int
 	// order[j][lo:hi] lists the rows of segment [lo, hi) sorted by
-	// (vals[j][row], row), for every column j and every segment.
+	// (vals[j][row], row), for every column j and every segment; it starts
+	// as a copy of sorted.
 	order [][]int32
-	// rank[j][row] is the row's position in column j's sorted order.
-	rank [][]int32
 	// rows[lo:hi] lists a leaf's rows in the order DESIGN.md gives; the
 	// leaves are sub-slices of it.
 	rows []int
@@ -322,24 +379,24 @@ func (a *Anonymizer) medianSplit(vals []float64, seg []int32, k int) (cut int, o
 	return 0, false
 }
 
-// sortColumns fills every column's order with its rows sorted by
-// (value, row), and its rank with each row's position in that order. Columns
-// are sorted concurrently on spare budget tokens; each worker reuses one set
-// of sort scratch for every column it sorts.
-func (p *partitioner) sortColumns() {
-	n, d := len(p.rows), len(p.vals)
+// sortColumns fills every column's sorted order with its rows sorted by
+// (value, row), and its rank with each row's position in that order.
+// Columns are sorted concurrently on spare tokens from b; each worker reuses
+// one set of sort scratch for every column it sorts.
+func (p *prepared) sortColumns(b *parallel.Budget) {
+	n, d := p.n, len(p.vals)
 	flat := make([]int32, 2*d*n)
-	p.order, p.rank = make([][]int32, d), make([][]int32, d)
-	for j := range p.order {
-		p.order[j] = flat[2*j*n : (2*j+1)*n : (2*j+1)*n]
+	p.sorted, p.rank = make([][]int32, d), make([][]int32, d)
+	for j := range p.sorted {
+		p.sorted[j] = flat[2*j*n : (2*j+1)*n : (2*j+1)*n]
 		p.rank[j] = flat[(2*j+1)*n : (2*j+2)*n : (2*j+2)*n]
 	}
 	var next atomic.Int64
 	work := func() {
 		var s sorter
 		for j := int(next.Add(1)) - 1; j < d; j = int(next.Add(1)) - 1 {
-			s.sort(p.vals[j], p.order[j])
-			for i, row := range p.order[j] {
+			s.sort(p.vals[j], p.sorted[j])
+			for i, row := range p.sorted[j] {
 				p.rank[j][row] = int32(i)
 			}
 		}
@@ -347,11 +404,11 @@ func (p *partitioner) sortColumns() {
 	// A column short enough for the insertion sort costs less to sort
 	// than a goroutine costs to start.
 	var wg sync.WaitGroup
-	for h := 1; h < d && n >= radixMin && p.b.TryAcquire(); h++ {
+	for h := 1; h < d && n >= radixMin && b.TryAcquire(); h++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer p.b.Release()
+			defer b.Release()
 			work()
 		}()
 	}

@@ -121,8 +121,8 @@ func referenceMedianSplit(relaxed bool, vals []float64, seg []int, k int) (cut i
 }
 
 // referenceRelease generalizes t's quasi-identifiers to each leaf's covering
-// interval, reading the columns afresh.
-func referenceRelease(t *testing.T, tb *dataset.Table, leaves [][]int) []byte {
+// interval, reading the columns afresh and writing one cell at a time.
+func referenceRelease(t *testing.T, tb *dataset.Table, leaves [][]int) *dataset.Table {
 	t.Helper()
 	out := tb.Clone()
 	for _, c := range tb.Schema().IndicesOf(dataset.QuasiIdentifier) {
@@ -140,7 +140,16 @@ func referenceRelease(t *testing.T, tb *dataset.Table, leaves [][]int) []byte {
 			}
 		}
 	}
-	return csvBytes(t, out)
+	return out
+}
+
+func snapshotBytes(t *testing.T, tb *dataset.Table) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tb.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func csvBytes(t *testing.T, tb *dataset.Table) []byte {
@@ -222,7 +231,10 @@ func singleColumnTable(t *testing.T, n int, seed int64) *dataset.Table {
 // TestPartitionMatchesReference pins the partitioner to the per-split-sort
 // reference: the same leaves, rows in the same order inside each leaf, and
 // byte-identical releases, strict and relaxed, at budgets nil, 2 and 8, on
-// tables either side of radixMin.
+// tables either side of radixMin. Where P's quasi-identifiers hold only
+// numbers (every table but the masked one), the column-wise release also
+// has the per-cell release's buffers, so their snapshots match byte for
+// byte.
 func TestPartitionMatchesReference(t *testing.T) {
 	type tcase struct {
 		name string
@@ -271,7 +283,8 @@ func TestPartitionMatchesReference(t *testing.T) {
 					t.Parallel()
 					a := &Anonymizer{Relaxed: relaxed}
 					want := referencePartition(a, c.tbl, k)
-					wantCSV := referenceRelease(t, c.tbl, want)
+					wantRel := referenceRelease(t, c.tbl, want)
+					wantCSV := csvBytes(t, wantRel)
 					for _, b := range budgets {
 						got, err := a.PartitionParallel(c.tbl, k, b.mk())
 						if err != nil {
@@ -286,6 +299,9 @@ func TestPartitionMatchesReference(t *testing.T) {
 						}
 						if !bytes.Equal(csvBytes(t, rel), wantCSV) {
 							t.Fatalf("%s: release differs from the reference's", b.name)
+						}
+						if c.name != "masked" && !bytes.Equal(snapshotBytes(t, rel), snapshotBytes(t, wantRel)) {
+							t.Fatalf("%s: release snapshot differs from the reference's", b.name)
 						}
 					}
 				})

@@ -15,14 +15,23 @@
 // picked the chunks up, so kernels that write disjoint chunk outputs (or
 // reduce per chunk and combine in chunk order) are bit-identical at every
 // worker count, including zero spare tokens.
+//
+// A budget also carries its owner's stop: once Stop is called, For runs no
+// further chunks, so the kernels of work the owner has abandoned (a sweep's
+// levels in flight past a stop or a cancel) return early instead of running
+// to the end. Their output is then incomplete, and the owner discards it.
 package parallel
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Budget is a shared pool of worker tokens. A nil *Budget is valid and means
 // "no spare parallelism": every operation runs inline on the caller.
 type Budget struct {
-	tokens chan struct{}
+	tokens  chan struct{}
+	stopped atomic.Bool
 }
 
 // NewBudget returns a budget of n tokens. n ≤ 1 returns nil — one worker is
@@ -84,6 +93,17 @@ func (b *Budget) Release() {
 	}
 }
 
+// Stop marks the work on the budget abandoned: For starts no chunk after
+// it. Stop on a nil budget does nothing.
+func (b *Budget) Stop() {
+	if b != nil {
+		b.stopped.Store(true)
+	}
+}
+
+// Stopped reports whether Stop was called.
+func (b *Budget) Stopped() bool { return b != nil && b.stopped.Load() }
+
 // minGrain is the floor on chunk size: below it the chunk bookkeeping costs
 // more than the work it would spread.
 const minGrain = 256
@@ -100,6 +120,9 @@ const minGrain = 256
 // Callers reducing across chunks must combine per-chunk partials in chunk
 // order (the chunk starting at lo is number lo/max(grain, 256)) to stay
 // deterministic; callers writing disjoint element ranges need nothing more.
+//
+// Once the budget is stopped, For starts no further chunk and returns when
+// the chunks already started end, leaving the rest unrun.
 func (b *Budget) For(n, grain int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -109,7 +132,9 @@ func (b *Budget) For(n, grain int, fn func(lo, hi int)) {
 	}
 	chunks := (n + grain - 1) / grain
 	if chunks == 1 {
-		fn(0, n)
+		if !b.Stopped() {
+			fn(0, n)
+		}
 		return
 	}
 	helpers := 0
@@ -121,7 +146,7 @@ func (b *Budget) For(n, grain int, fn func(lo, hi int)) {
 		helpers = b.tryAcquireN(want)
 	}
 	if helpers == 0 {
-		for c := 0; c < chunks; c++ {
+		for c := 0; c < chunks && !b.Stopped(); c++ {
 			lo := c * grain
 			hi := lo + grain
 			if hi > n {
@@ -135,7 +160,7 @@ func (b *Budget) For(n, grain int, fn func(lo, hi int)) {
 	work := func() {
 		for {
 			c := next.inc() - 1
-			if c >= chunks {
+			if c >= chunks || b.Stopped() {
 				return
 			}
 			lo := c * grain

@@ -149,3 +149,33 @@ func TestForOrderedReduction(t *testing.T) {
 		}
 	}
 }
+
+// TestForStops: a chunk that stops the budget is the last one For starts
+// inline, a stopped budget starts none, helpers included, and a nil budget
+// cannot be stopped.
+func TestForStops(t *testing.T) {
+	b := NewBudget(2)
+	b.Acquire()
+	b.Acquire() // no spare token: For runs inline
+	var ran atomic.Int32
+	b.For(4096, 256, func(lo, hi int) {
+		ran.Add(1)
+		b.Stop()
+	})
+	if n := ran.Load(); n != 1 {
+		t.Fatalf("%d chunks ran, want only the one that stopped the budget", n)
+	}
+	b.Release()
+	b.Release()
+	ran.Store(0)
+	b.For(4096, 256, func(lo, hi int) { ran.Add(1) })
+	b.For(10, 256, func(lo, hi int) { ran.Add(1) })
+	if n := ran.Load(); n != 0 || !b.Stopped() {
+		t.Fatalf("a stopped budget ran %d chunks", n)
+	}
+	var nilB *Budget
+	nilB.Stop()
+	if nilB.Stopped() {
+		t.Fatal("a nil budget reports stopped")
+	}
+}
