@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 	"time"
 
@@ -542,20 +541,10 @@ func sweepCollect(p *dataset.Table, anon Anonymizer, atk AttackConfig, minK, max
 	return out, nil
 }
 
-// isTooFewRecords detects "k exceeds the table" errors from any anonymizer.
-// The in-tree schemes all wrap dataset.ErrTooFewRecords, checked via
-// errors.Is; the string match remains as a fallback for out-of-tree
-// anonymizers that satisfy the structural contract with their own wording.
-func isTooFewRecords(err error) bool {
-	if errors.Is(err, dataset.ErrTooFewRecords) {
-		return true
-	}
-	s := err.Error()
-	return strings.Contains(s, "fewer records") || strings.Contains(s, "cannot be")
-}
-
 // EndsSweep reports whether err is the legitimate "k exceeds the table"
-// condition that ends a level sweep early rather than failing it — the same
-// predicate Sweep and SweepParallel apply internally, exported for callers
-// that stitch sweeps together chunk by chunk.
-func EndsSweep(err error) bool { return err != nil && isTooFewRecords(err) }
+// condition that ends a level sweep early rather than failing it: an
+// anonymizer error wrapping dataset.ErrTooFewRecords, as every in-tree
+// scheme's does. Any other level error fails the sweep, whatever its text.
+// SweepStream applies the same predicate; it is exported for callers that
+// stitch sweeps together chunk by chunk.
+func EndsSweep(err error) bool { return errors.Is(err, dataset.ErrTooFewRecords) }

@@ -150,7 +150,7 @@ func SweepStream(ctx context.Context, p *dataset.Table, cfg StreamConfig, emit f
 				if ctxErr := ctx.Err(); ctxErr != nil {
 					return ctxErr
 				}
-				if k > minK && isTooFewRecords(err) {
+				if k > minK && EndsSweep(err) {
 					return nil
 				}
 				return fmt.Errorf("core: level k=%d: %w", k, err)
@@ -240,7 +240,7 @@ func SweepStream(ctx context.Context, p *dataset.Table, cfg StreamConfig, emit f
 		if s.err != nil {
 			// The check at the top of the loop already saw any cancel that
 			// made a worker abandon this level, so s.err is the level's own.
-			if next > minK && isTooFewRecords(s.err) {
+			if next > minK && EndsSweep(s.err) {
 				// The anonymizer legitimately outgrew the table: the series
 				// ends here rather than failing.
 				return nil

@@ -83,8 +83,9 @@ func (j *job) walImage() []*WALRecord {
 
 // firstSeqLocked reconstructs a plausible sequence number for the job's
 // submission record, strictly below its first retained checkpoint and
-// terminal record — the compacted-log counterpart of recovery's firstSeqOf.
-// Callers hold j.mu.
+// terminal record, so compaction keeps the log's kind order. The exact value
+// is otherwise insignificant: cursors only ever name level and status
+// records. Callers hold j.mu.
 func (j *job) firstSeqLocked() uint64 {
 	if j.droppedSeq > 0 {
 		return j.droppedSeq // truncated prefix: anything below the tail works

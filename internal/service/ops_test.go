@@ -72,13 +72,17 @@ func TestAdmissionCacheHitBypass(t *testing.T) {
 
 	// Saturate the queue: keep offering sweeps until one is refused. While
 	// that refusal state holds, the cached spec must still be admitted —
-	// cache hits consume no queue slot.
+	// cache hits consume no queue slot. Each offer has its own cache key:
+	// once an identical sweep finished, every later offer would be a cache
+	// hit, admitted without a queue slot, and the queue would never fill.
 	deadline := time.Now().Add(30 * time.Second)
-	for {
+	for i := 0; ; i++ {
 		if time.Now().After(deadline) {
 			t.Fatal("queue never saturated")
 		}
-		_, err := e.Submit(service.DefaultTenant, sweepSpec(p, q))
+		spec := sweepSpec(p, q)
+		spec.SensitiveHi = 160000 + float64(i)
+		_, err := e.Submit(service.DefaultTenant, spec)
 		if errors.Is(err, service.ErrQueueFull) {
 			break
 		}

@@ -2,17 +2,19 @@ package service
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
 
-// This file implements crash recovery: Engine.Recover replays the durable
-// job log after Store.Open reloaded the tables, rebuilds terminal jobs
-// (results included, via the table backend's blob space), re-submits
-// interrupted jobs — fred-sweeps seeded with every level they checkpointed,
-// which the planner holds instead of recomputing, so they continue instead
-// of restarting — and compacts the log to the live image. It also hosts the
-// table TTL sweep, which consults the live-job set recovery re-established.
+// This file implements crash recovery: after Store.Open reloaded the
+// tables, Engine.Recover replays the durable job log into the engine's own
+// job records, rebuilds terminal jobs (results included, via the table
+// backend's blob space), re-submits interrupted jobs — fred-sweeps seeded
+// with every level they checkpointed, which the planner holds instead of
+// recomputing, so they continue instead of restarting — and compacts the
+// log to the live image, as online compaction does. It also hosts the table
+// TTL sweep, which consults the live-job set recovery re-established.
 
 // RecoveredJob describes one job Engine.Recover restored or re-submitted.
 type RecoveredJob struct {
@@ -23,32 +25,16 @@ type RecoveredJob struct {
 	Resumed bool
 }
 
-// replayedJob accumulates one job's WAL records during replay.
-type replayedJob struct {
-	id      string
-	seq     int
-	tenant  string
-	spec    Spec
-	created time.Time
-	deleted bool
-
-	levels    []WALRecord // kind "level", in append order
-	status    *Status
-	statusSeq uint64
-	result    *ResultRecord
-	canceled  bool
-	cancelSeq uint64
-}
-
 // Recover rebuilds the engine from the job log. It must run after
 // Store.Open and before Start and the first Submit: recovered jobs reclaim
 // their original IDs, and re-submitted jobs are placed on the (not yet
-// consumed) queue. The log is compacted to the live image afterwards, so it
-// does not grow across restarts. The returned slice describes every
-// recovered job, re-submitted ones first marked Resumed.
+// consumed) queue. Each job's records are folded into a job record built by
+// newJob, as Submit builds one, and the log is compacted to the live image
+// through CompactLog, so it does not grow across restarts. The returned
+// slice describes every recovered job, re-submitted ones marked Resumed.
 func (e *Engine) Recover() ([]RecoveredJob, error) {
-	byID := make(map[string]*replayedJob)
-	var order []string
+	byID := make(map[string][]WALRecord)
+	var ids []string
 	var maxSeq uint64
 	var maxJobSeq int
 	err := e.opts.JobLog.ReplayWAL(func(rec WALRecord) error {
@@ -59,55 +45,18 @@ func (e *Engine) Recover() ([]RecoveredJob, error) {
 			return fmt.Errorf("record %d has spec version %d, this build understands ≤ %d",
 				rec.Seq, rec.Ver, walSpecVersion)
 		}
-		if rec.Seq > maxSeq {
-			maxSeq = rec.Seq
-		}
+		// Job records carry the job-ID counter, and a compaction high-water
+		// marker restores both counters even though the records that
+		// produced them are gone.
+		maxSeq = max(maxSeq, rec.Seq)
+		maxJobSeq = max(maxJobSeq, rec.JobSeq)
 		if rec.Kind == WALMark {
-			// Compaction high-water marker: restore the counters even though
-			// the records that produced them are gone.
-			if rec.JobSeq > maxJobSeq {
-				maxJobSeq = rec.JobSeq
-			}
 			return nil
 		}
-		rj := byID[rec.JobID]
-		if rj == nil {
-			rj = &replayedJob{id: rec.JobID}
-			byID[rec.JobID] = rj
-			order = append(order, rec.JobID)
+		if _, ok := byID[rec.JobID]; !ok {
+			ids = append(ids, rec.JobID)
 		}
-		switch rec.Kind {
-		case WALJob:
-			if rec.Spec != nil {
-				rj.spec = *rec.Spec
-			}
-			rj.seq = rec.JobSeq
-			// The default-tenant migration: job records written before
-			// multi-tenancy carry no tenant and are adopted into
-			// DefaultTenant, matching Store.Open's adoption of untagged
-			// table metadata.
-			rj.tenant = rec.Tenant
-			if rj.tenant == "" {
-				rj.tenant = DefaultTenant
-			}
-			if rec.Created != nil {
-				rj.created = *rec.Created
-			}
-			if rec.JobSeq > maxJobSeq {
-				maxJobSeq = rec.JobSeq
-			}
-		case WALLevel:
-			rj.levels = append(rj.levels, rec)
-		case WALStatus:
-			rj.status = rec.Status
-			rj.statusSeq = rec.Seq
-			rj.result = rec.Result
-		case WALCancel:
-			rj.canceled = true
-			rj.cancelSeq = rec.Seq
-		case WALDelete:
-			rj.deleted = true
-		}
+		byID[rec.JobID] = append(byID[rec.JobID], rec)
 		return nil
 	})
 	if err != nil {
@@ -121,86 +70,43 @@ func (e *Engine) Recover() ([]RecoveredJob, error) {
 	e.eventSeq = maxSeq
 	e.walMu.Unlock()
 
-	sort.SliceStable(order, func(i, k int) bool { return byID[order[i]].seq < byID[order[k]].seq })
-
-	var live []*WALRecord
-	if maxSeq > 0 || maxJobSeq > 0 {
-		// Lead the compacted log with the high-water marker, so counters
-		// survive even if every job below was deleted or compacted away.
-		live = append(live, &WALRecord{Seq: maxSeq, Kind: WALMark, JobSeq: maxJobSeq})
+	var jobs []*job
+	for _, id := range ids {
+		if j := e.replayJob(byID[id]); j != nil {
+			jobs = append(jobs, j)
+		}
 	}
+	sort.SliceStable(jobs, func(i, k int) bool { return jobs[i].seq < jobs[k].seq })
 	var recovered []RecoveredJob
 	var interrupted []*job
-	for _, id := range order {
-		rj := byID[id]
-		if rj.deleted || rj.spec.Type == "" {
-			// Retracted, or a stray record without its submission (e.g. the
-			// job record itself was the torn final line): drop it.
-			continue
-		}
-		if rj.status == nil && rj.canceled {
-			// Cancelled, but the crash beat the worker to the terminal
-			// record: synthesize the canceled terminal state the worker
-			// would have written, instead of re-running an explicitly
-			// cancelled job. Checkpoints past the cancel are trimmed below,
-			// so the preserved level series is the same strict prefix a
-			// live cancel keeps.
-			rj.statusSeq = rj.cancelSeq
-			now := time.Now()
-			rj.status = &Status{
-				ID: rj.id, Tenant: rj.tenant, Type: rj.spec.Type, State: StateCanceled,
-				Error: "canceled", Created: rj.created, Finished: &now,
-			}
-			for _, rec := range rj.levels {
-				if rec.Level != nil && rec.Seq < rj.cancelSeq {
-					rj.status.Levels = append(rj.status.Levels, *rec.Level)
-				}
-			}
-		}
-		if rj.statusSeq > 0 {
-			// Drop checkpoints recorded after the terminal record: a cancel
-			// racing the last in-flight level can append one stray WALLevel
-			// the live stream never delivered, and replaying it would make
-			// the rebuilt event feed disagree with Status.Levels.
-			kept := rj.levels[:0]
-			for _, rec := range rj.levels {
-				if rec.Seq < rj.statusSeq {
-					kept = append(kept, rec)
-				}
-			}
-			rj.levels = kept
-		}
-		created := rj.created
-		// The record is re-encoded from this build's Spec, so it carries
-		// this build's version, as walImage's does.
-		live = append(live, &WALRecord{
-			Seq: firstSeqOf(rj), Kind: WALJob, Ver: walSpecVersion, JobID: rj.id,
-			JobSeq: rj.seq, Tenant: rj.tenant, Spec: &rj.spec, Created: &created,
-		})
-		// Checkpoints stay in the compacted log for every job: interrupted
-		// jobs resume from them after a second crash, and terminal jobs keep
-		// their event feed — and therefore their subscribers' resume cursors
-		// — valid across any number of restarts.
-		for i := range rj.levels {
-			rec := rj.levels[i]
-			live = append(live, &rec)
-		}
-		if rj.status != nil && rj.status.State.Terminal() {
-			j := e.rebuildTerminal(rj)
-			live = append(live, &WALRecord{
-				Seq: rj.statusSeq, Kind: WALStatus, JobID: rj.id,
-				Status: rj.status, Result: rj.result,
-			})
+	for _, j := range jobs {
+		if j.termRec != nil {
+			e.rebuildTerminal(j)
 			recovered = append(recovered, RecoveredJob{Status: j.snapshot()})
 			continue
 		}
-		j := e.rebuildInterrupted(rj)
+		j.status.Resumed = true
+		e.mu.Lock()
+		e.jobs[j.status.ID] = j
+		e.mu.Unlock()
 		interrupted = append(interrupted, j)
 		recovered = append(recovered, RecoveredJob{Status: j.snapshot(), Resumed: true})
 	}
-	if err := e.opts.JobLog.CompactWAL(live); err != nil {
-		return nil, fmt.Errorf("service: compact job log: %w", err)
+	// Checkpoints stay in the compacted log for every job: interrupted jobs
+	// resume from them after a second crash, and terminal jobs keep their
+	// event feed — and therefore their subscribers' resume cursors — valid
+	// across any number of restarts. So the log is compacted before terminal
+	// feeds are trimmed to the replay-buffer bound live jobs obey.
+	if err := e.CompactLog(); err != nil {
+		return nil, err
 	}
+	e.mu.Lock()
+	for _, j := range e.finished {
+		j.mu.Lock()
+		j.truncateEventsLocked(e.opts.MaxJobEvents)
+		j.mu.Unlock()
+	}
+	e.mu.Unlock()
 	e.sortFinished()
 	for _, j := range interrupted {
 		e.resubmit(j)
@@ -208,42 +114,87 @@ func (e *Engine) Recover() ([]RecoveredJob, error) {
 	return recovered, nil
 }
 
-// firstSeqOf reconstructs the sequence number of a job's submission record:
-// strictly below its first checkpoint and terminal record, preserving WAL
-// kind ordering through compaction. The exact value is otherwise
-// insignificant — cursors only ever name level and status records.
-func firstSeqOf(rj *replayedJob) uint64 {
-	if len(rj.levels) > 0 && rj.levels[0].Seq > 0 {
-		return rj.levels[0].Seq - 1
+// replayJob folds one job's WAL records, in log order, into a job record
+// built by newJob from its submission record: each checkpoint joins the
+// event feed (original seqs, so subscribers' cursors stay valid) and the
+// status's level series, a cancel is noted, and the terminal record is
+// attached as termRec, the feed cut at it. It returns nil for a job a
+// delete record retracted, or whose submission record is missing (e.g. it
+// was the torn final line).
+func (e *Engine) replayJob(recs []WALRecord) *job {
+	i := slices.IndexFunc(recs, func(rec WALRecord) bool {
+		return rec.Kind == WALJob && rec.Spec != nil && rec.Spec.Type != ""
+	})
+	if i < 0 {
+		return nil
 	}
-	if rj.statusSeq > 0 {
-		return rj.statusSeq - 1
+	sub := recs[i]
+	// The default-tenant migration: job records written before
+	// multi-tenancy carry no tenant and are adopted into DefaultTenant,
+	// matching Store.Open's adoption of untagged table metadata.
+	tenant := sub.Tenant
+	if tenant == "" {
+		tenant = DefaultTenant
 	}
-	return 0
-}
-
-// rebuildTerminal restores a finished job into the engine's log: status,
-// per-level events (for Stream replay), and — for done jobs — the Result,
-// its table reloaded from the blob space. A missing or unreadable blob
-// degrades to a result-less job rather than failing recovery.
-func (e *Engine) rebuildTerminal(rj *replayedJob) *job {
-	j := &job{
-		status: *rj.status,
-		seq:    rj.seq,
-		spec:   rj.spec,
-		done:   make(chan struct{}),
-		notify: make(chan struct{}),
+	var created time.Time
+	if sub.Created != nil {
+		created = *sub.Created
 	}
-	if j.status.Tenant == "" {
-		// Terminal records written before multi-tenancy: the migrated
-		// tenant from the job record carries over.
-		j.status.Tenant = rj.tenant
+	j := e.newJob(Status{
+		ID: sub.JobID, Tenant: tenant, Type: sub.Spec.Type, State: StatePending, Created: created,
+	}, sub.JobSeq, *sub.Spec)
+	for _, rec := range recs {
+		switch rec.Kind {
+		case WALLevel:
+			j.events = append(j.events, Event{
+				Type: EventLevel, Seq: rec.Seq, Job: j.status.ID, Level: rec.Level,
+				Calibration: rec.Calibration, Progress: rec.Progress, Source: rec.Source,
+			})
+			if rec.Level != nil {
+				j.status.Levels = append(j.status.Levels, *rec.Level)
+				j.status.Progress = rec.Progress
+			}
+		case WALStatus:
+			if rec.Status != nil {
+				j.termRec = &WALRecord{Seq: rec.Seq, Kind: WALStatus, JobID: rec.JobID, Status: rec.Status, Result: rec.Result}
+			}
+		case WALCancel:
+			j.cancelRequested, j.cancelSeq = true, rec.Seq
+		case WALDelete:
+			j.cancel()
+			return nil
+		}
 	}
-	st := j.status
-	j.termRec = &WALRecord{Seq: rj.statusSeq, Kind: WALStatus, JobID: rj.id, Status: &st, Result: rj.result}
-	close(j.done)
-	j.events = eventsFromCheckpoints(rj)
-	if n := len(rj.status.Levels) - len(j.events); n > 0 && len(j.events) > 0 {
+	if j.termRec == nil && j.cancelRequested {
+		// Cancelled, but the crash beat the worker to the terminal record:
+		// synthesize the canceled terminal state the worker would have
+		// written, instead of re-running an explicitly cancelled job. Its
+		// levels are the strict prefix checkpointed before the cancel, the
+		// same prefix a live cancel keeps.
+		now := time.Now()
+		st := Status{
+			ID: j.status.ID, Tenant: tenant, Type: j.status.Type, State: StateCanceled,
+			Error: "canceled", Created: created, Finished: &now,
+		}
+		for _, ev := range j.events {
+			if ev.Level != nil && ev.Seq < j.cancelSeq {
+				st.Levels = append(st.Levels, *ev.Level)
+			}
+		}
+		j.termRec = &WALRecord{Seq: j.cancelSeq, Kind: WALStatus, JobID: st.ID, Status: &st}
+	}
+	if j.termRec == nil {
+		return j
+	}
+	// Drop checkpoints recorded after the terminal record: a cancel racing
+	// the last in-flight level can append one stray WALLevel the live stream
+	// never delivered, and replaying it would make the rebuilt event feed
+	// disagree with Status.Levels. (A record at seq 0 is one whose append
+	// failed, which online compaction wrote later: it cuts nothing.)
+	if s := j.termRec.Seq; s > 0 {
+		j.events = slices.DeleteFunc(j.events, func(ev Event) bool { return ev.Seq >= s })
+	}
+	if n := len(j.termRec.Status.Levels) - len(j.events); n > 0 && len(j.events) > 0 {
 		// The durable log carries only a truncated tail of the level series
 		// (online compaction ran after event truncation): restore the base
 		// offset so resuming subscribers keep getting the same synthesized
@@ -253,60 +204,51 @@ func (e *Engine) rebuildTerminal(rj *replayedJob) *job {
 			j.droppedSeq = s - 1
 		}
 	}
-	j.resultRec = rj.result
-	if rj.status.State == StateDone && rj.result != nil {
+	return j
+}
+
+// rebuildTerminal finishes a replayed job from its terminal record: its
+// status (records written before multi-tenancy adopt the job's tenant) and,
+// for done jobs, the Result, its table reloaded from the blob space,
+// re-seeded into the result cache. A missing or unreadable blob degrades to
+// a result-less job rather than failing recovery. The job joins the
+// finished log, its context cancelled as publish cancels it.
+func (e *Engine) rebuildTerminal(j *job) {
+	st := *j.termRec.Status
+	if st.Tenant == "" {
+		st.Tenant = j.status.Tenant
+	}
+	j.termRec.Status = &st
+	j.status = st
+	rr := j.termRec.Result
+	j.resultRec = rr
+	if st.State == StateDone && rr != nil {
 		res := &Result{
-			Levels:     rj.result.Levels,
-			OptimalK:   rj.result.OptimalK,
-			Hmax:       rj.result.Hmax,
-			Tp:         rj.result.Tp,
-			Tu:         rj.result.Tu,
-			Evaluated:  rj.result.Evaluated,
-			Partial:    rj.result.Partial,
-			Before:     rj.result.Before,
-			After:      rj.result.After,
-			Assessment: rj.result.Assessment,
+			Levels:     rr.Levels,
+			OptimalK:   rr.OptimalK,
+			Hmax:       rr.Hmax,
+			Tp:         rr.Tp,
+			Tu:         rr.Tu,
+			Evaluated:  rr.Evaluated,
+			Partial:    rr.Partial,
+			Before:     rr.Before,
+			After:      rr.After,
+			Assessment: rr.Assessment,
 		}
-		if rj.result.TableHash != "" {
-			if t, err := e.store.Blob(rj.result.TableHash); err == nil {
+		if rr.TableHash != "" {
+			if t, err := e.store.Blob(rr.TableHash); err == nil {
 				res.Table = t
 			}
 		}
 		j.result = res
 		e.reseedCache(j, res)
 	}
-	// Recovered terminal jobs obey the same replay-buffer bound as live ones.
-	// The job is not yet visible, but truncation wants the lock held.
-	j.mu.Lock()
-	j.truncateEventsLocked(e.opts.MaxJobEvents)
-	j.mu.Unlock()
+	close(j.done)
+	j.cancel()
 	e.mu.Lock()
-	e.jobs[j.status.ID] = j
+	e.jobs[st.ID] = j
 	e.finished = append(e.finished, j)
 	e.mu.Unlock()
-	return j
-}
-
-// eventsFromCheckpoints rebuilds the per-job event feed from WAL level
-// records, preserving the original sequence numbers so reconnecting
-// subscribers' cursors stay valid across the restart.
-func eventsFromCheckpoints(rj *replayedJob) []Event {
-	if len(rj.levels) == 0 {
-		return nil
-	}
-	evs := make([]Event, 0, len(rj.levels))
-	for _, rec := range rj.levels {
-		evs = append(evs, Event{
-			Type:        EventLevel,
-			Seq:         rec.Seq,
-			Job:         rj.id,
-			Level:       rec.Level,
-			Calibration: rec.Calibration,
-			Progress:    rec.Progress,
-			Source:      rec.Source,
-		})
-	}
-	return evs
 }
 
 // reseedCache re-registers a recovered done job's result under its cache
@@ -322,31 +264,6 @@ func (e *Engine) reseedCache(j *job, res *Result) {
 		return
 	}
 	e.cache.Put(j.status.Tenant, key, res, e.opts.Quotas.For(j.status.Tenant).CacheShare)
-}
-
-// rebuildInterrupted reconstructs an interrupted job as pending, seeded
-// with its checkpointed levels: Status.Levels and the event feed replay
-// them, Status.Progress is the last one's, and the fred-sweep's run holds
-// them (runFREDSweep), computing only the levels it lacks. Every checkpoint
-// counts, whatever order it was written in and whether or not an append was
-// dropped before it, so a range sweep, an adaptive one and a gapped one
-// resume alike.
-func (e *Engine) rebuildInterrupted(rj *replayedJob) *job {
-	j := e.newJob(Status{
-		ID: rj.id, Tenant: rj.tenant, Type: rj.spec.Type, State: StatePending,
-		Created: rj.created, Resumed: true,
-	}, rj.seq, rj.spec)
-	for _, rec := range rj.levels {
-		if rec.Level != nil {
-			j.status.Levels = append(j.status.Levels, *rec.Level)
-			j.status.Progress = rec.Progress
-		}
-	}
-	j.events = eventsFromCheckpoints(rj)
-	e.mu.Lock()
-	e.jobs[j.status.ID] = j
-	e.mu.Unlock()
-	return j
 }
 
 // resubmit resolves a rebuilt interrupted job's tables and enqueues it. A
