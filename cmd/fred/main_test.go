@@ -189,3 +189,22 @@ func TestUsageErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepCapsMaxKAtRows: a -maxk far past P's row count (2⁴⁰ on the
+// 40-row cohort) is capped at the row count right after P is read, so a
+// range sweep with thresholds, an adaptive one and a calibrating one each
+// print what -maxk 40 prints, instead of sizing a level list by -maxk.
+func TestSweepCapsMaxKAtRows(t *testing.T) {
+	for _, mode := range []string{"-tp 2.85e8 -tu 0.0018", "-adaptive -tu 0.0018", ""} {
+		args := strings.Fields("sweep -p testdata/p.csv -q testdata/q.csv -lo 40000 -hi 160000 -workers 2 " + mode)
+		want, stderr, code := runFred(t, ".", slices.Concat(args, []string{"-maxk", "40"})...)
+		if code != 0 {
+			t.Fatalf("fred %s -maxk 40: exit %d\n%s", strings.Join(args, " "), code, stderr)
+		}
+		got, stderr, code := runFred(t, ".", slices.Concat(args, []string{"-maxk", "1099511627776"})...)
+		if code != 0 || got != want {
+			t.Errorf("fred %s -maxk 2⁴⁰: exit %d (stderr %q); stdout equal to -maxk 40's: %v",
+				strings.Join(args, " "), code, stderr, got == want)
+		}
+	}
+}

@@ -110,6 +110,9 @@ func runSweep(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// No scheme anonymizes P's n rows at k > n, so a range past the row
+	// count ends there: cap it before anything expands it.
+	*maxK = min(*maxK, max(*minK, p.NumRows()))
 	// Without thresholds the decision calibrates them from the series: a
 	// selection that cannot reach enough levels on P is a usage error,
 	// refused before any level is computed. An invalid selection is left to
@@ -185,9 +188,8 @@ func sweepRange(p *dataset.Table, cfg core.Config, workers int) (*core.Result, e
 	fmt.Printf("sweeping k = %d..%d on %d workers\n", cfg.MinK, cfg.MaxK, workers)
 	fmt.Printf("%4s  %13s  %13s  %13s  %12s\n", "k", "P∘P' (before)", "P∘P̂ (after)", "gain G", "utility U")
 	var levels []core.LevelResult
-	err := core.SweepStream(context.Background(), p, core.StreamConfig{
+	err := core.SweepStream(context.Background(), core.NewSweepContext(p, cfg.Attack), core.StreamConfig{
 		Anonymizer: cfg.Anonymizer,
-		Attack:     cfg.Attack,
 		MinK:       cfg.MinK,
 		MaxK:       cfg.MaxK,
 		Workers:    workers,

@@ -140,22 +140,24 @@ func Attack(p, release *dataset.Table, atk AttackConfig) (phat *dataset.Table, b
 
 // SweepContext precomputes everything about a (P, adversary) pair that is
 // invariant across anonymization levels: the comparison columns of
-// Definition 1, P's column vectors, the aux-side fusion feature columns, and
-// the Midpoint estimator's baseline inputs. Run, Sweep and SweepParallel
-// build one context per sweep; each level then only pays for the work that
-// actually depends on k. A context is safe for concurrent use. Its fields
-// are fixed at construction (the worker budget is attached once, before the
-// context is shared), with two exceptions that change under their own
+// Definition 1, P's column vectors, the aux-side fusion feature columns, the
+// Midpoint estimator's baseline inputs, and P's prepared form for each
+// Preparer anonymizer. Run, Sweep and SweepParallel build one context per
+// sweep, and the planner one per run, which its scan, probes and walks all
+// share; each level then only pays for the work that actually depends on k.
+// A context is safe for concurrent use. Its fields are fixed at
+// construction, with two exceptions that change under their own
 // synchronization: per-level mutable state lives in pooled levelScratch
 // values, one checked out per level, and P's prepared form for each
-// Preparer anonymizer is built by the first level that needs it, under a
+// Preparer is built by the first level or probe that needs it, under a
 // lock, and only read after that.
 type SweepContext struct {
 	p   *dataset.Table
 	atk AttackConfig
 	est fusion.Estimator
-	// budget is the sweep-wide worker budget levels borrow spare tokens
-	// from for within-level parallelism; nil runs every level inline.
+	// budget is the worker budget of RunLevel, ProbeUtilities and Attack,
+	// set only by NewSweepContextParallel; nil runs them inline. SweepStream
+	// passes a budget of its own down each level instead.
 	budget *parallel.Budget
 	// cols names the compared attributes; colIdx are their schema indices
 	// (identical in P and any release, which share the schema).
@@ -231,11 +233,11 @@ func NewSweepContext(p *dataset.Table, atk AttackConfig) *SweepContext {
 }
 
 // NewSweepContextParallel is NewSweepContext with a worker budget attached:
-// budgeted kernels inside RunLevel and ProbeUtilities may use up to workers
-// tokens. The adaptive planner runs the work it does outside the level pool
-// on such a context — the utility-only probes that check its scan, and
-// budgeted walks without thresholds — so that work keeps within-level
-// parallelism; workers ≤ 1 attaches no budget and kernels run inline.
+// budgeted kernels inside RunLevel, ProbeUtilities and Attack may use up to
+// workers tokens; workers ≤ 1 attaches no budget and kernels run inline.
+// The adaptive planner runs every level of a run on one such context: its
+// scan and fallback walk through SweepStream, which brings its own budget,
+// and its probes and budget walks on this one.
 func NewSweepContextParallel(p *dataset.Table, atk AttackConfig, workers int) *SweepContext {
 	sc := NewSweepContext(p, atk)
 	sc.budget = parallel.NewBudget(workers)
@@ -247,14 +249,15 @@ func NewSweepContextParallel(p *dataset.Table, atk AttackConfig, workers int) *S
 func (sc *SweepContext) Attack(release *dataset.Table) (phat *dataset.Table, before, after float64, err error) {
 	ls := sc.getScratch()
 	defer sc.putScratch(ls)
-	return sc.attack(release, ls)
+	return sc.attack(release, ls, sc.budget)
 }
 
-// attack is Attack with the level's scratch checked out by the caller. All
-// transient fusion state (feature matrix, imputation buffers, estimates,
-// comparison vectors) comes out of ls.arena, which is reset here — callers
-// must not hold arena-backed slices across attack calls.
-func (sc *SweepContext) attack(release *dataset.Table, ls *levelScratch) (phat *dataset.Table, before, after float64, err error) {
+// attack is Attack with the level's scratch checked out by the caller and
+// its kernels on budget b. All transient fusion state (feature matrix,
+// imputation buffers, estimates, comparison vectors) comes out of
+// ls.arena, which is reset here — callers must not hold arena-backed
+// slices across attack calls.
+func (sc *SweepContext) attack(release *dataset.Table, ls *levelScratch, b *parallel.Budget) (phat *dataset.Table, before, after float64, err error) {
 	if sc.err != nil {
 		return nil, 0, 0, sc.err
 	}
@@ -283,7 +286,7 @@ func (sc *SweepContext) attack(release *dataset.Table, ls *levelScratch) (phat *
 		return nil, 0, 0, fmt.Errorf("core: pre-fusion baseline: %w", err)
 	}
 	ls.arena.Reset()
-	phat, err = fusion.FuseWith(release, sc.aux, sc.est, sc.atk.SensitiveRange, sc.budget, &ls.arena)
+	phat, err = fusion.FuseWith(release, sc.aux, sc.est, sc.atk.SensitiveRange, b, &ls.arena)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("core: fusion attack: %w", err)
 	}
@@ -322,18 +325,19 @@ func (sc *SweepContext) attack(release *dataset.Table, ls *levelScratch) (phat *
 
 // RunLevel anonymizes P at level k, projects the release (sensitive columns
 // suppressed, zero-copy), attacks it and measures utility — one sweep
-// iteration.
+// iteration, on the context's budget.
 func (sc *SweepContext) RunLevel(anon Anonymizer, k int, tp float64) (LevelResult, error) {
-	return sc.runLevel(context.Background(), anon, k, tp)
+	return sc.runLevel(context.Background(), anon, k, tp, sc.budget)
 }
 
-// runLevel is RunLevel for the sweep pool: it returns ctx.Err() between the
-// anonymize and attack phases, so a level dispatched past a stop, or one of
-// a cancelled sweep, skips its attack, and again after the attack, whose
-// kernels a stop or a cancel cuts short through the sweep's budget.
-func (sc *SweepContext) runLevel(ctx context.Context, anon Anonymizer, k int, tp float64) (LevelResult, error) {
+// runLevel is RunLevel for the sweep pool, on the sweep's budget b: it
+// returns ctx.Err() between the anonymize and attack phases, so a level
+// dispatched past a stop, or one of a cancelled sweep, skips its attack,
+// and again after the attack, whose kernels a stop or a cancel cuts short
+// through b.
+func (sc *SweepContext) runLevel(ctx context.Context, anon Anonymizer, k int, tp float64, b *parallel.Budget) (LevelResult, error) {
 	start := time.Now()
-	release, err := sc.release(anon, k)
+	release, err := sc.release(anon, k, b)
 	if err != nil {
 		return LevelResult{}, err
 	}
@@ -343,7 +347,7 @@ func (sc *SweepContext) runLevel(ctx context.Context, anon Anonymizer, k int, tp
 	anonDone := time.Now()
 	ls := sc.getScratch()
 	defer sc.putScratch(ls)
-	phat, before, after, err := sc.attack(release, ls)
+	phat, before, after, err := sc.attack(release, ls, b)
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		return LevelResult{}, ctxErr
 	}
@@ -382,7 +386,7 @@ func (sc *SweepContext) runLevel(ctx context.Context, anon Anonymizer, k int, tp
 func (sc *SweepContext) ProbeUtilities(anon Anonymizer, ks []int) (us []float64, errs []error) {
 	us, errs = make([]float64, len(ks)), make([]error, len(ks))
 	probe := func(i int) {
-		release, err := sc.release(anon, ks[i])
+		release, err := sc.release(anon, ks[i], sc.budget)
 		if err == nil {
 			ls := sc.getScratch()
 			us[i], err = metrics.UtilityWith(release, ks[i], &ls.grouper)
@@ -410,21 +414,24 @@ func (sc *SweepContext) ProbeUtilities(anon Anonymizer, ks []int) (us []float64,
 	return us, errs
 }
 
-// release anonymizes P at level k and projects the release with its
-// sensitive columns suppressed (zero-copy): the anonymize step RunLevel and
-// ProbeUtilities share.
-func (sc *SweepContext) release(anon Anonymizer, k int) (*dataset.Table, error) {
-	anonT, err := sc.anonymize(anon, k)
+// release anonymizes P at level k on budget b and projects the release
+// with its sensitive columns suppressed (zero-copy): the anonymize step
+// RunLevel and ProbeUtilities share.
+func (sc *SweepContext) release(anon Anonymizer, k int, b *parallel.Budget) (*dataset.Table, error) {
+	anonT, err := sc.anonymize(anon, k, b)
 	if err != nil {
 		return nil, err
 	}
 	return anonT.WithSuppressed(anonT.Schema().IndicesOf(dataset.Sensitive)...), nil
 }
 
-// anonymize runs anon on P at level k, through P's prepared form when anon
-// is a Preparer: the first level to need that form builds it, holding the
-// lock, so concurrent levels wait for it instead of preparing twice.
-func (sc *SweepContext) anonymize(anon Anonymizer, k int) (*dataset.Table, error) {
+// anonymize runs anon on P at level k on budget b, through P's prepared
+// form when anon is a Preparer: the first level to need that form builds
+// it on its own budget, holding the lock, so concurrent levels wait for it
+// instead of preparing twice. The form outlives that budget and its stop:
+// Prepare may borrow workers only through TryAcquire, which a stop does not
+// cut short, so the form is always whole.
+func (sc *SweepContext) anonymize(anon Anonymizer, k int, b *parallel.Budget) (*dataset.Table, error) {
 	pr, ok := anon.(Preparer)
 	if !ok {
 		return anon.Anonymize(sc.p, k)
@@ -432,14 +439,14 @@ func (sc *SweepContext) anonymize(anon Anonymizer, k int) (*dataset.Table, error
 	sc.prepMu.Lock()
 	level := sc.prepared[pr]
 	if level == nil {
-		level = pr.Prepare(sc.p, sc.budget)
+		level = pr.Prepare(sc.p, b)
 		if sc.prepared == nil {
 			sc.prepared = make(map[Preparer]func(int, *parallel.Budget) (*dataset.Table, error))
 		}
 		sc.prepared[pr] = level
 	}
 	sc.prepMu.Unlock()
-	return level(k, sc.budget)
+	return level(k, b)
 }
 
 // comparisonColumns returns the numeric quasi-identifier and sensitive
@@ -459,10 +466,10 @@ func comparisonColumns(p *dataset.Table) []string {
 }
 
 // Run executes FRED Anonymization (Algorithm 1) on the private table p: a
-// sequential SweepStream, then Decide's threshold filter and H-objective
-// argmax. Explicit thresholds stop the stream at the stopping rule; with Tp
-// and Tu both zero the whole range is swept, and Decide calibrates the
-// thresholds from it and truncates.
+// one-worker SweepStream on a fresh context, then Decide's threshold
+// filter and H-objective argmax. Explicit thresholds stop the stream at the
+// stopping rule; with Tp and Tu both zero the whole range is swept, and
+// Decide calibrates the thresholds from it and truncates.
 func Run(p *dataset.Table, cfg Config) (*Result, error) {
 	if cfg.Anonymizer == nil {
 		return nil, errors.New("core: config needs an anonymizer")
@@ -487,9 +494,8 @@ func Run(p *dataset.Table, cfg Config) (*Result, error) {
 
 	explicit := cfg.Tp != 0 || cfg.Tu != 0
 	var levels []LevelResult
-	err := SweepStream(context.Background(), p, StreamConfig{
+	err := SweepStream(context.Background(), NewSweepContext(p, cfg.Attack), StreamConfig{
 		Anonymizer: cfg.Anonymizer,
-		Attack:     cfg.Attack,
 		MinK:       minK,
 		MaxK:       maxK,
 		Workers:    1,
@@ -510,24 +516,20 @@ func Run(p *dataset.Table, cfg Config) (*Result, error) {
 // Sweep evaluates every level in [minK, maxK] unconditionally — the series
 // behind Figures 4–7, which the paper plots for k = 2..16 regardless of
 // thresholds. A sweep that outgrows the table ends early rather than
-// failing. It is SweepStream with a single worker, collected into a slice.
+// failing. It is SweepParallel on one worker.
 func Sweep(p *dataset.Table, anon Anonymizer, atk AttackConfig, minK, maxK int) ([]LevelResult, error) {
-	return sweepCollect(p, anon, atk, minK, maxK, 1)
+	return SweepParallel(p, anon, atk, minK, maxK, 1)
 }
 
 // SweepParallel is Sweep with the levels evaluated concurrently — they are
 // independent, so the sweep parallelizes perfectly. Results are identical to
 // Sweep's (same order, deterministic); only wall time changes. Workers
-// bounds the concurrency (0 means one worker per level).
+// bounds the concurrency (0 means one worker per level). It is SweepStream
+// on a fresh context, collected into a slice.
 func SweepParallel(p *dataset.Table, anon Anonymizer, atk AttackConfig, minK, maxK, workers int) ([]LevelResult, error) {
-	return sweepCollect(p, anon, atk, minK, maxK, workers)
-}
-
-func sweepCollect(p *dataset.Table, anon Anonymizer, atk AttackConfig, minK, maxK, workers int) ([]LevelResult, error) {
 	var out []LevelResult
-	err := SweepStream(context.Background(), p, StreamConfig{
+	err := SweepStream(context.Background(), NewSweepContext(p, atk), StreamConfig{
 		Anonymizer: anon,
-		Attack:     atk,
 		MinK:       minK,
 		MaxK:       maxK,
 		Workers:    workers,

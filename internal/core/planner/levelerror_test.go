@@ -33,8 +33,8 @@ func TestLevelErrorAbortsSweep(t *testing.T) {
 	const want = "core: level k=4: scheme: quasi-identifier Age cannot be generalized"
 	for _, workers := range []int{1, 2} {
 		var ks []int
-		err := core.SweepStream(context.Background(), p, core.StreamConfig{
-			Anonymizer: failsAtK4{microagg.New()}, Attack: atk, MinK: 2, MaxK: 8, Workers: workers,
+		err := core.SweepStream(context.Background(), core.NewSweepContext(p, atk), core.StreamConfig{
+			Anonymizer: failsAtK4{microagg.New()}, MinK: 2, MaxK: 8, Workers: workers,
 		}, func(lr core.LevelResult) error {
 			ks = append(ks, lr.K)
 			return nil

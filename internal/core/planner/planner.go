@@ -27,6 +27,10 @@
 // (core.SweepContext.ProbeUtilities). Probe utilities never enter the
 // series; they join the monotonicity check.
 //
+// A run builds one core.SweepContext and runs everything on it — the scan,
+// the check's probes, budget walks and the fallback walk — so P's prepared
+// form and the attack's aux features are built once per run.
+//
 // The contract with the exhaustive sweep is exact, not approximate: H
 // normalization is computed over the candidate arrays alone, so as long as
 // the planner evaluates every candidate the decision — optimal k, Hmax,
@@ -185,18 +189,11 @@ type Outcome struct {
 // level). Every level must be ≥ 2.
 func Expand(minK, maxK, stride int, set []int) ([]int, error) {
 	if len(set) > 0 {
-		out := append([]int(nil), set...)
-		sort.Ints(out)
-		dst := out[:1]
-		for _, k := range out[1:] {
-			if k != dst[len(dst)-1] {
-				dst = append(dst, k)
-			}
+		out := slices.Compact(slices.Sorted(slices.Values(set)))
+		if out[0] < 2 {
+			return nil, fmt.Errorf("planner: k-set level %d below the minimal k = 2", out[0])
 		}
-		if dst[0] < 2 {
-			return nil, fmt.Errorf("planner: k-set level %d below the minimal k = 2", dst[0])
-		}
-		return dst, nil
+		return out, nil
 	}
 	if minK < 2 || maxK < minK {
 		return nil, fmt.Errorf("planner: invalid sweep range [%d, %d]", minK, maxK)
@@ -213,13 +210,12 @@ func Expand(minK, maxK, stride int, set []int) ([]int, error) {
 
 type runState struct {
 	ctx context.Context
-	p   *dataset.Table
 	cfg Config
 	ks  []int
 	req map[int]bool
-	// sc is the kernel-budgeted context the check's probes and budget walks
-	// run on, built on first use; walks on the level pool build their own
-	// inside core.SweepStream.
+	// sc is the run's one sweep context: the scan, the check's probes, the
+	// budget walk's levels and the fallback walk all run on it, so P is
+	// prepared once per run.
 	sc *core.SweepContext
 
 	known                   map[int]core.LevelResult
@@ -300,18 +296,9 @@ func (s *runState) noteUtility(k int, u float64) {
 	}
 }
 
-// probeContext returns the run's kernel-budgeted context, building it on
-// first use.
-func (s *runState) probeContext() *core.SweepContext {
-	if s.sc == nil {
-		s.sc = core.NewSweepContextParallel(s.p, s.cfg.Attack,
-			core.SweepWorkersFor(s.p.NumRows(), s.cfg.Workers, s.cfg.MinParallelRows))
-	}
-	return s.sc
-}
-
-// eval computes requested level index i on the run's budgeted context
-// unless it is already known or infeasible. Budget walks use it.
+// eval computes requested level index i on the run's context, with the
+// context's budget, unless it is already known or infeasible. Budget walks
+// use it.
 func (s *runState) eval(i int) error {
 	k := s.ks[i]
 	if _, ok := s.known[k]; ok || k >= s.infeasibleFrom {
@@ -320,7 +307,7 @@ func (s *runState) eval(i int) error {
 	if err := s.ctx.Err(); err != nil {
 		return err
 	}
-	lr, err := s.probeContext().RunLevel(s.cfg.Anonymizer, k, s.cfg.Tp)
+	lr, err := s.sc.RunLevel(s.cfg.Anonymizer, k, s.cfg.Tp)
 	if err != nil {
 		if core.EndsSweep(err) && i > 0 {
 			s.infeasibleFrom = k
@@ -332,10 +319,11 @@ func (s *runState) eval(i int) error {
 	return nil
 }
 
-// Run executes the adaptive sweep and returns the series with its
-// evaluation accounting. Decide over Outcome.Levels with
-// core.DecideWithin, which calibrates the thresholds when both were left
-// zero.
+// Run executes the adaptive sweep on one sweep context of p, with a
+// budget of Workers tokens (MinParallelRows applied) for its probes and
+// budget walks, and returns the series with its evaluation accounting.
+// Decide over Outcome.Levels with core.DecideWithin, which calibrates the
+// thresholds when both were left zero.
 func Run(ctx context.Context, p *dataset.Table, cfg Config) (*Outcome, error) {
 	if cfg.Anonymizer == nil {
 		return nil, errors.New("planner: config needs an anonymizer")
@@ -359,10 +347,11 @@ func Run(ctx context.Context, p *dataset.Table, cfg Config) (*Outcome, error) {
 	}
 
 	explicit := cfg.Tp != 0 || cfg.Tu != 0
+	workers := core.SweepWorkersFor(p.NumRows(), cfg.Workers, cfg.MinParallelRows)
 	s := &runState{
 		ctx:            ctx,
-		p:              p,
 		cfg:            cfg,
+		sc:             core.NewSweepContextParallel(p, cfg.Attack, workers),
 		ks:             cfg.Levels,
 		req:            make(map[int]bool, len(cfg.Levels)),
 		known:          make(map[int]core.LevelResult, len(cfg.Levels)),
@@ -531,7 +520,7 @@ func (s *runState) check(c int) error {
 	if s.stopForDeadline() {
 		return nil
 	}
-	us, errs := s.probeContext().ProbeUtilities(s.cfg.Anonymizer, ks)
+	us, errs := s.sc.ProbeUtilities(s.cfg.Anonymizer, ks)
 	for i, k := range ks {
 		switch {
 		case core.EndsSweep(errs[i]):
@@ -614,9 +603,8 @@ func (s *runState) walk(maxK int, stop func(core.LevelResult) bool) error {
 		}
 	}
 	stopped := false
-	err := core.SweepStream(s.ctx, s.p, core.StreamConfig{
+	err := core.SweepStream(s.ctx, s.sc, core.StreamConfig{
 		Anonymizer:      s.cfg.Anonymizer,
-		Attack:          s.cfg.Attack,
 		MinK:            minK,
 		MaxK:            maxK,
 		Held:            held,

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/dataset"
 	"repro/internal/parallel"
 )
 
@@ -16,13 +15,14 @@ import (
 // returned as-is.
 var ErrStopSweep = errors.New("core: stop sweep")
 
-// StreamConfig parameterizes SweepStream.
+// StreamConfig parameterizes SweepStream. The adversary and P come from
+// the SweepContext the caller passes.
 type StreamConfig struct {
 	// Anonymizer is Basic_Anonymization. Required.
 	Anonymizer Anonymizer
-	// Attack is the simulated fusion adversary.
-	Attack AttackConfig
-	// MinK and MaxK bound the sweep (MinK ≥ 2, MaxK ≥ MinK).
+	// MinK and MaxK bound the sweep (MinK ≥ 2, MaxK ≥ MinK). Levels above
+	// max(MinK, rows of P) are never listed: no scheme anonymizes n rows at
+	// k > n, so such a level could only end the series.
 	MinK, MaxK int
 	// Held is the set of levels the caller already has: levels with
 	// Held[k] == true are neither evaluated nor emitted — e.g. replayed from
@@ -38,9 +38,9 @@ type StreamConfig struct {
 	// Whatever the worker count, levels are emitted in ascending k order.
 	Workers int
 	// MinParallelRows gates the parallel fan-out on a per-level work
-	// estimate: when > 0 and the table has fewer rows, the sweep runs
-	// sequentially (inline loop, no kernel budget) regardless of Workers —
-	// pool goroutines and budget tokens cost more than they recover on
+	// estimate: when > 0 and the table has fewer rows, the sweep runs on
+	// one worker with no kernel budget regardless of Workers — pool
+	// goroutines and budget tokens cost more than they recover on
 	// sub-millisecond levels. 0 leaves fan-out ungated (library default;
 	// the service engine passes MinParallelSweepRows).
 	MinParallelRows int
@@ -50,11 +50,14 @@ type StreamConfig struct {
 }
 
 // SweepStream is the streaming sweep executor every sweep entry point is
-// built on: it evaluates levels MinK..MaxK on a bounded worker pool over one
-// shared SweepContext and calls emit with each LevelResult in ascending k
+// built on: it evaluates levels MinK..MaxK of the caller's context sc on a
+// bounded worker pool and calls emit with each LevelResult in ascending k
 // order as soon as it — and every level below it — has completed. A reorder
 // buffer bridges completion order and emission order, so concurrency never
-// changes what the consumer observes.
+// changes what the consumer observes. One worker is the same pool with one
+// goroutine. The sweep's worker budget is its own, passed to every level it
+// runs; sc's budget serves RunLevel, ProbeUtilities and Attack alone, so
+// calls on one context share P's prepared form but never a stop.
 //
 // Invariants:
 //
@@ -80,7 +83,7 @@ type StreamConfig struct {
 //
 // emit runs on the calling goroutine; it may block (e.g. writing an HTTP
 // response) without stalling more than the in-flight workers.
-func SweepStream(ctx context.Context, p *dataset.Table, cfg StreamConfig, emit func(LevelResult) error) error {
+func SweepStream(ctx context.Context, sc *SweepContext, cfg StreamConfig, emit func(LevelResult) error) error {
 	if cfg.Anonymizer == nil {
 		return errors.New("core: sweep needs an anonymizer")
 	}
@@ -91,8 +94,11 @@ func SweepStream(ctx context.Context, p *dataset.Table, cfg StreamConfig, emit f
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// The evaluation list is the range minus the caller-held levels; all
-	// sizing, dispatch and reordering below runs over it.
+	// The evaluation list is the range, capped at the row count, minus the
+	// caller-held levels; all sizing, dispatch and reordering below runs
+	// over it.
+	rows := sc.p.NumRows()
+	maxK = min(maxK, max(minK, rows))
 	evalKs := make([]int, 0, maxK-minK+1)
 	for k := minK; k <= maxK; k++ {
 		if cfg.Held[k] {
@@ -110,65 +116,18 @@ func SweepStream(ctx context.Context, p *dataset.Table, cfg StreamConfig, emit f
 	// spare tokens — workers beyond the remaining levels, or pool slots freed
 	// at the sweep tail — are what budgeted kernels may borrow. The level
 	// pool itself never needs more goroutines than levels.
-	workers := SweepWorkersFor(p.NumRows(), cfg.Workers, cfg.MinParallelRows)
+	workers := SweepWorkersFor(rows, cfg.Workers, cfg.MinParallelRows)
 	if workers <= 0 {
 		workers = n
 	}
 	budget := parallel.NewBudget(workers)
-	pool := workers
-	if pool > n {
-		pool = n
-	}
+	pool := min(workers, n)
 	// A stop or a cancel reaches the levels in flight through the budget:
 	// once the sweep's context is done, their kernels start no further
 	// chunk, and runLevel discards what they left incomplete.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	context.AfterFunc(ctx, budget.Stop)
-
-	sc := NewSweepContext(p, cfg.Attack)
-	sc.budget = budget
-
-	// A single-slot pool is the old sequential loop: run it inline, without
-	// pool goroutines, so a consumer stop (Run's Algorithm 1 stopping rule)
-	// never pays for a speculative level past the stop point. With parallel
-	// workers that speculation is inherent — in-flight levels above a stop
-	// are cancelled and discarded. (A multi-worker budget over a single
-	// level still parallelizes inside the level: the kernels borrow the
-	// spare tokens.)
-	if pool == 1 {
-		for _, k := range evalKs {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			budget.Acquire()
-			lr, err := sc.runLevel(ctx, cfg.Anonymizer, k, cfg.Tp)
-			budget.Release()
-			if err != nil {
-				// A level abandoned by a cancel ends the sweep with the
-				// context's error, not as a failure of that level.
-				if ctxErr := ctx.Err(); ctxErr != nil {
-					return ctxErr
-				}
-				if k > minK && EndsSweep(err) {
-					return nil
-				}
-				return fmt.Errorf("core: level k=%d: %w", k, err)
-			}
-			// A cancel that landed while RunLevel was executing must not
-			// leak one more emission — same contract as the parallel path.
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := emit(lr); err != nil {
-				if errors.Is(err, ErrStopSweep) {
-					return nil
-				}
-				return err
-			}
-		}
-		return nil
-	}
 
 	type slot struct {
 		k   int
@@ -205,7 +164,7 @@ func SweepStream(ctx context.Context, p *dataset.Table, cfg StreamConfig, emit f
 				// itself against the sweep-wide worker bound — so kernel
 				// helpers can only use genuinely idle capacity.
 				budget.Acquire()
-				lr, err := sc.runLevel(ctx, cfg.Anonymizer, k, cfg.Tp)
+				lr, err := sc.runLevel(ctx, cfg.Anonymizer, k, cfg.Tp, budget)
 				budget.Release()
 				results <- slot{k: k, lr: lr, err: err}
 			}
@@ -268,8 +227,8 @@ const MinParallelSweepRows = 4096
 
 // SweepWorkersFor applies the small-cohort gate to a requested sweep worker
 // count: tables with fewer than minParallelRows rows run on one worker,
-// everything else keeps the request. A non-positive gate disables it. The
-// bench grid uses this to report the workers actually in effect.
+// everything else keeps the request. A non-positive gate disables it.
+// SweepStream sizes its pool with it, and the planner its context's budget.
 func SweepWorkersFor(rows, workers, minParallelRows int) int {
 	if minParallelRows > 0 && rows < minParallelRows {
 		return 1

@@ -80,9 +80,8 @@ func TestSweepStreamPropertyRandomized(t *testing.T) {
 
 		ctx, cancel := context.WithCancel(context.Background())
 		var got []LevelResult
-		err := SweepStream(ctx, p, StreamConfig{
+		err := SweepStream(ctx, NewSweepContext(p, atk), StreamConfig{
 			Anonymizer: microagg.New(),
-			Attack:     atk,
 			MinK:       minK,
 			MaxK:       maxK,
 			Held:       held,

@@ -31,9 +31,8 @@ func TestSweepStreamOrderedUnderParallelWorkers(t *testing.T) {
 	}
 	for _, workers := range []int{0, 1, 4, 16} {
 		var got []LevelResult
-		err := SweepStream(context.Background(), p, StreamConfig{
+		err := SweepStream(context.Background(), NewSweepContext(p, atk), StreamConfig{
 			Anonymizer: microagg.New(),
-			Attack:     atk,
 			MinK:       2,
 			MaxK:       12,
 			Workers:    workers,
@@ -65,9 +64,8 @@ func TestSweepStreamEarlyStopPastTable(t *testing.T) {
 	p, q := universityFixture(t, 10)
 	atk := AttackConfig{Aux: q, SensitiveRange: salaryRange()}
 	var ks []int
-	err := SweepStream(context.Background(), p, StreamConfig{
+	err := SweepStream(context.Background(), NewSweepContext(p, atk), StreamConfig{
 		Anonymizer: microagg.New(),
-		Attack:     atk,
 		MinK:       2,
 		MaxK:       40,
 		Workers:    4,
@@ -88,9 +86,8 @@ func TestSweepStreamEarlyStopPastTable(t *testing.T) {
 	}
 
 	// MinK itself exceeding the table is a sweep error, not an early stop.
-	err = SweepStream(context.Background(), p, StreamConfig{
+	err = SweepStream(context.Background(), NewSweepContext(p, atk), StreamConfig{
 		Anonymizer: microagg.New(),
-		Attack:     atk,
 		MinK:       11,
 		MaxK:       20,
 	}, func(LevelResult) error { return nil })
@@ -107,9 +104,8 @@ func TestSweepStreamCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	emitted := 0
-	err := SweepStream(ctx, p, StreamConfig{
+	err := SweepStream(ctx, NewSweepContext(p, atk), StreamConfig{
 		Anonymizer: microagg.New(),
-		Attack:     atk,
 		MinK:       2,
 		MaxK:       30,
 		Workers:    2,
@@ -128,9 +124,8 @@ func TestSweepStreamCancellation(t *testing.T) {
 	// A context cancelled before the sweep starts emits nothing.
 	pre, preCancel := context.WithCancel(context.Background())
 	preCancel()
-	err = SweepStream(pre, p, StreamConfig{
+	err = SweepStream(pre, NewSweepContext(p, atk), StreamConfig{
 		Anonymizer: microagg.New(),
-		Attack:     atk,
 		MinK:       2,
 		MaxK:       6,
 	}, func(LevelResult) error {
@@ -148,9 +143,8 @@ func TestSweepStreamStopSentinel(t *testing.T) {
 	p, q := universityFixture(t, 40)
 	atk := AttackConfig{Aux: q, SensitiveRange: salaryRange()}
 	var got []LevelResult
-	err := SweepStream(context.Background(), p, StreamConfig{
+	err := SweepStream(context.Background(), NewSweepContext(p, atk), StreamConfig{
 		Anonymizer: microagg.New(),
-		Attack:     atk,
 		MinK:       2,
 		MaxK:       16,
 		Workers:    4,
@@ -169,9 +163,8 @@ func TestSweepStreamStopSentinel(t *testing.T) {
 	}
 
 	boom := fmt.Errorf("emit exploded")
-	err = SweepStream(context.Background(), p, StreamConfig{
+	err = SweepStream(context.Background(), NewSweepContext(p, atk), StreamConfig{
 		Anonymizer: microagg.New(),
-		Attack:     atk,
 		MinK:       2,
 		MaxK:       6,
 	}, func(LevelResult) error { return boom })
@@ -204,9 +197,8 @@ func TestSweepStreamHeldPrefixResume(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, startK := range []int{2, 7, 12} {
 			var got []LevelResult
-			err := SweepStream(context.Background(), p, StreamConfig{
+			err := SweepStream(context.Background(), NewSweepContext(p, atk), StreamConfig{
 				Anonymizer: microagg.New(),
-				Attack:     atk,
 				MinK:       2,
 				MaxK:       12,
 				Held:       heldBelow(2, startK),
@@ -243,9 +235,8 @@ func TestSweepStreamHeldPrefixPastTableEndsCleanly(t *testing.T) {
 	p, q := universityFixture(t, 10)
 	atk := AttackConfig{Aux: q, SensitiveRange: salaryRange()}
 	emitted := 0
-	err := SweepStream(context.Background(), p, StreamConfig{
+	err := SweepStream(context.Background(), NewSweepContext(p, atk), StreamConfig{
 		Anonymizer: microagg.New(),
-		Attack:     atk,
 		MinK:       2,
 		MaxK:       40,
 		Held:       heldBelow(2, 11), // table holds 10 records: k=11 exceeds it immediately
@@ -262,17 +253,119 @@ func TestSweepStreamHeldPrefixPastTableEndsCleanly(t *testing.T) {
 	}
 }
 
+// sameLevelBits reports whether two levels agree on k, candidacy and every
+// number of the series, bit for bit.
+func sameLevelBits(a, b LevelResult) bool {
+	return a.K == b.K && a.Candidate == b.Candidate &&
+		math.Float64bits(a.Before) == math.Float64bits(b.Before) &&
+		math.Float64bits(a.After) == math.Float64bits(b.After) &&
+		math.Float64bits(a.Gain) == math.Float64bits(b.Gain) &&
+		math.Float64bits(a.Utility) == math.Float64bits(b.Utility)
+}
+
+// TestSweepStreamCapsLevelsAtRows: no scheme anonymizes n rows at k > n, so
+// a MaxK far past the row count lists no level above it: the sweep emits
+// what MaxK = n emits instead of sizing its level list by MaxK.
+func TestSweepStreamCapsLevelsAtRows(t *testing.T) {
+	p, q := universityFixture(t, 40)
+	atk := AttackConfig{Aux: q, SensitiveRange: salaryRange()}
+	sweep := func(maxK int) []LevelResult {
+		var got []LevelResult
+		err := SweepStream(context.Background(), NewSweepContext(p, atk), StreamConfig{
+			Anonymizer: microagg.New(), MinK: 2, MaxK: maxK, Workers: 2,
+		}, func(lr LevelResult) error {
+			got = append(got, lr)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("MaxK=%d: %v", maxK, err)
+		}
+		return got
+	}
+	want, got := sweep(40), sweep(1<<40)
+	if len(got) != len(want) {
+		t.Fatalf("MaxK=2⁴⁰ emitted %d levels, MaxK=40 %d", len(got), len(want))
+	}
+	for i := range got {
+		if !sameLevelBits(got[i], want[i]) {
+			t.Fatalf("MaxK=2⁴⁰ level k=%d differs from MaxK=40's", got[i].K)
+		}
+	}
+}
+
+// TestSweepContextSharedAcrossWalks: one budgeted context serves a
+// SweepStream stopped at k=3, then RunLevel, ProbeUtilities and a second
+// full SweepStream, and each gives the bits a fresh context gives. So a
+// walk's budget, stopped with the walk, never stays on the context, and
+// the prepared form the stopped walk built is whole.
+func TestSweepContextSharedAcrossWalks(t *testing.T) {
+	p, q := universityFixture(t, 60)
+	atk := AttackConfig{Aux: q, SensitiveRange: salaryRange()}
+	anon := mondrian.New()
+	want, err := SweepParallel(p, mondrian.New(), atk, 2, 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := NewSweepContextParallel(p, atk, 2)
+	stream := func(stopK int) []LevelResult {
+		var got []LevelResult
+		err := SweepStream(context.Background(), sc, StreamConfig{
+			Anonymizer: anon, MinK: 2, MaxK: 8, Workers: 2,
+		}, func(lr LevelResult) error {
+			got = append(got, lr)
+			if lr.K == stopK {
+				return ErrStopSweep
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	same := func(label string, got []LevelResult) {
+		t.Helper()
+		for i, lr := range got {
+			if !sameLevelBits(lr, want[lr.K-2]) || !lr.Release.Equal(want[lr.K-2].Release) {
+				t.Fatalf("%s: level %d (k=%d) differs from a fresh context's", label, i, lr.K)
+			}
+		}
+	}
+	got := stream(3)
+	if len(got) != 2 {
+		t.Fatalf("stopped sweep emitted %d levels, want 2", len(got))
+	}
+	same("stopped sweep", got)
+	lr, err := sc.RunLevel(anon, 5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("RunLevel", []LevelResult{lr})
+	ks := []int{8, 4}
+	us, errs := sc.ProbeUtilities(anon, ks)
+	for i, k := range ks {
+		if errs[i] != nil || math.Float64bits(us[i]) != math.Float64bits(want[k-2].Utility) {
+			t.Fatalf("probe k=%d: utility %v (err %v), want %v", k, us[i], errs[i], want[k-2].Utility)
+		}
+	}
+	got = stream(0)
+	if len(got) != len(want) {
+		t.Fatalf("second sweep emitted %d levels, want %d", len(got), len(want))
+	}
+	same("second sweep", got)
+}
+
 // TestSweepStreamValidation mirrors the Sweep/SweepParallel contracts.
 func TestSweepStreamValidation(t *testing.T) {
 	p, _ := universityFixture(t, 10)
 	noop := func(LevelResult) error { return nil }
-	if err := SweepStream(context.Background(), p, StreamConfig{MinK: 2, MaxK: 4}, noop); err == nil {
+	if err := SweepStream(context.Background(), NewSweepContext(p, AttackConfig{}), StreamConfig{MinK: 2, MaxK: 4}, noop); err == nil {
 		t.Error("nil anonymizer accepted")
 	}
-	if err := SweepStream(context.Background(), p, StreamConfig{Anonymizer: microagg.New(), MinK: 1, MaxK: 4}, noop); err == nil {
+	if err := SweepStream(context.Background(), NewSweepContext(p, AttackConfig{}), StreamConfig{Anonymizer: microagg.New(), MinK: 1, MaxK: 4}, noop); err == nil {
 		t.Error("minK=1 accepted")
 	}
-	if err := SweepStream(context.Background(), p, StreamConfig{Anonymizer: microagg.New(), MinK: 5, MaxK: 4}, noop); err == nil {
+	if err := SweepStream(context.Background(), NewSweepContext(p, AttackConfig{}), StreamConfig{Anonymizer: microagg.New(), MinK: 5, MaxK: 4}, noop); err == nil {
 		t.Error("inverted range accepted")
 	}
 }
@@ -373,13 +466,12 @@ func TestSweepStreamStopSkipsAttackPastStop(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var got []int
-	err := SweepStream(ctx, p, StreamConfig{
+	err := SweepStream(ctx, NewSweepContext(p, AttackConfig{Aux: q, Estimator: est, SensitiveRange: salaryRange()}), StreamConfig{
 		Anonymizer: hookedAnonymizer{microagg.New(), func(k int) {
 			if k > stopK {
 				<-gate
 			}
 		}},
-		Attack:  AttackConfig{Aux: q, Estimator: est, SensitiveRange: salaryRange()},
 		MinK:    2,
 		MaxK:    8,
 		Workers: 2,
@@ -405,9 +497,8 @@ func TestSweepStreamStopSkipsAttackPastStop(t *testing.T) {
 
 // TestSweepStreamCancelAbandonsLevel: a level abandoned by a cancel between
 // its phases ends the sweep with the context's error — not as a failure of
-// that level — and never reaches the estimator, on the inline path (one
-// worker, the cancel landing mid-anonymize) and on the pool (the cancel
-// landing before gated levels finish anonymizing).
+// that level — and never reaches the estimator, on one worker and on two:
+// the cancel lands before gated levels finish anonymizing.
 func TestSweepStreamCancelAbandonsLevel(t *testing.T) {
 	p, q := universityFixture(t, 40)
 	for _, workers := range []int{1, 2} {
@@ -415,27 +506,20 @@ func TestSweepStreamCancelAbandonsLevel(t *testing.T) {
 		gate := make(chan struct{})
 		ctx, cancel := context.WithCancel(context.Background())
 		before := func(k int) {
-			switch {
-			case k == 2:
-			case workers == 1:
-				cancel()
-			default:
+			if k > 2 {
 				<-gate
 			}
 		}
 		emitted := 0
-		err := SweepStream(ctx, p, StreamConfig{
+		err := SweepStream(ctx, NewSweepContext(p, AttackConfig{Aux: q, Estimator: est, SensitiveRange: salaryRange()}), StreamConfig{
 			Anonymizer: hookedAnonymizer{microagg.New(), before},
-			Attack:     AttackConfig{Aux: q, Estimator: est, SensitiveRange: salaryRange()},
 			MinK:       2,
 			MaxK:       8,
 			Workers:    workers,
 		}, func(LevelResult) error {
 			emitted++
-			if workers > 1 {
-				cancel()
-				close(gate)
-			}
+			cancel()
+			close(gate)
 			return nil
 		})
 		cancel()
@@ -500,7 +584,7 @@ func TestSweepStreamStopCutsAttackShort(t *testing.T) {
 	gate3, release4 := make(chan struct{}), make(chan struct{})
 	est := &stallingEstimator{entered: make(chan struct{}), onStop: func() { close(release4) }}
 	var got []int
-	err = SweepStream(context.Background(), p, StreamConfig{
+	err = SweepStream(context.Background(), NewSweepContext(p, AttackConfig{Estimator: est, SensitiveRange: salaryRange()}), StreamConfig{
 		Anonymizer: hookedAnonymizer{microagg.New(), func(k int) {
 			switch k {
 			case 3:
@@ -510,7 +594,6 @@ func TestSweepStreamStopCutsAttackShort(t *testing.T) {
 				<-release4
 			}
 		}},
-		Attack:  AttackConfig{Estimator: est, SensitiveRange: salaryRange()},
 		MinK:    2,
 		MaxK:    4,
 		Workers: 2,

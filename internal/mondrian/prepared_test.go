@@ -13,8 +13,10 @@ import (
 // TestPreparedMatchesAnonymize: one prepared table gives, at every k in
 // 2..n/2, strict and relaxed, a release Table.Equal to a fresh Anonymize
 // with the same CSV bytes, whatever budget prepared it or runs the level
-// (nil, one worker, two), and with every level of a table run at once on
-// one shared budget.
+// (nil, one worker, two, two already stopped), and with every level of a
+// table run at once on one shared budget. A sweep context keeps the form
+// its first level prepared after that level's sweep has stopped its
+// budget, so a stop must never leave the form partial.
 func TestPreparedMatchesAnonymize(t *testing.T) {
 	tables := []struct {
 		name string
@@ -29,6 +31,11 @@ func TestPreparedMatchesAnonymize(t *testing.T) {
 		func() *parallel.Budget { return nil },
 		func() *parallel.Budget { return parallel.NewBudget(1) },
 		func() *parallel.Budget { return parallel.NewBudget(2) },
+		func() *parallel.Budget {
+			b := parallel.NewBudget(2)
+			b.Stop()
+			return b
+		},
 	}
 	for _, tc := range tables {
 		for _, relaxed := range []bool{false, true} {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -315,6 +316,52 @@ func TestFREDSweepMaxKAboveRowCount(t *testing.T) {
 				t.Errorf("adaptive=%v: %s = %v, want %v as with max_k=30", c.spec.Adaptive, key, got.Summary[key], c.want.Summary[key])
 			}
 		}
+	}
+}
+
+// TestKSetCanonicalizedForCache: a fred-sweep's k_set is sorted and
+// deduplicated at submit, with min_k and max_k mirroring it, so the same
+// set submitted in another order or with repeats is the same cache key.
+func TestKSetCanonicalizedForCache(t *testing.T) {
+	jobLog := &memLog{}
+	e, p, q, _ := testFixture(t, service.Options{Workers: 1, JobLog: jobLog})
+	e.Start()
+	spec := func(set ...int) service.Spec {
+		return service.Spec{
+			Type: service.JobFREDSweep, Table: p, Aux: q, KSet: set,
+			SensitiveLo: 40000, SensitiveHi: 160000,
+		}
+	}
+	st, err := e.Submit(service.DefaultTenant, spec(9, 2, 5, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st = waitDone(t, e, st.ID); st.State != service.StateDone {
+		t.Fatalf("k_set [9 2 5 9]: state %s (%s), want done", st.State, st.Error)
+	}
+	st2, err := e.Submit(service.DefaultTenant, spec(2, 5, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st2.State != service.StateDone || !st2.Cached {
+		t.Fatalf("k_set [2 5 9]: state %s cached %v, want done from cache", st2.State, st2.Cached)
+	}
+	jobs := 0
+	err = jobLog.ReplayWAL(func(rec service.WALRecord) error {
+		if rec.Kind != service.WALJob {
+			return nil
+		}
+		jobs++
+		if sp := rec.Spec; !slices.Equal(sp.KSet, []int{2, 5, 9}) || sp.MinK != 2 || sp.MaxK != 9 {
+			t.Errorf("job %s journaled k_set %v, min_k %d, max_k %d; want [2 5 9], 2, 9", rec.JobID, sp.KSet, sp.MinK, sp.MaxK)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jobs == 0 {
+		t.Fatal("no job record journaled")
 	}
 }
 

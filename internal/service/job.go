@@ -2,7 +2,7 @@ package service
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -102,16 +102,8 @@ func (sp Spec) withDefaults() Spec {
 			// An explicit set replaces the range; canonicalize it (and let
 			// the range bounds mirror it) so equivalent submissions share a
 			// cache key.
-			set := append([]int(nil), sp.KSet...)
-			sort.Ints(set)
-			dst := set[:1]
-			for _, k := range set[1:] {
-				if k != dst[len(dst)-1] {
-					dst = append(dst, k)
-				}
-			}
-			sp.KSet = dst
-			sp.MinK, sp.MaxK = dst[0], dst[len(dst)-1]
+			sp.KSet = slices.Compact(slices.Sorted(slices.Values(sp.KSet)))
+			sp.MinK, sp.MaxK = sp.KSet[0], sp.KSet[len(sp.KSet)-1]
 		}
 		if sp.MinK == 0 {
 			sp.MinK = 2

@@ -45,9 +45,8 @@ func TestPlannerEquivalenceProperty(t *testing.T) {
 
 		// Exhaustive ground truth: every level of the range, streamed.
 		var series []core.LevelResult
-		err = core.SweepStream(context.Background(), sc.P, core.StreamConfig{
-			Anonymizer: scheme.anon(), Attack: atk,
-			MinK: 2, MaxK: maxK, Workers: workers,
+		err = core.SweepStream(context.Background(), core.NewSweepContext(sc.P, atk), core.StreamConfig{
+			Anonymizer: scheme.anon(), MinK: 2, MaxK: maxK, Workers: workers,
 		}, func(lr core.LevelResult) error {
 			series = append(series, lr)
 			return nil

@@ -5,14 +5,18 @@ import (
 	"errors"
 	"math"
 	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/core/planner"
+	"repro/internal/dataset"
 	"repro/internal/fusion"
 	"repro/internal/metrics"
 	"repro/internal/microagg"
 	"repro/internal/mondrian"
+	"repro/internal/parallel"
 )
 
 // plannerCase is one planner run against its exhaustive ground truth.
@@ -33,8 +37,8 @@ func (c plannerCase) attack() core.AttackConfig {
 func (c *plannerCase) exhaustive(t *testing.T, maxK int) {
 	t.Helper()
 	c.series = nil
-	err := core.SweepStream(context.Background(), c.sc.P, core.StreamConfig{
-		Anonymizer: c.anon(), Attack: c.attack(), MinK: 2, MaxK: maxK, Workers: 1,
+	err := core.SweepStream(context.Background(), core.NewSweepContext(c.sc.P, c.attack()), core.StreamConfig{
+		Anonymizer: c.anon(), MinK: 2, MaxK: maxK, Workers: 1,
 	}, func(lr core.LevelResult) error {
 		c.series = append(c.series, lr)
 		return nil
@@ -150,6 +154,75 @@ func TestPlannerCheckCatchesRiseAtProbePoint(t *testing.T) {
 				workers, out.Fallback, out.FallbackReason, out.Probed)
 		}
 		c.sameDecisionBits(t, out.Levels)
+	}
+}
+
+// countingPreparer is MDAV as a core.Preparer whose prepared form is
+// Anonymize itself; it counts the Prepare calls.
+type countingPreparer struct {
+	core.Anonymizer
+	prepares atomic.Int32
+}
+
+func (c *countingPreparer) Prepare(t *dataset.Table, _ *parallel.Budget) func(int, *parallel.Budget) (*dataset.Table, error) {
+	c.prepares.Add(1)
+	return func(k int, _ *parallel.Budget) (*dataset.Table, error) { return c.Anonymize(t, k) }
+}
+
+// TestPlannerPreparesPOncePerRun: every level and probe of a planner run
+// shares one sweep context, so the run prepares P once, on one worker and
+// on two, whether it scans to the Tu crossing and probes above it, falls
+// back from such a scan to the exhaustive walk (the cohort of
+// TestPlannerCheckCatchesRiseAtProbePoint), or walks under a budget
+// without thresholds.
+func TestPlannerPreparesPOncePerRun(t *testing.T) {
+	cohort := func(seed int64, n, tuK int) (plannerCase, float64) {
+		sc, err := UniversityScenario(ScenarioOptions{Seed: seed, N: n, DirectAux: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := plannerCase{sc: sc}
+		lr, err := core.NewSweepContext(sc.P, c.attack()).RunLevel(microagg.New(), tuK, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, lr.Utility
+	}
+	scan, tuScan := cohort(42, 400, 6)
+	rise, tuRise := cohort(5604, 45, 9)
+	for _, tc := range []struct {
+		name   string
+		c      plannerCase
+		maxK   int
+		tu     float64
+		budget bool
+		ran    func(*planner.Outcome) bool
+	}{
+		{"scan and check", scan, 16, tuScan, false, func(o *planner.Outcome) bool { return !o.Fallback && o.Probed > 0 }},
+		{"check falls back", rise, 12, tuRise, false, func(o *planner.Outcome) bool { return o.Fallback }},
+		{"budget walk", scan, 16, 0, true, func(o *planner.Outcome) bool { return o.Evaluated == o.Requested }},
+	} {
+		ks, err := planner.Expand(2, tc.maxK, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			anon := &countingPreparer{Anonymizer: microagg.New()}
+			cfg := planner.Config{Anonymizer: anon, Attack: tc.c.attack(), Levels: ks, Tu: tc.tu, Workers: workers}
+			if tc.budget {
+				cfg.Deadline = time.Now().Add(time.Hour)
+			}
+			out, err := planner.Run(context.Background(), tc.c.sc.P, cfg)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
+			}
+			if !tc.ran(out) {
+				t.Fatalf("%s workers=%d: outcome %+v does not run the case", tc.name, workers, *out)
+			}
+			if n := anon.prepares.Load(); n != 1 {
+				t.Errorf("%s workers=%d: P prepared %d times in one run, want 1", tc.name, workers, n)
+			}
+		}
 	}
 }
 
