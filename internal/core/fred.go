@@ -46,8 +46,9 @@ type ParallelAnonymizer interface {
 // argument. The contract is strict: each call must equal Anonymize(t, k)
 // bit for bit, errors included, at every budget, and calls may run
 // concurrently. A SweepContext prepares P once per Preparer and runs every
-// level through the result, so the sweep's levels (mondrian: P's sorted
-// columns) share the work. Preparers are compared as map keys, so their
+// level through the result, so the sweep's levels share the work (mondrian:
+// P's sorted columns; MDAV: P's standardized points, its k-d tree and the
+// rows' radial bounds). Preparers are compared as map keys, so their
 // dynamic types must be comparable (pointers are).
 type Preparer interface {
 	Anonymizer

@@ -2,6 +2,8 @@ package microagg
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/datagen"
@@ -12,7 +14,10 @@ import (
 // rides on, from the paper's 40-row cohort to the service's 10⁴-row ones.
 // ReportAllocs tracks preallocation: the group-carving loop must not
 // allocate. The sweep cases run k = 2..16 per op, as a fred-sweep does, on
-// the 10⁴-row cohort and on the tie-heavy grid.
+// the 10⁴-row cohort, on the tie-heavy grid and on a heavy-tailed
+// (lognormal) table, whose later centroids lie far from the radial bound's
+// anchor. Each fresh Assign builds the tree again; each prepared case
+// builds it once per op and runs the 15 levels from it, as a sweep does.
 func BenchmarkAssign(b *testing.B) {
 	var cohort *dataset.Table
 	for _, rows := range []int{40, 250, 1000, 10000} {
@@ -31,12 +36,14 @@ func BenchmarkAssign(b *testing.B) {
 			}
 		})
 	}
+	lognormal := numTable(b, drawRows(10000, 2, 23, func(r *rand.Rand) float64 { return math.Exp(r.NormFloat64()) }))
 	for _, c := range []struct {
 		name string
 		tbl  *dataset.Table
 	}{
 		{"university", cohort},
 		{"quantized", quantizedTable(b, 10000, 5)},
+		{"lognormal", lognormal},
 	} {
 		b.Run(fmt.Sprintf("sweep=2-16/%s/rows=%d", c.name, c.tbl.NumRows()), func(b *testing.B) {
 			a := New()
@@ -45,6 +52,18 @@ func BenchmarkAssign(b *testing.B) {
 					if _, err := a.Assign(c.tbl, k); err != nil {
 						b.Fatal(err)
 					}
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("prepared/sweep=2-16/%s/rows=%d", c.name, c.tbl.NumRows()), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p := prepare(c.tbl, true)
+				for k := 2; k <= 16; k++ {
+					kn, err := p.level(k)
+					if err != nil {
+						b.Fatal(err)
+					}
+					kn.assign(k)
 				}
 			}
 		})

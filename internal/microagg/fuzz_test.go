@@ -1,13 +1,15 @@
 package microagg
 
 import (
+	"strings"
 	"testing"
 )
 
 // fuzzPalette is the value set FuzzKernelMatchesReference draws from: large
-// and small magnitudes together make running sums round, and a small set
-// makes rows coincide.
-var fuzzPalette = [...]float64{0, 1, -1, 3, -3, 0.1, -0.1, 1e16, -1e16, 1e-16}
+// and small magnitudes together make running sums round, a small set makes
+// rows coincide, and ±1e308 make sums, and so the radial bound's anchor,
+// overflow. New values go at the end, so encoded tables keep their values.
+var fuzzPalette = [...]float64{0, 1, -1, 3, -3, 0.1, -0.1, 1e16, -1e16, 1e-16, 1e308, -1e308}
 
 var fuzzGammas = [...]float64{0, 0.5, 1, 2}
 
@@ -54,8 +56,11 @@ func encodeFuzzTable(rows [][]float64) []byte {
 // FuzzKernelMatchesReference checks MDAV and V-MDAV on the tree kernel
 // against the row-slice reference, group for group, on small palette
 // tables where running sums drift and distances nearly tie: the inputs
-// that decide whether a round's seed is certified or falls back. The
-// near-tie tables of TestSeedFallbackNearTies seed the corpus.
+// that decide whether a round's seed is certified or falls back. MDAV runs
+// once fresh at the drawn k and from one prepared table at every k from 2
+// to n, as a sweep's levels do. A table whose standardized points are not
+// finite must be rejected. The near-tie tables of TestSeedFallbackNearTies
+// seed the corpus.
 func FuzzKernelMatchesReference(f *testing.F) {
 	for _, rows := range nearTieTables {
 		f.Add(encodeFuzzTable(rows))
@@ -65,10 +70,23 @@ func FuzzKernelMatchesReference(f *testing.F) {
 		tbl := numTable(t, rows)
 		got, err := (&Anonymizer{Opts: Options{Standardize: std}}).Assign(tbl, k)
 		if err != nil {
-			t.Fatal(err)
+			if !std || !strings.Contains(err.Error(), "non-finite") {
+				t.Fatal(err)
+			}
+			return
 		}
 		if want := referenceAssign(tbl, k, std); !groupsEqual(got, want) {
 			t.Fatalf("MDAV k=%d std=%v rows %v:\ngot  %v\nwant %v", k, std, rows, got, want)
+		}
+		p := prepare(tbl, std)
+		for k := 2; k <= len(rows); k++ {
+			kn, err := p.level(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := kn.assign(k), referenceAssign(tbl, k, std); !groupsEqual(got, want) {
+				t.Fatalf("prepared MDAV k=%d std=%v rows %v:\ngot  %v\nwant %v", k, std, rows, got, want)
+			}
 		}
 		got, err = (&VMDAV{Opts: Options{Standardize: std}, Gamma: gamma}).Assign(tbl, k)
 		if err != nil {

@@ -8,14 +8,16 @@ import (
 
 // MDAV asks two questions of the rows that remain, round after round: which
 // row lies farthest from a point, and which rows lie nearest to one. The
-// kernel answers both from an exact k-d tree built once per Assign over the
-// (standardized) points; carving a group takes its rows out of the tree, so
+// kernel answers both from an exact k-d tree built once per table over the
+// (standardized) points; each run at a level k copies the tree's live
+// state (clone), and carving a group takes its rows out of that copy, so
 // each query sees exactly the remaining rows. MDAV and V-MDAV share it. A
 // round's first seed comes from running column sums, certified against the
-// row-order centroid the reference computes (seed). The groups are
-// bit-identical to brute-force scans of the row-slice formulation
-// (referenceAssign and referenceVAssign in reference_test.go); DESIGN.md
-// gives the argument.
+// row-order centroid the reference computes (seed). Farthest-row queries
+// prune by each node's box and by its rows' distances from a fixed anchor
+// (radial). The groups are bit-identical to brute-force scans of the
+// row-slice formulation (referenceAssign and referenceVAssign in
+// reference_test.go); DESIGN.md gives the argument.
 
 // leafSize is the most rows a tree leaf holds, chosen by measurement. On
 // BenchmarkAssign and a 10⁴-row k=2..16 sweep, leaves of 16 to 64 rows ran
@@ -46,13 +48,15 @@ type frame struct {
 	bound float64
 }
 
-// kernel carries the points, the tree and all per-Assign scratch.
+// kernel carries the points, the tree and all per-run scratch. newKernel
+// builds one per table, which only clone reads; each run works on a clone.
 type kernel struct {
 	pts  []float64 // n×d row-major
 	n, d int
 
 	nodes []kdNode
 	box   []float64 // per node: d lows, then d highs, bounding its live rows
+	rmax  []float64 // per node: the largest rad among its live rows
 	rows  []int32   // rows in tree order
 	slot  []int32   // row → its index in rows; −1 once carved
 
@@ -72,39 +76,24 @@ type kernel struct {
 	sum, drift, absSum []float64
 	shrink             float64
 	fallbacks          int // rounds seed could not certify
+
+	// The radial bound: anchor is the first round's running centroid, and
+	// rad[i] the root of row i's computed distance from it. grow is
+	// 1 + 2γ_{d+2} + 16u, which covers both distances' errors and the
+	// rounding of radial's bound.
+	anchor, rad []float64
+	grow        float64
+	dists       int // distances the farthest-row queries computed
 }
 
-func newKernel(pts []float64, n, d, k int) *kernel {
-	// Bound the tree's size and depth: each split leaves at most half its
-	// node's rows, rounded up, on either side.
-	nodes, depth := 1, 1
-	for c := n; c > leafSize; c = (c + 1) / 2 {
-		nodes = 2*nodes + 1
-		depth++
-	}
-	// The int32 and float64 buffers share one allocation each.
-	ints := make([]int32, 3*n+depth+k)
-	floats := make([]float64, 2*d*nodes+6*d)
-	nb := 2 * d * nodes
-	kn := &kernel{
-		pts: pts, n: n, d: d,
-		nodes:     make([]kdNode, 0, nodes),
-		box:       floats[: 2*d : nb],
-		rows:      ints[:n:n],
-		slot:      ints[n : 2*n : 2*n],
-		remaining: ints[2*n : 3*n : 3*n],
-		path:      ints[3*n : 3*n : 3*n+depth],
-		dirty:     ints[3*n+depth : 3*n+depth],
-		fitted:    floats[nb : nb+2*d : nb+2*d],
-		centroid:  floats[nb+2*d : nb+3*d : nb+3*d],
-		sum:       floats[nb+3*d : nb+4*d : nb+4*d],
-		drift:     floats[nb+4*d : nb+5*d : nb+5*d],
-		absSum:    floats[nb+5*d:],
-		shrink:    1 - 2*gammaN(d+2) - 8*u,
-		stack:     make([]frame, 0, depth+1),
-		arena:     make([]int, 0, n),
-	}
-	kn.near.Reset(k - 1) // allocates the heap once, here
+// newKernel builds the kernel over the n×d points pts that every run at any
+// k starts from: the tree with its boxes, first rows and rmax, the
+// first-round running sums, absSum, the anchor and rad. Nothing writes it
+// afterwards, so runs on clones of it may proceed concurrently.
+func newKernel(pts []float64, n, d int) *kernel {
+	kn := alloc(pts, n, d, 0)
+	shared := make([]float64, 2*d+n)
+	kn.absSum, kn.anchor, kn.rad = shared[:d:d], shared[d:2*d:2*d], shared[2*d:]
 	for i := range kn.rows {
 		kn.rows[i] = int32(i)
 		kn.remaining[i] = int32(i)
@@ -118,7 +107,12 @@ func newKernel(pts []float64, n, d, k int) *kernel {
 	}
 	for j, a := range kn.absSum {
 		kn.drift[j] = gammaN(n-1) * a
+		kn.anchor[j] = kn.sum[j] / float64(n)
 	}
+	for i := range n {
+		kn.rad[i] = math.Sqrt(kn.sqDistTo(i, kn.anchor))
+	}
+	kn.box = kn.box[:2*d]
 	if n > leafSize {
 		kn.bound(kn.box, kn.rows)
 	}
@@ -127,6 +121,62 @@ func newKernel(pts []float64, n, d, k int) *kernel {
 		kn.slot[r] = int32(s)
 	}
 	return kn
+}
+
+// alloc returns a kernel over the n×d points pts with zeroed buffers for a
+// tree over them and for a run at k; nodes and box are empty, for build or
+// clone to fill.
+func alloc(pts []float64, n, d, k int) *kernel {
+	// Bound the tree's size and depth: each split leaves at most half its
+	// node's rows, rounded up, on either side.
+	nodes, depth := 1, 1
+	for c := n; c > leafSize; c = (c + 1) / 2 {
+		nodes = 2*nodes + 1
+		depth++
+	}
+	// The int32 and float64 buffers share one allocation each.
+	ints := make([]int32, 3*n+depth+k)
+	floats := make([]float64, (2*d+1)*nodes+5*d)
+	nb, nr := 2*d*nodes, (2*d+1)*nodes
+	g := gammaN(d + 2)
+	return &kernel{
+		pts: pts, n: n, d: d,
+		nodes:     make([]kdNode, 0, nodes),
+		box:       floats[:0:nb],
+		rmax:      floats[nb:nr:nr],
+		rows:      ints[:n:n],
+		slot:      ints[n : 2*n : 2*n],
+		remaining: ints[2*n : 3*n : 3*n],
+		path:      ints[3*n : 3*n : 3*n+depth],
+		dirty:     ints[3*n+depth : 3*n+depth],
+		fitted:    floats[nr : nr+2*d : nr+2*d],
+		centroid:  floats[nr+2*d : nr+3*d : nr+3*d],
+		sum:       floats[nr+3*d : nr+4*d : nr+4*d],
+		drift:     floats[nr+4*d:],
+		shrink:    1 - 2*g - 8*u,
+		grow:      1 + 2*g + 16*u,
+		stack:     make([]frame, 0, depth+1),
+		arena:     make([]int, 0, n),
+	}
+}
+
+// clone returns a kernel for one run at k from kn, which newKernel built:
+// the tree's live state (nodes, boxes, rmax, rows, slots, the remaining
+// list, sum and drift) copied, scratch of its own, and the points, absSum,
+// the anchor and rad shared read-only.
+func (kn *kernel) clone(k int) *kernel {
+	c := alloc(kn.pts, kn.n, kn.d, k)
+	c.nodes = append(c.nodes, kn.nodes...)
+	c.box = append(c.box, kn.box...)
+	copy(c.rmax, kn.rmax)
+	copy(c.rows, kn.rows)
+	copy(c.slot, kn.slot)
+	copy(c.remaining, kn.remaining)
+	copy(c.sum, kn.sum)
+	copy(c.drift, kn.drift)
+	c.absSum, c.anchor, c.rad = kn.absSum, kn.anchor, kn.rad
+	c.near.Reset(k - 1) // allocates the heap once, here
+	return c
 }
 
 func (kn *kernel) row(i int) []float64 { return kn.pts[i*kn.d : (i+1)*kn.d] }
@@ -211,14 +261,17 @@ func (kn *kernel) selectNth(lo, hi, nth, dim int) {
 func (kn *kernel) nodeBox(id int) []float64 { return kn.box[id*2*kn.d : (id+1)*2*kn.d] }
 
 // bound writes the bounds of the rows into b, d lows then d highs, and
-// returns the lowest-numbered row.
-func (kn *kernel) bound(b []float64, rows []int32) (first int32) {
+// returns the lowest-numbered row and the largest rad among them.
+func (kn *kernel) bound(b []float64, rows []int32) (first int32, rmax float64) {
 	d := kn.d
-	first = rows[0]
+	first, rmax = rows[0], kn.rad[rows[0]]
 	copy(b[:d], kn.row(int(first)))
 	copy(b[d:], kn.row(int(first)))
 	for _, r := range rows[1:] {
 		first = min(first, r)
+		if v := kn.rad[r]; v > rmax {
+			rmax = v // rad is never NaN; the builtin max, which checks, ran slower
+		}
 		for j, v := range kn.row(int(r)) {
 			if v < b[j] {
 				b[j] = v
@@ -227,12 +280,12 @@ func (kn *kernel) bound(b []float64, rows []int32) (first int32) {
 			}
 		}
 	}
-	return first
+	return first, rmax
 }
 
-// refit recomputes node id's box and first row from its live rows (a leaf)
-// or its live children (an inner node) and reports whether either changed.
-// An empty node's box is never read.
+// refit recomputes node id's box, first row and rmax from its live rows (a
+// leaf) or its live children (an inner node) and reports whether any
+// changed. An empty node's box and rmax are never read.
 func (kn *kernel) refit(id int) bool {
 	nd, d := &kn.nodes[id], kn.d
 	if nd.live == 0 {
@@ -240,28 +293,29 @@ func (kn *kernel) refit(id int) bool {
 	}
 	nb := kn.fitted
 	var first int32
+	var rmax float64
 	if nd.right == 0 {
-		first = kn.bound(nb, kn.rows[nd.start:nd.start+nd.live])
+		first, rmax = kn.bound(nb, kn.rows[nd.start:nd.start+nd.live])
 	} else {
 		l, r := &kn.nodes[id+1], &kn.nodes[nd.right]
 		switch {
 		case l.live == 0:
 			copy(nb, kn.nodeBox(int(nd.right)))
-			first = r.first
+			first, rmax = r.first, kn.rmax[nd.right]
 		case r.live == 0:
 			copy(nb, kn.nodeBox(id+1))
-			first = l.first
+			first, rmax = l.first, kn.rmax[id+1]
 		default:
 			lb, rb := kn.nodeBox(id+1), kn.nodeBox(int(nd.right))
 			for j := 0; j < d; j++ {
 				nb[j] = min(lb[j], rb[j])
 				nb[d+j] = max(lb[d+j], rb[d+j])
 			}
-			first = min(l.first, r.first)
+			first, rmax = min(l.first, r.first), max(kn.rmax[id+1], kn.rmax[nd.right])
 		}
 	}
-	changed := first != nd.first
-	nd.first = first
+	changed := first != nd.first || rmax != kn.rmax[id]
+	nd.first, kn.rmax[id] = first, rmax
 	b := kn.nodeBox(id)
 	for j, v := range nb {
 		if v != b[j] {
@@ -310,9 +364,11 @@ func (kn *kernel) minDistBound(id int, ref []float64) float64 {
 // equally far rows: what a scan of the remaining rows in ascending order
 // keeps with a strict >. A node is skipped only when no row in it can beat
 // the best so far: its upper bound is below the best distance, or equal to
-// it with every row numbered above the best row.
+// it with every row numbered above the best row. A row is skipped when its
+// radial bound is below the best distance.
 func (kn *kernel) farthest(ref []float64) int {
 	best, bestD := -1, -1.0
+	rho, dists := kn.reach(ref), 0
 	st := append(kn.stack[:0], frame{0, math.Inf(1)})
 	for len(st) > 0 {
 		f := st[len(st)-1]
@@ -324,25 +380,31 @@ func (kn *kernel) farthest(ref []float64) int {
 		if nd.right == 0 {
 			for _, r := range kn.rows[nd.start : nd.start+nd.live] {
 				i := int(r)
+				if kn.radial(kn.rad[i], rho) < bestD {
+					continue
+				}
+				dists++
 				if dd := kn.sqDistTo(i, ref); dd > bestD || dd == bestD && i < best {
 					best, bestD = i, dd
 				}
 			}
 			continue
 		}
-		st = kn.pushFarther(st, f.node, ref)
+		st = kn.pushFarther(st, f.node, ref, rho)
 	}
+	kn.dists += dists
 	return best
 }
 
 // farthestCert is farthest with pruning loosened to tau(bestD, delta): a
-// node or row is skipped only when its bound or distance lies below it.
-// Besides the farthest row and its distance it returns rival, the largest
-// distance at or above tau among rows whose coordinates differ from the
-// best row's, or −1 when there is none.
+// node or row is skipped only when its bound, radial bound or distance lies
+// below it. Besides the farthest row and its distance it returns rival, the
+// largest distance at or above tau among rows whose coordinates differ from
+// the best row's, or −1 when there is none.
 func (kn *kernel) farthestCert(ref []float64, delta float64) (best int, bestD, rival float64) {
 	best, bestD, rival = -1, -1.0, -1.0
 	rivalRow, tau := -1, math.Inf(-1)
+	rho, dists := kn.reach(ref), 0
 	st := append(kn.stack[:0], frame{0, math.Inf(1)})
 	for len(st) > 0 {
 		f := st[len(st)-1]
@@ -354,6 +416,10 @@ func (kn *kernel) farthestCert(ref []float64, delta float64) (best int, bestD, r
 		if nd.right == 0 {
 			for _, r := range kn.rows[nd.start : nd.start+nd.live] {
 				i := int(r)
+				if kn.radial(kn.rad[i], rho) < tau {
+					continue
+				}
+				dists++
 				switch dd := kn.sqDistTo(i, ref); {
 				case dd < tau:
 				case dd > bestD || dd == bestD && i < best:
@@ -373,21 +439,23 @@ func (kn *kernel) farthestCert(ref []float64, delta float64) (best int, bestD, r
 			}
 			continue
 		}
-		st = kn.pushFarther(st, f.node, ref)
+		st = kn.pushFarther(st, f.node, ref, rho)
 	}
+	kn.dists += dists
 	return best, bestD, rival
 }
 
 // pushFarther pushes inner node id's live children with their upper bounds
-// from ref, the less promising first, so the other pops first.
-func (kn *kernel) pushFarther(st []frame, id int32, ref []float64) []frame {
+// from ref, the lesser of the box bound and the radial bound at reach rho,
+// the less promising child first, so the other pops first.
+func (kn *kernel) pushFarther(st []frame, id int32, ref []float64, rho float64) []frame {
 	a, b := id+1, kn.nodes[id].right
 	var ua, ub float64
 	if kn.nodes[a].live > 0 {
-		ua = kn.maxDistBound(int(a), ref)
+		ua = min(kn.maxDistBound(int(a), ref), kn.radial(kn.rmax[a], rho))
 	}
 	if kn.nodes[b].live > 0 {
-		ub = kn.maxDistBound(int(b), ref)
+		ub = min(kn.maxDistBound(int(b), ref), kn.radial(kn.rmax[b], rho))
 	}
 	if ua > ub || ua == ub && kn.nodes[a].first < kn.nodes[b].first {
 		a, b, ua, ub = b, a, ub, ua
@@ -399,6 +467,32 @@ func (kn *kernel) pushFarther(st []frame, id int32, ref []float64) []frame {
 		st = append(st, frame{b, ub})
 	}
 	return st
+}
+
+// reach returns ρ for a query from ref: the root of ref's computed distance
+// from the anchor, plus 2⁻⁵⁰⁰ for underflow. Where ref − anchor is
+// Inf − Inf it returns +Inf, so radial is +Inf rather than NaN, and min
+// leaves the box bound in charge.
+func (kn *kernel) reach(ref []float64) float64 {
+	var s float64
+	for j, v := range ref {
+		dd := v - kn.anchor[j]
+		s += dd * dd
+	}
+	if math.IsNaN(s) {
+		return math.Inf(1)
+	}
+	return math.Sqrt(s) + 0x1p-500
+}
+
+// radial bounds from above the distance sqDistTo computes from a query
+// point at reach rho to any row whose rad is at most r: (r + rho)²·grow.
+// By the triangle inequality through the anchor, with grow covering the
+// rounding of both distances and of the bound itself; DESIGN.md, "The
+// radial bound", gives the argument.
+func (kn *kernel) radial(r, rho float64) float64 {
+	s := r + rho
+	return s * s * kn.grow
 }
 
 // same reports whether rows a and b have equal coordinates. Distances to
@@ -536,10 +630,10 @@ func (kn *kernel) compact() []float64 {
 }
 
 // take removes the rows from the tree, then refits the leaves that lost
-// their first row or a row on their box's boundary (boxes are tight, so no
-// other row can shrink one), and their ancestors up to the first node that
-// does not change. The root's box and first row are never read. Rows
-// already taken are skipped.
+// their first row, their largest rad or a row on their box's boundary
+// (boxes and rmax are tight, so no other row can shrink one), and their
+// ancestors up to the first node that does not change. The root's box,
+// first row and rmax are never read. Rows already taken are skipped.
 func (kn *kernel) take(rows []int) {
 	dirty := kn.dirty[:0]
 	for _, i := range rows {
@@ -558,7 +652,7 @@ func (kn *kernel) take(rows []int) {
 // remove takes row i out of its leaf's live slots and out of the running
 // sums, counts one row fewer on every node above it, and reports the leaf
 // and whether the leaf needs a refit: it is not the root, and the row was
-// its first or lay on its box's boundary.
+// its first, had its largest rad, or lay on its box's boundary.
 func (kn *kernel) remove(i int) (leaf int32, edge bool) {
 	s := kn.slot[i]
 	if s < 0 {
@@ -589,7 +683,7 @@ func (kn *kernel) remove(i int) (leaf int32, edge bool) {
 	if leaf == 0 {
 		return 0, false
 	}
-	if int32(i) == kn.nodes[leaf].first {
+	if int32(i) == kn.nodes[leaf].first || kn.rad[i] == kn.rmax[leaf] {
 		return leaf, true
 	}
 	b, d := kn.nodeBox(int(leaf)), kn.d

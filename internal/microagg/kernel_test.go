@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -55,7 +56,9 @@ func groupsEqual(a, b [][]int) bool {
 // row-slice reference, for both standardized and raw distances: on
 // tie-heavy grids at every worker budget, and at 10⁴ rows on the inputs
 // pruning must survive — university cohorts, a tie-heavy grid, two
-// distinct points, and rows that coincide after outliers.
+// distinct points, rows that coincide after outliers, heavy-tailed tables
+// whose later centroids lie far from the radial bound's anchor, and raw
+// rows whose first-round sums overflow, so the anchor is ±Inf.
 func TestKernelMatchesReference(t *testing.T) {
 	budgets := map[string]func() *parallel.Budget{
 		"nil": func() *parallel.Budget { return nil },
@@ -101,6 +104,19 @@ func TestKernelMatchesReference(t *testing.T) {
 	for i := range huge {
 		huge[i] = []float64{(rng.Float64() - 0.5) * 1e300, float64(rng.Intn(4))}
 	}
+	// A quarter of column A sits near +1e308, so its row-order sum is
+	// +Inf; standardizing would make it NaN, so this table runs raw only.
+	infAnchor := drawRows(400, 2, 9, (*rand.Rand).NormFloat64)
+	for i := 0; i < len(infAnchor); i += 4 {
+		infAnchor[i][0] = 1e308 * (0.5 + float64(i)/1600)
+	}
+	finite := func(r float64) bool { return !math.IsInf(r, 1) }
+	if kn, err := newTableKernel(numTable(t, infAnchor), 2, false); err != nil || finite(kn.anchor[0]) || slices.ContainsFunc(kn.rad, finite) {
+		t.Fatalf("infinite-anchor table: err %v, want the anchor and every rad at +Inf", err)
+	}
+	expo := (*rand.Rand).ExpFloat64
+	lognormal := func(r *rand.Rand) float64 { return math.Exp(r.NormFloat64()) }
+	rawOnly := map[string]bool{"infinite-anchor": true}
 	for _, c := range []struct {
 		name string
 		tbl  *dataset.Table
@@ -111,9 +127,16 @@ func TestKernelMatchesReference(t *testing.T) {
 		{"two-points", numTable(t, twoPoints), []int{2, 8, 16}},
 		{"coincide-after-outliers", numTable(t, outliersThenCoinciding(3, 60)), []int{2, 3, 5}},
 		{"overflowing", numTable(t, huge), []int{2, 5}},
+		{"exponential-d1", numTable(t, drawRows(3000, 1, 21, expo)), []int{2, 8}},
+		{"exponential-d3", numTable(t, drawRows(5000, 3, 22, expo)), []int{2, 16}},
+		{"lognormal-d2", numTable(t, drawRows(5000, 2, 23, lognormal)), []int{2, 16}},
+		{"infinite-anchor", numTable(t, infAnchor), []int{2, 5}},
 	} {
 		for _, k := range c.ks {
 			for _, std := range []bool{true, false} {
+				if std && rawOnly[c.name] {
+					continue
+				}
 				t.Run(fmt.Sprintf("%s/n=%d/k=%d/std=%v", c.name, c.tbl.NumRows(), k, std), func(t *testing.T) {
 					t.Parallel()
 					want := referenceAssign(c.tbl, k, std)
@@ -191,6 +214,20 @@ func TestVMDAVMatchesReference(t *testing.T) {
 	}
 }
 
+// drawRows returns n rows of d values drawn by draw from a source seeded
+// with seed.
+func drawRows(n, d int, seed int64, draw func(*rand.Rand) float64) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = make([]float64, d)
+		for j := range rows[i] {
+			rows[i][j] = draw(rng)
+		}
+	}
+	return rows
+}
+
 // outliersThenCoinciding returns nOut distinct outlier rows followed by
 // nSame rows at one point.
 func outliersThenCoinciding(nOut, nSame int) [][]float64 {
@@ -224,7 +261,7 @@ func coincidingRows() map[string][][]float64 {
 // geometry is forced directly through carve.
 func TestKernelSeedOutsideRemaining(t *testing.T) {
 	pts := []float64{0, 1, 2, 10, 11, 12}
-	kn := newKernel(pts, 6, 1, 3)
+	kn := newKernel(pts, 6, 1).clone(3)
 	kn.take([]int{0, 1, 2})
 	// Seed 0 is not among the remaining {3,4,5}: the group keeps the seed,
 	// the tree keeps everything not selected.
@@ -396,6 +433,44 @@ func TestSeedFallbackNearTies(t *testing.T) {
 		}
 		if fallbacks == 0 {
 			t.Errorf("table %d: no round fell back", i)
+		}
+	}
+}
+
+// TestFarthestPruning pins how few distances the farthest-row queries
+// compute once the radial bound prunes beside the boxes: on the seed-11
+// 10⁴-row university cohort at k = 2, 8 and 16, at most 32 per round on
+// average for the seed query and at most 64 for the query farthest from r.
+// With boxes alone they computed about 940, 670 and 490 for the seed, and
+// 335, 250 and 213 from r. The rounds are assign's, walked here so each
+// query's count is read on its own.
+func TestFarthestPruning(t *testing.T) {
+	university, _, err := datagen.University(datagen.UniversityConfig{Seed: 11, N: 10000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{2, 8, 16} {
+		kn, err := newTableKernel(university, k, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rounds, seedDists, fromR int
+		for kn.nodes[0].live >= int32(3*k) {
+			before := kn.dists
+			r := kn.seed()
+			seedDists += kn.dists - before
+			kn.carve(r, k)
+			before = kn.dists
+			s := kn.farthest(kn.row(r))
+			fromR += kn.dists - before
+			kn.carve(s, k)
+			rounds++
+		}
+		t.Logf("k=%d: %d rounds, %.1f distances per seed query, %.1f per query from r",
+			k, rounds, float64(seedDists)/float64(rounds), float64(fromR)/float64(rounds))
+		if seedDists > 32*rounds || fromR > 64*rounds {
+			t.Errorf("k=%d: %d and %d distances over %d rounds, want at most 32 and 64 per round",
+				k, seedDists, fromR, rounds)
 		}
 	}
 }

@@ -55,11 +55,7 @@ var ErrTooFewRecords = fmt.Errorf("microagg: fewer records than k: %w", dataset.
 // by their MDAV group centroid (or interval). k must be ≥ 2 and ≤ the number
 // of rows.
 func (a *Anonymizer) Anonymize(t *dataset.Table, k int) (*dataset.Table, error) {
-	groups, err := a.Assign(t, k)
-	if err != nil {
-		return nil, err
-	}
-	return Aggregate(t, groups, a.Opts.CentroidAsInterval)
+	return a.Prepare(t, nil)(k, nil)
 }
 
 // AnonymizeParallel is Anonymize. The budget is unused, since the MDAV
@@ -67,6 +63,25 @@ func (a *Anonymizer) Anonymize(t *dataset.Table, k int) (*dataset.Table, error) 
 // callers that assert one.
 func (a *Anonymizer) AnonymizeParallel(t *dataset.Table, k int, _ *parallel.Budget) (*dataset.Table, error) {
 	return a.Anonymize(t, k)
+}
+
+// Prepare does the work on t that does not depend on k once — validation,
+// the quasi-identifier points, standardized if the options say so, the k-d
+// tree and the radial bounds — and returns the function that anonymizes t
+// at any level k from it, equal to Anonymize(t, k). Both budgets are
+// unused. The function is safe for concurrent use: each call copies the
+// tree's live state. It reports k's errors first, then t's, in Assign's
+// order.
+func (a *Anonymizer) Prepare(t *dataset.Table, _ *parallel.Budget) func(k int, b *parallel.Budget) (*dataset.Table, error) {
+	opts := a.Opts
+	p := prepare(t, opts.Standardize)
+	return func(k int, _ *parallel.Budget) (*dataset.Table, error) {
+		kn, err := p.level(k)
+		if err != nil {
+			return nil, err
+		}
+		return Aggregate(t, kn.assign(k), opts.CentroidAsInterval)
+	}
 }
 
 // Assign runs MDAV and returns the clusters as row-index groups, each of
@@ -81,23 +96,32 @@ func (a *Anonymizer) Assign(t *dataset.Table, k int) ([][]int, error) {
 	return kn.assign(k), nil
 }
 
-// newTableKernel checks t and k for MDAV and builds the kernel over t's
-// quasi-identifier points, z-scored when std is set.
+// newTableKernel checks t and k for MDAV and returns a kernel for one run at
+// k over t's quasi-identifier points, z-scored when std is set.
 func newTableKernel(t *dataset.Table, k int, std bool) (*kernel, error) {
-	if k < 2 {
-		return nil, fmt.Errorf("microagg: k must be ≥ 2, got %d", k)
-	}
+	return prepare(t, std).level(k)
+}
+
+// prepared is a table with MDAV's k-invariant work done: the kernel every
+// level clones, or the table's validation error.
+type prepared struct {
+	n   int
+	kn  *kernel
+	err error
+}
+
+// prepare validates t for MDAV and builds the kernel over its
+// quasi-identifier points, z-scored when std is set. A table that fails
+// validation is not read further.
+func prepare(t *dataset.Table, std bool) prepared {
 	n := t.NumRows()
-	if n < k {
-		return nil, fmt.Errorf("%w: %d < %d", ErrTooFewRecords, n, k)
-	}
 	qis := t.Schema().IndicesOf(dataset.QuasiIdentifier)
 	if len(qis) == 0 {
-		return nil, errors.New("microagg: table has no quasi-identifier columns")
+		return prepared{n: n, err: errors.New("microagg: table has no quasi-identifier columns")}
 	}
 	for _, c := range qis {
 		if t.Schema().Column(c).Kind != dataset.Number {
-			return nil, fmt.Errorf("microagg: quasi-identifier %q is not numeric; MDAV is a quantitative method", t.Schema().Column(c).Name)
+			return prepared{n: n, err: fmt.Errorf("microagg: quasi-identifier %q is not numeric; MDAV is a quantitative method", t.Schema().Column(c).Name)}
 		}
 	}
 	d := len(qis)
@@ -106,9 +130,24 @@ func newTableKernel(t *dataset.Table, k int, std bool) (*kernel, error) {
 		standardizeFlat(pts, n, d)
 	}
 	if err := checkFinite(t, qis, pts); err != nil {
-		return nil, err
+		return prepared{n: n, err: err}
 	}
-	return newKernel(pts, n, d, k), nil
+	return prepared{n: n, kn: newKernel(pts, n, d)}
+}
+
+// level checks k, then the table, and returns a clone of the prepared
+// kernel for one run at k.
+func (p prepared) level(k int) (*kernel, error) {
+	if k < 2 {
+		return nil, fmt.Errorf("microagg: k must be ≥ 2, got %d", k)
+	}
+	if p.n < k {
+		return nil, fmt.Errorf("%w: %d < %d", ErrTooFewRecords, p.n, k)
+	}
+	if p.err != nil {
+		return nil, p.err
+	}
+	return p.kn.clone(k), nil
 }
 
 // checkFinite fails on the first NaN or ±Inf in pts, t's columns cols laid

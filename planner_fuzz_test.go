@@ -157,16 +157,15 @@ func TestPlannerCheckCatchesRiseAtProbePoint(t *testing.T) {
 	}
 }
 
-// countingPreparer is MDAV as a core.Preparer whose prepared form is
-// Anonymize itself; it counts the Prepare calls.
+// countingPreparer is MDAV's own prepared form, counting the Prepare calls.
 type countingPreparer struct {
-	core.Anonymizer
+	*microagg.Anonymizer
 	prepares atomic.Int32
 }
 
-func (c *countingPreparer) Prepare(t *dataset.Table, _ *parallel.Budget) func(int, *parallel.Budget) (*dataset.Table, error) {
+func (c *countingPreparer) Prepare(t *dataset.Table, b *parallel.Budget) func(int, *parallel.Budget) (*dataset.Table, error) {
 	c.prepares.Add(1)
-	return func(k int, _ *parallel.Budget) (*dataset.Table, error) { return c.Anonymize(t, k) }
+	return c.Anonymizer.Prepare(t, b)
 }
 
 // TestPlannerPreparesPOncePerRun: every level and probe of a planner run
