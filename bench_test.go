@@ -26,7 +26,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/microagg"
 	"repro/internal/mondrian"
-	"repro/internal/perturb"
 	"repro/internal/service"
 	"repro/internal/web"
 )
@@ -313,35 +312,8 @@ func BenchmarkAblationWebNoise(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPerturbation attacks a Laplace-perturbed release — the
-// paper's other anonymization family (Section 1's taxonomy). The breach
-// persists: release-side noise does not touch the auxiliary channel.
-func BenchmarkAblationPerturbation(b *testing.B) {
-	sc := benchScenario(b)
-	for _, k := range []int{2, 8} {
-		b.Run(fmt.Sprintf("laplace-k%d", k), func(b *testing.B) {
-			lap := perturb.New(42)
-			var after float64
-			for i := 0; i < b.N; i++ {
-				anon, err := lap.Anonymize(sc.P, k)
-				if err != nil {
-					b.Fatal(err)
-				}
-				release := anon.Clone()
-				release.SuppressColumn(release.Schema().MustLookup("Salary"))
-				_, _, a, err := sc.Attack(release, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				after = a
-			}
-			b.ReportMetric(after, "after")
-		})
-	}
-}
-
-// BenchmarkAblationMicroaggVariants compares MDAV against V-MDAV and the
-// optimal univariate DP on within-group SSE (information loss).
+// BenchmarkAblationMicroaggVariants compares MDAV against V-MDAV on
+// within-group SSE (information loss).
 func BenchmarkAblationMicroaggVariants(b *testing.B) {
 	sc := benchScenario(b)
 	variants := []struct {
@@ -350,9 +322,6 @@ func BenchmarkAblationMicroaggVariants(b *testing.B) {
 	}{
 		{"mdav", func(k int) ([][]int, error) { return microagg.New().Assign(sc.P, k) }},
 		{"v-mdav", func(k int) ([][]int, error) { return microagg.NewVMDAV().Assign(sc.P, k) }},
-		{"optimal-1d", func(k int) ([][]int, error) {
-			return (&microagg.OptimalUnivariate{Column: "Research"}).Assign(sc.P, k)
-		}},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
@@ -367,24 +336,6 @@ func BenchmarkAblationMicroaggVariants(b *testing.B) {
 			b.ReportMetric(sse, "sse@k=5")
 		})
 	}
-}
-
-// BenchmarkAdaptiveDefense measures the adaptive per-record defense and its
-// residual exposure — the follow-up paper's [11] prototype.
-func BenchmarkAdaptiveDefense(b *testing.B) {
-	sc := benchScenario(b)
-	var res *core.AdaptiveResult
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = sc.RunAdaptive(4, 0.10, 0.10)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.ExposedBefore, "exposed-before")
-	b.ReportMetric(res.ExposedAfter, "exposed-after")
-	b.ReportMetric(float64(len(res.Suppressed)), "suppressed")
 }
 
 // BenchmarkRiskAssessment measures the record-level disclosure report.

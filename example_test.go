@@ -316,18 +316,13 @@ func Example_attacksim() {
 	// baseline: the attack degrades gracefully rather than failing.
 }
 
-// Example_adaptive demonstrates the defense side beyond Algorithm 1: the
-// adaptive per-record anonymization the paper cites as its companion work
-// [11]. It first quantifies record-level disclosure with the risk report,
-// then runs the tighten-and-reattack loop and shows what residual exposure
-// remains — the paper's closing point that fusion attacks can be mitigated
-// but not entirely prevented.
-func Example_adaptive() {
-	const (
-		k      = 4    // base anonymization level
-		tol    = 0.10 // relative error defining an exposed record
-		target = 0.10 // acceptable exposed fraction
-	)
+// Example_riskReport quantifies disclosure record by record, where
+// Algorithm 1's dissimilarity measures the whole table: of a static k=4
+// release, how many salaries the fusion attack estimates within ±10% and
+// ±20%, how often it hits the right salary class, and how well it ranks
+// the cohort.
+func Example_riskReport() {
+	const k = 4
 	sc, err := repro.UniversityScenario(repro.ScenarioOptions{Seed: 42})
 	check(err)
 
@@ -335,36 +330,8 @@ func Example_adaptive() {
 	check(err)
 	report, err := sc.Assess(release, nil)
 	check(err)
-	fmt.Printf("Static k=%d release under the fusion attack:\n  %s\n\n", k, report)
-
-	res, err := sc.RunAdaptive(k, tol, target)
-	check(err)
-	fmt.Printf("Adaptive defense (tol ±%.0f%%, target ≤%.0f%% exposed):\n", tol*100, target*100)
-	fmt.Printf("  exposure %.0f%% → %.0f%% after %d rounds, %d records suppressed\n",
-		100*res.ExposedBefore, 100*res.ExposedAfter, res.Rounds, len(res.Suppressed))
-	fmt.Printf("  release utility at k=%d: %.5f\n", k, res.Utility)
-	if res.Exhausted {
-		fmt.Println("  loop exhausted: the remaining exposed records are estimated from")
-		fmt.Println("  web data alone — suppressing their release cells cannot help.")
-		fmt.Println("  (This is the paper's conclusion: fusion attacks can be mitigated,")
-		fmt.Println("  not entirely prevented.)")
-	}
-
-	adaptiveReport, err := sc.Assess(res.Release, nil)
-	check(err)
-	fmt.Printf("\nAdaptive release under the same attack:\n  %s\n", adaptiveReport)
+	fmt.Printf("Static k=%d release under the fusion attack:\n  %s\n", k, report)
 	// Output:
 	// Static k=4 release under the fusion attack:
 	//   records 40: ±10% breach 45%, ±20% breach 75%, class hit 62% (midpoint baseline 62%), rank exposure 0.96
-	//
-	// Adaptive defense (tol ±10%, target ≤10% exposed):
-	//   exposure 45% → 38% after 18 rounds, 18 records suppressed
-	//   release utility at k=4: 0.00109
-	//   loop exhausted: the remaining exposed records are estimated from
-	//   web data alone — suppressing their release cells cannot help.
-	//   (This is the paper's conclusion: fusion attacks can be mitigated,
-	//   not entirely prevented.)
-	//
-	// Adaptive release under the same attack:
-	//   records 40: ±10% breach 38%, ±20% breach 75%, class hit 62% (midpoint baseline 62%), rank exposure 0.89
 }

@@ -1,8 +1,7 @@
 package repro
 
 // Cross-module integration tests: CSV round-trips through the attack
-// pipeline, the perturbation family inside the FRED sweep, and parser
-// robustness.
+// pipeline, and parser robustness.
 
 import (
 	"bytes"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/fuzzy"
 	"repro/internal/kanon"
 	"repro/internal/metrics"
-	"repro/internal/perturb"
 	"repro/internal/risk"
 )
 
@@ -55,36 +53,6 @@ func TestPipelineSurvivesCSVRoundTrip(t *testing.T) {
 	}
 	if before1 != before2 || after1 != after2 {
 		t.Errorf("CSV path diverged: (%g, %g) vs (%g, %g)", before1, after1, before2, after2)
-	}
-}
-
-// TestPerturbationInsideSweep runs the Laplace anonymizer through the FRED
-// sweep machinery: the taxonomy's other family slots into the same
-// Basic_Anonymization seat.
-func TestPerturbationInsideSweep(t *testing.T) {
-	sc, err := UniversityScenario(ScenarioOptions{Seed: 42, N: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	atk := core.AttackConfig{Aux: sc.Q, Estimator: sc.Estimator(), SensitiveRange: sc.SensitiveRange}
-	lap := perturb.New(42)
-	// Moderate budget: ε(k) = 10/k keeps the low levels informative. With
-	// the default ε = 1/k the perturbed reviews are pure noise and the
-	// naive fuzzy fusion does WORSE than the midpoint — the garbage release
-	// features poison the estimator.
-	lap.Epsilon = func(k int) float64 { return 10 / float64(k) }
-	levels, err := core.Sweep(sc.P, lap, atk, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(levels) != 7 {
-		t.Fatalf("levels = %d", len(levels))
-	}
-	// At the informative low levels fusion must still breach.
-	for _, lr := range levels[:2] {
-		if lr.After >= lr.Before {
-			t.Errorf("k=%d: fusion gained nothing on mildly perturbed release", lr.K)
-		}
 	}
 }
 

@@ -89,8 +89,10 @@ type Config struct {
 	MaxK int
 	// LiteralPaperLoop reproduces the pseudocode's literal stopping rule
 	// ("repeat … until U_level ≥ Tu"), which halts as soon as a release is
-	// useful — almost certainly a typo for the prose rule. Kept for the
-	// ablation bench (DESIGN.md, "Ablation: the literal paper loop").
+	// useful — almost certainly a typo for the prose rule. Users reach it
+	// through fred sweep -literal-loop, whose output two cmd/fred goldens
+	// pin; the ablation bench compares it with the prose rule (DESIGN.md,
+	// "Ablation: the literal paper loop").
 	LiteralPaperLoop bool
 }
 

@@ -398,23 +398,23 @@ func TestSeedCertificationRate(t *testing.T) {
 
 // nearTieTables are small raw tables, found by search, that mix ±1e16 with
 // small values, so running sums drift from row-order ones and seed
-// distances nearly tie. A zero bound on the centroid's drift certifies a
-// wrong seed on tables 0, 1 and 3 at k = 2; exempting rows at the best
-// row's distance, rather than at its coordinates, does on tables 2 and 3.
+// distances nearly tie. At k = 2 MDAV falls back on each. A zero bound on
+// the centroid's drift certifies a wrong seed on tables 0 and 3; exempting
+// rows at the best row's distance, rather than at its coordinates, does on
+// table 1 under MDAV and on tables 2 and 3 under V-MDAV.
 var nearTieTables = [][][]float64{
 	{{-1}, {-1}, {-1e16}, {-3}, {3}, {-3}, {0.1}, {1e16}, {0.1}, {0.1}, {-3}, {1e-16}},
-	{{-1}, {-1e16}, {-0.1}, {1e-16}, {-1}, {-3}},
+	{{-1}, {-1}, {0}, {-1e16}, {1e16}, {1e16}, {-1e16}, {-1}, {0}, {1}, {1e16}, {0}, {0}, {0}},
 	{{0, -1e16}, {0.1, 1e16}, {1e16, 1}, {3, 3}, {0.1, -0.1}, {0.1, 3}, {-1, -1}},
 	{{-1e16}, {0.1}, {-1e16}, {-0.1}, {-0.1}, {1e-16}, {-3}, {0.1}, {1}, {1e16}, {-3}, {3}, {1e-16}, {1e16}},
 }
 
 // TestSeedFallbackNearTies: on the near-tie tables, MDAV and V-MDAV (k = 2,
-// γ = 1, raw distances) match the reference, and rounds fall back, since
-// the certificate cannot tell the seed from the running sums.
+// γ = 1, raw distances) match the reference, and MDAV's rounds fall back,
+// since the certificate cannot tell the seed from the running sums.
 func TestSeedFallbackNearTies(t *testing.T) {
 	for i, rows := range nearTieTables {
 		tbl := numTable(t, rows)
-		fallbacks := 0
 		for _, scheme := range []string{"mdav", "v-mdav"} {
 			kn, err := newTableKernel(tbl, 2, false)
 			if err != nil {
@@ -429,10 +429,9 @@ func TestSeedFallbackNearTies(t *testing.T) {
 			if !groupsEqual(got, want) {
 				t.Errorf("table %d %s: kernel groups diverge from reference:\ngot  %v\nwant %v", i, scheme, got, want)
 			}
-			fallbacks += kn.fallbacks
-		}
-		if fallbacks == 0 {
-			t.Errorf("table %d: no round fell back", i)
+			if scheme == "mdav" && kn.fallbacks == 0 {
+				t.Errorf("table %d: no MDAV round fell back", i)
+			}
 		}
 	}
 }

@@ -265,17 +265,3 @@ func (s *Scenario) Assess(release *dataset.Table, est fusion.Estimator) (*risk.A
 	}
 	return risk.Assess(s.P, phat, s.SensitiveCol, s.SensitiveRange.Lo, s.SensitiveRange.Hi)
 }
-
-// RunAdaptive runs the adaptive (per-record) defense prototype of the
-// paper's follow-up [11]: anonymize at base level k, then suppress the
-// quasi-identifiers of the most precisely estimated records until at most
-// maxExposed of the cohort is estimated within ±riskTol.
-func (s *Scenario) RunAdaptive(k int, riskTol, maxExposed float64) (*core.AdaptiveResult, error) {
-	return core.AdaptiveRun(s.P, core.AdaptiveConfig{
-		Anonymizer:         microagg.New(),
-		Attack:             s.attack(nil),
-		K:                  k,
-		RiskTol:            riskTol,
-		MaxExposedFraction: maxExposed,
-	})
-}

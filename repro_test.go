@@ -267,21 +267,6 @@ func TestScenarioAssess(t *testing.T) {
 	}
 }
 
-func TestScenarioRunAdaptive(t *testing.T) {
-	sc, err := UniversityScenario(ScenarioOptions{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sc.RunAdaptive(4, 0.10, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ExposedAfter > res.ExposedBefore {
-		t.Errorf("adaptive defense increased exposure: %.2f → %.2f",
-			res.ExposedBefore, res.ExposedAfter)
-	}
-}
-
 // TestDiversityGuardsDoNotStopFusion verifies the paper's related-work
 // argument (Section 2): partition-quality guards such as t-closeness reason
 // about the released equivalence classes, but the fusion breach flows
