@@ -371,7 +371,7 @@ func BenchmarkAblationHandAuthoredFIS(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys, err := fuzzy.ParseFIS(bytes.NewReader(raw), fuzzy.Options{})
+	sys, err := fuzzy.ParseFIS(bytes.NewReader(raw))
 	if err != nil {
 		b.Fatal(err)
 	}

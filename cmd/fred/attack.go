@@ -56,7 +56,7 @@ func runAttack(args []string) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sys, err := fuzzy.ParseFIS(fh, fuzzy.Options{})
+		sys, err := fuzzy.ParseFIS(fh)
 		fh.Close()
 		if err != nil {
 			log.Fatal(err)

@@ -184,7 +184,7 @@ func TestEstimatorSweepDeterminism(t *testing.T) {
 		"fuzzy-observed": func() fusion.Estimator { return fusion.NewFuzzy() },
 		// Compound rules: the evaluator's grade-map path.
 		"fis": func() fusion.Estimator {
-			sys, err := fuzzy.ParseFIS(bytes.NewReader(fis), fuzzy.Options{})
+			sys, err := fuzzy.ParseFIS(bytes.NewReader(fis))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -119,6 +119,44 @@ func TestAttackNonFiniteSensitiveFails(t *testing.T) {
 	}
 }
 
+// TestAttackNonFiniteFeatureFails: a NaN or ±Inf feature cell fails the
+// attack naming the feature and its row, whichever row holds it — in Q, at
+// row 0 (which seeds the observed-range scan) or later, or in a release
+// quasi-identifier.
+func TestAttackNonFiniteFeatureFails(t *testing.T) {
+	p, q := universityFixture(t, 24)
+	anon, err := microagg.New().Anonymize(p, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := anon.WithSuppressed(anon.Schema().IndicesOf(dataset.Sensitive)...)
+	set := func(tab *dataset.Table, row int, col string, v float64) *dataset.Table {
+		tab = tab.Clone()
+		if err := tab.SetCell(row, tab.Schema().MustLookup(col), dataset.Num(v)); err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+	cases := []struct {
+		name         string
+		release, aux *dataset.Table
+		want         string
+	}{
+		{"aux NaN row 0", release, set(q, 0, "Seniority", math.NaN()), `"aux.Seniority" has a non-finite value (NaN or ±Inf) in row 0`},
+		{"aux NaN row 1", release, set(q, 1, "Seniority", math.NaN()), `"aux.Seniority" has a non-finite value (NaN or ±Inf) in row 1`},
+		{"aux +Inf row 2", release, set(q, 2, "Seniority", math.Inf(1)), `"aux.Seniority" has a non-finite value (NaN or ±Inf) in row 2`},
+		{"release NaN row 3", set(release, 3, "Teaching", math.NaN()), q, `"Teaching" has a non-finite value (NaN or ±Inf) in row 3`},
+	}
+	for _, tc := range cases {
+		_, before, after, err := Attack(p, tc.release, AttackConfig{Aux: tc.aux, SensitiveRange: salaryRange()})
+		if err == nil {
+			t.Errorf("%s: attack succeeded: before %v, after %v", tc.name, before, after)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestSweepSeriesShapes(t *testing.T) {
 	p, q := universityFixture(t, 40)
 	atk := AttackConfig{Aux: q, SensitiveRange: salaryRange()}

@@ -110,71 +110,57 @@ func TestEstimateBatchMatchesEstimate(t *testing.T) {
 }
 
 // TestFISBatchMatchesEstimate pins the hand-authored system adapter to
-// System.Evaluate and EvaluateSugeno, including no-rule-fired rows.
+// System.Evaluate, including no-rule-fired rows.
 func TestFISBatchMatchesEstimate(t *testing.T) {
-	build := func(sugeno bool) *FIS {
-		outVar, err := fuzzy.NewVariable("out", 0, 100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sugeno {
-			for _, s := range []struct {
-				name string
-				x    float64
-			}{{"low", 10}, {"high", 90}} {
-				if err := outVar.AddTerm(s.name, fuzzy.Singleton{X: s.x}); err != nil {
-					t.Fatal(err)
-				}
-			}
-		} else if err := outVar.UniformTerms([]string{"low", "high"}); err != nil {
-			t.Fatal(err)
-		}
-		sys, err := fuzzy.NewSystem(outVar, fuzzy.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range []string{"f1", "f2"} {
-			v, err := fuzzy.NewVariable(name, 0, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := v.ThreeTerms("low", "med", "high"); err != nil {
-				t.Fatal(err)
-			}
-			if err := sys.AddInput(v); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, r := range []string{
-			// Sparse on purpose: mid-range rows fire nothing.
-			"IF f1 IS low AND f2 IS low THEN out IS low",
-			"IF f1 IS high AND f2 IS high THEN out IS high",
-		} {
-			if err := sys.AddRuleText(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return &FIS{System: sys, FeatureNames: []string{"f1", "f2"}, Sugeno: sugeno}
+	outVar, err := fuzzy.NewVariable("out", 0, 100)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := outVar.UniformTerms([]string{"low", "high"}); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := fuzzy.NewSystem(outVar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"f1", "f2"} {
+		v, err := fuzzy.NewVariable(name, 0, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := v.ThreeTerms("low", "med", "high"); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.AddInput(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range []string{
+		// Sparse on purpose: mid-range rows fire nothing.
+		"IF f1 IS low AND f2 IS low THEN out IS low",
+		"IF f1 IS high AND f2 IS high THEN out IS high",
+	} {
+		if err := sys.AddRuleText(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := &FIS{System: sys, FeatureNames: []string{"f1", "f2"}}
 	rng := rand.New(rand.NewSource(5))
 	const n = 400
 	m, rows := randMatrix(rng, n, 2)
 	out := Range{Lo: 0, Hi: 100}
+	want, err := referenceEstimate(f, rows, out)
+	if err != nil {
+		t.Fatal(err)
+	}
 	arena := &Arena{}
-	for _, sugeno := range []bool{false, true} {
-		f := build(sugeno)
-		want, err := referenceEstimate(f, rows, out)
-		if err != nil {
-			t.Fatalf("sugeno=%v: %v", sugeno, err)
+	for _, b := range batchBudgets() {
+		arena.Reset()
+		got := arena.Floats(n)
+		if err := f.EstimateBatch(m, out, b, arena, got); err != nil {
+			t.Fatal(err)
 		}
-		for _, b := range batchBudgets() {
-			arena.Reset()
-			got := arena.Floats(n)
-			if err := f.EstimateBatch(m, out, b, arena, got); err != nil {
-				t.Fatalf("sugeno=%v: %v", sugeno, err)
-			}
-			sameBits(t, f.Name(), got, want)
-		}
+		sameBits(t, f.Name(), got, want)
 	}
 }
 

@@ -6,23 +6,20 @@ import (
 
 	"repro/internal/fuzzy"
 	"repro/internal/parallel"
-	"repro/internal/stats"
 )
 
 // FIS adapts a hand-authored fuzzy inference system (typically loaded with
 // fuzzy.ParseFIS) into an Estimator. Unlike Fuzzy, which synthesizes
 // variables and rules from the data, FIS runs the system exactly as
 // authored — the workflow of the paper's adversary, who wrote the Figure 2
-// system by hand in the Matlab toolbox.
+// system by hand in the Matlab toolbox. It is the one path for hand-written
+// rule bases.
 type FIS struct {
 	// System is the complete authored system.
 	System *fuzzy.System
 	// FeatureNames maps feature columns to the system's input variables,
 	// in feature order. Every registered input must appear.
 	FeatureNames []string
-	// Sugeno evaluates with zero-order Sugeno inference instead of Mamdani
-	// (the output terms must then be singletons).
-	Sugeno bool
 }
 
 // Name implements Estimator.
@@ -31,9 +28,9 @@ func (f *FIS) Name() string { return "fis" }
 // EstimateBatch implements Estimator. The system is compiled per call — FIS
 // runs the system exactly as currently authored, so rules added between
 // calls must stay visible — and the rows evaluate chunk-parallel through
-// per-chunk evaluator clones, Mamdani and Sugeno alike. Records on which no
-// rule fires (the batch NaN sentinel) fall back to the range midpoint,
-// matching the Fuzzy estimator's convention.
+// evaluator clones. Records on which no rule fires (the batch NaN sentinel)
+// fall back to the range midpoint, matching the Fuzzy estimator's
+// convention.
 func (f *FIS) EstimateBatch(m Matrix, out Range, b *parallel.Budget, _ *Arena, est []float64) error {
 	if f.System == nil {
 		return errors.New("fusion: FIS estimator has no system")
@@ -41,8 +38,7 @@ func (f *FIS) EstimateBatch(m Matrix, out Range, b *parallel.Budget, _ *Arena, e
 	if !out.valid() {
 		return fmt.Errorf("fusion: empty range")
 	}
-	n := m.Rows
-	if n == 0 {
+	if m.Rows == 0 {
 		return errors.New("fusion: FIS estimator needs at least one record")
 	}
 	d := m.Stride
@@ -65,26 +61,5 @@ func (f *FIS) EstimateBatch(m Matrix, out Range, b *parallel.Budget, _ *Arena, e
 	if err := proto.BindInputs(f.FeatureNames); err != nil {
 		return err
 	}
-	var firstErr batchErr
-	b.For(n, heavyRowGrain, func(lo, hi int) {
-		ev := proto.Clone()
-		var err error
-		if f.Sugeno {
-			err = ev.EvaluateBatchSugeno(m.Flat[lo*d:hi*d], d, est[lo:hi])
-		} else {
-			err = ev.EvaluateBatch(m.Flat[lo*d:hi*d], d, est[lo:hi])
-		}
-		firstErr.set(err)
-	})
-	if err := firstErr.get(); err != nil {
-		return err
-	}
-	mid := out.Mid()
-	for i, v := range est {
-		if v != v { // NaN: no rule fired on this row
-			v = mid
-		}
-		est[i] = stats.Clamp(v, out.Lo, out.Hi)
-	}
-	return nil
+	return (&compiledFuzzy{proto: proto}).estimate(m, out, b, est)
 }

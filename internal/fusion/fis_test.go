@@ -21,7 +21,7 @@ RULE IF valuation IS high THEN income IS high
 
 func loadFIS(t *testing.T) *fuzzy.System {
 	t.Helper()
-	sys, err := fuzzy.ParseFIS(strings.NewReader(incomeFIS), fuzzy.Options{})
+	sys, err := fuzzy.ParseFIS(strings.NewReader(incomeFIS))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,38 +73,5 @@ func TestFISErrors(t *testing.T) {
 	}
 	if _, err := estimateRows(&FIS{System: sys, FeatureNames: []string{"valuation"}}, [][]float64{{1}}, Range{5, 5}); err == nil {
 		t.Error("empty range accepted")
-	}
-	// Sugeno over Mamdani terms fails.
-	sug := &FIS{System: sys, FeatureNames: []string{"valuation"}, Sugeno: true}
-	if _, err := estimateRows(sug, [][]float64{{9}}, Range{40000, 160000}); err == nil {
-		t.Error("Sugeno over non-singleton terms accepted")
-	}
-}
-
-func TestFISSugeno(t *testing.T) {
-	src := `
-OUTPUT income 0 100
-TERM income low singleton 20
-TERM income high singleton 80
-INPUT x 0 10
-TERM x low  trap -inf -inf 4 6
-TERM x high trap 4 6 inf inf
-RULE IF x IS low THEN income IS low
-RULE IF x IS high THEN income IS high
-`
-	sys, err := fuzzy.ParseFIS(strings.NewReader(src), fuzzy.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	est := &FIS{System: sys, FeatureNames: []string{"x"}, Sugeno: true}
-	got, err := estimateRows(est, [][]float64{{0}, {10}, {5}}, Range{0, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 20 || got[1] != 80 {
-		t.Errorf("sugeno = %v", got)
-	}
-	if got[2] != 50 { // dead zone → midpoint
-		t.Errorf("dead zone = %g", got[2])
 	}
 }

@@ -13,6 +13,7 @@ package fusion
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/dataset"
 	"repro/internal/parallel"
@@ -61,10 +62,15 @@ type AuxFeatures struct {
 	rows  int
 	cols  [][]float64
 	names []string
+	// err reports the first NaN or ±Inf in Q's feature columns;
+	// FeaturesMatrixWith returns it.
+	err error
 }
 
 // PrepareAux extracts and imputes the aux-side feature columns. A nil aux
 // models the adversary without web access and yields an empty feature set.
+// A NaN or ±Inf in one of Q's feature columns is kept, and every feature
+// matrix assembled from the result fails with it.
 func PrepareAux(aux *dataset.Table) *AuxFeatures {
 	af := &AuxFeatures{rows: -1}
 	if aux == nil {
@@ -76,23 +82,34 @@ func PrepareAux(aux *dataset.Table) *AuxFeatures {
 		if aux.Schema().Column(i).Kind != dataset.Number {
 			continue
 		}
-		af.cols = append(af.cols, imputedColumnInto(aux, i, nil, present))
-		af.names = append(af.names, "aux."+aux.Schema().Column(i).Name)
+		name := "aux." + aux.Schema().Column(i).Name
+		col, err := imputedColumnInto(aux, i, name, nil, present)
+		if err != nil {
+			af.err = err
+			return af
+		}
+		af.cols = append(af.cols, col)
+		af.names = append(af.names, name)
 	}
 	return af
 }
 
 // imputedColumnInto reads a column's numeric values (interval midpoints)
 // into an arena buffer, with missing cells replaced by the mean of the
-// observed ones, accumulated in row order. present is caller scratch of
-// length NumRows.
-func imputedColumnInto(t *dataset.Table, idx int, a *Arena, present []bool) []float64 {
+// observed ones, accumulated in row order. A present NaN or ±Inf fails
+// naming the feature and its row: the fuzzy system's domains and rule
+// firings are meaningless over it. present is caller scratch of length
+// NumRows.
+func imputedColumnInto(t *dataset.Table, idx int, name string, a *Arena, present []bool) ([]float64, error) {
 	vals := a.Floats(t.NumRows())
 	t.FloatColumnInto(idx, vals, present)
 	var sum float64
 	var seen int
 	for r, ok := range present {
 		if ok {
+			if !(math.Abs(vals[r]) <= math.MaxFloat64) {
+				return nil, fmt.Errorf("fusion: feature %q has a non-finite value (NaN or ±Inf) in row %d", name, r)
+			}
 			sum += vals[r]
 			seen++
 		}
@@ -106,19 +123,23 @@ func imputedColumnInto(t *dataset.Table, idx int, a *Arena, present []bool) []fl
 			vals[r] = mean
 		}
 	}
-	return vals
+	return vals, nil
 }
 
 // FeaturesMatrixWith assembles the adversary's input matrix: the numeric
 // quasi-identifiers of the release (generalized cells read at interval
 // midpoints), then the prepared aux-side columns, row-aligned. Missing cells
 // (suppressed, unlinked web attributes) are imputed with the column mean of
-// the observed values. Release columns are imputed into arena buffers and
-// the transpose into the flat matrix runs chunk-parallel under the budget;
-// both may be nil. Names parallels the feature columns.
+// the observed values; a NaN or ±Inf feature value, in the release or in Q,
+// fails naming the feature and its row. Release columns are imputed into
+// arena buffers and the transpose into the flat matrix runs chunk-parallel
+// under the budget; both may be nil. Names parallels the feature columns.
 func FeaturesMatrixWith(release *dataset.Table, aux *AuxFeatures, b *parallel.Budget, a *Arena) (Matrix, error) {
 	if aux.rows >= 0 && release.NumRows() != aux.rows {
 		return Matrix{}, fmt.Errorf("fusion: release has %d rows, aux has %d; align them first (web.Gather aligns by roster order)", release.NumRows(), aux.rows)
+	}
+	if aux.err != nil {
+		return Matrix{}, aux.err
 	}
 	qis := release.Schema().IndicesOf(dataset.QuasiIdentifier)
 	var cols [][]float64
@@ -131,8 +152,13 @@ func FeaturesMatrixWith(release *dataset.Table, aux *AuxFeatures, b *parallel.Bu
 		if present == nil {
 			present = a.Bools(release.NumRows())
 		}
-		cols = append(cols, imputedColumnInto(release, i, a, present))
-		names = append(names, release.Schema().Column(i).Name)
+		name := release.Schema().Column(i).Name
+		col, err := imputedColumnInto(release, i, name, a, present)
+		if err != nil {
+			return Matrix{}, err
+		}
+		cols = append(cols, col)
+		names = append(names, name)
 	}
 	cols = append(cols, aux.cols...)
 	names = append(names, aux.names...)

@@ -12,19 +12,6 @@ import (
 
 // FuzzyOptions configures the automatically built Figure 2 system.
 type FuzzyOptions struct {
-	// Terms is the number of linguistic terms per variable (the paper's
-	// Figure 2 uses 3: Low/Med/High). Defaults to 3 when zero.
-	Terms int
-	// Engine passes through the inference options (norms, implication,
-	// defuzzifier, resolution).
-	Engine fuzzy.Options
-	// Rules optionally overrides the generated single-antecedent rule base
-	// with a hand-written one in the rule language. Input variables are
-	// named x0..x(d−1) unless FeatureNames is set; the output variable is
-	// named "out".
-	Rules string
-	// FeatureNames names the input variables for hand-written rules.
-	FeatureNames []string
 	// Domains fixes the input variable ranges from domain knowledge, one
 	// per feature — how the paper's Figure 2 defines its fuzzy sets ("Low
 	// [500-1000], Med [1000-2500], High [2500-6000]"). When nil, domains
@@ -35,9 +22,10 @@ type FuzzyOptions struct {
 }
 
 // Fuzzy is the paper's estimator: a Mamdani system whose input variables
-// partition each feature's observed range and whose rule base encodes the
-// monotone domain knowledge "higher indicators → higher income", one rule
-// per (feature, term) with uniform weights.
+// split each feature's domain into Low/Med/High and whose rule base encodes
+// the monotone domain knowledge "higher indicators → higher income", one
+// rule per (feature, term) with uniform weights. Inference is the fuzzy
+// package's: min-AND, clipped consequents, centroid defuzzification.
 //
 // With fixed Domains the system no longer depends on the input data, so the
 // compiled evaluator is cached across calls and shared (via per-worker
@@ -51,25 +39,12 @@ type Fuzzy struct {
 	compiled *compiledFuzzy
 }
 
-// NewFuzzy returns the estimator with the paper's defaults (3 terms,
-// min-AND, clipped implication, centroid defuzzification).
+// NewFuzzy returns the estimator over the observed feature ranges, the
+// service's configuration.
 func NewFuzzy() *Fuzzy { return &Fuzzy{} }
 
 // Name implements Estimator.
 func (f *Fuzzy) Name() string { return "fuzzy" }
-
-// termNames generates "t0".."t{n-1}" with the paper's familiar aliases for
-// three terms.
-func termNames(n int) []string {
-	if n == 3 {
-		return []string{"low", "med", "high"}
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = fmt.Sprintf("t%d", i)
-	}
-	return out
-}
 
 // compiledFuzzy is one fully built system with its compiled evaluator and a
 // pool of clones for concurrent use. The proto evaluator itself never
@@ -91,43 +66,54 @@ func (cf *compiledFuzzy) get() *fuzzy.Evaluator {
 
 func (cf *compiledFuzzy) put(ev *fuzzy.Evaluator) { cf.pool.Put(ev) }
 
-// system builds the Figure 2 system for d features: validation, variables
-// (domains from Opts.Domains or from obsRange, the observed feature ranges)
-// and the rule base. It returns the input variable names in feature order.
-func (f *Fuzzy) system(d int, out Range, obsRange func(j int) (float64, float64)) (*fuzzy.System, []string, error) {
-	terms := f.Opts.Terms
-	if terms == 0 {
-		terms = 3
+// estimate evaluates the flat matrix chunk-parallel, one pooled evaluator
+// clone per chunk, and writes one estimate per row into est: rows on which
+// no rule fired (the batch NaN sentinel) fall back to the no-fusion range
+// midpoint, and every estimate is clamped to the range.
+func (cf *compiledFuzzy) estimate(m Matrix, out Range, b *parallel.Budget, est []float64) error {
+	d := m.Stride
+	var firstErr batchErr
+	b.For(m.Rows, heavyRowGrain, func(lo, hi int) {
+		ev := cf.get()
+		firstErr.set(ev.EvaluateBatch(m.Flat[lo*d:hi*d], d, est[lo:hi]))
+		cf.put(ev)
+	})
+	if err := firstErr.get(); err != nil {
+		return err
 	}
-	if terms < 2 {
-		return nil, nil, fmt.Errorf("fusion: fuzzy estimator needs ≥ 2 terms, got %d", terms)
-	}
-	names := f.Opts.FeatureNames
-	if names == nil {
-		names = make([]string, d)
-		for j := range names {
-			names[j] = fmt.Sprintf("x%d", j)
+	mid := out.Mid()
+	for i, v := range est {
+		if v != v { // NaN: no rule fired on this row
+			v = mid
 		}
+		est[i] = stats.Clamp(v, out.Lo, out.Hi)
 	}
-	if len(names) != d {
-		return nil, nil, fmt.Errorf("fusion: %d feature names for %d features", len(names), d)
-	}
-	tnames := termNames(terms)
+	return nil
+}
 
+// fuzzyTerms are the linguistic terms of every variable, as in Figure 2.
+var fuzzyTerms = []string{"low", "med", "high"}
+
+// system builds the Figure 2 system for d features: input variables x0..x(d−1)
+// over domains from Opts.Domains or from obsRange, the observed feature
+// ranges, and the rule base. It returns the input variable names in feature
+// order.
+func (f *Fuzzy) system(d int, out Range, obsRange func(j int) (float64, float64)) (*fuzzy.System, []string, error) {
 	output, err := fuzzy.NewVariable("out", out.Lo, out.Hi)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := output.UniformTerms(tnames); err != nil {
+	if err := output.UniformTerms(fuzzyTerms); err != nil {
 		return nil, nil, err
 	}
-	sys, err := fuzzy.NewSystem(output, f.Opts.Engine)
+	sys, err := fuzzy.NewSystem(output)
 	if err != nil {
 		return nil, nil, err
 	}
 	if f.Opts.Domains != nil && len(f.Opts.Domains) != d {
 		return nil, nil, fmt.Errorf("fusion: %d domains for %d features", len(f.Opts.Domains), d)
 	}
+	names := make([]string, d)
 	for j := 0; j < d; j++ {
 		var lo, hi float64
 		if f.Opts.Domains != nil {
@@ -145,36 +131,22 @@ func (f *Fuzzy) system(d int, out Range, obsRange func(j int) (float64, float64)
 				lo, hi = lo-0.5, hi+0.5
 			}
 		}
+		names[j] = fmt.Sprintf("x%d", j)
 		v, err := fuzzy.NewVariable(names[j], lo, hi)
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := v.UniformTerms(tnames); err != nil {
+		if err := v.UniformTerms(fuzzyTerms); err != nil {
 			return nil, nil, err
 		}
 		if err := sys.AddInput(v); err != nil {
 			return nil, nil, err
 		}
-	}
-	if f.Opts.Rules != "" {
-		rules, err := fuzzy.ParseRules(f.Opts.Rules)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, r := range rules {
-			if err := sys.AddRule(r); err != nil {
-				return nil, nil, err
-			}
-		}
-	} else {
 		// The paper's simplistic monotone knowledge rules, uniform weights:
-		// IF xj IS term_i THEN out IS term_i.
-		for j := 0; j < d; j++ {
-			for _, t := range tnames {
-				rule := fmt.Sprintf("IF %s IS %s THEN out IS %s", names[j], t, t)
-				if err := sys.AddRuleText(rule); err != nil {
-					return nil, nil, err
-				}
+		// IF xj IS term THEN out IS term.
+		for _, t := range fuzzyTerms {
+			if err := sys.AddRuleText(fmt.Sprintf("IF %s IS %s THEN out IS %s", names[j], t, t)); err != nil {
+				return nil, nil, err
 			}
 		}
 	}
@@ -233,11 +205,9 @@ func (f *Fuzzy) compiledFor(d int, out Range, obsRange func(j int) (float64, flo
 // rebuilt per call, because the input variable domains come from the
 // observed feature ranges (which change with the anonymization level,
 // exactly as in the paper: coarser releases feed the same rule base worse
-// inputs). The compiled system evaluates the flat matrix chunk-parallel, one
-// pooled evaluator clone per chunk, through fuzzy.Evaluator.EvaluateBatch —
-// no per-row input maps, no per-row allocations. NaN results (the batch
-// evaluator's no-rule-fired sentinel, possible only with hand-written sparse
-// rule bases) fall back to the no-fusion range midpoint.
+// inputs). The compiled system evaluates the flat matrix chunk-parallel
+// through fuzzy.Evaluator.EvaluateBatch — no per-row input maps, no per-row
+// allocations.
 func (f *Fuzzy) EstimateBatch(m Matrix, out Range, b *parallel.Budget, _ *Arena, est []float64) error {
 	if !out.valid() {
 		return fmt.Errorf("fusion: empty range")
@@ -269,23 +239,5 @@ func (f *Fuzzy) EstimateBatch(m Matrix, out Range, b *parallel.Budget, _ *Arena,
 	if err != nil {
 		return err
 	}
-	var firstErr batchErr
-	b.For(n, heavyRowGrain, func(lo, hi int) {
-		ev := cf.get()
-		if err := ev.EvaluateBatch(m.Flat[lo*d:hi*d], d, est[lo:hi]); err != nil {
-			firstErr.set(err)
-		}
-		cf.put(ev)
-	})
-	if err := firstErr.get(); err != nil {
-		return err
-	}
-	mid := out.Mid()
-	for i, v := range est {
-		if v != v { // NaN: no rule fired on this row
-			v = mid
-		}
-		est[i] = stats.Clamp(v, out.Lo, out.Hi)
-	}
-	return nil
+	return cf.estimate(m, out, b, est)
 }

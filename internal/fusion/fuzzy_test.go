@@ -3,8 +3,6 @@ package fusion
 import (
 	"testing"
 	"testing/quick"
-
-	"repro/internal/fuzzy"
 )
 
 func TestFuzzyMonotone(t *testing.T) {
@@ -66,91 +64,6 @@ func TestFuzzyDegenerateFeature(t *testing.T) {
 	}
 }
 
-func TestFuzzyTermCountVariants(t *testing.T) {
-	features := [][]float64{{1}, {3}, {5}, {7}, {9}}
-	for _, terms := range []int{2, 3, 5, 7} {
-		f := &Fuzzy{Opts: FuzzyOptions{Terms: terms}}
-		est, err := estimateRows(f, features, Range{0, 100})
-		if err != nil {
-			t.Fatalf("terms=%d: %v", terms, err)
-		}
-		for i := 1; i < len(est); i++ {
-			if est[i] < est[i-1] {
-				t.Errorf("terms=%d: non-monotone %v", terms, est)
-			}
-		}
-	}
-	bad := &Fuzzy{Opts: FuzzyOptions{Terms: 1}}
-	if _, err := estimateRows(bad, features, Range{0, 100}); err == nil {
-		t.Error("terms=1 accepted")
-	}
-}
-
-func TestFuzzyCustomRules(t *testing.T) {
-	f := &Fuzzy{Opts: FuzzyOptions{
-		FeatureNames: []string{"valuation", "property"},
-		Rules: `
-# Figure 2 style hand-written knowledge.
-IF valuation IS high AND property IS high THEN out IS high
-IF valuation IS low  OR  property IS low  THEN out IS low
-IF valuation IS med THEN out IS med
-`,
-	}}
-	features := [][]float64{{1, 500}, {5, 2500}, {9, 5500}}
-	est, err := estimateRows(f, features, Range{40000, 160000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(est[0] < est[2]) {
-		t.Errorf("custom rules not ordering extremes: %v", est)
-	}
-	// Sparse rules that never fire fall back to the midpoint.
-	sparse := &Fuzzy{Opts: FuzzyOptions{
-		FeatureNames: []string{"v"},
-		Rules:        "IF v IS high THEN out IS high",
-	}}
-	est, err = estimateRows(sparse, [][]float64{{0}, {10}}, Range{0, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est[0] != 50 {
-		t.Errorf("no-fire fallback = %g, want midpoint 50", est[0])
-	}
-	// Broken custom rules error.
-	broken := &Fuzzy{Opts: FuzzyOptions{Rules: "IF nonsense"}}
-	if _, err := estimateRows(broken, [][]float64{{1}}, Range{0, 1}); err == nil {
-		t.Error("broken rules accepted")
-	}
-	// Rule referencing unknown variable errors.
-	unknown := &Fuzzy{Opts: FuzzyOptions{Rules: "IF zz IS high THEN out IS high"}}
-	if _, err := estimateRows(unknown, [][]float64{{1}, {2}}, Range{0, 1}); err == nil {
-		t.Error("unknown variable accepted")
-	}
-}
-
-func TestFuzzyEngineVariants(t *testing.T) {
-	features := [][]float64{{1, 500}, {5, 2500}, {9, 5500}}
-	r := Range{40000, 160000}
-	variants := []fuzzy.Options{
-		{},
-		{Norms: fuzzy.Norms{ProductAND: true}},
-		{ProductImplication: true},
-		{Defuzz: fuzzy.Bisector},
-		{Defuzz: fuzzy.MeanOfMaxima},
-		{Resolution: 1001},
-	}
-	for i, opts := range variants {
-		f := &Fuzzy{Opts: FuzzyOptions{Engine: opts}}
-		est, err := estimateRows(f, features, r)
-		if err != nil {
-			t.Fatalf("variant %d: %v", i, err)
-		}
-		if !(est[0] < est[2]) {
-			t.Errorf("variant %d: extremes unordered: %v", i, est)
-		}
-	}
-}
-
 func TestFuzzyErrors(t *testing.T) {
 	if _, err := estimateRows(NewFuzzy(), nil, Range{0, 1}); err == nil {
 		t.Error("no records accepted")
@@ -161,9 +74,13 @@ func TestFuzzyErrors(t *testing.T) {
 	if _, err := estimateRows(NewFuzzy(), [][]float64{{1}}, Range{3, 3}); err == nil {
 		t.Error("empty range accepted")
 	}
-	f := &Fuzzy{Opts: FuzzyOptions{FeatureNames: []string{"a", "b"}}}
-	if _, err := estimateRows(f, [][]float64{{1}}, Range{0, 1}); err == nil {
-		t.Error("name/width mismatch accepted")
+	f := &Fuzzy{Opts: FuzzyOptions{Domains: []Range{{0, 10}, {0, 10}}}}
+	if _, err := estimateRows(f, [][]float64{{1}}, Range{0, 1}); err == nil || err.Error() != "fusion: 2 domains for 1 features" {
+		t.Errorf("domain/width mismatch: %v", err)
+	}
+	f = &Fuzzy{Opts: FuzzyOptions{Domains: []Range{{0, 10}, {5, 5}}}}
+	if _, err := estimateRows(f, [][]float64{{1, 2}}, Range{0, 1}); err == nil || err.Error() != "fusion: empty domain [5, 5] for feature 1" {
+		t.Errorf("empty domain: %v", err)
 	}
 }
 

@@ -11,9 +11,8 @@ import (
 
 // This file holds the row-at-a-time reference implementation of the fusion
 // step: feature rows as [][]float64, one estimator loop per row, and the
-// fuzzy systems run through the uncompiled fuzzy.System.Evaluate and
-// EvaluateSugeno. It is the oracle the flat-matrix estimators are pinned to,
-// bit for bit.
+// fuzzy systems run through the uncompiled fuzzy.System.Evaluate. It is the
+// oracle the flat-matrix estimators are pinned to, bit for bit.
 
 // rowsOf returns the row views of a flat matrix.
 func rowsOf(m Matrix) [][]float64 {
@@ -229,11 +228,7 @@ func referenceEstimate(est Estimator, features [][]float64, out Range) ([]float6
 		}
 		return evaluateRows(features, names, out, sys.Evaluate)
 	case *FIS:
-		eval := e.System.Evaluate
-		if e.Sugeno {
-			eval = e.System.EvaluateSugeno
-		}
-		return evaluateRows(features, e.FeatureNames, out, eval)
+		return evaluateRows(features, e.FeatureNames, out, e.System.Evaluate)
 	default:
 		return nil, fmt.Errorf("no reference for estimator %s", est.Name())
 	}

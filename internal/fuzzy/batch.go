@@ -10,9 +10,9 @@ import (
 // This file is the Evaluator's inference: whole-matrix evaluation over a flat
 // row-major feature matrix, with no per-row map construction and no per-row
 // allocations once warm. Every crisp result is bit-identical to
-// System.Evaluate / System.EvaluateSugeno on the same row; rows where no rule
-// fires (or the aggregated surface is empty) report NaN instead of
-// ErrNoRuleFired, so one bad row does not abort the batch.
+// System.Evaluate on the same row; rows where no rule fires (or the
+// aggregated surface is empty) report NaN instead of ErrNoRuleFired, so one
+// bad row does not abort the batch.
 
 // Clone returns an evaluator sharing e's compiled, immutable state (system,
 // variables, membership functions, rules, output samples, sample grades and
@@ -124,7 +124,7 @@ func (e *Evaluator) fireRow(row []float64, cols []int) bool {
 		if cr.simple {
 			w = e.grades[cr.varI][cr.terI]
 		} else {
-			w = cr.expr.strength(e.gradesMap, e.sys.opts.Norms)
+			w = cr.expr.strength(e.gradesMap)
 		}
 		w *= cr.weight
 		if w <= 0 {
@@ -144,16 +144,15 @@ func (e *Evaluator) fireRow(row []float64, cols []int) bool {
 // mirrors the term's Grade, so reading otg[oi][i] is bit-identical to
 // evaluating the term at sample i.
 func (e *Evaluator) sample() {
-	n := e.sys.opts.Resolution
 	lo, hi := e.sys.output.Lo, e.sys.output.Hi
-	dx := (hi - lo) / float64(n-1)
-	e.xs = make([]float64, n)
+	dx := (hi - lo) / float64(resolution-1)
+	e.xs = make([]float64, resolution)
 	for i := range e.xs {
 		e.xs[i] = lo + float64(i)*dx
 	}
 	e.otg = make([][]float64, len(e.outTerms))
 	for oi := range e.outTerms {
-		g := make([]float64, n)
+		g := make([]float64, resolution)
 		for i, x := range e.xs {
 			g[i] = e.outTerms[oi].grade(x)
 		}
@@ -193,9 +192,9 @@ func finitePositive(g []float64) bool {
 
 // centroidBatch defuzzifies the current caps through the run table. The
 // surface value y at a sample is the max, starting at +0 and rising only on
-// a strict >, over the fired terms of their clipped (or scaled) grade: the
-// value System.Evaluate's aggregate takes over every fired rule, since
-// clipping and scaling are monotone in the cap. A term outside a run has a
+// a strict >, over the fired terms of their clipped grade: the value
+// System.Evaluate's aggregate takes over every fired rule, since clipping is
+// monotone in the cap. A term outside a run has a
 // zero grade there, so it cannot raise y and the run's own terms suffice; an
 // unfired term has cap +0 and cannot raise y either. A pair run's two
 // grades are finite and > 0, so both candidates are ≥ +0 and never NaN, and
@@ -204,7 +203,6 @@ func finitePositive(g []float64) bool {
 // Returns NaN when the surface is empty.
 func (e *Evaluator) centroidBatch() float64 {
 	caps, xs := e.caps, e.xs
-	prod := e.sys.opts.ProductImplication
 	var area, num float64
 	for k := range e.runs {
 		r := &e.runs[k]
@@ -214,30 +212,19 @@ func (e *Evaluator) centroidBatch() float64 {
 			gb := e.otg[r.terms[1]][r.lo:r.hi]
 			ga, gb = ga[:len(x)], gb[:len(x)] // one length: no bounds checks below
 			ca, cb := caps[r.terms[0]], caps[r.terms[1]]
-			if prod {
-				for i, xi := range x {
-					y := ga[i] * ca
-					if v := gb[i] * cb; v > y {
-						y = v
-					}
-					area += y
-					num += xi * y
+			for i, xi := range x {
+				y, v := ga[i], gb[i]
+				if y > ca {
+					y = ca
 				}
-			} else {
-				for i, xi := range x {
-					y, v := ga[i], gb[i]
-					if y > ca {
-						y = ca
-					}
-					if v > cb {
-						v = cb
-					}
-					if v > y {
-						y = v
-					}
-					area += y
-					num += xi * y
+				if v > cb {
+					v = cb
 				}
+				if v > y {
+					y = v
+				}
+				area += y
+				num += xi * y
 			}
 			continue
 		}
@@ -245,9 +232,7 @@ func (e *Evaluator) centroidBatch() float64 {
 			var y float64
 			for _, oi := range r.terms {
 				g, c := e.otg[oi][i], caps[oi]
-				if prod {
-					g *= c
-				} else if g > c {
+				if g > c {
 					g = c
 				}
 				if g > y {
@@ -264,28 +249,13 @@ func (e *Evaluator) centroidBatch() float64 {
 	return num / area
 }
 
-// checkBatch validates the flat matrix shape shared by the batch entry
-// points.
-func checkBatch(flat []float64, stride, n int) error {
-	if stride < 1 {
-		return fmt.Errorf("fuzzy: batch stride must be ≥ 1, got %d", stride)
-	}
-	if len(flat) < n*stride {
-		return fmt.Errorf("fuzzy: flat matrix has %d values, need %d rows × stride %d", len(flat), n, stride)
-	}
-	return nil
-}
-
 // EvaluateBatch runs Mamdani inference over len(out) rows of a flat
 // row-major feature matrix: row r occupies flat[r*stride : r*stride+stride],
 // and each input variable reads the column it was bound to (BindInputs), or
 // its own index when unbound. out[r] receives exactly the bits
 // System.Evaluate would produce for that row, with NaN marking rows where no
-// rule fired.
-//
-// With the centroid defuzzifier (the default) the whole batch runs against
-// the evaluator's run table and allocates nothing once warm; other
-// defuzzifiers build each row's surface and run System.defuzzify.
+// rule fired. The whole batch runs against the evaluator's run table and
+// allocates nothing once warm.
 func (e *Evaluator) EvaluateBatch(flat []float64, stride int, out []float64) error {
 	if len(e.rules) == 0 {
 		return errors.New("fuzzy: system has no rules")
@@ -294,84 +264,21 @@ func (e *Evaluator) EvaluateBatch(flat []float64, stride int, out []float64) err
 	if n == 0 {
 		return nil
 	}
-	if err := checkBatch(flat, stride, n); err != nil {
-		return err
+	if stride < 1 {
+		return fmt.Errorf("fuzzy: batch stride must be ≥ 1, got %d", stride)
+	}
+	if len(flat) < n*stride {
+		return fmt.Errorf("fuzzy: flat matrix has %d values, need %d rows × stride %d", len(flat), n, stride)
 	}
 	cols, err := e.batchCols(stride)
 	if err != nil {
 		return err
 	}
-	centroid := e.sys.opts.Defuzz == Centroid
 	for r := 0; r < n; r++ {
-		row := flat[r*stride : r*stride+stride]
-		if !e.fireRow(row, cols) {
-			out[r] = math.NaN()
-			continue
-		}
-		if centroid {
+		if e.fireRow(flat[r*stride:r*stride+stride], cols) {
 			out[r] = e.centroidBatch()
-			continue
-		}
-		y, err := e.defuzzify()
-		if err != nil {
-			if errors.Is(err, ErrNoRuleFired) {
-				out[r] = math.NaN()
-				continue
-			}
-			return err
-		}
-		out[r] = y
-	}
-	return nil
-}
-
-// EvaluateBatchSugeno is the batch form of System.EvaluateSugeno over the
-// same flat matrix layout as EvaluateBatch: the firing-strength-weighted
-// average of the output singletons, accumulated in rule order, bit-identical
-// per row. Rows firing no rule get NaN. Like System.EvaluateSugeno, output
-// terms are only checked to be singletons when a rule firing on them
-// actually fires.
-func (e *Evaluator) EvaluateBatchSugeno(flat []float64, stride int, out []float64) error {
-	if len(e.rules) == 0 {
-		return errors.New("fuzzy: system has no rules")
-	}
-	n := len(out)
-	if n == 0 {
-		return nil
-	}
-	if err := checkBatch(flat, stride, n); err != nil {
-		return err
-	}
-	cols, err := e.batchCols(stride)
-	if err != nil {
-		return err
-	}
-	for r := 0; r < n; r++ {
-		e.fuzzifyRow(flat[r*stride:r*stride+stride], cols)
-		var num, den float64
-		for i := range e.rules {
-			cr := &e.rules[i]
-			var w float64
-			if cr.simple {
-				w = e.grades[cr.varI][cr.terI]
-			} else {
-				w = cr.expr.strength(e.gradesMap, e.sys.opts.Norms)
-			}
-			w *= cr.weight
-			if w <= 0 {
-				continue
-			}
-			ot := &e.outTerms[cr.outI]
-			if ot.kind != mfSingleton {
-				return fmt.Errorf("fuzzy: Sugeno output term %q is not a singleton", e.sys.output.order[cr.outI])
-			}
-			num += w * ot.a
-			den += w
-		}
-		if den == 0 {
-			out[r] = math.NaN()
 		} else {
-			out[r] = num / den
+			out[r] = math.NaN()
 		}
 	}
 	return nil

@@ -6,14 +6,13 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 )
 
 // buildTestSystem assembles a 2-input Mamdani system with the generated
 // Ruspini partitions the fusion layer uses.
-func buildTestSystem(t *testing.T, opts Options, rules []string) *System {
+func buildTestSystem(t *testing.T, rules []string) *System {
 	t.Helper()
 	out, err := NewVariable("out", 0, 100)
 	if err != nil {
@@ -22,7 +21,7 @@ func buildTestSystem(t *testing.T, opts Options, rules []string) *System {
 	if err := out.ThreeTerms("low", "med", "high"); err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewSystem(out, opts)
+	sys, err := NewSystem(out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,9 +139,9 @@ func termNames(n int) []string {
 // monotoneSystem is the fusion estimator's shape: d inputs x0..x(d−1) over
 // [0, 10], each split into as many uniform terms as the output has, and one
 // rule "IF xj IS ti THEN out IS ti" per input and term.
-func monotoneSystem(t *testing.T, out *Variable, opts Options, d int) (*System, []string) {
+func monotoneSystem(t *testing.T, out *Variable, d int) (*System, []string) {
 	t.Helper()
-	sys, err := NewSystem(out, opts)
+	sys, err := NewSystem(out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,14 +202,13 @@ func edgeRows(d, terms int) []float64 {
 
 // TestEvaluateBatchMatchesEvaluate: batch results must carry the exact bits
 // of the reference System.Evaluate across simple, compound and sparse rule
-// bases, implications, defuzzifiers and resolutions, over every output shape
-// of outputShapes at d = 1, 3 and 5 inputs, with NaN standing in for
-// ErrNoRuleFired.
+// bases, and over every output shape of outputShapes at d = 1, 3 and 5
+// inputs, with NaN standing in for ErrNoRuleFired.
 func TestEvaluateBatchMatchesEvaluate(t *testing.T) {
 	// The paper's three-term output splits into five runs, {low},
 	// {low, med}, {med}, {med, high} and {high}, and the two-term ones are
 	// hoisted.
-	paper, err := NewEvaluator(buildTestSystem(t, Options{}, []string{"IF a IS low THEN out IS low"}))
+	paper, err := NewEvaluator(buildTestSystem(t, []string{"IF a IS low THEN out IS low"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,57 +241,40 @@ func TestEvaluateBatchMatchesEvaluate(t *testing.T) {
 		},
 	}
 	for name, rules := range ruleSets {
-		for _, opts := range []Options{
-			{},
-			{ProductImplication: true},
-			{Defuzz: Bisector},
-			{Defuzz: MeanOfMaxima},
-			{Norms: Norms{ProductAND: true}, Resolution: 101},
-		} {
-			flat, _ := batchGrid()
-			requireBatchMatches(t, fmt.Sprintf("%s %+v", name, opts), buildTestSystem(t, opts, rules), []string{"a", "b"}, flat)
-		}
+		flat, _ := batchGrid()
+		requireBatchMatches(t, name, buildTestSystem(t, rules), []string{"a", "b"}, flat)
 	}
 
 	for shape, mfs := range outputShapes() {
-		for _, opts := range []Options{
-			{},
-			{ProductImplication: true},
-			{Resolution: 2},
-			{Resolution: 2, ProductImplication: true},
-			{Resolution: 37},
-			{Resolution: 37, ProductImplication: true},
-		} {
-			for _, d := range []int{1, 3, 5} {
-				out, err := NewVariable("out", 0, 100)
-				if err != nil {
+		for _, d := range []int{1, 3, 5} {
+			out, err := NewVariable("out", 0, 100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, mf := range mfs {
+				if err := out.AddTerm(fmt.Sprintf("t%d", i), mf); err != nil {
 					t.Fatal(err)
 				}
-				for i, mf := range mfs {
-					if err := out.AddTerm(fmt.Sprintf("t%d", i), mf); err != nil {
-						t.Fatal(err)
-					}
-				}
-				sys, names := monotoneSystem(t, out, opts, d)
-				requireBatchMatches(t, fmt.Sprintf("%s %+v d=%d", shape, opts, d), sys, names, edgeRows(d, len(mfs)))
 			}
+			sys, names := monotoneSystem(t, out, d)
+			requireBatchMatches(t, fmt.Sprintf("%s d=%d", shape, d), sys, names, edgeRows(d, len(mfs)))
 		}
 	}
 }
 
 // FuzzEvaluateBatchMatchesEvaluate: for any three inputs (NaN and ±Inf
-// included), output term count, resolution, implication and output bounds,
-// EvaluateBatch must return exactly System.Evaluate's bits, and NaN where
-// the reference reports ErrNoRuleFired.
+// included), output term count and output bounds, EvaluateBatch must return
+// exactly System.Evaluate's bits, and NaN where the reference reports
+// ErrNoRuleFired.
 func FuzzEvaluateBatchMatchesEvaluate(f *testing.F) {
 	nan, inf := math.NaN(), math.Inf(1)
-	f.Add(2.5, 5.0, 7.5, uint8(1), uint16(199), false, 0.0, 100.0)
-	f.Add(nan, inf, -inf, uint8(1), uint16(199), true, 40000.0, 160000.0)
-	f.Add(-3.0, 13.0, 0.0, uint8(0), uint16(0), false, 0.0, 1.0)
-	f.Add(1.25, 7.5, 10.0, uint8(3), uint16(35), true, -50.0, 50.0)
-	f.Add(3.3, 6.6, 10.0, uint8(0), uint16(98), false, -inf, inf)
-	f.Add(5.0, 5.0, 5.0, uint8(1), uint16(7), true, -1e308, 1e307)
-	f.Fuzz(func(t *testing.T, x0, x1, x2 float64, terms uint8, res uint16, prod bool, lo, hi float64) {
+	f.Add(2.5, 5.0, 7.5, uint8(1), 0.0, 100.0)
+	f.Add(nan, inf, -inf, uint8(1), 40000.0, 160000.0)
+	f.Add(-3.0, 13.0, 0.0, uint8(0), 0.0, 1.0)
+	f.Add(1.25, 7.5, 10.0, uint8(3), -50.0, 50.0)
+	f.Add(3.3, 6.6, 10.0, uint8(0), -inf, inf)
+	f.Add(5.0, 5.0, 5.0, uint8(1), -1e308, 1e307)
+	f.Fuzz(func(t *testing.T, x0, x1, x2 float64, terms uint8, lo, hi float64) {
 		out, err := NewVariable("out", lo, hi)
 		if err != nil {
 			return
@@ -301,9 +282,8 @@ func FuzzEvaluateBatchMatchesEvaluate(f *testing.F) {
 		if err := out.UniformTerms(termNames(2 + int(terms)%4)); err != nil {
 			return
 		}
-		opts := Options{Resolution: 2 + int(res)%400, ProductImplication: prod}
-		sys, names := monotoneSystem(t, out, opts, 3)
-		requireBatchMatches(t, fmt.Sprintf("%+v out [%g, %g]", opts, lo, hi), sys, names, []float64{x0, x1, x2})
+		sys, names := monotoneSystem(t, out, 3)
+		requireBatchMatches(t, fmt.Sprintf("out [%g, %g]", lo, hi), sys, names, []float64{x0, x1, x2})
 	})
 }
 
@@ -315,7 +295,7 @@ func TestEvaluateBatchBoundInputs(t *testing.T) {
 		"IF b IS high THEN out IS high",
 		"IF a IS med AND b IS med THEN out IS med",
 	}
-	sys := buildTestSystem(t, Options{}, rules)
+	sys := buildTestSystem(t, rules)
 	ev, err := NewEvaluator(sys)
 	if err != nil {
 		t.Fatal(err)
@@ -354,89 +334,6 @@ func TestEvaluateBatchBoundInputs(t *testing.T) {
 	}
 }
 
-// TestEvaluateBatchSugenoMatchesSystem pins the batch Sugeno path to
-// System.EvaluateSugeno bit for bit, including the no-rule NaN and the
-// lazy non-singleton error.
-func TestEvaluateBatchSugenoMatchesSystem(t *testing.T) {
-	out, err := NewVariable("out", 0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []struct {
-		name string
-		x    float64
-	}{{"low", 10}, {"med", 50}, {"high", 90}} {
-		if err := out.AddTerm(s.name, Singleton{X: s.x}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sys, err := NewSystem(out, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"a", "b"} {
-		v, err := NewVariable(name, 0, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := v.ThreeTerms("low", "med", "high"); err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.AddInput(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, r := range []string{
-		"IF a IS low THEN out IS low",
-		"IF a IS high OR b IS high THEN out IS high",
-		"IF a IS med AND b IS med THEN out IS med",
-	} {
-		if err := sys.AddRuleText(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ev, err := NewEvaluator(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, stride := batchGrid()
-	n := len(flat) / stride
-	got := make([]float64, n)
-	if err := ev.EvaluateBatchSugeno(flat, stride, got); err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < n; r++ {
-		want, err := sys.EvaluateSugeno(map[string]float64{"a": flat[r*stride], "b": flat[r*stride+1]})
-		if errors.Is(err, ErrNoRuleFired) {
-			if !math.IsNaN(got[r]) {
-				t.Fatalf("row %d: no rule fired but batch returned %v", r, got[r])
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(got[r]) != math.Float64bits(want) {
-			t.Fatalf("row %d: batch sugeno %v != system %v", r, got[r], want)
-		}
-	}
-
-	// A non-singleton output term is only an error once a rule firing on it
-	// fires, matching System.EvaluateSugeno's lazy check.
-	mixed := buildTestSystem(t, Options{}, []string{"IF a IS low THEN out IS low"})
-	mev, err := NewEvaluator(mixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mev.EvaluateBatchSugeno([]float64{0, 0}, 2, make([]float64, 1)); err == nil ||
-		!strings.Contains(err.Error(), "not a singleton") {
-		t.Fatalf("want non-singleton error, got %v", err)
-	}
-	if err := mev.EvaluateBatchSugeno([]float64{10, 10}, 2, make([]float64, 1)); err != nil {
-		t.Fatalf("unfired non-singleton term must not error, got %v", err)
-	}
-}
-
 // TestEvaluatorClone: clones share compiled state but never buffers, so
 // concurrent batch evaluation is race-free and bit-identical (run under
 // -race in CI).
@@ -446,7 +343,7 @@ func TestEvaluatorClone(t *testing.T) {
 		"IF a IS high OR b IS high THEN out IS high",
 		"IF a IS med THEN out IS med",
 	}
-	sys := buildTestSystem(t, Options{ProductImplication: true}, rules)
+	sys := buildTestSystem(t, rules)
 	ev, err := NewEvaluator(sys)
 	if err != nil {
 		t.Fatal(err)
@@ -493,7 +390,7 @@ func TestEvaluateBatchNoAllocs(t *testing.T) {
 		"IF a IS high THEN out IS high",
 		"IF b IS med THEN out IS med",
 	}
-	sys := buildTestSystem(t, Options{}, rules)
+	sys := buildTestSystem(t, rules)
 	ev, err := NewEvaluator(sys)
 	if err != nil {
 		t.Fatal(err)
@@ -523,7 +420,7 @@ func BenchmarkEvaluateBatch(b *testing.B) {
 	if err := out.ThreeTerms("low", "med", "high"); err != nil {
 		b.Fatal(err)
 	}
-	sys, err := NewSystem(out, Options{})
+	sys, err := NewSystem(out)
 	if err != nil {
 		b.Fatal(err)
 	}

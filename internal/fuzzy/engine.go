@@ -3,58 +3,7 @@ package fuzzy
 import (
 	"errors"
 	"fmt"
-	"math"
 )
-
-// Defuzzifier selects the crisp-output strategy for Mamdani inference.
-type Defuzzifier int
-
-// The five standard defuzzifiers.
-const (
-	// Centroid is the center of gravity of the aggregated surface — the
-	// default, and what the paper's Figure 2 "DE-FUZZIFIER" box computes.
-	Centroid Defuzzifier = iota
-	// Bisector splits the aggregated area in half.
-	Bisector
-	// MeanOfMaxima averages the points of maximal membership.
-	MeanOfMaxima
-	// SmallestOfMaxima takes the smallest point of maximal membership.
-	SmallestOfMaxima
-	// LargestOfMaxima takes the largest point of maximal membership.
-	LargestOfMaxima
-)
-
-// String returns the defuzzifier name.
-func (d Defuzzifier) String() string {
-	switch d {
-	case Centroid:
-		return "centroid"
-	case Bisector:
-		return "bisector"
-	case MeanOfMaxima:
-		return "mom"
-	case SmallestOfMaxima:
-		return "som"
-	case LargestOfMaxima:
-		return "lom"
-	default:
-		return fmt.Sprintf("Defuzzifier(%d)", int(d))
-	}
-}
-
-// Options configures inference.
-type Options struct {
-	// Norms selects the AND connective (min or product).
-	Norms Norms
-	// ProductImplication scales consequents by firing strength instead of
-	// clipping them (Larsen vs Mamdani implication).
-	ProductImplication bool
-	// Defuzz selects the output strategy.
-	Defuzz Defuzzifier
-	// Resolution is the number of samples across the output domain used by
-	// the numeric defuzzifiers. Defaults to 201 when zero.
-	Resolution int
-}
 
 // System is a complete fuzzy inference system: input variables, one output
 // variable and a rule base, mirroring the structure of the paper's Figure 2.
@@ -62,27 +11,19 @@ type System struct {
 	inputs map[string]*Variable
 	output *Variable
 	rules  []Rule
-	opts   Options
 }
 
-// NewSystem creates a system with the given output variable and options.
-func NewSystem(output *Variable, opts Options) (*System, error) {
+// NewSystem creates a system with the given output variable.
+func NewSystem(output *Variable) (*System, error) {
 	if output == nil {
 		return nil, errors.New("fuzzy: system needs an output variable")
 	}
 	if len(output.Terms()) == 0 {
 		return nil, fmt.Errorf("fuzzy: output variable %q has no terms", output.Name)
 	}
-	if opts.Resolution == 0 {
-		opts.Resolution = 201
-	}
-	if opts.Resolution < 2 {
-		return nil, fmt.Errorf("fuzzy: resolution %d too small", opts.Resolution)
-	}
 	return &System{
 		inputs: make(map[string]*Variable),
 		output: output,
-		opts:   opts,
 	}, nil
 }
 
@@ -182,11 +123,12 @@ func (s *System) Output() *Variable { return s.output }
 // the aggregated output surface is empty.
 var ErrNoRuleFired = errors.New("fuzzy: no rule fired")
 
-// Evaluate runs Mamdani inference: fuzzify inputs, fire every rule, clip or
-// scale its consequent, aggregate by max, and defuzzify. Inputs are crisp
-// values keyed by variable name; every registered input must be present.
-// It is the reference implementation: the compiled Evaluator's batch
-// inference is pinned to its bits.
+// Evaluate runs Mamdani inference: fuzzify inputs, fire every rule (min for
+// AND, max for OR), clip its consequent at the firing strength, aggregate by
+// max, and take the centroid. Inputs are crisp values keyed by variable name;
+// every registered input must be present. It is the reference
+// implementation: the compiled Evaluator's batch inference is pinned to its
+// bits.
 func (s *System) Evaluate(in map[string]float64) (float64, error) {
 	if len(s.rules) == 0 {
 		return 0, errors.New("fuzzy: system has no rules")
@@ -201,7 +143,7 @@ func (s *System) Evaluate(in map[string]float64) (float64, error) {
 	}
 	var fired aggregate
 	for _, r := range s.rules {
-		w := r.Antecedent.strength(grades, s.opts.Norms) * r.Weight
+		w := r.Antecedent.strength(grades) * r.Weight
 		if w <= 0 {
 			continue
 		}
@@ -209,7 +151,7 @@ func (s *System) Evaluate(in map[string]float64) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		fired = append(fired, clipped{base: base, cap: w, prod: s.opts.ProductImplication})
+		fired = append(fired, clipped{base: base, cap: w})
 	}
 	if len(fired) == 0 {
 		return 0, ErrNoRuleFired
@@ -217,54 +159,20 @@ func (s *System) Evaluate(in map[string]float64) (float64, error) {
 	return s.defuzzify(fired)
 }
 
-// EvaluateSugeno runs zero-order Sugeno inference: each output term must be
-// a Singleton; the result is the firing-strength-weighted average of the
-// singletons. It is cheaper than Mamdani and used as an engine ablation, and
-// it is the reference Evaluator.EvaluateBatchSugeno is pinned to.
-func (s *System) EvaluateSugeno(in map[string]float64) (float64, error) {
-	if len(s.rules) == 0 {
-		return 0, errors.New("fuzzy: system has no rules")
-	}
-	grades := make(map[string]map[string]float64, len(s.inputs))
-	for name, v := range s.inputs {
-		x, ok := in[name]
-		if !ok {
-			return 0, fmt.Errorf("fuzzy: missing input %q", name)
-		}
-		grades[name] = v.Fuzzify(x)
-	}
-	var num, den float64
-	for _, r := range s.rules {
-		w := r.Antecedent.strength(grades, s.opts.Norms) * r.Weight
-		if w <= 0 {
-			continue
-		}
-		f, err := s.output.Term(r.OutputTerm)
-		if err != nil {
-			return 0, err
-		}
-		sing, ok := f.(Singleton)
-		if !ok {
-			return 0, fmt.Errorf("fuzzy: Sugeno output term %q is not a singleton", r.OutputTerm)
-		}
-		num += w * sing.X
-		den += w
-	}
-	if den == 0 {
-		return 0, ErrNoRuleFired
-	}
-	return num / den, nil
-}
+// resolution is the number of samples the centroid takes across the output
+// domain.
+const resolution = 201
 
+// defuzzify returns the centroid of the surface over the output domain's
+// samples lo + i·dx, i = 0..resolution−1.
 func (s *System) defuzzify(surface MembershipFunc) (float64, error) {
-	n := s.opts.Resolution
 	lo, hi := s.output.Lo, s.output.Hi
-	dx := (hi - lo) / float64(n-1)
-	xs := make([]float64, n)
-	ys := make([]float64, n)
+	dx := (hi - lo) / float64(resolution-1)
+	xs := make([]float64, resolution)
+	ys := make([]float64, resolution)
 	var maxY float64
 	var area float64
-	for i := 0; i < n; i++ {
+	for i := 0; i < resolution; i++ {
 		x := lo + float64(i)*dx
 		y := surface.Grade(x)
 		xs[i], ys[i] = x, y
@@ -276,49 +184,9 @@ func (s *System) defuzzify(surface MembershipFunc) (float64, error) {
 	if maxY == 0 || area == 0 {
 		return 0, ErrNoRuleFired
 	}
-	switch s.opts.Defuzz {
-	case Centroid:
-		var num float64
-		for i := range xs {
-			num += xs[i] * ys[i]
-		}
-		return num / area, nil
-	case Bisector:
-		half := area / 2
-		var acc float64
-		for i := range xs {
-			acc += ys[i]
-			if acc >= half {
-				return xs[i], nil
-			}
-		}
-		return xs[n-1], nil
-	case MeanOfMaxima, SmallestOfMaxima, LargestOfMaxima:
-		const tol = 1e-9
-		var sum float64
-		var count int
-		smallest, largest := math.Inf(1), math.Inf(-1)
-		for i := range xs {
-			if ys[i] >= maxY-tol {
-				sum += xs[i]
-				count++
-				if xs[i] < smallest {
-					smallest = xs[i]
-				}
-				if xs[i] > largest {
-					largest = xs[i]
-				}
-			}
-		}
-		switch s.opts.Defuzz {
-		case SmallestOfMaxima:
-			return smallest, nil
-		case LargestOfMaxima:
-			return largest, nil
-		default:
-			return sum / float64(count), nil
-		}
-	default:
-		return 0, fmt.Errorf("fuzzy: unknown defuzzifier %v", s.opts.Defuzz)
+	var num float64
+	for i := range xs {
+		num += xs[i] * ys[i]
 	}
+	return num / area, nil
 }

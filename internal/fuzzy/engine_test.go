@@ -9,7 +9,7 @@ import (
 
 // incomeSystem builds a small version of the paper's Figure 2: valuation and
 // property inputs, income output with Low/Med/High over [40000, 160000].
-func incomeSystem(t *testing.T, opts Options) *System {
+func incomeSystem(t *testing.T) *System {
 	t.Helper()
 	income, err := NewVariable("income", 40000, 160000)
 	if err != nil {
@@ -18,7 +18,7 @@ func incomeSystem(t *testing.T, opts Options) *System {
 	if err := income.ThreeTerms("low", "med", "high"); err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewSystem(income, opts)
+	sys, err := NewSystem(income)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestVariableValidation(t *testing.T) {
 }
 
 func TestEvaluateMonotoneScenario(t *testing.T) {
-	sys := incomeSystem(t, Options{})
+	sys := incomeSystem(t)
 	low, err := sys.Evaluate(map[string]float64{"valuation": 1, "property": 500})
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestEvaluateMonotoneScenario(t *testing.T) {
 func TestEvaluateConflictingInputs(t *testing.T) {
 	// High valuation but low property: both rules fire, centroid lands
 	// between the extremes.
-	sys := incomeSystem(t, Options{})
+	sys := incomeSystem(t)
 	got, err := sys.Evaluate(map[string]float64{"valuation": 10, "property": 0})
 	if err != nil {
 		t.Fatal(err)
@@ -167,38 +167,9 @@ func TestEvaluateConflictingInputs(t *testing.T) {
 	}
 }
 
-func TestDefuzzifierVariants(t *testing.T) {
-	for _, d := range []Defuzzifier{Centroid, Bisector, MeanOfMaxima, SmallestOfMaxima, LargestOfMaxima} {
-		sys := incomeSystem(t, Options{Defuzz: d})
-		got, err := sys.Evaluate(map[string]float64{"valuation": 9, "property": 5500})
-		if err != nil {
-			t.Fatalf("%v: %v", d, err)
-		}
-		if got < 40000 || got > 160000 {
-			t.Errorf("%v → %g escapes domain", d, got)
-		}
-		// A clearly-high scenario defuzzifies into the upper half under
-		// every strategy.
-		if got < 100000 {
-			t.Errorf("%v → %g, want upper half", d, got)
-		}
-	}
-	// SOM ≤ MOM ≤ LOM by construction.
-	mk := func(d Defuzzifier) float64 {
-		sys := incomeSystem(t, Options{Defuzz: d})
-		v, err := sys.Evaluate(map[string]float64{"valuation": 9, "property": 5500})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
-	}
-	som, mom, lom := mk(SmallestOfMaxima), mk(MeanOfMaxima), mk(LargestOfMaxima)
-	if !(som <= mom && mom <= lom) {
-		t.Errorf("SOM %g, MOM %g, LOM %g out of order", som, mom, lom)
-	}
-}
-
-func TestEvaluateSugeno(t *testing.T) {
+// TestEvaluateDeadZone: with singleton output terms, an input on which no
+// rule fires (x=5: low=0, high=0) reports ErrNoRuleFired.
+func TestEvaluateDeadZone(t *testing.T) {
 	out, err := NewVariable("income", 0, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +180,7 @@ func TestEvaluateSugeno(t *testing.T) {
 	if err := out.AddTerm("high", Singleton{X: 80}); err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewSystem(out, Options{})
+	sys, err := NewSystem(out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,45 +200,24 @@ func TestEvaluateSugeno(t *testing.T) {
 	if err := sys.AddRuleText("IF x IS high THEN income IS high"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := sys.EvaluateSugeno(map[string]float64{"x": 0})
-	if err != nil || got != 20 {
-		t.Errorf("Sugeno(0) = %g, %v", got, err)
-	}
-	got, err = sys.EvaluateSugeno(map[string]float64{"x": 10})
-	if err != nil || got != 80 {
-		t.Errorf("Sugeno(10) = %g, %v", got, err)
-	}
-	// Dead zone where no rule fires (x=5: low=0, high=0).
-	if _, err := sys.EvaluateSugeno(map[string]float64{"x": 5}); !errors.Is(err, ErrNoRuleFired) {
-		t.Errorf("dead zone error = %v", err)
-	}
-	// Mamdani on singleton terms also requires firing.
 	if _, err := sys.Evaluate(map[string]float64{"x": 5}); !errors.Is(err, ErrNoRuleFired) {
-		t.Errorf("Mamdani dead zone error = %v", err)
-	}
-	// Sugeno on non-singleton consequent errors.
-	sys2 := incomeSystem(t, Options{})
-	if _, err := sys2.EvaluateSugeno(map[string]float64{"valuation": 9, "property": 5500}); err == nil {
-		t.Error("Sugeno over Mamdani terms accepted")
+		t.Errorf("dead zone error = %v", err)
 	}
 }
 
 func TestSystemValidation(t *testing.T) {
-	if _, err := NewSystem(nil, Options{}); err == nil {
+	if _, err := NewSystem(nil); err == nil {
 		t.Error("nil output accepted")
 	}
 	bare, _ := NewVariable("out", 0, 1)
-	if _, err := NewSystem(bare, Options{}); err == nil {
+	if _, err := NewSystem(bare); err == nil {
 		t.Error("termless output accepted")
 	}
 	out, _ := NewVariable("out", 0, 1)
 	if err := out.ThreeTerms("l", "m", "h"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSystem(out, Options{Resolution: 1}); err == nil {
-		t.Error("resolution 1 accepted")
-	}
-	sys, err := NewSystem(out, Options{})
+	sys, err := NewSystem(out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,18 +260,12 @@ func TestSystemValidation(t *testing.T) {
 	if _, err := sys.Evaluate(map[string]float64{"x": 0.5}); err == nil {
 		t.Error("ruleless evaluation accepted")
 	}
-	if _, err := sys.EvaluateSugeno(map[string]float64{"x": 0.5}); err == nil {
-		t.Error("ruleless Sugeno accepted")
-	}
 	if err := sys.AddRuleText("IF x IS l THEN out IS l"); err != nil {
 		t.Fatal(err)
 	}
 	// Missing input at evaluation time.
 	if _, err := sys.Evaluate(map[string]float64{}); err == nil {
 		t.Error("missing input accepted")
-	}
-	if _, err := sys.EvaluateSugeno(map[string]float64{}); err == nil {
-		t.Error("missing Sugeno input accepted")
 	}
 	if got := len(sys.rules); got != 1 {
 		t.Errorf("rules = %d", got)
@@ -331,38 +275,6 @@ func TestSystemValidation(t *testing.T) {
 	}
 	if sys.Output().Name != "out" {
 		t.Error("Output() wrong")
-	}
-}
-
-func TestProductImplication(t *testing.T) {
-	minSys := incomeSystem(t, Options{})
-	prodSys := incomeSystem(t, Options{ProductImplication: true})
-	in := map[string]float64{"valuation": 7, "property": 4000}
-	a, err := minSys.Evaluate(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := prodSys.Evaluate(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both land in-domain; the two implications differ in general.
-	for _, v := range []float64{a, b} {
-		if v < 40000 || v > 160000 {
-			t.Errorf("estimate %g escapes domain", v)
-		}
-	}
-}
-
-func TestDefuzzifierString(t *testing.T) {
-	names := map[Defuzzifier]string{
-		Centroid: "centroid", Bisector: "bisector", MeanOfMaxima: "mom",
-		SmallestOfMaxima: "som", LargestOfMaxima: "lom",
-	}
-	for d, want := range names {
-		if got := d.String(); got != want {
-			t.Errorf("String(%d) = %q, want %q", int(d), got, want)
-		}
 	}
 }
 
@@ -376,7 +288,7 @@ func TestCentroidDomainProperty(t *testing.T) {
 	if err := out.ThreeTerms("l", "m", "h"); err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewSystem(out, Options{})
+	sys, err := NewSystem(out)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // are devirtualized. Rules firing on the same output term are aggregated by
 // their maximum strength up front — max_j min(g, w_j) = min(g, max_j w_j),
 // so the Mamdani surface is unchanged and every result is bit-identical to
-// System.Evaluate (and EvaluateSugeno), which stay the reference.
+// System.Evaluate, which stays the reference.
 //
 // An Evaluator is not safe for concurrent use; give each goroutine its own
 // Clone.
@@ -33,8 +33,8 @@ type Evaluator struct {
 	caps     []float64 // reused: max firing strength per output term
 
 	// Batch-evaluation state (see batch.go): the flat-matrix column feeding
-	// each input variable, and — for the centroid — the output-domain sample
-	// points, every output term's grade there and the run table over them.
+	// each input variable, the output-domain sample points, every output
+	// term's grade there and the run table over them.
 	varCol []int       // input variable index → feature column
 	xs     []float64   // output-domain sample points
 	otg    [][]float64 // per output term: grade at each sample point
@@ -137,9 +137,8 @@ func (m *concreteMF) grade(x float64) float64 {
 }
 
 // NewEvaluator compiles the system's current rule base. Rules added to the
-// system afterwards are not seen by the evaluator. Under the centroid
-// defuzzifier it also samples the output domain once (see sample), and every
-// Clone shares those tables.
+// system afterwards are not seen by the evaluator. It also samples the output
+// domain once (see sample), and every Clone shares those tables.
 func NewEvaluator(s *System) (*Evaluator, error) {
 	e := &Evaluator{sys: s}
 	names := make([]string, 0, len(s.inputs))
@@ -197,28 +196,6 @@ func NewEvaluator(s *System) (*Evaluator, error) {
 			e.gradesMap[v.Name] = make(map[string]float64, len(e.terms[i]))
 		}
 	}
-	if s.opts.Defuzz == Centroid {
-		e.sample()
-	}
+	e.sample()
 	return e, nil
-}
-
-// defuzzify runs a defuzzifier other than the centroid (which EvaluateBatch
-// computes from its precomputed sample grades) on the current caps: it
-// builds the clipped aggregate and reuses System.defuzzify.
-func (e *Evaluator) defuzzify() (float64, error) {
-	s := e.sys
-	prod := s.opts.ProductImplication
-	var surface aggregate
-	for oi := range e.caps {
-		if e.caps[oi] == 0 {
-			continue
-		}
-		base, err := s.output.Term(s.output.order[oi])
-		if err != nil {
-			return 0, err
-		}
-		surface = append(surface, clipped{base: base, cap: e.caps[oi], prod: prod})
-	}
-	return s.defuzzify(surface)
 }

@@ -25,9 +25,8 @@ import (
 // sigmoid center slope | bell width slope center.
 // "-inf"/"inf" are legal trapezoid feet (open shoulders).
 
-// ParseFIS reads a system in the text format. The engine options are the
-// caller's (they are runtime configuration, not part of the model).
-func ParseFIS(r io.Reader, opts Options) (*System, error) {
+// ParseFIS reads a system in the text format.
+func ParseFIS(r io.Reader) (*System, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("fuzzy: read fis: %w", err)
@@ -104,7 +103,7 @@ func ParseFIS(r io.Reader, opts Options) (*System, error) {
 	if output == nil {
 		return nil, fmt.Errorf("fuzzy: fis has no OUTPUT")
 	}
-	sys, err := NewSystem(output, opts)
+	sys, err := NewSystem(output)
 	if err != nil {
 		return nil, err
 	}

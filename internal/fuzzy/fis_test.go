@@ -1,7 +1,6 @@
 package fuzzy
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -22,7 +21,7 @@ RULE IF valuation IS high THEN income IS high WEIGHT 0.9
 `
 
 func TestParseFIS(t *testing.T) {
-	sys, err := ParseFIS(strings.NewReader(sampleFIS), Options{})
+	sys, err := ParseFIS(strings.NewReader(sampleFIS))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +61,7 @@ TERM y p singleton 7.7
 TERM y s sigmoid 5 1.5
 TERM y b bell 2 3 5
 `
-	sys, err := ParseFIS(strings.NewReader(src), Options{})
+	sys, err := ParseFIS(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,17 +127,8 @@ func TestParseFISErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ParseFIS(strings.NewReader(tc.src), Options{}); err == nil {
+			if _, err := ParseFIS(strings.NewReader(tc.src)); err == nil {
 				t.Errorf("accepted:\n%s", tc.src)
-			}
-		})
-	}
-	// A well-formed file with a resolution NewSystem rejects.
-	for _, res := range []int{1, -5} {
-		t.Run(fmt.Sprintf("resolution %d", res), func(t *testing.T) {
-			src := "OUTPUT y 0 1\nTERM y a tri 0 0.5 1\n"
-			if _, err := ParseFIS(strings.NewReader(src), Options{Resolution: res}); err == nil {
-				t.Errorf("resolution %d accepted", res)
 			}
 		})
 	}

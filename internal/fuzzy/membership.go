@@ -1,8 +1,9 @@
 // Package fuzzy is a from-scratch fuzzy inference engine — the machinery the
 // paper's adversary uses to fuse the anonymized release with web data
 // (Section 3.A, Figure 2). It provides membership functions, linguistic
-// variables, a textual rule language, Mamdani and zero-order Sugeno
-// inference, and five defuzzifiers.
+// variables, a textual rule language and Mamdani inference: min for AND,
+// consequents clipped at the firing strength, max aggregation and a
+// centroid defuzzifier.
 //
 // The engine replaces the Matlab Fuzzy Logic Toolbox the authors used.
 package fuzzy
@@ -151,8 +152,7 @@ func (b Bell) Grade(x float64) float64 {
 	return 1 / (1 + math.Pow(math.Abs((x-b.Center)/b.Width), 2*b.Slope))
 }
 
-// Singleton is 1 exactly at X and 0 elsewhere — used for crisp facts and
-// Sugeno-style consequents.
+// Singleton is 1 exactly at X and 0 elsewhere — used for crisp facts.
 type Singleton struct{ X float64 }
 
 // Grade implements MembershipFunc.
@@ -163,20 +163,16 @@ func (s Singleton) Grade(x float64) float64 {
 	return 0
 }
 
-// Clipped scales/clips a base function — the result of Mamdani implication.
+// clipped caps a base function at a firing strength — the result of Mamdani
+// implication.
 type clipped struct {
 	base MembershipFunc
 	cap  float64
-	prod bool // product implication instead of min
 }
 
 // Grade implements MembershipFunc.
 func (c clipped) Grade(x float64) float64 {
-	g := c.base.Grade(x)
-	if c.prod {
-		return g * c.cap
-	}
-	return math.Min(g, c.cap)
+	return math.Min(c.base.Grade(x), c.cap)
 }
 
 // aggregate is the pointwise maximum of several membership functions — the

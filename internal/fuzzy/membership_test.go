@@ -130,10 +130,6 @@ func TestClippedAndAggregate(t *testing.T) {
 	if got := clip.Grade(1); !almost(got, 0.2, 1e-12) {
 		t.Errorf("clipped slope = %g, want 0.2", got)
 	}
-	scaled := clipped{base: tri, cap: 0.4, prod: true}
-	if got := scaled.Grade(2.5); !almost(got, 0.2, 1e-12) {
-		t.Errorf("scaled = %g, want 0.2", got)
-	}
 	agg := aggregate{clip, Singleton{X: 9}}
 	if got := agg.Grade(9); got != 1 {
 		t.Errorf("aggregate max = %g, want 1", got)

@@ -22,23 +22,17 @@ type Rule struct {
 // Expr is a fuzzy antecedent expression evaluated against fuzzified inputs.
 type Expr interface {
 	// strength returns the firing strength given per-variable term grades.
-	strength(grades map[string]map[string]float64, n Norms) float64
+	strength(grades map[string]map[string]float64) float64
 	// vars appends the variable names referenced by the expression.
 	vars(into map[string]bool)
 	// String renders the expression in the rule language.
 	String() string
 }
 
-// Norms configures the fuzzy connectives.
-type Norms struct {
-	// ProductAND uses the product t-norm for AND instead of min.
-	ProductAND bool
-}
-
 // cond is "variable IS term".
 type cond struct{ variable, term string }
 
-func (c cond) strength(g map[string]map[string]float64, _ Norms) float64 {
+func (c cond) strength(g map[string]map[string]float64) float64 {
 	return g[c.variable][c.term]
 }
 func (c cond) vars(into map[string]bool) { into[c.variable] = true }
@@ -47,22 +41,19 @@ func (c cond) String() string            { return c.variable + " IS " + c.term }
 // notExpr is fuzzy complement 1−x.
 type notExpr struct{ inner Expr }
 
-func (n notExpr) strength(g map[string]map[string]float64, nm Norms) float64 {
-	return 1 - n.inner.strength(g, nm)
+func (n notExpr) strength(g map[string]map[string]float64) float64 {
+	return 1 - n.inner.strength(g)
 }
 func (n notExpr) vars(into map[string]bool) { n.inner.vars(into) }
 func (n notExpr) String() string            { return "NOT (" + n.inner.String() + ")" }
 
-// andExpr is the t-norm over its operands.
+// andExpr is the min t-norm over its operands.
 type andExpr struct{ kids []Expr }
 
-func (a andExpr) strength(g map[string]map[string]float64, n Norms) float64 {
+func (a andExpr) strength(g map[string]map[string]float64) float64 {
 	s := 1.0
 	for i, k := range a.kids {
-		v := k.strength(g, n)
-		if n.ProductAND {
-			s *= v
-		} else if i == 0 || v < s {
+		if v := k.strength(g); i == 0 || v < s {
 			s = v
 		}
 	}
@@ -78,10 +69,10 @@ func (a andExpr) String() string { return joinExprs(a.kids, " AND ") }
 // orExpr is the max s-norm over its operands.
 type orExpr struct{ kids []Expr }
 
-func (o orExpr) strength(g map[string]map[string]float64, n Norms) float64 {
+func (o orExpr) strength(g map[string]map[string]float64) float64 {
 	var s float64
 	for _, k := range o.kids {
-		if v := k.strength(g, n); v > s {
+		if v := k.strength(g); v > s {
 			s = v
 		}
 	}

@@ -170,25 +170,21 @@ func TestStrengthEvaluation(t *testing.T) {
 	}
 	tests := []struct {
 		src  string
-		min  float64 // expected with min-AND
-		prod float64 // expected with product-AND
+		want float64
 	}{
-		{"IF a IS x THEN o IS t", 0.3, 0.3},
-		{"IF a IS x AND b IS y THEN o IS t", 0.3, 0.24},
-		{"IF a IS x OR b IS y THEN o IS t", 0.8, 0.8},
-		{"IF NOT a IS x THEN o IS t", 0.7, 0.7},
-		{"IF NOT (a IS x AND b IS y) THEN o IS t", 0.7, 0.76},
+		{"IF a IS x THEN o IS t", 0.3},
+		{"IF a IS x AND b IS y THEN o IS t", 0.3},
+		{"IF a IS x OR b IS y THEN o IS t", 0.8},
+		{"IF NOT a IS x THEN o IS t", 0.7},
+		{"IF NOT (a IS x AND b IS y) THEN o IS t", 0.7},
 	}
 	for _, tc := range tests {
 		r, err := ParseRule(tc.src)
 		if err != nil {
 			t.Fatalf("%q: %v", tc.src, err)
 		}
-		if got := r.Antecedent.strength(grades, Norms{}); !almost(got, tc.min, 1e-12) {
-			t.Errorf("%q min strength = %g, want %g", tc.src, got, tc.min)
-		}
-		if got := r.Antecedent.strength(grades, Norms{ProductAND: true}); !almost(got, tc.prod, 1e-12) {
-			t.Errorf("%q product strength = %g, want %g", tc.src, got, tc.prod)
+		if got := r.Antecedent.strength(grades); !almost(got, tc.want, 1e-12) {
+			t.Errorf("%q strength = %g, want %g", tc.src, got, tc.want)
 		}
 	}
 }
